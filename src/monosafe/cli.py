@@ -1,7 +1,9 @@
 """Command-line front end: certificate search, verification, simulation.
 
 Exit codes are a stable contract: 0 success, 1 input error, 2 negative
-result (not found / verification failed), 3 inconclusive (budget ran out).
+result (not found / verification failed), 3 inconclusive (budget ran out),
+4 internal or numerical failure (the solver could not certify its own
+answer, a solution did not survive decoding, or no limit cycle converged).
 """
 
 from __future__ import annotations
@@ -16,7 +18,10 @@ from importlib import resources
 import numpy as np
 
 from .certificate import SSequenceCertificate
-from .invariance import build_attractive_set, build_rcis, compute_limit_cycle, find_s_sequence
+from .encode import DecodeMismatchError
+from .invariance import (LimitCycleError, build_attractive_set, build_rcis,
+                         compute_limit_cycle, find_s_sequence)
+from .milp import MilpError
 from .order import Box, PolyLowerSet
 from .simulate import (feedback, open_loop, simulate, uniform, verify_certificate,
                        worst_case_w_star, write_trajectory_csv)
@@ -26,6 +31,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NEGATIVE = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERNAL = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,7 +104,7 @@ def cmd_find(args):
     lines = [f"system: {args.system}  (hash {digest})", "horizon sweep:"]
     for r in result.records:
         lines.append(f"  T={r.T}: {r.status}  [{r.solver_status}, "
-                     f"{r.nodes} nodes, {r.elapsed:.2f}s]")
+                     f"{r.nodes} nodes, {r.pivots} pivots, {r.elapsed:.2f}s]")
     if result.found:
         cert = dataclasses.replace(result.certificate, system_hash=digest)
         cert.save(os.path.join(out, "certificate.json"))
@@ -264,6 +270,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except (MilpError, DecodeMismatchError, LimitCycleError) as exc:
+        print(f"error: internal failure ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

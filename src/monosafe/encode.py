@@ -46,9 +46,7 @@ class EncodingArtifacts:
     safe_set: PolyLowerSet
     x_idx: dict = field(default_factory=dict)        # (k, i) -> var
     control_idx: dict = field(default_factory=dict)  # (k, mode)/(k, junction) -> var
-    selector_idx: dict = field(default_factory=dict) # (k, link) -> var (traffic)
     z_idx: dict = field(default_factory=dict)        # (k, link) -> var (traffic)
-    big_m: dict = field(default_factory=dict)        # row index -> M value
     state_cap: np.ndarray | None = None
 
 
@@ -90,6 +88,7 @@ def encode_switched(sys: SwitchedAffineSystem, S: PolyLowerSet, T: int,
             art.control_idx[(k, m)] = model.add_var(f"u_{k}_{m}", binary=True)
         model.add_constraint({art.control_idx[(k, m)]: 1.0 for m in sys.controls},
                              "=", 1.0)
+    model.branch_first = list(art.control_idx.values())
     w = sys.w_star
     for k in range(T):
         for m in sys.controls:
@@ -101,14 +100,12 @@ def encode_switched(sys: SwitchedAffineSystem, S: PolyLowerSet, T: int,
                 row = {art.x_idx[(k, j)]: float(A[i, j]) for j in range(n) if A[i, j]}
                 row[art.x_idx[(k + 1, i)]] = row.get(art.x_idx[(k + 1, i)], 0.0) - 1.0
                 row[bidx] = m_lo
-                r = model.add_constraint(row, "<=", m_lo - w[i])
-                art.big_m[r] = m_lo
+                model.add_constraint(row, "<=", m_lo - w[i])
                 m_hi = min(2.0 * float(ub[i]), M_CAP)
                 row = {art.x_idx[(k, j)]: -float(A[i, j]) for j in range(n) if A[i, j]}
                 row[art.x_idx[(k + 1, i)]] = row.get(art.x_idx[(k + 1, i)], 0.0) + 1.0
                 row[bidx] = m_hi
-                r = model.add_constraint(row, "<=", m_hi + w[i])
-                art.big_m[r] = m_hi
+                model.add_constraint(row, "<=", m_hi + w[i])
     for k in range(T):  # x_k in S for k <= T-1
         for a_row, b_val in zip(S.A, S.b):
             coeffs = {art.x_idx[(k, j)]: float(a_row[j]) for j in range(n) if a_row[j]}
@@ -141,18 +138,20 @@ def encode_traffic(net: TrafficNetwork, T: int,
     for k in range(T + 1):
         for i in range(n):
             art.x_idx[(k, i)] = model.add_var(f"x_{k}_{i}", lb=0.0, ub=float(net.x_s[i]))
+    selector = {}   # (k, link) -> binary choosing the active min branch
     for k in range(T):
         for j in net.junctions:
             art.control_idx[(k, j)] = model.add_var(f"u_{k}_{j}", binary=True)
         for i, link in enumerate(net.links):
             art.z_idx[(k, i)] = model.add_var(f"z_{k}_{link.id}", lb=0.0, ub=float(net.c[i]))
-            art.selector_idx[(k, i)] = model.add_var(f"d_{k}_{link.id}", binary=True)
+            selector[(k, i)] = model.add_var(f"d_{k}_{link.id}", binary=True)
+    model.branch_first = list(art.control_idx.values())
 
     for k in range(T):
         for i, link in enumerate(net.links):
             z = art.z_idx[(k, i)]
             x = art.x_idx[(k, i)]
-            d = art.selector_idx[(k, i)]
+            d = selector[(k, i)]
             u = art.control_idx[(k, link.head)]
             ns = link.direction == NS
             c = float(net.c[i])
@@ -161,25 +160,22 @@ def encode_traffic(net: TrafficNetwork, T: int,
             # z <= x
             model.add_constraint({z: 1.0, x: -1.0}, "<=", 0.0)
             # z <= M g   (g = u for NS, 1-u for EW)
-            r = model.add_constraint({z: 1.0, u: -m_flow if ns else m_flow},
-                                     "<=", 0.0 if ns else m_flow)
-            art.big_m[r] = m_flow
+            model.add_constraint({z: 1.0, u: -m_flow if ns else m_flow},
+                                 "<=", 0.0 if ns else m_flow)
             # z >= x - M d - M (1-g)
             if ns:
-                r = model.add_constraint({x: 1.0, z: -1.0, d: -m_state, u: m_state},
-                                         "<=", m_state)
+                model.add_constraint({x: 1.0, z: -1.0, d: -m_state, u: m_state},
+                                     "<=", m_state)
             else:
-                r = model.add_constraint({x: 1.0, z: -1.0, d: -m_state, u: -m_state},
-                                         "<=", 0.0)
-            art.big_m[r] = m_state
+                model.add_constraint({x: 1.0, z: -1.0, d: -m_state, u: -m_state},
+                                     "<=", 0.0)
             # z >= c - M (1-d) - M (1-g)
             if ns:
-                r = model.add_constraint({z: -1.0, d: m_flow, u: m_flow},
-                                         "<=", 2.0 * m_flow - c)
+                model.add_constraint({z: -1.0, d: m_flow, u: m_flow},
+                                     "<=", 2.0 * m_flow - c)
             else:
-                r = model.add_constraint({z: -1.0, d: m_flow, u: -m_flow},
-                                         "<=", m_flow - c)
-            art.big_m[r] = m_flow
+                model.add_constraint({z: -1.0, d: m_flow, u: -m_flow},
+                                     "<=", m_flow - c)
         # state update equalities
         for i, link in enumerate(net.links):
             row = {art.x_idx[(k + 1, i)]: 1.0, art.x_idx[(k, i)]: -1.0,

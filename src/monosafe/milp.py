@@ -1,15 +1,28 @@
 """Self-contained LP and mixed-integer solver (no external solver dependency).
 
-The LP core is a dense two-phase primal simplex on the bounded-variable
-tableau: variables may rest at either bound, so binary branching and the
-encoder's variable bounds never add rows.  Pricing is Dantzig (steepest
-reduced cost, lowest index on ties) with a permanent switch to Bland's rule
-after a stall, which gives the usual practical speed while retaining the
-anti-cycling termination guarantee.  The integer layer is a deterministic
-depth-first branch-and-bound on the binary variables.
+The LP core is a dense simplex on the bounded-variable tableau: variables
+may rest at either bound, so binary branching and the encoder's variable
+bounds never add rows.  A cold solve is a two-phase primal simplex with
+Dantzig pricing (steepest reduced cost, lowest index on ties) and a
+permanent switch to Bland's rule after a stall, which gives the usual
+practical speed while retaining the anti-cycling termination guarantee.
+
+The integer layer is a deterministic depth-first branch-and-bound on the
+binary variables that keeps one live tableau for the whole search.  Only the
+root LP is solved cold.  Fixing a binary moves one bound and no reduced
+cost, so the parent's optimal basis stays dual feasible and a bounded dual
+simplex re-optimizes each child from it, usually in a handful of pivots
+(Koberstein, *The dual simplex method*, 2005; Bixby, *Solving real-world
+linear programs*, 2002).  The child the search enters first continues on the
+live tableau; its sibling waits on the stack as a basis snapshot (basis,
+bound status, spans, right-hand side and lower-bound shift: a few KB, never
+a tableau copy) and is refactorized once when popped.  Binaries a model
+lists in ``branch_first`` (the encoders list their control choices) are
+branched on before all others.
 
 Every answer the solver returns is independently re-checked against the
-original constraints before it leaves this module; a failed re-check raises
+original constraints before it leaves this module, and every node's LP
+answer before branch-and-bound uses it; a failed re-check raises
 ``NumericalBreakdownError`` instead of returning a wrong answer.
 """
 
@@ -25,6 +38,7 @@ INT_TOL = 1e-6       # distance to {0,1} accepted as integral
 PIVOT_TOL = 1e-9     # smallest usable pivot magnitude
 OBJ_TOL = 1e-7       # objective comparisons (pruning, incumbent updates)
 _DUAL_TOL = 1e-9     # reduced-cost optimality threshold
+_PRIMAL_TOL = 1e-9   # bound violation of a basic variable the dual simplex repairs
 _STALL_LIMIT = 200   # non-improving iterations before Bland mode
 _REFRESH_EVERY = 250 # pivots between tableau refactorizations
 
@@ -58,6 +72,8 @@ class MilpModel:
         self.rhs: list[float] = []
         self.obj: dict[int, float] = {}
         self.sense = "min"
+        # binaries branch-and-bound splits on before any other binary
+        self.branch_first: list[int] = []
 
     def add_var(self, name: str, lb: float = 0.0, ub: float = np.inf,
                 binary: bool = False) -> int:
@@ -126,6 +142,7 @@ class MilpSolution:
     objective: float | None = None
     nodes: int = 0
     elapsed: float = 0.0
+    pivots: int = 0                 # simplex pivots, summed over all nodes
     duals: np.ndarray | None = None
     model: MilpModel | None = field(default=None, repr=False)
 
@@ -137,14 +154,19 @@ class MilpSolution:
 
 
 # --------------------------------------------------------------------------
-# bounded-variable two-phase primal simplex
+# bounded-variable simplex: cold two-phase primal, warm dual
 # --------------------------------------------------------------------------
 
 _AT_LB, _AT_UB, _BASIC = 0, 1, 2
 
 
 class _Simplex:
-    """One standardized LP instance:  min c.x,  A x rel b,  lb <= x <= ub."""
+    """One standardized LP instance:  min c.x,  A x rel b,  lb <= x <= ub.
+
+    ``fix`` tightens a variable's bounds in place and ``reoptimize`` repairs
+    the basis with the dual simplex, so one instance can follow a whole
+    branch-and-bound search.
+    """
 
     def __init__(self, c, A, rels, b, lb, ub):
         m, n = A.shape
@@ -181,27 +203,28 @@ class _Simplex:
         N = n + n_slack + n_art
         A_ext = np.zeros((m, N))
         A_ext[:, :n] = A
-        self.slack_of_row = {}
+        slack_of_row = {}
         for k, (i, sgn) in enumerate(slack_cols):
             A_ext[i, n + k] = sgn
             if sgn > 0:
-                self.slack_of_row[i] = n + k
+                slack_of_row[i] = n + k
         self.art_start = n + n_slack
         for k, i in enumerate(art_rows):
             A_ext[i, self.art_start + k] = 1.0
         U = np.full(N, np.inf)
         U[:n] = span
-        self.n, self.m0, self.N = n, m, N
+        self.n, self.N = n, N
         self.A_ext = A_ext
         self.b_eff = b_eff
-        self.rels = rels
         self.U = U
-        self.lb_orig = lb
+        self.lb_orig = np.array(lb, dtype=float)
+        self.c = np.zeros(N)
+        self.c[:n] = c
         self.kept_rows = np.arange(m)
         # basis: slack for <= rows, artificial otherwise
         basis = np.empty(m, dtype=int)
         for i in range(m):
-            basis[i] = self.slack_of_row.get(i, -1)
+            basis[i] = slack_of_row.get(i, -1)
         k = 0
         for i in art_rows:
             basis[i] = self.art_start + k
@@ -212,6 +235,7 @@ class _Simplex:
         self.Tab = A_ext.copy()
         self.v = b_eff.copy()
         self.pivots = 0
+        self._since_refresh = 0
 
     # -- linear-algebra refresh -------------------------------------------
 
@@ -234,11 +258,25 @@ class _Simplex:
         x[self.basis] = self.v
         return x
 
-    # -- the pivot loop ----------------------------------------------------
+    def _pivot(self, row, j):
+        """Make column ``j`` basic in ``row``; returns the new pivot row."""
+        piv = self.Tab[row, j]
+        if abs(piv) < PIVOT_TOL:
+            raise NumericalBreakdownError("pivot element below tolerance")
+        prow = self.Tab[row] / piv
+        col = self.Tab[:, j].copy()
+        self.Tab -= np.outer(col, prow)
+        self.Tab[row] = prow
+        self.basis[row] = j
+        self.status[j] = _BASIC
+        self.pivots += 1
+        self._since_refresh += 1
+        return prow
+
+    # -- the primal pivot loop ---------------------------------------------
 
     def _optimize(self, c, phase: int):
         m = self.Tab.shape[0]
-        self._since_refresh = 0
         r = c - c[self.basis] @ self.Tab
         obj = float(c @ self._current_x())
         bland = False
@@ -300,18 +338,7 @@ class _Simplex:
                 self.v = self.v - d * t_best
                 self.v[leave_row] = t_best if direction > 0 else self.U[j] - t_best
                 self.status[lv] = leave_to
-                self.status[j] = _BASIC
-                self.basis[leave_row] = j
-                piv = self.Tab[leave_row, j]
-                if abs(piv) < PIVOT_TOL:
-                    raise NumericalBreakdownError("pivot element below tolerance")
-                prow = self.Tab[leave_row] / piv
-                col = self.Tab[:, j].copy()
-                self.Tab -= np.outer(col, prow)
-                self.Tab[leave_row] = prow
-                r = r - r[j] * prow
-                self.pivots += 1
-                self._since_refresh += 1
+                r = r - r[j] * self._pivot(leave_row, j)
                 if self._since_refresh >= _REFRESH_EVERY:
                     self._refresh()
                     r = c - c[self.basis] @ self.Tab
@@ -342,15 +369,8 @@ class _Simplex:
             # the entering variable keeps its current value
             j = int(free[np.argmax(np.abs(row[free]))])
             enter_value = self.U[j] if self.status[j] == _AT_UB else 0.0
-            lv = self.basis[i]
-            piv = self.Tab[i, j]
-            prow = self.Tab[i] / piv
-            col = self.Tab[:, j].copy()
-            self.Tab -= np.outer(col, prow)
-            self.Tab[i] = prow
-            self.status[lv] = _AT_LB
-            self.status[j] = _BASIC
-            self.basis[i] = j
+            self.status[self.basis[i]] = _AT_LB
+            self._pivot(i, j)
             self.v[i] = enter_value
         if drop:
             keep = np.array([i for i in range(self.Tab.shape[0]) if i not in drop])
@@ -363,7 +383,8 @@ class _Simplex:
             self.A_ext = self.A_ext[keep]
             self.b_eff = self.b_eff[keep]
 
-    def solve(self, c_struct):
+    def solve(self) -> str:
+        """Cold two-phase solve: optimal | infeasible | unbounded."""
         # phase 1: minimize artificial mass
         c1 = np.zeros(self.N)
         c1[self.art_start:] = 1.0
@@ -371,24 +392,130 @@ class _Simplex:
         if status != "optimal":  # pragma: no cover - phase 1 cannot be unbounded
             raise NumericalBreakdownError("phase 1 ended " + status)
         if obj1 > 1e-7:
-            return "infeasible", None, None, None
+            return "infeasible"
         self._drive_out_artificials()
         self.U[self.art_start:] = 0.0  # artificials may never re-enter
-        c2 = np.zeros(self.N)
-        c2[:self.n] = c_struct
-        status, _ = self._optimize(c2, phase=2)
-        if status == "unbounded":
-            return "unbounded", None, None, None
+        status, _ = self._optimize(self.c, phase=2)
+        return status
+
+    # -- warm start: bound changes and the dual simplex --------------------
+
+    def fix(self, j, val):
+        """Fix structural ``j`` at its current lower bound plus ``val``.
+
+        Only a bound moves, so the reduced costs, and with them the dual
+        feasibility of the basis, are unchanged; the basic values follow
+        the shift and may leave their bounds, which ``reoptimize`` repairs.
+        """
+        if self.status[j] == _BASIC:
+            self.v[int(np.flatnonzero(self.basis == j)[0])] -= val
+        else:
+            x_j = self.U[j] if self.status[j] == _AT_UB else 0.0
+            self.v -= self.Tab[:, j] * (val - x_j)
+            self.status[j] = _AT_LB
+        self.U[j] = 0.0
+        self.b_eff = self.b_eff - self.A_ext[:, j] * val
+        self.lb_orig[j] += val
+
+    def snapshot(self):
+        """The basis and bounds, enough to rebuild the tableau (no tableau)."""
+        return (self.basis.copy(), self.status.copy(), self.U.copy(),
+                self.b_eff.copy(), self.lb_orig.copy())
+
+    def restore(self, snap):
+        self.basis, self.status, self.U, self.b_eff, self.lb_orig = snap
         self._refresh()
-        x_ext = self._current_x()
-        y_struct = x_ext[:self.n]
-        x = self.lb_orig + y_struct
-        # duals of the kept standardized rows
+
+    def reoptimize(self) -> str:
+        """Bounded dual simplex from a dual feasible basis.
+
+        Returns optimal | infeasible (or unbounded, should the clean-up
+        below find a ray).
+
+        The leaving row is the basic variable furthest outside its bounds;
+        the ratio test keeps every reduced cost on its side, preferring the
+        largest pivot among ties.  A stall switches to Bland's rule (lowest
+        variable index leaves, lowest index enters).  Once primal feasible,
+        a primal phase 2 removes any reduced cost rounding pushed past
+        ``_DUAL_TOL``; normally it makes no pivot.
+        """
+        c = self.c
+        r = c - c[self.basis] @ self.Tab
+        bland = False
+        stall = 0
+        max_iter = 2000 + 60 * (self.Tab.shape[0] + self.N)
+        for _ in range(max_iter):
+            span_b = self.U[self.basis]
+            below = -self.v
+            above = self.v - span_b
+            viol = np.maximum(below, above)
+            rows = np.flatnonzero(viol > _PRIMAL_TOL)
+            if rows.size == 0:
+                if self._since_refresh:
+                    self._refresh()
+                    r = c - c[self.basis] @ self.Tab
+                    continue
+                status, _ = self._optimize(c, phase=2)
+                return status
+            if bland:
+                p = int(rows[np.argmin(self.basis[rows])])
+            else:
+                p = int(rows[np.argmax(viol[rows])])
+            to_upper = above[p] > below[p]
+            alpha = self.Tab[p]
+            # entering columns move the leaving variable back toward the bound
+            # it violates: up from a lower bound or down from an upper one
+            toward = alpha if to_upper else -alpha
+            at_lb = self.status == _AT_LB
+            movable = (self.status != _BASIC) & (self.U > PIVOT_TOL)
+            cand = np.flatnonzero(movable & np.where(at_lb, toward > PIVOT_TOL,
+                                                     toward < -PIVOT_TOL))
+            if cand.size == 0:
+                if self._since_refresh:
+                    self._refresh()
+                    r = c - c[self.basis] @ self.Tab
+                    continue
+                return "infeasible"
+            slack = np.maximum(np.where(at_lb[cand], r[cand], -r[cand]), 0.0)
+            ratios = slack / np.abs(alpha[cand])
+            near = cand[ratios <= ratios.min() + 1e-9]
+            q = int(near[0]) if bland else int(near[np.argmax(np.abs(alpha[near]))])
+            # primal step: the leaving variable lands on the bound it violated
+            target = span_b[p] if to_upper else 0.0
+            delta = (self.v[p] - target) / alpha[q]
+            x_q = self.U[q] if self.status[q] == _AT_UB else 0.0
+            self.v = self.v - self.Tab[:, q] * delta
+            self.v[p] = x_q + delta
+            self.status[self.basis[p]] = _AT_UB if to_upper and target > 0 else _AT_LB
+            gain = r[q] * delta
+            r = r - r[q] * self._pivot(p, q)
+            if self._since_refresh >= _REFRESH_EVERY:
+                self._refresh()
+                r = c - c[self.basis] @ self.Tab
+            if gain > 1e-12:
+                stall = 0
+            else:
+                stall += 1
+                if stall > _STALL_LIMIT:
+                    bland = True
+        raise NumericalBreakdownError("dual simplex iteration limit exceeded")
+
+    # -- answers -------------------------------------------------------------
+
+    def x(self) -> np.ndarray:
+        """Structural values in the model's own coordinates."""
+        return self.lb_orig + self._current_x()[:self.n]
+
+    def bounds(self):
+        """The current bounds of the structurals (fixings included)."""
+        return self.lb_orig, self.lb_orig + self.U[:self.n]
+
+    def duals(self):
+        """Duals of the kept standardized rows, or None for a singular basis."""
         try:
-            y = np.linalg.solve(self.A_ext[:, self.basis].T, c2[self.basis])
+            return np.linalg.solve(self.A_ext[:, self.basis].T, self.c[self.basis])
         except np.linalg.LinAlgError:
-            y = None
-        return "optimal", x, float(c_struct @ y_struct + 0.0), y
+            return None
 
 
 def _check_solution(c, A, rels, b, lb, ub, x, tol=FEAS_TOL):
@@ -406,37 +533,32 @@ def _check_solution(c, A, rels, b, lb, ub, x, tol=FEAS_TOL):
     return True
 
 
-def _solve_lp_arrays(c, A, rels, b, lb, ub, sense):
-    """Canonical LP solve on prepared arrays.  Returns an MilpSolution."""
-    t0 = time.monotonic()
-    c_min = -c if sense == "max" else c
-    sx = _Simplex(c_min, A, rels, b, lb, ub)
-    status, x, obj_min, y_min = sx.solve(c_min)
-    elapsed = time.monotonic() - t0
-    if status != "optimal":
-        return MilpSolution(status=status, nodes=1, elapsed=elapsed)
-    # hard re-check: never return an uncertified answer
-    if not _check_solution(c, A, rels, b, lb, ub, x):
-        raise NumericalBreakdownError("solution failed the independent re-check")
-    duals = None
-    if y_min is not None:
-        duals = np.zeros(A.shape[0])
-        sgn = -1.0 if sense == "max" else 1.0
-        duals[sx.kept_rows] = sgn * sx.row_sign[sx.kept_rows] * y_min
-    # objective reported from the model's own coefficients, not the tableau
-    obj = float(c @ x)
-    return MilpSolution(status="optimal", x=x, objective=obj, nodes=1,
-                        elapsed=elapsed, duals=duals)
-
-
 def solve_lp(model: MilpModel, dump_path: str | None = None) -> MilpSolution:
     """Solve the continuous relaxation of ``model`` (binaries in [0, 1])."""
     c, A, rels, b, lb, ub = model.dense()
     if dump_path:
         write_lp_format(model, dump_path)
-    sol = _solve_lp_arrays(c, A, rels, b, lb, ub, model.sense)
-    sol.model = model
-    return sol
+    t0 = time.monotonic()
+    c_min = -c if model.sense == "max" else c
+    sx = _Simplex(c_min, A, rels, b, lb, ub)
+    status = sx.solve()
+    elapsed = time.monotonic() - t0
+    if status != "optimal":
+        return MilpSolution(status=status, nodes=1, elapsed=elapsed,
+                            pivots=sx.pivots, model=model)
+    x = sx.x()
+    # hard re-check: never return an uncertified answer
+    if not _check_solution(c, A, rels, b, lb, ub, x):
+        raise NumericalBreakdownError("solution failed the independent re-check")
+    duals = None
+    y_min = sx.duals()
+    if y_min is not None:
+        duals = np.zeros(A.shape[0])
+        sgn = -1.0 if model.sense == "max" else 1.0
+        duals[sx.kept_rows] = sgn * sx.row_sign[sx.kept_rows] * y_min
+    # objective reported from the model's own coefficients, not the tableau
+    return MilpSolution(status="optimal", x=x, objective=float(c @ x), nodes=1,
+                        elapsed=elapsed, duals=duals, pivots=sx.pivots, model=model)
 
 
 # --------------------------------------------------------------------------
@@ -452,25 +574,38 @@ def solve_milp(model: MilpModel, node_budget: int | None = None,
     ``prove_optimal`` explores until the incumbent is proved optimal (or the
     budget runs out: ``feasible_budget_hit`` with an incumbent,
     ``budget_unknown`` without).  ``first_feasible`` returns the first
-    integral solution found (status ``feasible``).  Branching follows the
-    most fractional binary (lowest index on ties) and descends into the
-    nearest-integer child first; everything is deterministic.
+    integral solution found (status ``feasible``).
+
+    The root LP is solved cold; every other node is re-optimized by the dual
+    simplex from its parent's optimal basis.  The nearest-integer child
+    continues on the live tableau at once; its sibling waits on the stack as
+    a basis snapshot and is refactorized when popped.  Branching follows the
+    most fractional binary among ``model.branch_first``, and the most
+    fractional binary overall once those are all integral (lowest index on
+    ties).  Everything is deterministic, and every node's LP answer passes
+    the independent re-check before it is used.
     """
     if mode not in ("prove_optimal", "first_feasible"):
         raise MilpError(f"unknown mode {mode!r}")
+    if not set(model.branch_first) <= set(model.binary_indices):
+        raise MilpError("branch_first may only list binary variables")
     c, A, rels, b, lb0, ub0 = model.dense()
     if dump_path:
         write_lp_format(model, dump_path)
-    sense = model.sense
     bins = np.array(model.binary_indices, dtype=int)
+    first = np.isin(bins, list(model.branch_first))
     t0 = time.monotonic()
-    sign = 1.0 if sense == "max" else -1.0  # internal: maximize sign*obj
+    sign = 1.0 if model.sense == "max" else -1.0  # internal: maximize sign*obj
+    sx = _Simplex(-sign * c, A, rels, b, lb0, ub0)
 
     best_x, best_obj = None, -np.inf
     nodes = 0
     exhausted = False
     unbounded = False
-    stack = [(lb0, ub0)]
+    # entries: None for the root, else (snapshot, j, val) = the node the
+    # snapshot records with binary j fixed to val; snapshot None means the
+    # live tableau's own node, whose entry is always the next one popped
+    stack = [None]
     while stack:
         if node_budget is not None and nodes >= node_budget:
             exhausted = True
@@ -478,40 +613,49 @@ def solve_milp(model: MilpModel, node_budget: int | None = None,
         if time_budget is not None and time.monotonic() - t0 > time_budget:
             exhausted = True
             break
-        lb, ub = stack.pop()
-        sol = _solve_lp_arrays(c, A, rels, b, lb, ub, sense)
+        entry = stack.pop()
+        if entry is None:
+            status = sx.solve()
+        else:
+            snap, j, val = entry
+            if snap is not None:
+                sx.restore(snap)
+            sx.fix(j, val)
+            status = sx.reoptimize()
         nodes += 1
-        if sol.status == "infeasible":
+        if status == "infeasible":
             continue
-        if sol.status == "unbounded":
+        if status == "unbounded":
             unbounded = True
             break
-        bound = sign * sol.objective
+        x = sx.x()
+        if not _check_solution(c, A, rels, b, *sx.bounds(), x):
+            raise NumericalBreakdownError("solution failed the independent re-check")
+        bound = sign * float(c @ x)
         if best_x is not None and bound <= best_obj + OBJ_TOL:
             continue
-        xb = sol.x[bins] if bins.size else np.empty(0)
+        xb = x[bins]
         frac = np.abs(xb - np.round(xb))
         if not bins.size or np.max(frac) <= INT_TOL:
             # integral: the node LP optimum is the best of the subtree
             if best_x is None or bound > best_obj + OBJ_TOL:
-                best_x, best_obj = sol.x.copy(), bound
+                best_x, best_obj = x, bound
                 if mode == "first_feasible":
                     break
             continue
-        k = int(np.argmax(frac))            # ties -> lowest index via argmax
+        marked = np.where(first, frac, 0.0)
+        k = int(np.argmax(marked if marked.max() > INT_TOL else frac))
         j = int(bins[k])
         preferred = 1.0 if xb[k] >= 0.5 else 0.0
-        for val in (1.0 - preferred, preferred):  # preferred child popped first
-            lb2, ub2 = lb.copy(), ub.copy()
-            lb2[j] = ub2[j] = val
-            stack.append((lb2, ub2))
+        stack.append((sx.snapshot(), j, 1.0 - preferred))
+        stack.append((None, j, preferred))   # popped next: the live tableau
 
     elapsed = time.monotonic() - t0
+    done = dict(nodes=nodes, elapsed=elapsed, pivots=sx.pivots, model=model)
     if unbounded:
-        return MilpSolution(status="unbounded", nodes=nodes, elapsed=elapsed, model=model)
+        return MilpSolution(status="unbounded", **done)
     if best_x is None:
-        status = "budget_unknown" if exhausted else "infeasible"
-        return MilpSolution(status=status, nodes=nodes, elapsed=elapsed, model=model)
+        return MilpSolution(status="budget_unknown" if exhausted else "infeasible", **done)
     # hard re-check of the incumbent, integrality included
     if not _check_solution(c, A, rels, b, lb0, ub0, best_x):
         raise NumericalBreakdownError("incumbent failed the independent re-check")
@@ -523,8 +667,7 @@ def solve_milp(model: MilpModel, node_budget: int | None = None,
         status = "feasible"
     else:
         status = "optimal"
-    return MilpSolution(status=status, x=best_x, objective=float(c @ best_x),
-                        nodes=nodes, elapsed=elapsed, model=model)
+    return MilpSolution(status=status, x=best_x, objective=float(c @ best_x), **done)
 
 
 # --------------------------------------------------------------------------

@@ -26,8 +26,6 @@ import numpy as np
 
 #: default tolerance for order comparisons on exact arithmetic
 DEFAULT_TOL = 1e-9
-#: tolerance used when the compared numbers come out of the LP/MILP solver
-SOLVER_TOL = 1e-6
 
 
 def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:

@@ -1,8 +1,10 @@
 """End-to-end command-line behavior, including the exit-code contract:
-0 success, 1 input error, 2 negative result, 3 inconclusive."""
+0 success, 1 input error, 2 negative result, 3 inconclusive, 4 internal or
+numerical failure."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -10,7 +12,10 @@ from importlib import resources
 import pytest
 
 import monosafe
+from monosafe import invariance
 from monosafe.cli import main
+from monosafe.encode import DecodeMismatchError
+from monosafe.milp import NumericalBreakdownError
 
 DATA = resources.files("monosafe.data")
 
@@ -45,6 +50,36 @@ def test_find_dump_lp(tmp_path):
                  "--dump-lp", "--out", str(out)]) == 2
     assert (out / "model_T1.lp").is_file()
     assert "Subject To" in (out / "model_T1.lp").read_text()
+
+
+def test_find_summary_reports_pivots(tmp_path, capsys):
+    out = tmp_path / "s"
+    assert main(["find", "--system", "case1.json", "--tmax", "2",
+                 "--out", str(out)]) == 2
+    capsys.readouterr()
+    records = [re.match(r"^\s+T=(\d+): (\w+)\s+\[(\w+), (\d+) nodes, (\d+) pivots, ", line)
+               for line in (out / "summary.txt").read_text().splitlines()]
+    records = [m for m in records if m]
+    assert [(m[1], m[2], m[3]) for m in records] == [
+        ("1", "proven_infeasible", "infeasible"), ("2", "proven_infeasible", "infeasible")]
+    assert all(int(m[5]) > 0 for m in records)
+
+
+@pytest.mark.parametrize("target, exc", [
+    ("solve_milp", NumericalBreakdownError("simplex iteration limit exceeded")),
+    ("decode", DecodeMismatchError("step 0: solver state deviates")),
+])
+def test_find_internal_failure_exit_code(tmp_path, capsys, monkeypatch, target, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(invariance, target, fail)
+    code = main(["find", "--system", "case1.json", "--tmin", "7", "--tmax", "7",
+                 "--out", str(tmp_path)])
+    assert code == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: internal failure")
+    assert str(exc) in err[0]
 
 
 def test_verify_bundled_certificates(capsys):

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from monosafe.milp import (FEAS_TOL, MilpError, MilpModel, solve_lp, solve_milp,
-                           write_lp_format)
+from monosafe.encode import encode_traffic
+from monosafe.milp import (FEAS_TOL, MilpError, MilpModel, _check_solution, _Simplex,
+                           solve_lp, solve_milp, write_lp_format)
 
 
 def small_lp():
@@ -225,6 +226,117 @@ def test_milp_matches_enumeration_randomized():
                 assert abs(got.x[j] - round(got.x[j])) <= 1e-6
             agree += 1
     assert agree >= 25
+
+
+def _with_bounds(mdl, bounds, objective=None):
+    """Copy of ``mdl`` with ``bounds`` {j: (lb, ub)} and an optional new objective."""
+    sub = MilpModel(mdl.name)
+    for j, v in enumerate(mdl.vars):
+        lb, ub = bounds.get(j, (v.lb, v.ub))
+        sub.add_var(v.name, lb=lb, ub=ub, binary=v.binary and j not in bounds)
+    for row, rel, rhs in zip(mdl.rows, mdl.rels, mdl.rhs):
+        sub.add_constraint(row, rel, rhs)
+    sub.set_objective(mdl.obj if objective is None else objective, mdl.sense)
+    return sub
+
+
+def test_warm_children_match_cold_lp():
+    """Fixing a binary on the root's optimal tableau and running the dual
+    simplex gives the child's cold LP status and objective.  A fractional
+    binary is fixed to 0 on the live tableau and to 1 on a tableau rebuilt
+    from a basis snapshot, as branch-and-bound does; an integral one (at a
+    bound, or basic and degenerate) is moved to its other value."""
+    rng = np.random.default_rng(23)
+    seen = {"optimal": 0, "infeasible": 0}
+    for k in range(120):
+        mdl, nb = _random_milp(rng, k)
+        c, A, rels, b, lb, ub = mdl.dense()
+        sx = _Simplex(-c, A, rels, b, lb, ub)          # the models maximize
+        if sx.solve() != "optimal" or nb == 0:
+            continue
+        xb = sx.x()[:nb]
+        frac = np.abs(xb - np.round(xb))
+        if frac.max() <= 1e-6:
+            continue
+        j = int(np.argmax(frac))
+        children = [(j, 0.0), (j, 1.0)]
+        children += [(i, 1.0 - round(xb[i])) for i in np.flatnonzero(frac <= 1e-6)[:1]]
+        snap = sx.snapshot()
+        for n, (j, val) in enumerate(children):
+            if n:
+                sx.restore(tuple(a.copy() for a in snap))
+            sx.fix(j, val)
+            status = sx.reoptimize()
+            ref = solve_lp(_with_bounds(mdl, {j: (val, val)}))
+            assert status == ref.status, (k, j, val, status, ref.status)
+            if status == "optimal":
+                x = sx.x()
+                assert abs(x[j] - val) <= 1e-9, (k, j, val)
+                assert _check_solution(c, A, rels, b, *sx.bounds(), x), (k, j, val)
+                assert abs(float(c @ x) - ref.objective) \
+                    <= 1e-6 * (1 + abs(ref.objective)), (k, j, val)
+            seen[status] += 1
+    assert seen["optimal"] >= 30 and seen["infeasible"] >= 5, seen
+
+
+def test_first_feasible_zero_objective_matches_enumeration():
+    """With a zero objective every basis is dual degenerate, the case of the
+    traffic feasibility searches.  The answer must be a point exactly when
+    enumeration finds one; a search whose first integral node leaves no open
+    node reports ``optimal``, otherwise ``feasible``."""
+    rng = np.random.default_rng(29)
+    found = infeasible = 0
+    for k in range(60):
+        mdl, nb = _random_milp(rng, k)
+        mdl = _with_bounds(mdl, {}, objective={})
+        want = _enumerate_oracle(mdl, nb)
+        got = solve_milp(mdl, mode="first_feasible")
+        if want is None:
+            assert got.status == "infeasible", (k, got.status)
+            infeasible += 1
+            continue
+        assert got.status in ("feasible", "optimal"), (k, got.status)
+        c, A, rels, b, lb, ub = mdl.dense()
+        assert _check_solution(c, A, rels, b, lb, ub, got.x), k
+        for j in mdl.binary_indices:
+            assert abs(got.x[j] - round(got.x[j])) <= 1e-6, (k, j)
+        found += 1
+    assert found >= 20 and infeasible >= 10, (found, infeasible)
+
+
+def test_branch_first_binaries_split_first():
+    """The root LP has b0 = 0.5 and b1 = 0.1, and no b1 in {0, 1} is
+    feasible.  Splitting the marked b1 first closes the search in 3 nodes;
+    the most fractional rule splits b0 first and needs 5."""
+    def model(marks):
+        m = MilpModel()
+        m.add_var("b0", binary=True)
+        m.add_var("b1", binary=True)
+        m.add_constraint({1: 1.0}, ">=", 0.1)
+        m.add_constraint({1: 1.0}, "<=", 0.9)
+        m.add_constraint({0: 1.0, 1: 1.0}, "<=", 0.6)
+        m.set_objective({0: 2.0, 1: 1.0}, "max")
+        m.branch_first = marks
+        return m
+
+    assert np.allclose(solve_lp(model([])).x, [0.5, 0.1])
+    marked, plain = solve_milp(model([1])), solve_milp(model([]))
+    assert (marked.status, marked.nodes) == ("infeasible", 3)
+    assert (plain.status, plain.nodes) == ("infeasible", 5)
+    m = model([1])
+    m.add_var("x")
+    m.branch_first = [2]
+    with pytest.raises(MilpError):
+        solve_milp(m)
+
+
+def test_traffic_nodes_are_warm_started(traffic):
+    """A cold solve of a traffic T=2 node takes about 67 pivots; warm
+    children take a few, so a silent fallback to cold solves shows here."""
+    art = encode_traffic(traffic[0], 2, objective="feasibility")
+    sol = solve_milp(art.model, mode="first_feasible")
+    assert sol.status == "infeasible"
+    assert sol.nodes > 1 and 0 < sol.pivots < 20 * sol.nodes, (sol.nodes, sol.pivots)
 
 
 def _budget_probe_model():
