@@ -104,7 +104,8 @@ def cmd_find(args):
     lines = [f"system: {args.system}  (hash {digest})", "horizon sweep:"]
     for r in result.records:
         lines.append(f"  T={r.T}: {r.status}  [{r.solver_status}, "
-                     f"{r.nodes} nodes, {r.pivots} pivots, {r.elapsed:.2f}s]")
+                     f"{r.nodes} nodes, {r.pivots} pivots, "
+                     f"{r.refactorizations} refactorizations, {r.elapsed:.2f}s]")
     if result.found:
         cert = dataclasses.replace(result.certificate, system_hash=digest)
         cert.save(os.path.join(out, "certificate.json"))

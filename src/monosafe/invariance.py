@@ -38,6 +38,7 @@ class HorizonRecord:
     nodes: int
     elapsed: float
     pivots: int = 0      # simplex pivots over all of the horizon's nodes
+    refactorizations: int = 0  # tableau rebuilds over all of the horizon's nodes
 
 
 @dataclass(frozen=True)
@@ -121,14 +122,14 @@ def find_s_sequence(system, safe_set=None, t_max=10, objective="max_l1_x0",
         if sol.status in ("optimal", "feasible", "feasible_budget_hit"):
             certificate = decode(art, sol)
             records.append(HorizonRecord(T, "found", sol.status, sol.nodes, dt,
-                                         sol.pivots))
+                                         sol.pivots, sol.refactorizations))
             break
         if sol.status == "infeasible":
             records.append(HorizonRecord(T, "proven_infeasible", sol.status, sol.nodes,
-                                         dt, sol.pivots))
+                                         dt, sol.pivots, sol.refactorizations))
         elif sol.status == "budget_unknown":
             records.append(HorizonRecord(T, "budget_unknown", sol.status, sol.nodes,
-                                         dt, sol.pivots))
+                                         dt, sol.pivots, sol.refactorizations))
         else:  # pragma: no cover - every encoder variable is bounded
             raise RuntimeError(f"unexpected solver status {sol.status!r} at T={T}")
     minimal = (certificate is not None and t_min == 1

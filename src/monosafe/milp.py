@@ -6,6 +6,13 @@ bounds never add rows.  A cold solve is a two-phase primal simplex with
 Dantzig pricing (steepest reduced cost, lowest index on ties) and a
 permanent switch to Bland's rule after a stall, which gives the usual
 practical speed while retaining the anti-cycling termination guarantee.
+Pivots update the tableau in place; it is rebuilt from the basis before
+every optimal or infeasible verdict, on every basis restore and every
+``_REFRESH_EVERY`` pivots.  A rebuild inverts only the block of the basis
+that the structural columns form on the rows no basic slack or artificial
+covers, since the slack and artificial columns are signed unit vectors
+(Koberstein, 2005, on slack-heavy bases).  The rebuilds are counted and
+reported as ``MilpSolution.refactorizations``.
 
 The integer layer is a deterministic depth-first branch-and-bound on the
 binary variables that keeps one live tableau for the whole search.  Only the
@@ -33,14 +40,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-FEAS_TOL = 1e-6      # constraint satisfaction on returned answers
-INT_TOL = 1e-6       # distance to {0,1} accepted as integral
-PIVOT_TOL = 1e-9     # smallest usable pivot magnitude
-OBJ_TOL = 1e-7       # objective comparisons (pruning, incumbent updates)
-_DUAL_TOL = 1e-9     # reduced-cost optimality threshold
-_PRIMAL_TOL = 1e-9   # bound violation of a basic variable the dual simplex repairs
-_STALL_LIMIT = 200   # non-improving iterations before Bland mode
-_REFRESH_EVERY = 250 # pivots between tableau refactorizations
+FEAS_TOL = 1e-6        # constraint satisfaction on returned answers
+INT_TOL = 1e-6         # distance to {0,1} accepted as integral
+PIVOT_TOL = 1e-9       # smallest usable pivot magnitude
+OBJ_TOL = 1e-7         # objective comparisons (pruning, incumbent updates)
+_DUAL_TOL = 1e-9       # reduced-cost optimality threshold
+_PRIMAL_TOL = 1e-9     # bound violation of a basic variable the dual simplex repairs
+_RATIO_MARGIN = 1e-15  # a ratio-test row must beat the entering column's own span by this
+_TIE_TOL = 1e-9        # ratio-test tie window: primal leaving rows, dual entering columns
+_PROGRESS_TOL = 1e-12  # objective or dual gain a pivot must make to reset the stall count
+_PHASE1_TOL = 1e-7     # phase-1 artificial mass above which the LP is infeasible
+_STALL_LIMIT = 200     # non-improving iterations before Bland mode
+_REFRESH_EVERY = 250   # pivots between tableau refactorizations
 
 LEQ, EQ, GEQ = "<=", "=", ">="
 
@@ -143,6 +154,7 @@ class MilpSolution:
     nodes: int = 0
     elapsed: float = 0.0
     pivots: int = 0                 # simplex pivots, summed over all nodes
+    refactorizations: int = 0       # tableau rebuilds from the basis (``_refresh``)
     duals: np.ndarray | None = None
     model: MilpModel | None = field(default=None, repr=False)
 
@@ -203,14 +215,18 @@ class _Simplex:
         N = n + n_slack + n_art
         A_ext = np.zeros((m, N))
         A_ext[:, :n] = A
+        # the row of each slack or artificial column, a signed unit vector
+        self.unit_row = np.full(N, -1)
         slack_of_row = {}
         for k, (i, sgn) in enumerate(slack_cols):
             A_ext[i, n + k] = sgn
+            self.unit_row[n + k] = i
             if sgn > 0:
                 slack_of_row[i] = n + k
         self.art_start = n + n_slack
         for k, i in enumerate(art_rows):
             A_ext[i, self.art_start + k] = 1.0
+        self.unit_row[self.art_start:] = art_rows
         U = np.full(N, np.inf)
         U[:n] = span
         self.n, self.N = n, N
@@ -235,22 +251,58 @@ class _Simplex:
         self.Tab = A_ext.copy()
         self.v = b_eff.copy()
         self.pivots = 0
+        self.refactorizations = 0
         self._since_refresh = 0
 
     # -- linear-algebra refresh -------------------------------------------
 
     def _refresh(self):
-        B = self.A_ext[:, self.basis]
+        """Rebuild ``Tab = inv(B) @ A_ext`` and ``v`` from the basis alone.
+
+        Only the structural block of B is factorized.  Order the basic
+        columns as [structurals S | slack and artificial unit columns].  The
+        unit columns cover rows R with signs D; the k rows Q they leave
+        uncovered see S alone, so B_QS is square and
+
+            Tab[S rows] = inv(A_ext[Q, S]) @ A_ext[Q]
+            Tab[unit rows] = D * (A_ext[R] - A_ext[R, S] @ Tab[S rows])
+
+        and ``v`` likewise from the right-hand side.  Most basic columns
+        are unit columns, so the k x k inverse is far cheaper than one of
+        the whole m x m basis.  Two unit columns on one row, a unit column
+        whose row was dropped, or a singular B_QS all mean B is singular.
+        """
+        basis = self.basis
+        struct = np.flatnonzero(basis < self.n)
+        unit = np.flatnonzero(basis >= self.n)
+        R = self.unit_row[basis[unit]]
+        covered = np.zeros(basis.size, dtype=bool)
+        covered[R] = True
+        if np.any(R < 0) or np.count_nonzero(covered) != R.size:
+            # a unit column whose row was dropped, or two on one row
+            raise NumericalBreakdownError("singular basis during refresh")
+        Q = np.flatnonzero(~covered)
+        S = basis[struct]
         try:
-            Binv = np.linalg.inv(B)
+            inv_QS = np.linalg.inv(self.A_ext[np.ix_(Q, S)])
         except np.linalg.LinAlgError as exc:
             raise NumericalBreakdownError("singular basis during refresh") from exc
-        self.Tab = Binv @ self.A_ext
         rhs = self.b_eff.copy()
         ub_mask = self.status == _AT_UB
         if np.any(ub_mask):
             rhs = rhs - self.A_ext[:, ub_mask] @ self.U[ub_mask]
-        self.v = Binv @ rhs
+        Tab_S, v_S = inv_QS @ self.A_ext[Q], inv_QS @ rhs[Q]
+        A_RS = self.A_ext[np.ix_(R, S)]
+        D = self.A_ext[R, basis[unit]]
+        Tab_U = self.A_ext[R]
+        Tab_U -= A_RS @ Tab_S
+        Tab_U *= D[:, None]
+        Tab = np.empty((basis.size, self.N))
+        Tab[struct], Tab[unit] = Tab_S, Tab_U
+        v = np.empty(basis.size)
+        v[struct], v[unit] = v_S, D * (rhs[R] - A_RS @ v_S)
+        self.Tab, self.v = Tab, v
+        self.refactorizations += 1
         self._since_refresh = 0
 
     def _current_x(self) -> np.ndarray:
@@ -315,10 +367,10 @@ class _Simplex:
             t_rows = np.minimum(t_fall, t_rise)
             i_min = int(np.argmin(t_rows)) if m else -1
             t_row_best = t_rows[i_min] if m else np.inf
-            if t_row_best < t_best - 1e-15:
-                # deterministic tie handling: among rows within 1e-9 of the
-                # minimum pick the largest pivot magnitude, lowest row index
-                near = np.nonzero(t_rows <= t_row_best + 1e-9)[0]
+            if t_row_best < t_best - _RATIO_MARGIN:
+                # deterministic tie handling: among rows within _TIE_TOL of
+                # the minimum pick the largest pivot magnitude, lowest row index
+                near = np.nonzero(t_rows <= t_row_best + _TIE_TOL)[0]
                 i_min = int(near[np.argmax(np.abs(d[near]))])
                 t_best = float(t_rows[i_min])
                 leave_row = i_min
@@ -343,7 +395,7 @@ class _Simplex:
                     self._refresh()
                     r = c - c[self.basis] @ self.Tab
                     obj = float(c @ self._current_x())
-            if obj < best - 1e-12:
+            if obj < best - _PROGRESS_TOL:
                 best = obj
                 stall = 0
             else:
@@ -382,6 +434,12 @@ class _Simplex:
             self.kept_rows = self.kept_rows[keep]
             self.A_ext = self.A_ext[keep]
             self.b_eff = self.b_eff[keep]
+            # renumber the rows the unit columns cover; those of dropped
+            # rows cover none
+            new_row = np.full(len(drop) + keep.size, -1)
+            new_row[keep] = np.arange(keep.size)
+            units = self.unit_row >= 0
+            self.unit_row[units] = new_row[self.unit_row[units]]
 
     def solve(self) -> str:
         """Cold two-phase solve: optimal | infeasible | unbounded."""
@@ -391,7 +449,7 @@ class _Simplex:
         status, obj1 = self._optimize(c1, phase=1)
         if status != "optimal":  # pragma: no cover - phase 1 cannot be unbounded
             raise NumericalBreakdownError("phase 1 ended " + status)
-        if obj1 > 1e-7:
+        if obj1 > _PHASE1_TOL:
             return "infeasible"
         self._drive_out_artificials()
         self.U[self.art_start:] = 0.0  # artificials may never re-enter
@@ -478,7 +536,7 @@ class _Simplex:
                 return "infeasible"
             slack = np.maximum(np.where(at_lb[cand], r[cand], -r[cand]), 0.0)
             ratios = slack / np.abs(alpha[cand])
-            near = cand[ratios <= ratios.min() + 1e-9]
+            near = cand[ratios <= ratios.min() + _TIE_TOL]
             q = int(near[0]) if bland else int(near[np.argmax(np.abs(alpha[near]))])
             # primal step: the leaving variable lands on the bound it violated
             target = span_b[p] if to_upper else 0.0
@@ -492,7 +550,7 @@ class _Simplex:
             if self._since_refresh >= _REFRESH_EVERY:
                 self._refresh()
                 r = c - c[self.basis] @ self.Tab
-            if gain > 1e-12:
+            if gain > _PROGRESS_TOL:
                 stall = 0
             else:
                 stall += 1
@@ -544,8 +602,8 @@ def solve_lp(model: MilpModel, dump_path: str | None = None) -> MilpSolution:
     status = sx.solve()
     elapsed = time.monotonic() - t0
     if status != "optimal":
-        return MilpSolution(status=status, nodes=1, elapsed=elapsed,
-                            pivots=sx.pivots, model=model)
+        return MilpSolution(status=status, nodes=1, elapsed=elapsed, pivots=sx.pivots,
+                            refactorizations=sx.refactorizations, model=model)
     x = sx.x()
     # hard re-check: never return an uncertified answer
     if not _check_solution(c, A, rels, b, lb, ub, x):
@@ -558,7 +616,8 @@ def solve_lp(model: MilpModel, dump_path: str | None = None) -> MilpSolution:
         duals[sx.kept_rows] = sgn * sx.row_sign[sx.kept_rows] * y_min
     # objective reported from the model's own coefficients, not the tableau
     return MilpSolution(status="optimal", x=x, objective=float(c @ x), nodes=1,
-                        elapsed=elapsed, duals=duals, pivots=sx.pivots, model=model)
+                        elapsed=elapsed, duals=duals, pivots=sx.pivots,
+                        refactorizations=sx.refactorizations, model=model)
 
 
 # --------------------------------------------------------------------------
@@ -651,7 +710,8 @@ def solve_milp(model: MilpModel, node_budget: int | None = None,
         stack.append((None, j, preferred))   # popped next: the live tableau
 
     elapsed = time.monotonic() - t0
-    done = dict(nodes=nodes, elapsed=elapsed, pivots=sx.pivots, model=model)
+    done = dict(nodes=nodes, elapsed=elapsed, pivots=sx.pivots,
+                refactorizations=sx.refactorizations, model=model)
     if unbounded:
         return MilpSolution(status="unbounded", **done)
     if best_x is None:

@@ -57,12 +57,13 @@ def test_find_summary_reports_pivots(tmp_path, capsys):
     assert main(["find", "--system", "case1.json", "--tmax", "2",
                  "--out", str(out)]) == 2
     capsys.readouterr()
-    records = [re.match(r"^\s+T=(\d+): (\w+)\s+\[(\w+), (\d+) nodes, (\d+) pivots, ", line)
+    records = [re.match(r"^\s+T=(\d+): (\w+)\s+\[(\w+), (\d+) nodes, (\d+) pivots, "
+                        r"(\d+) refactorizations, ", line)
                for line in (out / "summary.txt").read_text().splitlines()]
     records = [m for m in records if m]
     assert [(m[1], m[2], m[3]) for m in records] == [
         ("1", "proven_infeasible", "infeasible"), ("2", "proven_infeasible", "infeasible")]
-    assert all(int(m[5]) > 0 for m in records)
+    assert all(int(m[5]) > 0 and int(m[6]) > 0 for m in records)
 
 
 @pytest.mark.parametrize("target, exc", [

@@ -9,7 +9,8 @@ import pytest
 from scipy.optimize import linprog
 
 from monosafe.encode import encode_traffic
-from monosafe.milp import (FEAS_TOL, MilpError, MilpModel, _check_solution, _Simplex,
+from monosafe.milp import (_AT_LB, _AT_UB, _BASIC, EQ, FEAS_TOL, GEQ, LEQ, MilpError,
+                           MilpModel, NumericalBreakdownError, _check_solution, _Simplex,
                            solve_lp, solve_milp, write_lp_format)
 
 
@@ -332,11 +333,106 @@ def test_branch_first_binaries_split_first():
 
 def test_traffic_nodes_are_warm_started(traffic):
     """A cold solve of a traffic T=2 node takes about 67 pivots; warm
-    children take a few, so a silent fallback to cold solves shows here."""
+    children take a few, so a silent fallback to cold solves shows here.
+    Refactorizations happen at node verdicts and sibling restores, about one
+    per node, so refreshing per pivot shows here too."""
     art = encode_traffic(traffic[0], 2, objective="feasibility")
     sol = solve_milp(art.model, mode="first_feasible")
     assert sol.status == "infeasible"
     assert sol.nodes > 1 and 0 < sol.pivots < 20 * sol.nodes, (sol.nodes, sol.pivots)
+    assert 0 < sol.refactorizations <= 2 * sol.nodes, (sol.nodes, sol.refactorizations)
+
+
+def _rows_lp(rng, dup_eq):
+    """The data of a feasible LP with LEQ, GEQ and EQ rows (shifted rhs of
+    either sign, so some rows flip), two binaries and a mix of finite and
+    infinite upper bounds; ``dup_eq`` puts a copy of its first EQ row on
+    top, and phase 1 drops one of the two."""
+    m, n = int(rng.integers(4, 9)), int(rng.integers(4, 9))
+    A = np.where(rng.random((m, n)) < 0.7, rng.uniform(-3, 3, (m, n)).round(2), 0.0)
+    rels = [LEQ, GEQ, EQ] + list(rng.choice([LEQ, GEQ, EQ], m - 3))
+    lb = rng.uniform(-2, 1, n).round(1)
+    lb[:2] = 0.0
+    ub = np.where(rng.random(n) < 0.5, lb + rng.uniform(1, 4, n).round(1), np.inf)
+    ub[:2] = 1.0
+    x0 = lb + rng.uniform(0, 1, n) * np.where(np.isfinite(ub), ub - lb, 1.0)
+    gap = rng.uniform(0, 2, m)
+    b = A @ x0 + np.select([np.array(rels) == LEQ, np.array(rels) == GEQ], [gap, -gap], 0.0)
+    if dup_eq:
+        i = rels.index(EQ)
+        A, b, rels = np.vstack([A[i], A]), np.append(b[i], b), [EQ] + rels
+    return rng.uniform(-3, 3, n).round(2), A, rels, b, lb, ub
+
+
+def _pivot_randomly(sx, rng, count):
+    """``count`` basis exchanges on entries of a usable size."""
+    for _ in range(count):
+        movable = (sx.status != _BASIC) & (np.arange(sx.N) < sx.art_start)
+        rows, cols = np.nonzero((np.abs(sx.Tab) > 0.1) & movable)
+        if not rows.size:
+            return
+        k = int(rng.integers(rows.size))
+        sx.status[sx.basis[rows[k]]] = _AT_LB
+        sx._pivot(int(rows[k]), int(cols[k]))
+
+
+def test_block_refresh_matches_dense_inverse():
+    """The structural-block refresh gives the tableau and the basic values a
+    dense inverse of the whole basis gives: in phase 1 with artificials
+    basic, in phase 2 after the cold solve (redundant EQ rows dropped), and
+    after a binary is fixed and the dual simplex has run."""
+    rng = np.random.default_rng(31)
+    seen = {"phase1": 0, "phase2": 0, "fixed": 0, "dropped": 0, "artificial": 0,
+            "surplus": 0}
+
+    def check(sx, case):
+        sx._refresh()
+        B_inv = np.linalg.inv(sx.A_ext[:, sx.basis])
+        at_ub = sx.status == _AT_UB
+        rhs = sx.b_eff - sx.A_ext[:, at_ub] @ sx.U[at_ub]
+        assert np.abs(sx.Tab - B_inv @ sx.A_ext).max() <= 1e-9, case
+        assert np.abs(sx.v - B_inv @ rhs).max() <= 1e-9, case
+        units = sx.basis[sx.basis >= sx.n]
+        seen["artificial"] += int(np.any(units >= sx.art_start))
+        seen["surplus"] += int(np.any(sx.A_ext[:, units].sum(axis=0) < 0))
+        seen[case] += 1
+
+    lps = [_rows_lp(np.random.default_rng([31, k]), k % 4 == 0) for k in range(80)]
+    for lp in lps:
+        sx = _Simplex(*lp)
+        _pivot_randomly(sx, rng, 3)
+        check(sx, "phase1")
+    for k, lp in enumerate(lps):
+        sx = _Simplex(*lp)
+        if sx.solve() != "optimal":       # unbounded: some upper bounds are infinite
+            continue
+        if k % 4 == 0:
+            assert sx.kept_rows.size < len(lp[2]), k
+            seen["dropped"] += 1
+        _pivot_randomly(sx, rng, 2)
+        check(sx, "phase2")
+        sx.fix(int(rng.integers(2)), float(rng.integers(2)))
+        if sx.reoptimize() == "optimal":
+            _pivot_randomly(sx, rng, 2)
+            check(sx, "fixed")
+    assert min(seen.values()) >= 10, seen
+
+
+def test_refresh_refuses_singular_bases():
+    """Two basic unit columns on one row, or a singular structural block,
+    raise instead of returning a tableau."""
+    # rows: x0 + x1 <= 4 (slack column 2), x0 + x1 >= 1 (surplus 3, artificial 4)
+    sx = _Simplex(np.zeros(2), np.array([[1.0, 1.0], [1.0, 1.0]]), [LEQ, GEQ],
+                  np.array([4.0, 1.0]), np.zeros(2), np.full(2, np.inf))
+    assert list(sx.basis) == [2, 4]
+    tab = sx.Tab
+    sx.basis[0] = 3                    # surplus and artificial both on row 1
+    with pytest.raises(NumericalBreakdownError, match="singular basis"):
+        sx._refresh()
+    sx.basis[:] = [0, 1]               # identical structural columns
+    with pytest.raises(NumericalBreakdownError, match="singular basis"):
+        sx._refresh()
+    assert sx.Tab is tab
 
 
 def _budget_probe_model():
