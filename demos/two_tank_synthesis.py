@@ -11,7 +11,7 @@ from importlib import resources
 
 import numpy as np
 
-from monosafe import (build_rcis, feedback_policy, find_s_sequence,
+from monosafe import (build_rcis, feedback, find_s_sequence,
                       load_system_file, verify_certificate)
 
 DATA = resources.files("monosafe.data")
@@ -44,6 +44,7 @@ corners = np.array([b.corner for b in rcis.region.boxes])
 print("box corners:\n", np.round(corners, 4))
 
 # The region answers "which control keeps me inside?" from any member point.
+policy = feedback(rcis)
 for p in [(10.0, 30.0), (20.0, 10.0), (40.0, 40.0)]:
-    u = feedback_policy(rcis, np.array(p))
+    u = policy(0, np.array(p))
     print(f"policy at {p}: {'mode ' + str(u) if u is not None else 'outside region'}")

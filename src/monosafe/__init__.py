@@ -10,8 +10,7 @@ from .certificate import SSequenceCertificate
 from .encode import DecodeMismatchError, EncodingArtifacts, decode, encode_switched, encode_traffic
 from .invariance import (LimitCycle, LimitCycleError, Rcis, SearchResult,
                          build_attractive_set, build_rcis, compute_limit_cycle,
-                         feedback_policy, find_s_sequence, necessity_bound,
-                         open_loop_policy)
+                         find_s_sequence, necessity_bound)
 from .milp import (MilpError, MilpModel, MilpSolution, NumericalBreakdownError,
                    solve_lp, solve_milp, write_lp_format)
 from .order import Box, BoxUnion, PolyLowerSet, leq
@@ -29,7 +28,7 @@ __all__ = [
     "decode", "encode_switched", "encode_traffic",
     "LimitCycle", "LimitCycleError", "Rcis", "SearchResult",
     "build_attractive_set", "build_rcis", "compute_limit_cycle",
-    "feedback_policy", "find_s_sequence", "necessity_bound", "open_loop_policy",
+    "find_s_sequence", "necessity_bound",
     "MilpError", "MilpModel", "MilpSolution", "NumericalBreakdownError",
     "solve_lp", "solve_milp", "write_lp_format",
     "Box", "BoxUnion", "PolyLowerSet", "leq",

@@ -8,7 +8,7 @@ states ``x_0 .. x_T`` satisfying
 
 The JSON schema is ``{"T", "controls", "x_star", "system_hash"}`` with an
 optional ``"tol"`` declaring the tolerance at which the witness is claimed
-to verify (absent means the strict default of the verifier, 1e-5).
+to verify (absent means the strict default, ``order.WITNESS_TOL`` = 1e-5).
 ``system_hash`` ties the certificate to the canonical hash of the system
 spec it was produced for.
 """

@@ -55,23 +55,41 @@ def _resolve_path(path):
     raise InputError(f"no such file: {path}")
 
 
-def _load_system(args):
-    spec_path = _resolve_path(args.system)
+def _parse_input(parse, path, what):
+    """``parse(resolved path)``; malformed JSON content is an input error."""
+    resolved = _resolve_path(path)
     try:
-        sys_, safe_set, digest = load_system_file(spec_path, args.beta_resolution)
+        return parse(resolved)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"cannot parse system spec {args.system}: {exc}")
+        raise InputError(f"{what} {path}: {exc}")
+
+
+def _read_safe_set(path):
+    with open(path) as fh:
+        raw = json.load(fh)
+    return PolyLowerSet(np.asarray(raw["A"], float), np.asarray(raw["b"], float))
+
+
+def _load_system(args):
+    sys_, safe_set, digest = _parse_input(
+        lambda path: load_system_file(path, args.beta_resolution),
+        args.system, "cannot parse system spec")
     if getattr(args, "safe_set", None):
         if isinstance(sys_, TrafficNetwork):
             raise InputError("traffic safety is derived from the link table; "
                              "--safe-set does not apply")
-        with open(_resolve_path(args.safe_set)) as fh:
-            raw = json.load(fh)
-        try:
-            safe_set = PolyLowerSet(np.asarray(raw["A"], float), np.asarray(raw["b"], float))
-        except (KeyError, ValueError) as exc:
-            raise InputError(f"bad safe-set file {args.safe_set}: {exc}")
+        safe_set = _parse_input(_read_safe_set, args.safe_set, "bad safe-set file")
     return sys_, safe_set, digest
+
+
+def _load_certificate(args, digest):
+    """The ``--certificate`` file, which must name this system's hash if any."""
+    cert = _parse_input(SSequenceCertificate.load, args.certificate,
+                        "cannot parse certificate")
+    if cert.system_hash is not None and cert.system_hash != digest:
+        raise InputError(f"certificate was issued for system hash {cert.system_hash}, "
+                         f"but {args.system} hashes to {digest}")
+    return cert
 
 
 def _out_dir(args):
@@ -110,7 +128,8 @@ def cmd_find(args):
         cert = dataclasses.replace(result.certificate, system_hash=digest)
         cert.save(os.path.join(out, "certificate.json"))
         rcis = build_rcis(cert)
-        _write_corners_csv(os.path.join(out, "rcis_corners.csv"), rcis.region.boxes)
+        _write_points_csv(os.path.join(out, "rcis_corners.csv"), "box",
+                          [box.corner for box in rcis.region.boxes])
         lines.append(f"found: s-sequence of length T={cert.T}"
                      + (" (minimal)" if result.minimal else " (minimality not proven)"))
         lines.append(f"controls: {_control_text(cert.controls)}")
@@ -136,24 +155,18 @@ def _control_text(controls):
     return ",".join(str(u) for u in controls)
 
 
-def _write_corners_csv(path, boxes):
-    n = boxes[0].corner.shape[0]
+def _write_points_csv(path, label, points):
+    """Header ``label,x_1..x_n``, then one ``index,coordinates`` row per point."""
+    n = points[0].shape[0]
     with open(path, "w") as fh:
-        fh.write("box," + ",".join(f"x_{i + 1}" for i in range(n)) + "\n")
-        for p, box in enumerate(boxes):
-            fh.write(f"{p}," + ",".join(repr(float(v)) for v in box.corner) + "\n")
+        fh.write(f"{label}," + ",".join(f"x_{i + 1}" for i in range(n)) + "\n")
+        for p, point in enumerate(points):
+            fh.write(f"{p}," + ",".join(repr(float(v)) for v in point) + "\n")
 
 
 def cmd_verify(args):
     sys_, safe_set, digest = _load_system(args)
-    try:
-        cert = SSequenceCertificate.load(_resolve_path(args.certificate))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"cannot parse certificate {args.certificate}: {exc}")
-    if cert.system_hash is not None and cert.system_hash != digest:
-        print(f"error: certificate was issued for system hash {cert.system_hash}, "
-              f"but {args.system} hashes to {digest}", file=sys.stderr)
-        return EXIT_INPUT
+    cert = _load_certificate(args, digest)
     report = verify_certificate(sys_, safe_set, cert)
     payload = report.to_dict()
     payload["system_hash"] = digest
@@ -168,14 +181,7 @@ def cmd_verify(args):
 
 def cmd_simulate(args):
     sys_, safe_set, digest = _load_system(args)
-    try:
-        cert = SSequenceCertificate.load(_resolve_path(args.certificate))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"cannot parse certificate {args.certificate}: {exc}")
-    if cert.system_hash is not None and cert.system_hash != digest:
-        print(f"error: certificate was issued for system hash {cert.system_hash}, "
-              f"but {args.system} hashes to {digest}", file=sys.stderr)
-        return EXIT_INPUT
+    cert = _load_certificate(args, digest)
     out = _out_dir(args)
     x0 = (np.asarray(cert.x_star[0]) if args.x0 is None
           else _parse_x0(args.x0, sys_.state_dim))
@@ -192,21 +198,13 @@ def cmd_simulate(args):
     traj = simulate(sys_, x0, policy, adversary, args.steps,
                     safe_set=safe_set, omega=rcis.region, gamma=gamma)
     write_trajectory_csv(traj, os.path.join(out, "trajectory.csv"))
-    _write_cycle_csv(os.path.join(out, "limit_cycle.csv"), cycle)
+    _write_points_csv(os.path.join(out, "limit_cycle.csv"), "phase", cycle.points)
     print(f"simulated {len(traj) - 1} steps ({traj.status}); "
           f"safe {sum(bool(s) for s in traj.safe)}/{len(traj)}, "
           f"in attractive set at end: {bool(traj.in_gamma[-1])}")
     print(f"limit cycle: {cycle.periods} periods to residual {cycle.residual:.2e}")
     print(f"wrote trajectory.csv and limit_cycle.csv to {out}")
     return EXIT_OK
-
-
-def _write_cycle_csv(path, cycle):
-    n = cycle.points[0].shape[0]
-    with open(path, "w") as fh:
-        fh.write("phase," + ",".join(f"x_{i + 1}" for i in range(n)) + "\n")
-        for k, point in enumerate(cycle.points):
-            fh.write(f"{k}," + ",".join(repr(float(v)) for v in point) + "\n")
 
 
 def build_parser():
@@ -262,13 +260,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (InputError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (MilpError, DecodeMismatchError, LimitCycleError) as exc:

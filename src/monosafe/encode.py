@@ -12,8 +12,9 @@ spuriously satisfy a relaxed branch.
 
 ``decode`` is deliberately paranoid: controls are read off the binaries and
 the witness is *re-simulated* with the real step function; the solver's
-state values are only accepted if they match the simulation to 1e-5, and the
-safety/closure conditions are re-checked on the simulated states.  A big-M
+state values are only accepted if they match the simulation to
+``order.WITNESS_TOL``, and the safety/closure conditions are re-checked on
+the simulated states to the same tolerance.  A big-M
 artifact therefore cannot survive decoding.
 """
 
@@ -24,12 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certificate import SSequenceCertificate
-from .milp import MilpModel, MilpSolution
-from .order import PolyLowerSet, leq
+from .milp import INT_TOL, MilpModel, MilpSolution
+from .order import WITNESS_TOL, PolyLowerSet, leq
 from .systems import NS, EW, SwitchedAffineSystem, TrafficNetwork
 
 M_CAP = 1000.0       # ceiling on any big-M constant
-DECODE_TOL = 1e-5    # solver state vs re-simulation, and Def-4 re-checks
 
 
 class DecodeMismatchError(Exception):
@@ -41,81 +41,86 @@ class EncodingArtifacts:
     model: MilpModel
     kind: str                       # "switched" | "traffic"
     T: int
-    objective: str
     system: object
     safe_set: PolyLowerSet
+    state_cap: np.ndarray           # per-coordinate cap of every x_{k,i}
     x_idx: dict = field(default_factory=dict)        # (k, i) -> var
     control_idx: dict = field(default_factory=dict)  # (k, mode)/(k, junction) -> var
-    z_idx: dict = field(default_factory=dict)        # (k, link) -> var (traffic)
-    state_cap: np.ndarray | None = None
 
 
-def _check_horizon(T):
+def _witness_model(kind, system, S, T, objective, write_dynamics):
+    """The part of the model both encodings share, around their own dynamics.
+
+    State variables ``x_{k,i}`` are capped by ``S.coordinate_bounds()``
+    (``x_T`` too: closure forces ``x_T <= x_0``).  ``write_dynamics(art)``
+    then adds the control binaries (into ``art.control_idx``) and the
+    dynamics rows.  Safety rows follow for ``k < T``; a row with a single
+    nonzero is left out, since the variable cap already implies it.  Then
+    the cyclic closure, the objective, and ``branch_first`` = the controls.
+    """
     if T < 1:
         raise ValueError("horizon T must be >= 1")
-
-
-def _set_objective(model, art, objective):
+    n = system.state_dim
+    if S.dim != n:
+        raise ValueError("safe set dimension mismatch")
+    cap = S.coordinate_bounds()
+    if not np.all(np.isfinite(cap)):
+        raise ValueError("safe set must bound every coordinate (big-M derivation)")
+    model = MilpModel(f"{kind}_T{T}")
+    art = EncodingArtifacts(model=model, kind=kind, T=T, system=system,
+                            safe_set=S, state_cap=cap)
+    for k in range(T + 1):
+        for i in range(n):
+            art.x_idx[(k, i)] = model.add_var(f"x_{k}_{i}", lb=0.0, ub=float(cap[i]))
+    write_dynamics(art)
+    for k in range(T):
+        for a_row, b_val in zip(S.A, S.b):
+            coeffs = {art.x_idx[(k, j)]: float(a_row[j]) for j in range(n) if a_row[j]}
+            if len(coeffs) > 1:
+                model.add_constraint(coeffs, "<=", float(b_val))
+    for i in range(n):
+        model.add_constraint({art.x_idx[(T, i)]: 1.0, art.x_idx[(0, i)]: -1.0},
+                             "<=", 0.0)
     if objective == "max_l1_x0":
-        model.set_objective({art.x_idx[(0, i)]: 1.0
-                             for i in range(art.state_cap.shape[0])}, "max")
+        model.set_objective({art.x_idx[(0, i)]: 1.0 for i in range(n)}, "max")
     elif objective == "feasibility":
         model.set_objective({}, "min")
     else:
         raise ValueError(f"unknown objective {objective!r}")
+    model.branch_first = list(art.control_idx.values())
+    return art
 
 
 def encode_switched(sys: SwitchedAffineSystem, S: PolyLowerSet, T: int,
                     objective: str = "feasibility") -> EncodingArtifacts:
     """Big-M encoding with one-hot mode binaries per step."""
-    _check_horizon(T)
-    n = sys.state_dim
-    if S.dim != n:
-        raise ValueError("safe set dimension mismatch")
-    ub = S.coordinate_bounds()
-    if not np.all(np.isfinite(ub)):
-        raise ValueError("safe set must bound every coordinate (big-M derivation)")
-    model = MilpModel(f"switched_T{T}")
-    art = EncodingArtifacts(model=model, kind="switched", T=T,
-                            objective=objective, system=sys, safe_set=S,
-                            state_cap=ub)
-    for k in range(T + 1):
-        for i in range(n):
-            # x_T inherits the same cap: closure forces x_T <= x_0 <= ub
-            art.x_idx[(k, i)] = model.add_var(f"x_{k}_{i}", lb=0.0, ub=float(ub[i]))
-    for k in range(T):
-        for m in sys.controls:
-            art.control_idx[(k, m)] = model.add_var(f"u_{k}_{m}", binary=True)
-        model.add_constraint({art.control_idx[(k, m)]: 1.0 for m in sys.controls},
-                             "=", 1.0)
-    model.branch_first = list(art.control_idx.values())
-    w = sys.w_star
-    for k in range(T):
-        for m in sys.controls:
-            A = sys.modes[m - 1]
-            bidx = art.control_idx[(k, m)]
-            for i in range(n):
-                # when the mode binary is 0 both rows relax completely
-                m_lo = min(2.0 * (float(A[i] @ ub) + w[i]), M_CAP)
-                row = {art.x_idx[(k, j)]: float(A[i, j]) for j in range(n) if A[i, j]}
-                row[art.x_idx[(k + 1, i)]] = row.get(art.x_idx[(k + 1, i)], 0.0) - 1.0
-                row[bidx] = m_lo
-                model.add_constraint(row, "<=", m_lo - w[i])
-                m_hi = min(2.0 * float(ub[i]), M_CAP)
-                row = {art.x_idx[(k, j)]: -float(A[i, j]) for j in range(n) if A[i, j]}
-                row[art.x_idx[(k + 1, i)]] = row.get(art.x_idx[(k + 1, i)], 0.0) + 1.0
-                row[bidx] = m_hi
-                model.add_constraint(row, "<=", m_hi + w[i])
-    for k in range(T):  # x_k in S for k <= T-1
-        for a_row, b_val in zip(S.A, S.b):
-            coeffs = {art.x_idx[(k, j)]: float(a_row[j]) for j in range(n) if a_row[j]}
-            if coeffs:
-                model.add_constraint(coeffs, "<=", float(b_val))
-    for i in range(n):  # cyclic closure
-        model.add_constraint({art.x_idx[(T, i)]: 1.0, art.x_idx[(0, i)]: -1.0},
-                             "<=", 0.0)
-    _set_objective(model, art, objective)
-    return art
+
+    def write_dynamics(art):
+        model, x, ub, w = art.model, art.x_idx, art.state_cap, sys.w_star
+        n = sys.state_dim
+        for k in range(T):
+            for m in sys.controls:
+                art.control_idx[(k, m)] = model.add_var(f"u_{k}_{m}", binary=True)
+            model.add_constraint({art.control_idx[(k, m)]: 1.0 for m in sys.controls},
+                                 "=", 1.0)
+        for k in range(T):
+            for m in sys.controls:
+                A = sys.modes[m - 1]
+                bidx = art.control_idx[(k, m)]
+                for i in range(n):
+                    # when the mode binary is 0 both rows relax completely
+                    m_lo = min(2.0 * (float(A[i] @ ub) + w[i]), M_CAP)
+                    row = {x[(k, j)]: float(A[i, j]) for j in range(n) if A[i, j]}
+                    row[x[(k + 1, i)]] = row.get(x[(k + 1, i)], 0.0) - 1.0
+                    row[bidx] = m_lo
+                    model.add_constraint(row, "<=", m_lo - w[i])
+                    m_hi = min(2.0 * float(ub[i]), M_CAP)
+                    row = {x[(k, j)]: -float(A[i, j]) for j in range(n) if A[i, j]}
+                    row[x[(k + 1, i)]] = row.get(x[(k + 1, i)], 0.0) + 1.0
+                    row[bidx] = m_hi
+                    model.add_constraint(row, "<=", m_hi + w[i])
+
+    return _witness_model("switched", sys, S, T, objective, write_dynamics)
 
 
 def encode_traffic(net: TrafficNetwork, T: int,
@@ -126,70 +131,59 @@ def encode_traffic(net: TrafficNetwork, T: int,
     affine expression ``u`` (NS links) or ``1 - u`` (EW links) of its head
     junction's binary.  Each link/step gets a flow variable ``z`` bracketed
     by ``min(x, c)`` on green and pinned to 0 on red, with a selector
-    binary choosing the active min branch.  Safety enters as variable upper
-    bounds ``x <= x_s``.
+    binary choosing the active min branch.  Safety is the box ``x <= x_s``
+    of ``net.safe_set()``, which enters as the state variables' caps.
     """
-    _check_horizon(T)
-    n = net.state_dim
-    model = MilpModel(f"traffic_T{T}")
-    art = EncodingArtifacts(model=model, kind="traffic", T=T,
-                            objective=objective, system=net,
-                            safe_set=net.safe_set(), state_cap=net.x_s.copy())
-    for k in range(T + 1):
-        for i in range(n):
-            art.x_idx[(k, i)] = model.add_var(f"x_{k}_{i}", lb=0.0, ub=float(net.x_s[i]))
-    selector = {}   # (k, link) -> binary choosing the active min branch
-    for k in range(T):
-        for j in net.junctions:
-            art.control_idx[(k, j)] = model.add_var(f"u_{k}_{j}", binary=True)
-        for i, link in enumerate(net.links):
-            art.z_idx[(k, i)] = model.add_var(f"z_{k}_{link.id}", lb=0.0, ub=float(net.c[i]))
-            selector[(k, i)] = model.add_var(f"d_{k}_{link.id}", binary=True)
-    model.branch_first = list(art.control_idx.values())
 
-    for k in range(T):
-        for i, link in enumerate(net.links):
-            z = art.z_idx[(k, i)]
-            x = art.x_idx[(k, i)]
-            d = selector[(k, i)]
-            u = art.control_idx[(k, link.head)]
-            ns = link.direction == NS
-            c = float(net.c[i])
-            m_flow = min(2.0 * c, M_CAP)
-            m_state = min(2.0 * float(net.x_s[i]), M_CAP)
-            # z <= x
-            model.add_constraint({z: 1.0, x: -1.0}, "<=", 0.0)
-            # z <= M g   (g = u for NS, 1-u for EW)
-            model.add_constraint({z: 1.0, u: -m_flow if ns else m_flow},
-                                 "<=", 0.0 if ns else m_flow)
-            # z >= x - M d - M (1-g)
-            if ns:
-                model.add_constraint({x: 1.0, z: -1.0, d: -m_state, u: m_state},
-                                     "<=", m_state)
-            else:
-                model.add_constraint({x: 1.0, z: -1.0, d: -m_state, u: -m_state},
-                                     "<=", 0.0)
-            # z >= c - M (1-d) - M (1-g)
-            if ns:
-                model.add_constraint({z: -1.0, d: m_flow, u: m_flow},
-                                     "<=", 2.0 * m_flow - c)
-            else:
-                model.add_constraint({z: -1.0, d: m_flow, u: -m_flow},
-                                     "<=", m_flow - c)
-        # state update equalities
-        for i, link in enumerate(net.links):
-            row = {art.x_idx[(k + 1, i)]: 1.0, art.x_idx[(k, i)]: -1.0,
-                   art.z_idx[(k, i)]: 1.0}
-            for (src, dst, ratio) in net.turns:
-                if dst == link.id and ratio:
-                    zq = art.z_idx[(k, net.link_index(src))]
-                    row[zq] = row.get(zq, 0.0) - ratio
-            model.add_constraint(row, "=", float(net.w_star[i]))
-    for i in range(n):  # cyclic closure
-        model.add_constraint({art.x_idx[(T, i)]: 1.0, art.x_idx[(0, i)]: -1.0},
-                             "<=", 0.0)
-    _set_objective(model, art, objective)
-    return art
+    def write_dynamics(art):
+        model, x_idx = art.model, art.x_idx
+        z_idx = {}      # (k, link) -> served flow
+        selector = {}   # (k, link) -> binary choosing the active min branch
+        for k in range(T):
+            for j in net.junctions:
+                art.control_idx[(k, j)] = model.add_var(f"u_{k}_{j}", binary=True)
+            for i, link in enumerate(net.links):
+                z_idx[(k, i)] = model.add_var(f"z_{k}_{link.id}", lb=0.0, ub=float(net.c[i]))
+                selector[(k, i)] = model.add_var(f"d_{k}_{link.id}", binary=True)
+        for k in range(T):
+            for i, link in enumerate(net.links):
+                z = z_idx[(k, i)]
+                x = x_idx[(k, i)]
+                d = selector[(k, i)]
+                u = art.control_idx[(k, link.head)]
+                ns = link.direction == NS
+                c = float(net.c[i])
+                m_flow = min(2.0 * c, M_CAP)
+                m_state = min(2.0 * float(net.x_s[i]), M_CAP)
+                # z <= x
+                model.add_constraint({z: 1.0, x: -1.0}, "<=", 0.0)
+                # z <= M g   (g = u for NS, 1-u for EW)
+                model.add_constraint({z: 1.0, u: -m_flow if ns else m_flow},
+                                     "<=", 0.0 if ns else m_flow)
+                # z >= x - M d - M (1-g)
+                if ns:
+                    model.add_constraint({x: 1.0, z: -1.0, d: -m_state, u: m_state},
+                                         "<=", m_state)
+                else:
+                    model.add_constraint({x: 1.0, z: -1.0, d: -m_state, u: -m_state},
+                                         "<=", 0.0)
+                # z >= c - M (1-d) - M (1-g)
+                if ns:
+                    model.add_constraint({z: -1.0, d: m_flow, u: m_flow},
+                                         "<=", 2.0 * m_flow - c)
+                else:
+                    model.add_constraint({z: -1.0, d: m_flow, u: -m_flow},
+                                         "<=", m_flow - c)
+            # state update equalities
+            for i, link in enumerate(net.links):
+                row = {x_idx[(k + 1, i)]: 1.0, x_idx[(k, i)]: -1.0, z_idx[(k, i)]: 1.0}
+                for (src, dst, ratio) in net.turns:
+                    if dst == link.id and ratio:
+                        zq = z_idx[(k, net.link_index(src))]
+                        row[zq] = row.get(zq, 0.0) - ratio
+                model.add_constraint(row, "=", float(net.w_star[i]))
+
+    return _witness_model("traffic", net, net.safe_set(), T, objective, write_dynamics)
 
 
 def decode(art: EncodingArtifacts, sol: MilpSolution,
@@ -198,8 +192,8 @@ def decode(art: EncodingArtifacts, sol: MilpSolution,
 
     The simulation (not the solver's state values) is authoritative: the
     returned certificate carries simulated states, and any disagreement
-    beyond 1e-5 — or a safety/closure violation of the simulated witness —
-    raises ``DecodeMismatchError``.
+    beyond ``WITNESS_TOL`` — or a safety/closure violation of the simulated
+    witness — raises ``DecodeMismatchError``.
     """
     if sol.x is None:
         raise DecodeMismatchError(f"no assignment to decode (status {sol.status})")
@@ -210,7 +204,7 @@ def decode(art: EncodingArtifacts, sol: MilpSolution,
         for k in range(T):
             vals = {m: sol.x[art.control_idx[(k, m)]] for m in sys.controls}
             m_best = max(vals, key=lambda m: vals[m])
-            if vals[m_best] < 1.0 - 1e-6:
+            if vals[m_best] < 1.0 - INT_TOL:
                 raise DecodeMismatchError(f"step {k}: mode binaries not one-hot: {vals}")
             controls.append(m_best)
     else:
@@ -218,7 +212,7 @@ def decode(art: EncodingArtifacts, sol: MilpSolution,
             phases = []
             for j in sys.junctions:
                 v = sol.x[art.control_idx[(k, j)]]
-                if abs(v - round(v)) > 1e-6:
+                if abs(v - round(v)) > INT_TOL:
                     raise DecodeMismatchError(f"step {k}: junction {j} binary fractional: {v}")
                 phases.append(NS if round(v) == 1 else EW)
             controls.append(tuple(phases))
@@ -230,16 +224,16 @@ def decode(art: EncodingArtifacts, sol: MilpSolution,
     for k in range(T + 1):
         solver_state = np.array([sol.x[art.x_idx[(k, i)]] for i in range(n)])
         gap = float(np.max(np.abs(solver_state - states[k])))
-        if gap > DECODE_TOL:
+        if gap > WITNESS_TOL:
             raise DecodeMismatchError(
                 f"step {k}: solver state deviates from re-simulation by {gap:.3g}")
     cap = art.state_cap
     for k, xs in enumerate(states):
-        if np.any(xs > cap + DECODE_TOL):
+        if np.any(xs > cap + WITNESS_TOL):
             raise DecodeMismatchError(f"step {k}: re-simulated state exceeds the "
                                       "bound backing the big-M constants")
-        if k < T and not art.safe_set.contains(xs, DECODE_TOL):
+        if k < T and not art.safe_set.contains(xs, WITNESS_TOL):
             raise DecodeMismatchError(f"step {k}: re-simulated witness leaves the safe set")
-    if not leq(states[T], states[0], DECODE_TOL):
+    if not leq(states[T], states[0], WITNESS_TOL):
         raise DecodeMismatchError("re-simulated witness violates closure x_T <= x_0")
     return SSequenceCertificate(T=T, controls=tuple(controls), x_star=tuple(states))

@@ -2,10 +2,11 @@
 
 A certificate with controls ``u*_0..u*_{T-1}`` and witness ``x*_0..x*_T``
 induces the robust controlled-invariant set  Omega* = U_k R(x*_k)  (union of
-boxes cornered at the witness states), a feedback policy "apply the control
-of the first box containing you", and — by iterating whole periods of the
+boxes cornered at the witness states) and — by iterating whole periods of the
 repeated sequence under the worst-case disturbance — a limit cycle whose
-boxes form an attractive set Gamma inside Omega*.
+boxes form an attractive set Gamma inside Omega*.  The two policies a
+certificate gives, open loop and feedback on Omega*, are
+``simulate.open_loop`` and ``simulate.feedback``.
 """
 
 from __future__ import annotations
@@ -16,14 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificate import SSequenceCertificate
-from .encode import DecodeMismatchError, EncodingArtifacts, decode, encode_switched, encode_traffic
-from .milp import solve_milp
-from .order import Box, BoxUnion, PolyLowerSet, as_vector, leq
-from .systems import SwitchedAffineSystem, TrafficNetwork
+from .encode import decode, encode_switched, encode_traffic
+from .milp import solve_milp, write_lp_format
+from .order import Box, BoxUnion
+from .systems import TrafficNetwork
 
 __all__ = [
     "SSequenceCertificate", "HorizonRecord", "SearchResult", "find_s_sequence",
-    "Rcis", "build_rcis", "feedback_policy", "open_loop_policy",
+    "Rcis", "build_rcis",
     "LimitCycle", "LimitCycleError", "compute_limit_cycle",
     "build_attractive_set", "necessity_bound",
 ]
@@ -54,6 +55,11 @@ class SearchResult:
     @property
     def budget_limited(self):
         return any(r.status == "budget_unknown" for r in self.records)
+
+
+_HORIZON_STATUS = {"optimal": "found", "feasible": "found",
+                   "feasible_budget_hit": "found", "infeasible": "proven_infeasible",
+                   "budget_unknown": "budget_unknown"}
 
 
 def _encode(system, safe_set, T, objective):
@@ -113,25 +119,21 @@ def find_s_sequence(system, safe_set=None, t_max=10, objective="max_l1_x0",
             n_slice = max(1, remaining_nodes // horizons_left)
 
         art = _encode(system, safe_set, T, enc_objective)
-        dump = None if dump_lp is None else f"{dump_lp}_T{T}.lp"
+        if dump_lp is not None:
+            write_lp_format(art.model, f"{dump_lp}_T{T}.lp")
         t0 = time.monotonic()
-        sol = solve_milp(art.model, node_budget=n_slice, time_budget=t_slice,
-                         mode=mode, dump_path=dump)
+        sol = solve_milp(art.model, node_budget=n_slice, time_budget=t_slice, mode=mode)
         dt = time.monotonic() - t0
         nodes_spent += sol.nodes
-        if sol.status in ("optimal", "feasible", "feasible_budget_hit"):
-            certificate = decode(art, sol)
-            records.append(HorizonRecord(T, "found", sol.status, sol.nodes, dt,
-                                         sol.pivots, sol.refactorizations))
-            break
-        if sol.status == "infeasible":
-            records.append(HorizonRecord(T, "proven_infeasible", sol.status, sol.nodes,
-                                         dt, sol.pivots, sol.refactorizations))
-        elif sol.status == "budget_unknown":
-            records.append(HorizonRecord(T, "budget_unknown", sol.status, sol.nodes,
-                                         dt, sol.pivots, sol.refactorizations))
-        else:  # pragma: no cover - every encoder variable is bounded
+        status = _HORIZON_STATUS.get(sol.status)
+        if status is None:  # pragma: no cover - every encoder variable is bounded
             raise RuntimeError(f"unexpected solver status {sol.status!r} at T={T}")
+        if status == "found":
+            certificate = decode(art, sol)
+        records.append(HorizonRecord(T, status, sol.status, sol.nodes, dt,
+                                     sol.pivots, sol.refactorizations))
+        if certificate is not None:
+            break
     minimal = (certificate is not None and t_min == 1
                and all(r.status == "proven_infeasible"
                        for r in records if r.T < certificate.T))
@@ -141,31 +143,14 @@ def find_s_sequence(system, safe_set=None, t_max=10, objective="max_l1_x0",
 
 @dataclass(frozen=True)
 class Rcis:
-    """Union of witness boxes plus the per-box control table."""
+    """Union of the witness boxes R(x*_0) .. R(x*_{T-1}); box p carries u*_p."""
     region: BoxUnion
-    controls: tuple
     certificate: SSequenceCertificate
-
-    def policy(self, p: int):
-        return self.controls[p]
 
 
 def build_rcis(cert: SSequenceCertificate) -> Rcis:
     boxes = tuple(Box(cert.x_star[k]) for k in range(cert.T))
-    return Rcis(region=BoxUnion(boxes), controls=cert.controls, certificate=cert)
-
-
-def feedback_policy(rcis: Rcis, x):
-    """Control of the lowest-index box containing ``x``; None if outside."""
-    p = rcis.region.locate(x)
-    return None if p is None else rcis.controls[p]
-
-
-def open_loop_policy(cert: SSequenceCertificate, k: int):
-    """u*_{k mod T} — the repeated sequence, blind to the state."""
-    if k < 0:
-        raise ValueError("step counter must be >= 0")
-    return cert.controls[k % cert.T]
+    return Rcis(region=BoxUnion(boxes), certificate=cert)
 
 
 class LimitCycleError(Exception):

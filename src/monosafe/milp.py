@@ -36,7 +36,7 @@ answer before branch-and-bound uses it; a failed re-check raises
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -156,13 +156,6 @@ class MilpSolution:
     pivots: int = 0                 # simplex pivots, summed over all nodes
     refactorizations: int = 0       # tableau rebuilds from the basis (``_refresh``)
     duals: np.ndarray | None = None
-    model: MilpModel | None = field(default=None, repr=False)
-
-    @property
-    def assignment(self) -> dict:
-        if self.x is None or self.model is None:
-            return {}
-        return {v.name: float(self.x[j]) for j, v in enumerate(self.model.vars)}
 
 
 # --------------------------------------------------------------------------
@@ -591,11 +584,9 @@ def _check_solution(c, A, rels, b, lb, ub, x, tol=FEAS_TOL):
     return True
 
 
-def solve_lp(model: MilpModel, dump_path: str | None = None) -> MilpSolution:
+def solve_lp(model: MilpModel) -> MilpSolution:
     """Solve the continuous relaxation of ``model`` (binaries in [0, 1])."""
     c, A, rels, b, lb, ub = model.dense()
-    if dump_path:
-        write_lp_format(model, dump_path)
     t0 = time.monotonic()
     c_min = -c if model.sense == "max" else c
     sx = _Simplex(c_min, A, rels, b, lb, ub)
@@ -603,7 +594,7 @@ def solve_lp(model: MilpModel, dump_path: str | None = None) -> MilpSolution:
     elapsed = time.monotonic() - t0
     if status != "optimal":
         return MilpSolution(status=status, nodes=1, elapsed=elapsed, pivots=sx.pivots,
-                            refactorizations=sx.refactorizations, model=model)
+                            refactorizations=sx.refactorizations)
     x = sx.x()
     # hard re-check: never return an uncertified answer
     if not _check_solution(c, A, rels, b, lb, ub, x):
@@ -617,7 +608,7 @@ def solve_lp(model: MilpModel, dump_path: str | None = None) -> MilpSolution:
     # objective reported from the model's own coefficients, not the tableau
     return MilpSolution(status="optimal", x=x, objective=float(c @ x), nodes=1,
                         elapsed=elapsed, duals=duals, pivots=sx.pivots,
-                        refactorizations=sx.refactorizations, model=model)
+                        refactorizations=sx.refactorizations)
 
 
 # --------------------------------------------------------------------------
@@ -626,8 +617,7 @@ def solve_lp(model: MilpModel, dump_path: str | None = None) -> MilpSolution:
 
 def solve_milp(model: MilpModel, node_budget: int | None = None,
                time_budget: float | None = None,
-               mode: str = "prove_optimal",
-               dump_path: str | None = None) -> MilpSolution:
+               mode: str = "prove_optimal") -> MilpSolution:
     """Depth-first branch-and-bound over the binary variables.
 
     ``prove_optimal`` explores until the incumbent is proved optimal (or the
@@ -649,8 +639,6 @@ def solve_milp(model: MilpModel, node_budget: int | None = None,
     if not set(model.branch_first) <= set(model.binary_indices):
         raise MilpError("branch_first may only list binary variables")
     c, A, rels, b, lb0, ub0 = model.dense()
-    if dump_path:
-        write_lp_format(model, dump_path)
     bins = np.array(model.binary_indices, dtype=int)
     first = np.isin(bins, list(model.branch_first))
     t0 = time.monotonic()
@@ -711,7 +699,7 @@ def solve_milp(model: MilpModel, node_budget: int | None = None,
 
     elapsed = time.monotonic() - t0
     done = dict(nodes=nodes, elapsed=elapsed, pivots=sx.pivots,
-                refactorizations=sx.refactorizations, model=model)
+                refactorizations=sx.refactorizations)
     if unbounded:
         return MilpSolution(status="unbounded", **done)
     if best_x is None:

@@ -16,6 +16,36 @@ restricted to ``R^n_+``.  Three set families are provided:
 All membership predicates are *closed* (boundary points are inside) and take
 an explicit tolerance so that exact arithmetic and solver output can be
 compared with different slack.
+
+Every tolerance in the package, and the comparison it guards:
+
+===============================  =====  =====================================
+name                             value  guards
+===============================  =====  =====================================
+``order.DEFAULT_TOL``            1e-9   order and membership tests on exact
+                                        arithmetic (``leq``, ``Box``,
+                                        ``PolyLowerSet``, ``BoxUnion``),
+                                        ``w <= w*`` in ``step``, turn-ratio
+                                        sums, ``check_monotone`` and
+                                        ``cooperative_bound_check``
+``order.WITNESS_TOL``            1e-5   a witness against its re-simulation:
+                                        ``decode``'s solver-vs-simulation
+                                        gap and its cap, safety and closure
+                                        re-checks; ``verify_certificate``
+                                        when the certificate declares no
+                                        ``tol``
+``milp.INT_TOL``                 1e-6   a binary's distance to {0, 1}:
+                                        branching, incumbents, and
+                                        ``decode`` reading mode one-hots and
+                                        junction phases
+``milp.FEAS_TOL`` and the rest   --     solver-internal; the table at the
+of ``milp.py``'s table                  top of ``milp.py`` names each one
+``compute_limit_cycle`` ``tol``  1e-9   period-to-period residual of the
+                                        limit cycle, and its descent check
+``dominance_check`` ``tol``      1e-9   a trajectory state above the
+                                        worst-case reference run
+``dominance_check`` literal      1e-12  its precondition ``x_0 <= x*_0``
+===============================  =====  =====================================
 """
 
 from __future__ import annotations
@@ -26,6 +56,8 @@ import numpy as np
 
 #: default tolerance for order comparisons on exact arithmetic
 DEFAULT_TOL = 1e-9
+#: a witness against its re-simulation (decoding and certificate verification)
+WITNESS_TOL = 1e-5
 
 
 def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:

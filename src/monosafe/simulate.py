@@ -13,11 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificate import SSequenceCertificate
-from .invariance import LimitCycle, Rcis, feedback_policy
-from .order import BoxUnion, PolyLowerSet, as_vector, leq
+from .invariance import LimitCycle, Rcis
+from .order import WITNESS_TOL, BoxUnion, PolyLowerSet, as_vector, leq
 from .rng import SplitMix64
-
-VERIFY_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -36,9 +34,14 @@ def open_loop(cert: SSequenceCertificate) -> Policy:
 
 
 def feedback(rcis: Rcis) -> Policy:
-    """Control of the first certificate box containing x; None outside."""
-    return Policy("feedback", rcis.certificate.T,
-                  lambda k, x: feedback_policy(rcis, x))
+    """u*_p of the lowest-index box R(x*_p) containing x; None outside."""
+    controls = rcis.certificate.controls
+
+    def control(k, x):
+        p = rcis.region.locate(x)
+        return None if p is None else controls[p]
+
+    return Policy("feedback", rcis.certificate.T, control)
 
 
 @dataclass(frozen=True)
@@ -170,9 +173,9 @@ def verify_certificate(sys, S: PolyLowerSet,
     For every step k: the stored x*_{k+1} must equal f(x*_k, w*, u*_k);
     x*_k must lie in S for k < T; and x*_T must sit below x*_0.  All
     within the certificate's own tolerance if it declares one (rounded
-    witnesses are rounded), else 1e-5.
+    witnesses are rounded), else ``WITNESS_TOL``.
     """
-    tol = cert.tol if cert.tol is not None else VERIFY_TOL
+    tol = cert.tol if cert.tol is not None else WITNESS_TOL
     T = cert.T
     w = sys.w_star
 

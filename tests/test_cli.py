@@ -133,6 +133,17 @@ def test_input_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("content", ["[1, 2]", '{"A": [[1, 1]]}', "{oops"])
+def test_find_malformed_safe_set(tmp_path, capsys, content):
+    bad = tmp_path / "safe.json"
+    bad.write_text(content)
+    code = main(["find", "--system", "case1.json", "--tmax", "1",
+                 "--safe-set", str(bad), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: bad safe-set file")
+
+
 def test_simulate_deterministic_and_sticky(tmp_path, capsys):
     args = ["simulate", "--system", "case1.json",
             "--certificate", "cert_case1.json", "--x0", "10,32",

@@ -1,10 +1,12 @@
-"""Big-M encodings: size formulas, round-trips, decode paranoia."""
+"""Big-M encodings: size formulas, pinned models, round-trips, decode paranoia."""
+
+import hashlib
 
 import numpy as np
 import pytest
 
 from monosafe.encode import DecodeMismatchError, decode, encode_switched, encode_traffic
-from monosafe.milp import solve_milp
+from monosafe.milp import solve_milp, write_lp_format
 from monosafe.order import PolyLowerSet
 from monosafe.simulate import verify_certificate
 from monosafe.systems import EW, NS, Link, SwitchedAffineSystem, TrafficNetwork
@@ -34,8 +36,44 @@ def test_switched_size_formula(T, case1):
     assert len(art.model.binary_indices) == T * n_modes
     assert art.model.num_vars == T * n_modes + (T + 1) * n
     # rows: per step, one one-hot + 2 sandwich rows per mode per coordinate,
-    # plus safety rows for k < T and n closure rows
-    assert art.model.num_constraints == T * (1 + 2 * n_modes * n) + T * S.A.shape[0] + n
+    # plus safety rows (those with two or more nonzeros) for k < T and n
+    # closure rows
+    multi = int(np.sum(np.count_nonzero(S.A, axis=1) > 1))
+    assert art.model.num_constraints == T * (1 + 2 * n_modes * n) + T * multi + n
+
+
+@pytest.mark.parametrize("T", [1, 3])
+def test_switched_size_formula_mixed_safe_set(T, case1):
+    # x_0 <= 5 is one coordinate: the variable caps carry it, no row needed
+    sys_, _, _ = case1
+    S = PolyLowerSet(np.array([[1.0, 0.0], [1.0, 1.0]]), np.array([5.0, 8.0]))
+    art = encode_switched(sys_, S, T)
+    n, n_modes = sys_.state_dim, len(sys_.controls)
+    assert art.model.num_constraints == T * (1 + 2 * n_modes * n) + T * 1 + n
+    for k in range(T + 1):
+        assert [art.model.vars[art.x_idx[(k, i)]].ub for i in range(n)] == [5.0, 8.0]
+
+
+# sha256 of ``write_lp_format``: every coefficient, bound, name and row order
+@pytest.mark.parametrize("system, T, objective, digest", [
+    ("case1", 3, "feasibility",
+     "212880df99a4da8beaca510347b618103c04e477f5ef115e2b1fc68acc0ba7fe"),
+    ("case1", 3, "max_l1_x0",
+     "669fe67fcf232f548f0d713d8199080ad2564b552f4dc08984737621c7a0427f"),
+    ("traffic", 2, "feasibility",
+     "5b370913fc68f6af8c2e97a48bcd01026575b8589f3e06124a71515cc8101600"),
+    ("traffic", 2, "max_l1_x0",
+     "b9be67be45b7b49b72bf69e3a3d94073e50ba947c04a1196ef3e019ba8f473fa"),
+])
+def test_encoding_pinned(system, T, objective, digest, case1, traffic, tmp_path):
+    if system == "case1":
+        sys_, S, _ = case1
+        art = encode_switched(sys_, S, T, objective=objective)
+    else:
+        art = encode_traffic(traffic[0], T, objective=objective)
+    path = tmp_path / "model.lp"
+    write_lp_format(art.model, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("T", [1, 2])

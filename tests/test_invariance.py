@@ -6,9 +6,9 @@ from hypothesis import given, strategies as st
 
 from monosafe.certificate import SSequenceCertificate
 from monosafe.invariance import (LimitCycleError, build_attractive_set, build_rcis,
-                                 compute_limit_cycle, feedback_policy,
-                                 find_s_sequence, necessity_bound, open_loop_policy)
+                                 compute_limit_cycle, find_s_sequence, necessity_bound)
 from monosafe.order import PolyLowerSet
+from monosafe.simulate import feedback, open_loop
 from monosafe.systems import SwitchedAffineSystem
 
 
@@ -67,30 +67,31 @@ def test_rcis_boxes_are_witness_corners(case1_search):
     assert len(rcis.region.boxes) == cert.T
     for k, box in enumerate(rcis.region.boxes):
         assert np.array_equal(box.corner, cert.x_star[k])
-    assert rcis.policy(3) == cert.controls[3]
+    # box p carries the certificate's control u*_p
+    assert rcis.certificate is cert
 
 
 def test_feedback_policy_minimal_index(case1_search):
     cert = case1_search.certificate
     rcis = build_rcis(cert)
-    assert feedback_policy(rcis, np.zeros(2)) == cert.controls[0]
-    assert feedback_policy(rcis, [1e6, 1e6]) is None
+    policy = feedback(rcis)
+    assert policy(0, np.zeros(2)) == cert.controls[0]
+    assert policy(5, [1e6, 1e6]) is None
     for k in range(cert.T):
         expected_p = next(p for p in range(cert.T)
                           if rcis.region.boxes[p].contains(cert.x_star[k]))
-        assert feedback_policy(rcis, cert.x_star[k]) == cert.controls[expected_p]
+        # the step counter plays no part: the state alone picks the box
+        assert policy(k, cert.x_star[k]) == cert.controls[expected_p]
+        assert policy(k + 1, cert.x_star[k]) == cert.controls[expected_p]
 
 
 @given(st.integers(0, 300))
 def test_open_loop_policy_periodic(case1_cert, k):
     cert = case1_cert
-    assert open_loop_policy(cert, k) == open_loop_policy(cert, k + cert.T)
-    assert open_loop_policy(cert, k) == cert.controls[k % cert.T]
-
-
-def test_open_loop_policy_rejects_negative(case1_cert):
-    with pytest.raises(ValueError):
-        open_loop_policy(case1_cert, -1)
+    policy = open_loop(cert)
+    # blind to the state: any x gives u*_{k mod T}
+    assert policy(k, np.zeros(2)) == policy(k + cert.T, [1e6, 1e6])
+    assert policy(k, cert.x_star[0]) == cert.controls[k % cert.T]
 
 
 def test_case1_limit_cycle_frozen(case1, case1_search):
