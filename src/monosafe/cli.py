@@ -47,6 +47,8 @@ class InputError(Exception):
 
 def _resolve_path(path):
     """Accept real paths or the bare names of bundled data files."""
+    if os.path.isdir(path):
+        raise InputError(f"is a directory, not a file: {path}")
     if os.path.exists(path):
         return str(path)
     candidate = resources.files("monosafe.data") / os.path.basename(path)
@@ -94,7 +96,10 @@ def _load_certificate(args, digest):
 
 def _out_dir(args):
     out = args.out or "."
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:  # a file of that name, or a file on the way to it
+        raise InputError(f"cannot create output directory {out}: {exc.strerror}")
     return out
 
 
@@ -167,13 +172,14 @@ def _write_points_csv(path, label, points):
 def cmd_verify(args):
     sys_, safe_set, digest = _load_system(args)
     cert = _load_certificate(args, digest)
+    out = _out_dir(args) if args.out else None
     report = verify_certificate(sys_, safe_set, cert)
     payload = report.to_dict()
     payload["system_hash"] = digest
     payload["beta_resolution"] = args.beta_resolution if isinstance(sys_, TrafficNetwork) else None
     print(json.dumps(payload, indent=2))
-    if args.out:
-        with open(os.path.join(_out_dir(args), "verify_report.json"), "w") as fh:
+    if out:
+        with open(os.path.join(out, "verify_report.json"), "w") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
     return EXIT_OK if report.passed else EXIT_NEGATIVE

@@ -19,7 +19,7 @@ import numpy as np
 from .certificate import SSequenceCertificate
 from .encode import decode, encode_switched, encode_traffic
 from .milp import solve_milp, write_lp_format
-from .order import Box, BoxUnion
+from .order import Box, BoxUnion, as_vector
 from .systems import TrafficNetwork
 
 __all__ = [
@@ -182,6 +182,8 @@ def compute_limit_cycle(sys, cert: SSequenceCertificate, tol: float = 1e-9,
     Convergence is declared when no phase state moved more than ``tol``
     over one full period.  A certificate bug shows up either as
     ``monotone_violations > 0`` or as failure to converge (which raises).
+    ``w*``, the controls and the witness states are checked once; the
+    periods then iterate the system's ``advance``.
 
     The first period is compared against the certificate's stored witness
     states, which a rounded certificate only claims to its own declared
@@ -192,18 +194,24 @@ def compute_limit_cycle(sys, cert: SSequenceCertificate, tol: float = 1e-9,
     if tol <= 0:
         raise ValueError("tol must be positive")
     T = cert.T
-    w = sys.w_star
+    n = sys.state_dim
+    w = as_vector(sys.w_star, n, "w")
+    controls = [sys.check_control(u) for u in cert.controls]
+    advance = sys.advance
     first_tol = max(tol, cert.tol) if cert.tol is not None else tol
-    phase = [np.asarray(x, dtype=float) for x in cert.x_star[:T]]
+    phase = [as_vector(x, n, "x") for x in cert.x_star[:T]]
     violations = 0
     residual = np.inf
     for period in range(1, max_periods + 1):
-        x = sys.step(phase[T - 1], w, cert.controls[T - 1])
+        x = advance(phase[T - 1], w, controls[T - 1])
         new = []
         for k in range(T):
             new.append(x)
-            x = sys.step(x, w, cert.controls[k])
+            x = advance(x, w, controls[k])
         residual = max(float(np.max(np.abs(new[k] - phase[k]))) for k in range(T))
+        if not np.isfinite(residual):
+            raise LimitCycleError(
+                f"the period iteration overflowed after {period} periods", residual)
         thresh = first_tol if period == 1 else tol
         violations += sum(bool(np.any(new[k] > phase[k] + thresh)) for k in range(T))
         phase = new
@@ -213,7 +221,7 @@ def compute_limit_cycle(sys, cert: SSequenceCertificate, tol: float = 1e-9,
                 periods=period,
                 residual=residual,
                 closure_error=float(np.max(np.abs(
-                    sys.step(phase[T - 1], w, cert.controls[T - 1]) - phase[0]))),
+                    advance(phase[T - 1], w, controls[T - 1]) - phase[0]))),
                 monotone_violations=violations,
             )
             return cycle

@@ -15,7 +15,9 @@ restricted to ``R^n_+``.  Three set families are provided:
 
 All membership predicates are *closed* (boundary points are inside) and take
 an explicit tolerance so that exact arithmetic and solver output can be
-compared with different slack.
+compared with different slack.  ``contains`` takes one point and returns a
+``bool``, or an ``(m, n)`` array of points and returns one bool per row;
+each row's answer is the one its point gets alone.
 
 Every tolerance in the package, and the comparison it guards:
 
@@ -72,11 +74,38 @@ def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
         v = v.reshape(-1)
     if dim is not None and v.shape[0] != dim:
         raise ValueError(f"{name}: expected dimension {dim}, got {v.shape[0]}")
+    return _finite_nonnegative(v, name)
+
+
+def as_rows(x, dim: int, name: str = "rows") -> np.ndarray:
+    """Coerce ``x`` to an ``(m, dim)`` float array, checked as ``as_vector``."""
+    v = np.asarray(x, dtype=float)
+    if v.ndim != 2 or v.shape[1] != dim:
+        raise ValueError(f"{name}: expected shape (m, {dim}), got {v.shape}")
+    return _finite_nonnegative(v, name)
+
+
+def _finite_nonnegative(v, name):
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name}: entries must be finite")
     if np.any(v < 0):
         raise ValueError(f"{name}: entries must be nonnegative, got {v}")
     return v
+
+
+def _points(x, dim):
+    """``x`` as an ``(m, dim)`` float array, and whether it was one point."""
+    xv = np.asarray(x, dtype=float)
+    single = xv.ndim != 2
+    if single:
+        xv = xv.reshape(1, -1)
+    if xv.shape[1] != dim:
+        raise ValueError(f"dimension mismatch: {xv.shape[1]} vs {dim}")
+    return xv, single
+
+
+def _answer(inside, single):
+    return bool(inside[0]) if single else inside
 
 
 def leq(a, b, tol: float = DEFAULT_TOL) -> bool:
@@ -103,11 +132,9 @@ class Box:
     def dim(self) -> int:
         return self.corner.shape[0]
 
-    def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
-        xv = np.asarray(x, dtype=float).reshape(-1)
-        if xv.shape[0] != self.dim:
-            raise ValueError(f"dimension mismatch: {xv.shape[0]} vs {self.dim}")
-        return bool(np.all(xv >= -tol)) and leq(xv, self.corner, tol)
+    def contains(self, x, tol: float = DEFAULT_TOL):
+        X, single = _points(x, self.dim)
+        return _answer(((X >= -tol) & (X <= self.corner + tol)).all(axis=1), single)
 
 
 @dataclass(frozen=True)
@@ -147,13 +174,16 @@ class PolyLowerSet:
     def dim(self) -> int:
         return self.A.shape[1]
 
-    def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
-        xv = np.asarray(x, dtype=float).reshape(-1)
-        if xv.shape[0] != self.dim:
-            raise ValueError(f"dimension mismatch: {xv.shape[0]} vs {self.dim}")
-        if not np.all(xv >= -tol):
-            return False
-        return bool(np.all(self.A @ xv <= self.b + tol))
+    def contains(self, x, tol: float = DEFAULT_TOL):
+        X, single = _points(x, self.dim)
+        # A x summed term by term in column order, so that a point's sums
+        # do not depend on how many points share the call (a BLAS product
+        # may change its summation order with the number of rows)
+        Ax = X[:, :1] * self.A[:, 0]
+        for j in range(1, self.dim):
+            Ax = Ax + X[:, j:j + 1] * self.A[:, j]
+        inside = (X >= -tol).all(axis=1) & (Ax <= self.b + tol).all(axis=1)
+        return _answer(inside, single)
 
     def violation(self, x) -> float:
         """Worst constraint excess ``max(max_i (A x - b)_i, 0)``.
@@ -190,6 +220,8 @@ class BoxUnion:
     """Ordered finite union of boxes; membership reports the smallest index."""
 
     boxes: tuple = field(default_factory=tuple)
+    #: the corners as one (boxes, n) matrix
+    corners: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         boxes = tuple(b if isinstance(b, Box) else Box(b) for b in self.boxes)
@@ -199,6 +231,7 @@ class BoxUnion:
         if len(dims) != 1:
             raise ValueError(f"boxes must share a dimension, got {sorted(dims)}")
         object.__setattr__(self, "boxes", boxes)
+        object.__setattr__(self, "corners", np.array([b.corner for b in boxes]))
 
     @property
     def dim(self) -> int:
@@ -208,11 +241,17 @@ class BoxUnion:
         return len(self.boxes)
 
     def locate(self, x, tol: float = DEFAULT_TOL) -> int | None:
-        """Smallest index ``p`` with ``x`` in ``boxes[p]``, or ``None``."""
-        for p, box in enumerate(self.boxes):
-            if box.contains(x, tol):
-                return p
-        return None
+        """Smallest index ``p`` with the point ``x`` in ``boxes[p]``, or ``None``."""
+        xv = np.asarray(x, dtype=float).reshape(-1)
+        if xv.shape[0] != self.dim:
+            raise ValueError(f"dimension mismatch: {xv.shape[0]} vs {self.dim}")
+        if not (xv >= -tol).all():
+            return None
+        hits = (xv <= self.corners + tol).all(axis=1)
+        return int(hits.argmax()) if hits.any() else None
 
-    def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
-        return self.locate(x, tol) is not None
+    def contains(self, x, tol: float = DEFAULT_TOL):
+        X, single = _points(x, self.dim)
+        inside = ((X >= -tol).all(axis=1)
+                  & (X[:, None, :] <= self.corners + tol).all(axis=2).any(axis=1))
+        return _answer(inside, single)

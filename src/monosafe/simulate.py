@@ -1,8 +1,13 @@
 """Trajectory simulation, certificate verification, dominance checking.
 
 This module is the independent oracle: everything here drives the system's
-own ``step`` function and never consults the optimizer, so solver output
-can be judged against it.
+own dynamics and never consults the optimizer, so solver output can be
+judged against it.  Certificate verification calls ``step`` at every
+transition.  A rollout checks its inputs once -- the initial state, the
+adversary's whole disturbance block, each distinct control, and at the end
+every state -- and in between runs the same ``advance`` kernel that ``step``
+returns, so a trajectory is bit for bit the one a loop over ``step`` would
+give.  Its membership flags come from one batch ``contains`` call per set.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import numpy as np
 
 from .certificate import SSequenceCertificate
 from .invariance import LimitCycle, Rcis
-from .order import WITNESS_TOL, BoxUnion, PolyLowerSet, as_vector, leq
+from .order import WITNESS_TOL, BoxUnion, PolyLowerSet, as_rows, as_vector, leq
 from .rng import SplitMix64
 
 
@@ -46,31 +51,48 @@ def feedback(rcis: Rcis) -> Policy:
 
 @dataclass(frozen=True)
 class Adversary:
-    kind: str            # "worst_case" | "uniform"
-    _fn: object
+    """Disturbances chosen in advance: no adversary here reads the state.
 
-    def __call__(self, sys, k):
-        return self._fn(sys, k)
+    ``adversary(sys, steps)`` is the ``(steps, n)`` block of disturbances
+    for a whole rollout.  When a rollout stops early it hands the rows it
+    did not use back with ``unread``, so that a shared random stream
+    continues as if only the used rows had been drawn.
+    """
+    kind: str            # "worst_case" | "uniform"
+    _fn: object          # (sys, steps) -> (steps, n) array
+    _unread: object = None  # (sys, rows) -> None
+
+    def __call__(self, sys, steps):
+        return self._fn(sys, steps)
+
+    def unread(self, sys, rows):
+        if self._unread is not None:
+            self._unread(sys, rows)
 
 
 def worst_case_w_star() -> Adversary:
     """Always play the rectangle corner w* (worst case by monotonicity)."""
-    return Adversary("worst_case", lambda sys, k: sys.w_star)
+    return Adversary("worst_case", lambda sys, steps: np.broadcast_to(
+        sys.w_star, (steps, sys.state_dim)))
 
 
 def uniform(seed) -> Adversary:
     """Draw each disturbance coordinate from U(0, w*_i) per step.
 
-    ``seed`` may be an integer or a SplitMix64 stream (use
+    The block is drawn row by row, coordinate by coordinate, from one
+    stream.  ``seed`` may be an integer or a SplitMix64 stream (use
     ``SplitMix64(master).spawn(i)`` to give concurrent runs independent
     streams).
     """
     rng = seed if isinstance(seed, SplitMix64) else SplitMix64(seed)
 
-    def draw(sys, k):
-        return np.array([rng.uniform(0.0, float(wi)) for wi in sys.w_star])
+    def draw(sys, steps):
+        return rng.uniform(0.0, np.broadcast_to(sys.w_star, (steps, sys.state_dim)))
 
-    return Adversary("uniform", draw)
+    def unread(sys, rows):
+        rng.skip(-rows * sys.state_dim)
+
+    return Adversary("uniform", draw, unread)
 
 
 @dataclass(frozen=True)
@@ -101,42 +123,54 @@ def simulate(sys, x0, policy: Policy, adversary: Adversary, steps: int,
     the cycle point of phase k mod T — which is strictly stronger than
     union membership.  If a feedback policy falls off its region the run
     halts with status ``"halted_outside_region"`` and the states so far.
+
+    Inputs are checked once, with the errors ``step`` raises: x0, the whole
+    disturbance block, each control the first time the policy plays it, and
+    all states after the loop.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    x = as_vector(x0, sys.state_dim, "x0")
-    if np.any(x < 0):
-        raise ValueError("x0 must be nonnegative")
-    states, controls, dists = [x], [], []
+    n = sys.state_dim
+    x = as_vector(x0, n, "x0")
+    W = as_rows(adversary(sys, steps), n, "w")
+    if W.shape[0] != steps:
+        raise ValueError(f"adversary gave {W.shape[0]} disturbances for {steps} steps")
+    sys.check_disturbance(W)
+    X = np.empty((steps + 1, n))
+    X[0] = x
+    controls, checked = [], {}
+    advance = sys.advance
     status = "completed"
     for k in range(steps):
-        u = policy(k, states[-1])
+        u = policy(k, x)
         if u is None:
             status = "halted_outside_region"
+            adversary.unread(sys, steps - k)
             break
-        w = np.asarray(adversary(sys, k), dtype=float)
-        states.append(sys.step(states[-1], w, u))
+        key = checked.get(u)
+        if key is None:
+            key = checked[u] = sys.check_control(u)
+        x = X[k + 1] = advance(x, W[k], key)
         controls.append(u)
-        dists.append(w)
+    m = len(controls) + 1
+    states = as_rows(X[:m], n, "x")
     T = policy.T
 
-    def flags(region, phase_matched=False):
-        out = []
-        for k, xs in enumerate(states):
-            if region is None:
-                out.append(None)
-            elif phase_matched:
-                out.append(bool(region.boxes[k % T].contains(xs)))
-            else:
-                out.append(bool(region.contains(xs)))
-        return tuple(out)
+    def flags(region):
+        return (None,) * m if region is None else tuple(region.contains(states).tolist())
+
+    in_gamma = (None,) * m
+    if gamma is not None:
+        inside = np.empty(m, dtype=bool)
+        for p in range(min(T, m)):
+            inside[p::T] = gamma.boxes[p].contains(states[p::T])
+        in_gamma = tuple(inside.tolist())
 
     return Trajectory(
         states=tuple(states), controls=tuple(controls),
-        disturbances=tuple(dists),
-        phases=tuple(k % T for k in range(len(states))),
-        safe=flags(safe_set), in_omega=flags(omega),
-        in_gamma=flags(gamma, phase_matched=True),
+        disturbances=tuple(W[:m - 1]),
+        phases=tuple(k % T for k in range(m)),
+        safe=flags(safe_set), in_omega=flags(omega), in_gamma=in_gamma,
         status=status, policy_kind=policy.kind, adversary_kind=adversary.kind)
 
 
@@ -229,9 +263,11 @@ def dominance_check(sys, cert: SSequenceCertificate,
     """
     if trajectory.policy_kind != "open_loop" or trajectory.phases[0] != 0:
         raise ValueError("dominance needs an open-loop trajectory starting at phase 0")
-    x_ref = np.asarray(cert.x_star[0], dtype=float)
+    x_ref = as_vector(cert.x_star[0], sys.state_dim, "x")
     if not leq(trajectory.states[0], x_ref, 1e-12):
         raise ValueError("dominance precondition x0 <= x*_0 fails")
+    w = as_vector(sys.w_star, sys.state_dim, "w")
+    controls = [sys.check_control(u) for u in cert.controls]
     worst, first = 0.0, None
     for k, xs in enumerate(trajectory.states):
         excess = float(np.max(xs - x_ref))
@@ -240,7 +276,7 @@ def dominance_check(sys, cert: SSequenceCertificate,
         if excess > tol and first is None:
             first = k
         if k < len(trajectory.states) - 1:
-            x_ref = sys.step(x_ref, sys.w_star, cert.controls[k % cert.T])
+            x_ref = sys.advance(x_ref, w, controls[k % cert.T])
     return DominanceReport(first is None, worst, first)
 
 

@@ -10,6 +10,12 @@ package:
 * ``step(x, w, u)``      -- one-step successor, monotone in ``(x, w)`` for
   every fixed ``u``.
 
+``step`` checks its inputs and then calls ``advance(x, w, u)``, the one
+dynamics kernel, which trusts them.  A rollout that makes many steps checks
+the state, the disturbances (``check_disturbance``) and each control
+(``check_control``) once and then iterates ``advance``; it computes what the
+same calls of ``step`` would, bit for bit.
+
 Monotonicity is not enforced structurally; ``check_monotone`` samples
 ordered pairs and reports violations, which is how a modelling mistake
 (e.g. a negative coefficient) surfaces.
@@ -31,11 +37,35 @@ NS = "NS"
 EW = "EW"
 
 
+class MonotoneSystem:
+    """``step`` shared by the models: check (x, w, u), then ``advance``.
+
+    A model sets ``state_dim``, ``w_star`` and ``controls`` and defines
+    ``check_control(u)`` (raise ``ValueError`` for a control outside the
+    alphabet, else return it in the form ``advance`` takes) and
+    ``advance(x, w, u)`` (the successor of checked inputs).
+    """
+
+    def step(self, x, w, u) -> np.ndarray:
+        u = self.check_control(u)
+        xv = as_vector(x, dim=self.state_dim, name="x")
+        wv = as_vector(w, dim=self.state_dim, name="w")
+        self.check_disturbance(wv)
+        return self.advance(xv, wv, u)
+
+    def check_disturbance(self, w) -> None:
+        """Raise ``ValueError`` if ``w``, or a row of it, exceeds ``w* + DEFAULT_TOL``."""
+        rows = np.atleast_2d(w)
+        over = np.any(rows > self.w_star + DEFAULT_TOL, axis=1)
+        if over.any():
+            raise ValueError(f"disturbance {rows[np.argmax(over)]} exceeds bound {self.w_star}")
+
+
 # --------------------------------------------------------------------------
 # switched affine:  x+ = A_u x + w
 # --------------------------------------------------------------------------
 
-class SwitchedAffineSystem:
+class SwitchedAffineSystem(MonotoneSystem):
     """Finitely many nonnegative matrices ``A_u``; control picks the mode.
 
     Mode labels are 1-based integers matching the order of ``modes``.
@@ -60,14 +90,13 @@ class SwitchedAffineSystem:
         self.state_dim = n
         self.controls = tuple(range(1, len(mats) + 1))
 
-    def step(self, x, w, u) -> np.ndarray:
+    def check_control(self, u):
         if u not in self.controls:
             raise ValueError(f"unknown mode label {u!r}; expected one of {self.controls}")
-        xv = as_vector(x, dim=self.state_dim, name="x")
-        wv = as_vector(w, dim=self.state_dim, name="w")
-        if np.any(wv > self.w_star + DEFAULT_TOL):
-            raise ValueError(f"disturbance {wv} exceeds bound {self.w_star}")
-        return self.modes[u - 1] @ xv + wv
+        return u
+
+    def advance(self, x, w, u) -> np.ndarray:
+        return self.modes[u - 1] @ x + w
 
     def to_dict(self) -> dict:
         return {
@@ -92,7 +121,7 @@ class Link:
     entry: bool             # True if the link enters from outside the network
 
 
-class TrafficNetwork:
+class TrafficNetwork(MonotoneSystem):
     """Signalized network in its cooperative (demand-limited) regime.
 
     When the head junction's phase matches a link's direction, the link
@@ -158,20 +187,29 @@ class TrafficNetwork:
         self.c = np.array([l.c for l in self.links])
         self.x_s = np.array([l.x_s for l in self.links])
         self.w_star = np.array([l.w_star for l in self.links])
-        self._head_idx = np.array([self._junction_index[l.head] for l in self.links])
-        self._is_ns = np.array([l.direction == NS for l in self.links])
         self.controls = tuple(itertools.product((NS, EW), repeat=len(self.junctions)))
+        # green_mask of every control: link l is green when its head's phase
+        # is its own direction
+        head_ns = np.array([[p == NS for p in u] for u in self.controls],
+                           dtype=bool).reshape(len(self.controls), len(self.junctions))
+        head_ns = head_ns[:, [self._junction_index[l.head] for l in self.links]]
+        masks = head_ns == np.array([l.direction == NS for l in self.links])
+        masks.flags.writeable = False
+        self._green = dict(zip(self.controls, masks))
 
     # -- dynamics ----------------------------------------------------------
 
-    def green_mask(self, u) -> np.ndarray:
+    def check_control(self, u) -> tuple:
         if len(u) != len(self.junctions):
             raise ValueError(f"control must assign a phase to all {len(self.junctions)} junctions")
         for p in u:
             if p not in (NS, EW):
                 raise ValueError(f"bad phase {p!r}")
-        u_ns = np.array([p == NS for p in u])
-        return np.where(self._is_ns, u_ns[self._head_idx], ~u_ns[self._head_idx])
+        return tuple(u)
+
+    def green_mask(self, u) -> np.ndarray:
+        """Read-only bool per link: green under control ``u``."""
+        return self._green[self.check_control(u)]
 
     def outflow(self, x, u, link_id) -> float:
         """Served flow of one link: ``min(x, c)`` on green, 0 on red."""
@@ -181,13 +219,9 @@ class TrafficNetwork:
             return float(min(xv[i], self.c[i]))
         return 0.0
 
-    def step(self, x, w, u) -> np.ndarray:
-        xv = as_vector(x, dim=self.state_dim, name="x")
-        wv = as_vector(w, dim=self.state_dim, name="w")
-        if np.any(wv > self.w_star + DEFAULT_TOL):
-            raise ValueError(f"disturbance {wv} exceeds bound {self.w_star}")
-        z = np.where(self.green_mask(u), np.minimum(xv, self.c), 0.0)
-        return xv - z + wv + self._beta.T @ z
+    def advance(self, x, w, u) -> np.ndarray:
+        z = np.where(self._green[u], np.minimum(x, self.c), 0.0)
+        return x - z + w + self._beta.T @ z
 
     # -- bookkeeping -------------------------------------------------------
 

@@ -185,3 +185,23 @@ def test_module_execution_round_trip(tmp_path):
         capture_output=True, text=True, cwd=tmp_path, env=env)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["passed"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--system", "{dir}", "--certificate", "cert_case1.json"],
+    ["verify", "--system", "case1.json", "--certificate", "{dir}"],
+    ["find", "--system", "case1.json", "--tmax", "1", "--out", "{file}"],
+    ["verify", "--system", "case1.json", "--certificate", "cert_case1.json",
+     "--out", "{file}"],
+    ["simulate", "--system", "case1.json", "--certificate", "cert_case1.json",
+     "--steps", "3", "--out", "{file}/sub"],
+])
+def test_directory_input_and_file_output_are_input_errors(tmp_path, capsys, argv):
+    existing = tmp_path / "taken"
+    existing.write_text("")
+    code = main([a.format(dir=tmp_path, file=existing) for a in argv])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")

@@ -152,3 +152,32 @@ def test_necessity_bound_arithmetic():
         necessity_bound(1, 1, 0.1, 0)
     with pytest.raises(ValueError):
         necessity_bound(1, 1, 0.1, 1.5)
+
+
+def _step_loop_cycle(sys_, cert, tol=1e-9):
+    """compute_limit_cycle's period iteration written over ``sys.step``."""
+    T, w = cert.T, sys_.w_star
+    phase = [np.asarray(x, dtype=float) for x in cert.x_star[:T]]
+    for period in range(1, 10 ** 6):
+        x = sys_.step(phase[T - 1], w, cert.controls[T - 1])
+        new = []
+        for k in range(T):
+            new.append(x)
+            x = sys_.step(x, w, cert.controls[k])
+        residual = max(float(np.max(np.abs(new[k] - phase[k]))) for k in range(T))
+        phase = new
+        if residual < tol:
+            closure = float(np.max(np.abs(
+                sys_.step(phase[T - 1], w, cert.controls[T - 1]) - phase[0])))
+            return phase, period, residual, closure
+
+
+@pytest.mark.parametrize("which, periods", [("case1", 349), ("traffic", 158)])
+def test_limit_cycle_equals_step_loop(request, which, periods):
+    sys_ = request.getfixturevalue(which)[0]
+    cert = request.getfixturevalue(f"{which}_cert")
+    cycle = compute_limit_cycle(sys_, cert)
+    points, ref_periods, residual, closure = _step_loop_cycle(sys_, cert)
+    assert cycle.periods == ref_periods == periods
+    assert np.array(cycle.points).tobytes() == np.array(points).tobytes()
+    assert (cycle.residual, cycle.closure_error) == (residual, closure)

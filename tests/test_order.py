@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from monosafe.order import Box, BoxUnion, PolyLowerSet, as_vector, leq
+from monosafe.order import DEFAULT_TOL, Box, BoxUnion, PolyLowerSet, as_vector, leq
 
 vectors = st.lists(st.floats(0, 100, allow_nan=False, width=32),
                    min_size=1, max_size=6)
@@ -127,3 +127,48 @@ def test_box_union_minimal_index():
 def test_box_union_rejects_mixed_dims():
     with pytest.raises(ValueError):
         BoxUnion((Box([1.0]), Box([1.0, 2.0])))
+
+
+def _edge_points(corners, rng):
+    """Each corner moved by -tol, 0, tol or 2 tol, as a whole and one
+    coordinate at a time; each corner with one coordinate set to -tol or
+    -2 tol; and random points."""
+    tol = DEFAULT_TOL
+    pts = []
+    for c in corners:
+        for shift in (-tol, 0.0, tol, 2 * tol):
+            pts.append(c + shift)
+            for i in range(len(c)):
+                moved = c.copy()
+                moved[i] = c[i] + shift
+                pts.append(moved)
+        for i in range(len(c)):
+            for low in (-tol, -2 * tol):
+                moved = c.copy()
+                moved[i] = low
+                pts.append(moved)
+    pts.extend(rng.uniform(-0.1, 1.1, (40, len(corners[0]))) * corners[0])
+    return np.array(pts)
+
+
+def test_batch_contains_matches_each_point():
+    rng = np.random.default_rng(8)
+    corners = [np.array([3.0, 0.7, 5.25]), np.array([1.0, 4.0, 0.1]),
+               np.array([2.5, 2.5, 2.5])]
+    A = np.array([[1.0, 0.3, 0.0], [0.2, 1.0, 0.7], [0.0, 0.0, 1.0]])
+    sets = [Box(corners[0]), PolyLowerSet.rectangle(corners[1]),
+            PolyLowerSet(A, A @ corners[2]), BoxUnion(tuple(Box(c) for c in corners))]
+    pts = _edge_points(corners, rng)
+    for region in sets:
+        batch = region.contains(pts)
+        assert batch.dtype == bool and batch.shape == (len(pts),)
+        single = [region.contains(p) for p in pts]
+        assert all(type(v) is bool for v in single)
+        assert batch.tolist() == single
+        assert 0 < sum(single) < len(pts)
+        one = region.contains(pts[:1])
+        assert one.shape == (1,) and one[0] == single[0]
+    union = sets[-1]
+    for p in pts:
+        first = next((k for k, box in enumerate(union.boxes) if box.contains(p)), None)
+        assert union.locate(p) == first

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from monosafe.rng import SplitMix64
@@ -57,3 +58,32 @@ def test_spawn_streams_independent():
     assert h0 != h1 and h0 != head and h1 != head
     # spawning is itself deterministic
     assert [SplitMix64(99).spawn(1).next_u64()] == [h1[0]]
+
+
+@pytest.mark.parametrize("seed", [0, 2024, (1 << 64) - 2])
+def test_array_uniform_matches_scalar_calls(seed):
+    """An array draw is the scalar draws in C order, bit for bit, and leaves
+    the stream where they leave it; seed 2**64 - 2 wraps on the first draw."""
+    lo = np.array([[0.0], [1.5], [-2.0]])
+    hi = np.array([[1.0, 3.0, 1e-3, 7.25], [2.0, 2.0, 4.0, 1.5], [0.0, 5.0, 8.0, 3.0]])
+    batch, scalar = SplitMix64(seed), SplitMix64(seed)
+    drawn = batch.uniform(lo, hi)
+    expected = np.array([[scalar.uniform(float(lo[i, 0]), float(hi[i, j]))
+                          for j in range(hi.shape[1])] for i in range(hi.shape[0])])
+    assert drawn.shape == hi.shape
+    assert drawn.tobytes() == expected.tobytes()
+    assert batch.uniform(0.0, 1.0) == scalar.uniform(0.0, 1.0)
+    assert batch.next_u64() == scalar.next_u64()
+
+
+def test_skip_moves_the_stream_both_ways():
+    r, ref = SplitMix64(5), SplitMix64(5)
+    r.uniform(0.0, np.ones(7))
+    r.skip(-4)
+    for _ in range(3):
+        ref.next_u64()
+    assert r.next_u64() == ref.next_u64()
+    r.skip(10)
+    for _ in range(10):
+        ref.next_u64()
+    assert r.next_u64() == ref.next_u64()

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from monosafe.certificate import SSequenceCertificate
-from monosafe.invariance import build_attractive_set, build_rcis, compute_limit_cycle
+from monosafe.invariance import Rcis, build_attractive_set, build_rcis, compute_limit_cycle
+from monosafe.order import Box, BoxUnion, PolyLowerSet
 from monosafe.rng import SplitMix64
-from monosafe.simulate import (dominance_check, feedback, gamma_excess, open_loop,
-                               simulate, uniform, verify_certificate,
+from monosafe.simulate import (Adversary, Policy, dominance_check, feedback, gamma_excess,
+                               open_loop, simulate, uniform, verify_certificate,
                                worst_case_w_star, write_trajectory_csv)
 
 
@@ -166,3 +167,128 @@ def test_csv_traffic_phases_colon_joined(traffic, traffic_cert, tmp_path):
     write_trajectory_csv(traj, path)
     row = path.read_text().splitlines()[1].split(",")
     assert row[14] == "NS:NS:NS:NS:NS:NS"
+
+
+# --------------------------------------------------------------------------
+# the validate-once rollout against a scalar reference
+# --------------------------------------------------------------------------
+
+def _scalar_rollout(sys_, x0, policy, rng, steps, safe_set=None, omega=None, gamma=None):
+    """A loop over ``sys.step``, one scalar draw per coordinate (w* when
+    ``rng`` is None) and one ``contains`` call per state."""
+    states, controls, dists = [np.asarray(x0, dtype=float)], [], []
+    status = "completed"
+    for k in range(steps):
+        u = policy(k, states[-1])
+        if u is None:
+            status = "halted_outside_region"
+            break
+        w = (np.asarray(sys_.w_star) if rng is None
+             else np.array([rng.uniform(0.0, float(wi)) for wi in sys_.w_star]))
+        states.append(sys_.step(states[-1], w, u))
+        controls.append(u)
+        dists.append(w)
+    T = policy.T
+
+    def flags(region):
+        return tuple(None if region is None else region.contains(x) for x in states)
+
+    in_gamma = tuple(None if gamma is None else gamma.boxes[k % T].contains(x)
+                     for k, x in enumerate(states))
+    return {"states": states, "controls": tuple(controls), "disturbances": dists,
+            "phases": tuple(k % T for k in range(len(states))), "safe": flags(safe_set),
+            "in_omega": flags(omega), "in_gamma": in_gamma, "status": status}
+
+
+def _assert_same_rollout(traj, ref):
+    assert len(traj.states) == len(ref["states"])
+    assert np.array(traj.states).tobytes() == np.array(ref["states"]).tobytes()
+    assert len(traj.disturbances) == len(ref["disturbances"])
+    assert (np.array(traj.disturbances).tobytes()
+            == np.array(ref["disturbances"]).tobytes())
+    for name in ("controls", "phases", "safe", "in_omega", "in_gamma", "status"):
+        assert getattr(traj, name) == ref[name], name
+
+
+def test_rollout_equals_scalar_reference(case1, case1_cert, traffic, traffic_cert):
+    sys_, S, _ = case1
+    rcis = build_rcis(case1_cert)
+    gamma = build_attractive_set(compute_limit_cycle(sys_, case1_cert))
+    for seed in (3, 11):
+        traj = simulate(sys_, [10, 32], open_loop(case1_cert), uniform(seed), 400,
+                        safe_set=S, omega=rcis.region, gamma=gamma)
+        ref = _scalar_rollout(sys_, [10, 32], open_loop(case1_cert), SplitMix64(seed), 400,
+                              S, rcis.region, gamma)
+        _assert_same_rollout(traj, ref)
+        assert any(traj.in_gamma) and not all(traj.in_gamma)
+
+    net, S, _ = traffic
+    rcis = build_rcis(traffic_cert)
+    x0 = 0.6 * np.asarray(traffic_cert.x_star[0])
+    stream = SplitMix64(77).spawn(2)
+    traj = simulate(net, x0, open_loop(traffic_cert), uniform(stream), 300,
+                    safe_set=S, omega=rcis.region)
+    ref_stream = SplitMix64(77).spawn(2)
+    ref = _scalar_rollout(net, x0, open_loop(traffic_cert), ref_stream, 300, S, rcis.region)
+    _assert_same_rollout(traj, ref)
+    assert stream.next_u64() == ref_stream.next_u64()
+
+    traj = simulate(net, x0, feedback(rcis), worst_case_w_star(), 300,
+                    safe_set=S, omega=rcis.region)
+    ref = _scalar_rollout(net, x0, feedback(rcis), None, 300, S, rcis.region)
+    _assert_same_rollout(traj, ref)
+    assert traj.status == "completed"
+
+
+def test_halted_rollout_leaves_the_stream_as_the_scalar_path(case1, case1_cert):
+    sys_, S, _ = case1
+    # boxes below the witness are not invariant, so feedback on them can fall off
+    shrunk = Rcis(BoxUnion(tuple(Box(0.8 * np.asarray(x))
+                                 for x in case1_cert.x_star[:case1_cert.T])), case1_cert)
+    x0 = 0.8 * np.asarray(case1_cert.x_star[0])
+    stream, ref_stream = SplitMix64(1), SplitMix64(1)
+    traj = simulate(sys_, x0, feedback(shrunk), uniform(stream), 200,
+                    safe_set=S, omega=shrunk.region)
+    ref = _scalar_rollout(sys_, x0, feedback(shrunk), ref_stream, 200, S, shrunk.region)
+    _assert_same_rollout(traj, ref)
+    assert traj.status == "halted_outside_region" and 1 < len(traj.states) < 201
+    assert [stream.next_u64() for _ in range(3)] == [ref_stream.next_u64() for _ in range(3)]
+
+
+def test_rollout_input_errors(case1, case1_cert):
+    sys_, _, _ = case1
+    above = Adversary("above", lambda s, steps: np.broadcast_to(
+        2.0 * s.w_star, (steps, s.state_dim)))
+    with pytest.raises(ValueError, match="exceeds bound"):
+        simulate(sys_, [10, 32], open_loop(case1_cert), above, 20)
+    with pytest.raises(ValueError, match="nonnegative"):
+        simulate(sys_, [10, -1], open_loop(case1_cert), uniform(1), 20)
+    unknown = Policy("open_loop", 2, lambda k, x: (1, 3)[k % 2])
+    with pytest.raises(ValueError, match="unknown mode label 3"):
+        simulate(sys_, [10, 32], unknown, uniform(1), 20)
+
+
+def test_rollout_reaches_the_traced_methods(case1, case1_cert, monkeypatch):
+    """The per-layer table of ``perfbench/run.py --trace 1`` counts calls of
+    these methods by name; a rollout that went around one would leave its
+    rows empty."""
+    sys_, S, _ = case1
+    rcis = build_rcis(case1_cert)
+    gamma = build_attractive_set(compute_limit_cycle(sys_, case1_cert))
+    counts = {}
+    for owner, name in ((SplitMix64, "uniform"), (PolyLowerSet, "contains"),
+                        (BoxUnion, "contains"), (Box, "contains"), (BoxUnion, "locate")):
+        label = f"{owner.__name__}.{name}"
+        original = getattr(owner, name)
+
+        def counted(*args, _original=original, _label=label, **kwargs):
+            counts[_label] = counts.get(_label, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    simulate(sys_, [10, 32], open_loop(case1_cert), uniform(3), 50,
+             safe_set=S, omega=rcis.region, gamma=gamma)
+    simulate(sys_, [10, 32], feedback(rcis), worst_case_w_star(), 20)
+    assert sorted(counts) == ["Box.contains", "BoxUnion.contains", "BoxUnion.locate",
+                              "PolyLowerSet.contains", "SplitMix64.uniform"]
+    assert all(c >= 1 for c in counts.values())
