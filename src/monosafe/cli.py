@@ -2,8 +2,9 @@
 
 Exit codes are a stable contract: 0 success, 1 input error, 2 negative
 result (not found / verification failed), 3 inconclusive (budget ran out),
-4 internal or numerical failure (the solver could not certify its own
-answer, a solution did not survive decoding, or no limit cycle converged).
+4 internal or numerical failure (``find``: no certificate, and at some
+horizon the solver could not certify its own answer or a solution did not
+survive decoding; or no limit cycle converged).
 """
 
 from __future__ import annotations
@@ -128,7 +129,8 @@ def cmd_find(args):
     for r in result.records:
         lines.append(f"  T={r.T}: {r.status}  [{r.solver_status}, "
                      f"{r.nodes} nodes, {r.pivots} pivots, "
-                     f"{r.refactorizations} refactorizations, {r.elapsed:.2f}s]")
+                     f"{r.refactorizations} refactorizations, {r.elapsed:.2f}s]"
+                     + (f" {r.failure}" if r.failure else ""))
     if result.found:
         cert = dataclasses.replace(result.certificate, system_hash=digest)
         cert.save(os.path.join(out, "certificate.json"))
@@ -140,6 +142,10 @@ def cmd_find(args):
         lines.append(f"controls: {_control_text(cert.controls)}")
         lines.append(f"wrote certificate.json and rcis_corners.csv to {out}")
         code = EXIT_OK
+    elif result.failures:
+        lines.append(f"no certificate up to T={args.tmax}; the solver failed at "
+                     + ", ".join(f"T={r.T}" for r in result.failures))
+        code = EXIT_INTERNAL
     elif result.budget_limited:
         lines.append(f"no certificate up to T={args.tmax}; at least one horizon "
                      "hit the budget — existence undecided")
@@ -151,6 +157,10 @@ def cmd_find(args):
     print(text)
     with open(os.path.join(out, "summary.txt"), "w") as fh:
         fh.write(text + "\n")
+    if code == EXIT_INTERNAL:
+        print("error: internal failure at "
+              + "; ".join(f"T={r.T} ({r.failure})" for r in result.failures),
+              file=sys.stderr)
     return code
 
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificate import SSequenceCertificate
-from .encode import decode, encode_switched, encode_traffic
-from .milp import solve_milp, write_lp_format
+from .encode import DecodeMismatchError, decode, encode_switched, encode_traffic
+from .milp import NumericalBreakdownError, solve_milp, write_lp_format
 from .order import Box, BoxUnion, as_vector
 from .systems import TrafficNetwork
 
@@ -34,12 +34,13 @@ __all__ = [
 class HorizonRecord:
     """Outcome of one horizon in the sweep."""
     T: int
-    status: str          # "found" | "proven_infeasible" | "budget_unknown"
-    solver_status: str
+    status: str          # "found" | "proven_infeasible" | "budget_unknown" | "failed"
+    solver_status: str   # the solver's own status, "error" if it raised
     nodes: int
     elapsed: float
     pivots: int = 0      # simplex pivots over all of the horizon's nodes
-    refactorizations: int = 0  # tableau rebuilds over all of the horizon's nodes
+    refactorizations: int = 0  # basis refactorizations over all of the horizon's nodes
+    failure: str = ""    # for "failed": the exception's class and message
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,10 @@ class SearchResult:
     @property
     def budget_limited(self):
         return any(r.status == "budget_unknown" for r in self.records)
+
+    @property
+    def failures(self):
+        return tuple(r for r in self.records if r.status == "failed")
 
 
 _HORIZON_STATUS = {"optimal": "found", "feasible": "found",
@@ -83,7 +88,9 @@ def find_s_sequence(system, safe_set=None, t_max=10, objective="max_l1_x0",
     roll their unused share forward.  A horizon that exhausts its share is
     recorded as ``budget_unknown`` and the sweep moves on — minimality is
     claimed only when every smaller horizon was actually proven infeasible
-    (and the sweep started at T=1).
+    (and the sweep started at T=1).  A horizon whose solve raises
+    ``NumericalBreakdownError`` or whose solution fails decoding is recorded
+    as ``failed``, with the message, and the sweep moves on too.
 
     ``objective`` is ``"max_l1_x0"`` (maximize the l1 norm of x*_0, proving
     optimality) or ``"first_feasible"`` (stop at the first integral point).
@@ -122,16 +129,25 @@ def find_s_sequence(system, safe_set=None, t_max=10, objective="max_l1_x0",
         if dump_lp is not None:
             write_lp_format(art.model, f"{dump_lp}_T{T}.lp")
         t0 = time.monotonic()
-        sol = solve_milp(art.model, node_budget=n_slice, time_budget=t_slice, mode=mode)
+        try:
+            sol = solve_milp(art.model, node_budget=n_slice, time_budget=t_slice, mode=mode)
+        except NumericalBreakdownError as exc:
+            records.append(HorizonRecord(T, "failed", "error", 0, time.monotonic() - t0,
+                                         failure=f"{type(exc).__name__}: {exc}"))
+            continue
         dt = time.monotonic() - t0
         nodes_spent += sol.nodes
         status = _HORIZON_STATUS.get(sol.status)
         if status is None:  # pragma: no cover - every encoder variable is bounded
             raise RuntimeError(f"unexpected solver status {sol.status!r} at T={T}")
+        failure = ""
         if status == "found":
-            certificate = decode(art, sol)
+            try:
+                certificate = decode(art, sol)
+            except DecodeMismatchError as exc:
+                status, failure = "failed", f"{type(exc).__name__}: {exc}"
         records.append(HorizonRecord(T, status, sol.status, sol.nodes, dt,
-                                     sol.pivots, sol.refactorizations))
+                                     sol.pivots, sol.refactorizations, failure))
         if certificate is not None:
             break
     minimal = (certificate is not None and t_min == 1

@@ -1,31 +1,35 @@
 """Self-contained LP and mixed-integer solver (no external solver dependency).
 
-The LP core is a dense simplex on the bounded-variable tableau: variables
-may rest at either bound, so binary branching and the encoder's variable
-bounds never add rows.  A cold solve is a two-phase primal simplex with
-Dantzig pricing (steepest reduced cost, lowest index on ties) and a
-permanent switch to Bland's rule after a stall, which gives the usual
-practical speed while retaining the anti-cycling termination guarantee.
-Pivots update the tableau in place; it is rebuilt from the basis before
-every optimal or infeasible verdict, on every basis restore and every
-``_REFRESH_EVERY`` pivots.  A rebuild inverts only the block of the basis
+The LP core is a bounded-variable revised simplex: variables may rest at
+either bound, so binary branching and the encoder's variable bounds never
+add rows.  A cold solve is a two-phase primal simplex with Dantzig pricing
+(steepest reduced cost, lowest index on ties) and a permanent switch to
+Bland's rule after a stall, which gives the usual practical speed while
+retaining the anti-cycling termination guarantee.  No tableau is kept: the
+entering column and the pivot row are computed from a factorization of the
+basis when needed (``_col``, ``_row``), and reduced costs are updated from
+the pivot row.  A refactorization inverts only the k x k block of the basis
 that the structural columns form on the rows no basic slack or artificial
 covers, since the slack and artificial columns are signed unit vectors
-(Koberstein, 2005, on slack-heavy bases).  The rebuilds are counted and
-reported as ``MilpSolution.refactorizations``.
+(Koberstein, 2005, on slack-heavy bases); each later pivot appends one
+product-form eta (Forrest & Tomlin, *Updated triangular factors of the
+basis*, 1972).  The basis is refactorized before every optimal or
+infeasible verdict, on every basis restore and every ``_REFRESH_EVERY``
+pivots; the refactorizations are counted and reported as
+``MilpSolution.refactorizations``.
 
 The integer layer is a deterministic depth-first branch-and-bound on the
-binary variables that keeps one live tableau for the whole search.  Only the
+binary variables that keeps one live simplex for the whole search.  Only the
 root LP is solved cold.  Fixing a binary moves one bound and no reduced
 cost, so the parent's optimal basis stays dual feasible and a bounded dual
 simplex re-optimizes each child from it, usually in a handful of pivots
 (Koberstein, *The dual simplex method*, 2005; Bixby, *Solving real-world
 linear programs*, 2002).  The child the search enters first continues on the
-live tableau; its sibling waits on the stack as a basis snapshot (basis,
-bound status, spans, right-hand side and lower-bound shift: a few KB, never
-a tableau copy) and is refactorized once when popped.  Binaries a model
-lists in ``branch_first`` (the encoders list their control choices) are
-branched on before all others.
+live simplex; its sibling waits on the stack as a basis snapshot (basis,
+bound status, spans, right-hand side and lower-bound shift: a few KB) and
+is refactorized once when popped.  Binaries a model lists in
+``branch_first`` (the encoders list their control choices) are branched on
+before all others.
 
 Every answer the solver returns is independently re-checked against the
 original constraints before it leaves this module, and every node's LP
@@ -51,7 +55,7 @@ _TIE_TOL = 1e-9        # ratio-test tie window: primal leaving rows, dual enteri
 _PROGRESS_TOL = 1e-12  # objective or dual gain a pivot must make to reset the stall count
 _PHASE1_TOL = 1e-7     # phase-1 artificial mass above which the LP is infeasible
 _STALL_LIMIT = 200     # non-improving iterations before Bland mode
-_REFRESH_EVERY = 250   # pivots between tableau refactorizations
+_REFRESH_EVERY = 32    # pivots between refactorizations (the eta file's length)
 
 LEQ, EQ, GEQ = "<=", "=", ">="
 
@@ -154,7 +158,7 @@ class MilpSolution:
     nodes: int = 0
     elapsed: float = 0.0
     pivots: int = 0                 # simplex pivots, summed over all nodes
-    refactorizations: int = 0       # tableau rebuilds from the basis (``_refresh``)
+    refactorizations: int = 0       # basis refactorizations (``_refresh``)
     duals: np.ndarray | None = None
 
 
@@ -241,88 +245,122 @@ class _Simplex:
         self.basis = basis
         self.status = np.full(N, _AT_LB, dtype=np.int8)
         self.status[basis] = _BASIC
-        self.Tab = A_ext.copy()
-        self.v = b_eff.copy()
         self.pivots = 0
         self.refactorizations = 0
-        self._since_refresh = 0
+        self._refresh()
 
-    # -- linear-algebra refresh -------------------------------------------
+    # -- the factorization: structural block plus eta file -----------------
 
     def _refresh(self):
-        """Rebuild ``Tab = inv(B) @ A_ext`` and ``v`` from the basis alone.
+        """Refactorize the basis from scratch and recompute ``v``.
 
         Only the structural block of B is factorized.  Order the basic
         columns as [structurals S | slack and artificial unit columns].  The
         unit columns cover rows R with signs D; the k rows Q they leave
-        uncovered see S alone, so B_QS is square and
+        uncovered see S alone, so B_QS = A_ext[Q, S] is square and
 
-            Tab[S rows] = inv(A_ext[Q, S]) @ A_ext[Q]
-            Tab[unit rows] = D * (A_ext[R] - A_ext[R, S] @ Tab[S rows])
+            B x = a:  x_S = inv(B_QS) a_Q,  x_unit = D (a_R - A_RS x_S)
+            y B = w:  y_R = D w_unit,       y_Q = (w_S - y_R A_RS) inv(B_QS)
 
-        and ``v`` likewise from the right-hand side.  Most basic columns
-        are unit columns, so the k x k inverse is far cheaper than one of
-        the whole m x m basis.  Two unit columns on one row, a unit column
-        whose row was dropped, or a singular B_QS all mean B is singular.
+        with A_RS = A_ext[R, S] (``_ftran``, ``_btran``).  Most basic
+        columns are unit columns, so the k x k inverse is far cheaper than
+        one of the whole m x m basis.  The pivots since the last refresh are
+        kept as an eta file and cleared here.  Two unit columns
+        on one row, a unit column whose row was dropped, or a singular B_QS
+        all mean B is singular; the factorization and ``v`` are then left
+        as they were.
         """
         basis = self.basis
-        struct = np.flatnonzero(basis < self.n)
-        unit = np.flatnonzero(basis >= self.n)
+        is_struct = basis < self.n
+        struct, unit = np.nonzero(is_struct)[0], np.nonzero(~is_struct)[0]
         R = self.unit_row[basis[unit]]
         covered = np.zeros(basis.size, dtype=bool)
         covered[R] = True
-        if np.any(R < 0) or np.count_nonzero(covered) != R.size:
+        if (R < 0).any() or np.count_nonzero(covered) != R.size:
             # a unit column whose row was dropped, or two on one row
             raise NumericalBreakdownError("singular basis during refresh")
-        Q = np.flatnonzero(~covered)
+        Q = np.nonzero(~covered)[0]
         S = basis[struct]
         try:
-            inv_QS = np.linalg.inv(self.A_ext[np.ix_(Q, S)])
+            inv_QS = np.linalg.inv(self.A_ext[Q][:, S])
         except np.linalg.LinAlgError as exc:
             raise NumericalBreakdownError("singular basis during refresh") from exc
-        rhs = self.b_eff.copy()
+        self._factor = (struct, unit, Q, R, inv_QS, self.A_ext[R][:, S],
+                        self.A_ext[R, basis[unit]])
+        self._etas = []
+        rhs = self.b_eff
         ub_mask = self.status == _AT_UB
-        if np.any(ub_mask):
+        if ub_mask.any():
             rhs = rhs - self.A_ext[:, ub_mask] @ self.U[ub_mask]
-        Tab_S, v_S = inv_QS @ self.A_ext[Q], inv_QS @ rhs[Q]
-        A_RS = self.A_ext[np.ix_(R, S)]
-        D = self.A_ext[R, basis[unit]]
-        Tab_U = self.A_ext[R]
-        Tab_U -= A_RS @ Tab_S
-        Tab_U *= D[:, None]
-        Tab = np.empty((basis.size, self.N))
-        Tab[struct], Tab[unit] = Tab_S, Tab_U
-        v = np.empty(basis.size)
-        v[struct], v[unit] = v_S, D * (rhs[R] - A_RS @ v_S)
-        self.Tab, self.v = Tab, v
+        self.v = self._ftran(rhs)
         self.refactorizations += 1
-        self._since_refresh = 0
+
+    def _ftran(self, a):
+        """``inv(B) @ a``: the block solve, then the etas in pivot order."""
+        struct, unit, Q, R, inv_QS, A_RS, D = self._factor
+        x = np.empty(a.size)
+        x_S = inv_QS @ a[Q]
+        x[struct] = x_S
+        x[unit] = D * (a[R] - A_RS @ x_S)
+        for p, eta in self._etas:
+            x -= x[p] * eta
+        return x
+
+    def _btran(self, w):
+        """``w @ inv(B)``: the etas in reverse, then the transposed block solve.
+
+        Overwrites ``w``, which callers pass as a fresh array.
+        """
+        struct, unit, Q, R, inv_QS, A_RS, D = self._factor
+        for p, eta in reversed(self._etas):
+            w[p] -= w @ eta
+        y = np.empty(w.size)
+        y_R = D * w[unit]
+        y[R] = y_R
+        y[Q] = (w[struct] - y_R @ A_RS) @ inv_QS
+        return y
+
+    def _col(self, j):
+        """Column ``j`` of ``inv(B) @ A_ext``."""
+        return self._ftran(self.A_ext[:, j])
+
+    def _row(self, i):
+        """Row ``i`` of ``inv(B) @ A_ext``."""
+        e = np.zeros(self.basis.size)
+        e[i] = 1.0
+        return self._btran(e) @ self.A_ext
+
+    def _reduced_costs(self, c):
+        """``c - c_B inv(B) A_ext``, from one btran."""
+        return c - self._btran(c[self.basis]) @ self.A_ext
 
     def _current_x(self) -> np.ndarray:
         x = np.where(self.status == _AT_UB, self.U, 0.0)
         x[self.basis] = self.v
         return x
 
-    def _pivot(self, row, j):
-        """Make column ``j`` basic in ``row``; returns the new pivot row."""
-        piv = self.Tab[row, j]
+    def _pivot(self, row, j, col):
+        """Make column ``j``, whose ``_col`` is ``col``, basic in ``row``.
+
+        The new inverse is ``(I - eta e_row') inv(B)`` with
+        ``eta = (col - e_row) / col[row]``; the pair (row, eta) joins the
+        eta file.
+        """
+        piv = col[row]
         if abs(piv) < PIVOT_TOL:
             raise NumericalBreakdownError("pivot element below tolerance")
-        prow = self.Tab[row] / piv
-        col = self.Tab[:, j].copy()
-        self.Tab -= np.outer(col, prow)
-        self.Tab[row] = prow
+        eta = col / piv
+        eta[row] -= 1.0 / piv
+        self._etas.append((row, eta))
         self.basis[row] = j
         self.status[j] = _BASIC
         self.pivots += 1
-        self._since_refresh += 1
-        return prow
 
     # -- the primal pivot loop ---------------------------------------------
 
     def _optimize(self, c, phase: int):
-        m = self.Tab.shape[0]
-        r = c - c[self.basis] @ self.Tab
+        m = self.basis.size
+        r = self._reduced_costs(c)
         obj = float(c @ self._current_x())
         bland = False
         stall = 0
@@ -334,9 +372,9 @@ class _Simplex:
             cand_hi = (self.status == _AT_UB) & (r > _DUAL_TOL)
             cand = np.nonzero(cand_lo | cand_hi)[0]
             if cand.size == 0:
-                if self._since_refresh:
+                if self._etas:
                     self._refresh()
-                    r = c - c[self.basis] @ self.Tab
+                    r = self._reduced_costs(c)
                     obj = float(c @ self._current_x())
                     continue
                 return "optimal", obj
@@ -345,7 +383,7 @@ class _Simplex:
             else:
                 j = int(cand[np.argmax(np.abs(r[cand]))])
             direction = 1.0 if self.status[j] == _AT_LB else -1.0
-            alpha = self.Tab[:, j]
+            alpha = self._col(j)
             d = direction * alpha
             # ratio test: basic vars falling to 0 or rising to their span
             t_best = self.U[j]
@@ -383,10 +421,12 @@ class _Simplex:
                 self.v = self.v - d * t_best
                 self.v[leave_row] = t_best if direction > 0 else self.U[j] - t_best
                 self.status[lv] = leave_to
-                r = r - r[j] * self._pivot(leave_row, j)
-                if self._since_refresh >= _REFRESH_EVERY:
+                prow = self._row(leave_row)
+                r = r - r[j] / prow[j] * prow
+                self._pivot(leave_row, j, alpha)
+                if len(self._etas) >= _REFRESH_EVERY:
                     self._refresh()
-                    r = c - c[self.basis] @ self.Tab
+                    r = self._reduced_costs(c)
                     obj = float(c @ self._current_x())
             if obj < best - _PROGRESS_TOL:
                 best = obj
@@ -399,10 +439,10 @@ class _Simplex:
 
     def _drive_out_artificials(self):
         drop = []
-        for i in range(self.Tab.shape[0]):
+        for i in range(self.basis.size):
             if self.basis[i] < self.art_start:
                 continue
-            row = self.Tab[i, :self.art_start]
+            row = self._row(i)[:self.art_start]
             nonbasic = self.status[:self.art_start] != _BASIC
             free = np.nonzero((np.abs(row) > PIVOT_TOL) & nonbasic
                               & (self.U[:self.art_start] > PIVOT_TOL))[0]
@@ -415,14 +455,12 @@ class _Simplex:
             j = int(free[np.argmax(np.abs(row[free]))])
             enter_value = self.U[j] if self.status[j] == _AT_UB else 0.0
             self.status[self.basis[i]] = _AT_LB
-            self._pivot(i, j)
+            self._pivot(i, j, self._col(j))
             self.v[i] = enter_value
         if drop:
-            keep = np.array([i for i in range(self.Tab.shape[0]) if i not in drop])
+            keep = np.array([i for i in range(self.basis.size) if i not in drop])
             for i in drop:
                 self.status[self.basis[i]] = _AT_LB
-            self.Tab = self.Tab[keep]
-            self.v = self.v[keep]
             self.basis = self.basis[keep]
             self.kept_rows = self.kept_rows[keep]
             self.A_ext = self.A_ext[keep]
@@ -433,6 +471,7 @@ class _Simplex:
             new_row[keep] = np.arange(keep.size)
             units = self.unit_row >= 0
             self.unit_row[units] = new_row[self.unit_row[units]]
+            self._refresh()
 
     def solve(self) -> str:
         """Cold two-phase solve: optimal | infeasible | unbounded."""
@@ -462,14 +501,14 @@ class _Simplex:
             self.v[int(np.flatnonzero(self.basis == j)[0])] -= val
         else:
             x_j = self.U[j] if self.status[j] == _AT_UB else 0.0
-            self.v -= self.Tab[:, j] * (val - x_j)
+            self.v -= self._col(j) * (val - x_j)
             self.status[j] = _AT_LB
         self.U[j] = 0.0
         self.b_eff = self.b_eff - self.A_ext[:, j] * val
         self.lb_orig[j] += val
 
     def snapshot(self):
-        """The basis and bounds, enough to rebuild the tableau (no tableau)."""
+        """The basis and bounds, enough to refactorize (a few KB)."""
         return (self.basis.copy(), self.status.copy(), self.U.copy(),
                 self.b_eff.copy(), self.lb_orig.copy())
 
@@ -491,10 +530,10 @@ class _Simplex:
         ``_DUAL_TOL``; normally it makes no pivot.
         """
         c = self.c
-        r = c - c[self.basis] @ self.Tab
+        r = self._reduced_costs(c)
         bland = False
         stall = 0
-        max_iter = 2000 + 60 * (self.Tab.shape[0] + self.N)
+        max_iter = 2000 + 60 * (self.basis.size + self.N)
         for _ in range(max_iter):
             span_b = self.U[self.basis]
             below = -self.v
@@ -502,9 +541,8 @@ class _Simplex:
             viol = np.maximum(below, above)
             rows = np.flatnonzero(viol > _PRIMAL_TOL)
             if rows.size == 0:
-                if self._since_refresh:
+                if self._etas:
                     self._refresh()
-                    r = c - c[self.basis] @ self.Tab
                     continue
                 status, _ = self._optimize(c, phase=2)
                 return status
@@ -513,7 +551,7 @@ class _Simplex:
             else:
                 p = int(rows[np.argmax(viol[rows])])
             to_upper = above[p] > below[p]
-            alpha = self.Tab[p]
+            alpha = self._row(p)
             # entering columns move the leaving variable back toward the bound
             # it violates: up from a lower bound or down from an upper one
             toward = alpha if to_upper else -alpha
@@ -522,9 +560,9 @@ class _Simplex:
             cand = np.flatnonzero(movable & np.where(at_lb, toward > PIVOT_TOL,
                                                      toward < -PIVOT_TOL))
             if cand.size == 0:
-                if self._since_refresh:
+                if self._etas:
                     self._refresh()
-                    r = c - c[self.basis] @ self.Tab
+                    r = self._reduced_costs(c)
                     continue
                 return "infeasible"
             slack = np.maximum(np.where(at_lb[cand], r[cand], -r[cand]), 0.0)
@@ -533,16 +571,18 @@ class _Simplex:
             q = int(near[0]) if bland else int(near[np.argmax(np.abs(alpha[near]))])
             # primal step: the leaving variable lands on the bound it violated
             target = span_b[p] if to_upper else 0.0
-            delta = (self.v[p] - target) / alpha[q]
+            col = self._col(q)
+            delta = (self.v[p] - target) / col[p]
             x_q = self.U[q] if self.status[q] == _AT_UB else 0.0
-            self.v = self.v - self.Tab[:, q] * delta
+            self.v = self.v - col * delta
             self.v[p] = x_q + delta
             self.status[self.basis[p]] = _AT_UB if to_upper and target > 0 else _AT_LB
             gain = r[q] * delta
-            r = r - r[q] * self._pivot(p, q)
-            if self._since_refresh >= _REFRESH_EVERY:
+            r = r - r[q] / alpha[q] * alpha
+            self._pivot(p, q, col)
+            if len(self._etas) >= _REFRESH_EVERY:
                 self._refresh()
-                r = c - c[self.basis] @ self.Tab
+                r = self._reduced_costs(c)
             if gain > _PROGRESS_TOL:
                 stall = 0
             else:
@@ -562,11 +602,8 @@ class _Simplex:
         return self.lb_orig, self.lb_orig + self.U[:self.n]
 
     def duals(self):
-        """Duals of the kept standardized rows, or None for a singular basis."""
-        try:
-            return np.linalg.solve(self.A_ext[:, self.basis].T, self.c[self.basis])
-        except np.linalg.LinAlgError:
-            return None
+        """Duals of the kept standardized rows."""
+        return self._btran(self.c[self.basis])
 
 
 def _check_solution(c, A, rels, b, lb, ub, x, tol=FEAS_TOL):
@@ -599,13 +636,10 @@ def solve_lp(model: MilpModel) -> MilpSolution:
     # hard re-check: never return an uncertified answer
     if not _check_solution(c, A, rels, b, lb, ub, x):
         raise NumericalBreakdownError("solution failed the independent re-check")
-    duals = None
-    y_min = sx.duals()
-    if y_min is not None:
-        duals = np.zeros(A.shape[0])
-        sgn = -1.0 if model.sense == "max" else 1.0
-        duals[sx.kept_rows] = sgn * sx.row_sign[sx.kept_rows] * y_min
-    # objective reported from the model's own coefficients, not the tableau
+    duals = np.zeros(A.shape[0])
+    sgn = -1.0 if model.sense == "max" else 1.0
+    duals[sx.kept_rows] = sgn * sx.row_sign[sx.kept_rows] * sx.duals()
+    # objective reported from the model's own coefficients, not the simplex's
     return MilpSolution(status="optimal", x=x, objective=float(c @ x), nodes=1,
                         elapsed=elapsed, duals=duals, pivots=sx.pivots,
                         refactorizations=sx.refactorizations)
@@ -627,7 +661,7 @@ def solve_milp(model: MilpModel, node_budget: int | None = None,
 
     The root LP is solved cold; every other node is re-optimized by the dual
     simplex from its parent's optimal basis.  The nearest-integer child
-    continues on the live tableau at once; its sibling waits on the stack as
+    continues on the live simplex at once; its sibling waits on the stack as
     a basis snapshot and is refactorized when popped.  Branching follows the
     most fractional binary among ``model.branch_first``, and the most
     fractional binary overall once those are all integral (lowest index on
@@ -651,7 +685,7 @@ def solve_milp(model: MilpModel, node_budget: int | None = None,
     unbounded = False
     # entries: None for the root, else (snapshot, j, val) = the node the
     # snapshot records with binary j fixed to val; snapshot None means the
-    # live tableau's own node, whose entry is always the next one popped
+    # live simplex's own node, whose entry is always the next one popped
     stack = [None]
     while stack:
         if node_budget is not None and nodes >= node_budget:
@@ -695,7 +729,7 @@ def solve_milp(model: MilpModel, node_budget: int | None = None,
         j = int(bins[k])
         preferred = 1.0 if xb[k] >= 0.5 else 0.0
         stack.append((sx.snapshot(), j, 1.0 - preferred))
-        stack.append((None, j, preferred))   # popped next: the live tableau
+        stack.append((None, j, preferred))   # popped next: the live simplex
 
     elapsed = time.monotonic() - t0
     done = dict(nodes=nodes, elapsed=elapsed, pivots=sx.pivots,

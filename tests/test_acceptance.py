@@ -6,9 +6,10 @@ glance:
 
     [acceptance] criterion N (title): PASS | FAIL
 
-Tests run in definition order; the synthesis criteria (1 and 5) register the
-certificates they produce in ``PRODUCED`` and the invariance criterion (8)
-sweeps over all of them plus the bundled reference witnesses.
+The two syntheses run once, in the module fixture ``minted``; criteria 1
+and 5 check them, and the invariance criterion (8) sweeps over the
+certificates they produced plus the bundled reference witnesses, so any
+selection of criteria gives the same verdicts.
 """
 
 import json
@@ -17,6 +18,7 @@ from contextlib import contextmanager
 from importlib import resources
 
 import numpy as np
+import pytest
 
 from monosafe import (
     Box,
@@ -42,8 +44,21 @@ from test_milp import _enumerate_oracle
 
 DATA = resources.files("monosafe.data")
 
-# certificates minted by the synthesis criteria, consumed by criterion 8
-PRODUCED: dict[str, tuple] = {}
+
+@pytest.fixture(scope="module")
+def minted(case1, tmp_path_factory):
+    """The case-1 sweep (with its wall time) and the traffic T=5 synthesis
+    (exit code and output directory), each run once for the module."""
+    sys_, S, _ = case1
+    t0 = time.perf_counter()
+    res = find_s_sequence(sys_, S, t_max=7, objective="max_l1_x0")
+    elapsed = time.perf_counter() - t0
+    out = tmp_path_factory.mktemp("find5")
+    code = cli.main(["find", "--system", "traffic_table1.json",
+                     "--tmin", "5", "--tmax", "5",
+                     "--objective", "first-feasible",
+                     "--time-budget", "120", "--out", str(out)])
+    return {"case1": (res, elapsed), "traffic": (code, out)}
 
 
 @contextmanager
@@ -58,12 +73,11 @@ def verdict(capsys, num, title):
         print(f"[acceptance] criterion {num} ({title}): PASS")
 
 
-def test_criterion_1_case1_sweep_and_reference_witness(capsys, case1, case1_cert):
+def test_criterion_1_case1_sweep_and_reference_witness(capsys, case1, case1_cert,
+                                                        minted):
     sys_, S, _ = case1
     with verdict(capsys, 1, "case-1 sweep finds minimal T=7 certificate"):
-        t0 = time.perf_counter()
-        res = find_s_sequence(sys_, S, t_max=7, objective="max_l1_x0")
-        elapsed = time.perf_counter() - t0
+        res, elapsed = minted["case1"]
         assert elapsed <= 60.0, f"sweep took {elapsed:.1f} s"
         assert res.found and res.minimal
         assert res.certificate.T == 7
@@ -78,7 +92,6 @@ def test_criterion_1_case1_sweep_and_reference_witness(capsys, case1, case1_cert
         assert np.allclose(case1_cert.x_star[0], [16.15, 33.85], atol=1e-12)
         assert verify_certificate(sys_, S, case1_cert).passed
         assert np.allclose(case1_cert.x_star[7], [16.15, 33.21], atol=0.01)
-        PRODUCED["case-1 solver certificate"] = (sys_, res.certificate)
 
 
 def test_criterion_2_case1_limit_cycle(capsys, case1, case1_cert):
@@ -133,14 +146,10 @@ def test_criterion_4_table2_verification_and_worst_case(capsys, traffic,
         assert peak <= 60.0 + 1e-9, f"worst-case peak {peak}"
 
 
-def test_criterion_5_traffic_synthesis_within_budget(capsys, tmp_path, traffic):
+def test_criterion_5_traffic_synthesis_within_budget(capsys, traffic, minted):
     net, S, _ = traffic
     with verdict(capsys, 5, "traffic synthesis at T=5 inside the budget"):
-        out = tmp_path / "find5"
-        code = cli.main(["find", "--system", "traffic_table1.json",
-                         "--tmin", "5", "--tmax", "5",
-                         "--objective", "first-feasible",
-                         "--time-budget", "120", "--out", str(out)])
+        code, out = minted["traffic"]
         assert code in (0, 3), (
             f"exit {code}: a proven-infeasible at T=5 contradicts known "
             "feasibility and means the solver or encoding is wrong")
@@ -148,7 +157,6 @@ def test_criterion_5_traffic_synthesis_within_budget(capsys, tmp_path, traffic):
             cert = SSequenceCertificate.load(str(out / "certificate.json"))
             assert cert.T == 5
             assert verify_certificate(net, S, cert).passed
-            PRODUCED["traffic solver certificate"] = (net, cert)
         else:
             with capsys.disabled():
                 print("[acceptance]   budget exhausted before a plan was "
@@ -225,10 +233,16 @@ def test_criterion_7_monotonicity_suite(capsys, case1, traffic,
 
 
 def test_criterion_8_one_step_invariance(capsys, case1, case1_cert, traffic,
-                                         traffic_cert):
+                                         traffic_cert, minted):
     entries = [("case-1 reference witness", case1[0], case1_cert),
                ("table2 reference plan", traffic[0], traffic_cert)]
-    entries += [(name, s, c) for name, (s, c) in PRODUCED.items()]
+    res, _ = minted["case1"]
+    if res.found:
+        entries.append(("case-1 solver certificate", case1[0], res.certificate))
+    code, out = minted["traffic"]
+    if code == 0:
+        entries.append(("traffic solver certificate", traffic[0],
+                        SSequenceCertificate.load(str(out / "certificate.json"))))
     with verdict(capsys, 8, "10^4 sampled steps stay inside each RCIS"):
         assert len(entries) >= 3  # both bundled plus at least one minted
         for name, sys_, cert in entries:

@@ -83,6 +83,26 @@ def test_find_internal_failure_exit_code(tmp_path, capsys, monkeypatch, target, 
     assert str(exc) in err[0]
 
 
+def test_find_failed_horizon_does_not_end_the_sweep(tmp_path, capsys, monkeypatch):
+    """A numerical failure at T=3 is that horizon's status: the sweep goes on
+    to find T=7, which can then no longer be claimed minimal."""
+    solve = invariance.solve_milp
+
+    def fail_at_3(model, **kwargs):
+        if model.name.endswith("_T3"):
+            raise NumericalBreakdownError("singular basis during refresh")
+        return solve(model, **kwargs)
+
+    monkeypatch.setattr(invariance, "solve_milp", fail_at_3)
+    out = tmp_path / "run"
+    assert main(["find", "--system", "case1.json", "--tmax", "7", "--out", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert re.search(r"^\s+T=3: failed\s+\[error, 0 nodes, .*\] "
+                     r"NumericalBreakdownError: singular basis during refresh$", text, re.M)
+    assert "T=7: found" in text and "(minimality not proven)" in text
+    assert (out / "certificate.json").is_file()
+
+
 def test_verify_bundled_certificates(capsys):
     assert main(["verify", "--system", "case1.json",
                  "--certificate", "cert_case1.json"]) == 0

@@ -27,6 +27,16 @@ def test_sweep_finds_minimal_t7(case1_search):
     assert [r.T for r in res.records] == list(range(1, 8))
 
 
+def test_solver_counts_on_bundled_models(case1_search, traffic):
+    """Pinned branch-and-bound node counts: the case-1 max-l1 sweep, and the
+    traffic first-feasible proofs of T=1 and T=2.  A change to the pivoting
+    rules or to their rounding shows here first."""
+    assert [r.nodes for r in case1_search.records] == [3, 7, 15, 31, 63, 127, 115]
+    res = find_s_sequence(traffic[0], t_max=2, objective="first_feasible")
+    assert [(r.status, r.nodes) for r in res.records] == [
+        ("proven_infeasible", 3), ("proven_infeasible", 51)]
+
+
 def test_sweep_with_tmin_forfeits_minimality(case1):
     sys_, S, _ = case1
     res = find_s_sequence(sys_, S, t_max=8, t_min=7)

@@ -242,9 +242,9 @@ def _with_bounds(mdl, bounds, objective=None):
 
 
 def test_warm_children_match_cold_lp():
-    """Fixing a binary on the root's optimal tableau and running the dual
+    """Fixing a binary at the root's optimal basis and running the dual
     simplex gives the child's cold LP status and objective.  A fractional
-    binary is fixed to 0 on the live tableau and to 1 on a tableau rebuilt
+    binary is fixed to 0 on the live simplex and to 1 on one refactorized
     from a basis snapshot, as branch-and-bound does; an integral one (at a
     bound, or basic and degenerate) is moved to its other value."""
     rng = np.random.default_rng(23)
@@ -365,74 +365,111 @@ def _rows_lp(rng, dup_eq):
 
 
 def _pivot_randomly(sx, rng, count):
-    """``count`` basis exchanges on entries of a usable size."""
+    """``count`` basis exchanges on entries of a usable size, read through
+    ``_row``; the leaving variable goes to its lower bound and ``v`` follows
+    the entering column, as in a pivot."""
     for _ in range(count):
+        tab = np.array([sx._row(i) for i in range(sx.basis.size)])
         movable = (sx.status != _BASIC) & (np.arange(sx.N) < sx.art_start)
-        rows, cols = np.nonzero((np.abs(sx.Tab) > 0.1) & movable)
+        rows, cols = np.nonzero((np.abs(tab) > 0.1) & movable)
         if not rows.size:
             return
         k = int(rng.integers(rows.size))
-        sx.status[sx.basis[rows[k]]] = _AT_LB
-        sx._pivot(int(rows[k]), int(cols[k]))
+        i, j = int(rows[k]), int(cols[k])
+        col = sx._col(j)
+        theta = sx.v[i] / col[i]
+        x_j = sx.U[j] if sx.status[j] == _AT_UB else 0.0
+        sx.v = sx.v - theta * col
+        sx.v[i] = x_j + theta
+        sx.status[sx.basis[i]] = _AT_LB
+        sx._pivot(i, j, col)
 
 
-def test_block_refresh_matches_dense_inverse():
-    """The structural-block refresh gives the tableau and the basic values a
-    dense inverse of the whole basis gives: in phase 1 with artificials
-    basic, in phase 2 after the cold solve (redundant EQ rows dropped), and
-    after a binary is fixed and the dual simplex has run."""
-    rng = np.random.default_rng(31)
-    seen = {"phase1": 0, "phase2": 0, "fixed": 0, "dropped": 0, "artificial": 0,
-            "surplus": 0}
-
-    def check(sx, case):
-        sx._refresh()
-        B_inv = np.linalg.inv(sx.A_ext[:, sx.basis])
-        at_ub = sx.status == _AT_UB
-        rhs = sx.b_eff - sx.A_ext[:, at_ub] @ sx.U[at_ub]
-        assert np.abs(sx.Tab - B_inv @ sx.A_ext).max() <= 1e-9, case
-        assert np.abs(sx.v - B_inv @ rhs).max() <= 1e-9, case
-        units = sx.basis[sx.basis >= sx.n]
-        seen["artificial"] += int(np.any(units >= sx.art_start))
-        seen["surplus"] += int(np.any(sx.A_ext[:, units].sum(axis=0) < 0))
-        seen[case] += 1
-
-    lps = [_rows_lp(np.random.default_rng([31, k]), k % 4 == 0) for k in range(80)]
+def _kernel_states(seed):
+    """Simplex states with 1 to 5 random pivots pending since the last
+    refactorization: in phase 1 with artificials basic; after the cold solve
+    (a quarter of the models have a duplicated EQ row, and phase 1 drops a
+    redundant one); after a binary is fixed; and after the dual simplex has
+    re-optimized."""
+    rng = np.random.default_rng(seed)
+    lps = [_rows_lp(np.random.default_rng([seed, k]), k % 4 == 0) for k in range(80)]
     for lp in lps:
         sx = _Simplex(*lp)
-        _pivot_randomly(sx, rng, 3)
-        check(sx, "phase1")
+        _pivot_randomly(sx, rng, int(rng.integers(1, 6)))
+        yield sx, "phase1"
     for k, lp in enumerate(lps):
         sx = _Simplex(*lp)
         if sx.solve() != "optimal":       # unbounded: some upper bounds are infinite
             continue
         if k % 4 == 0:
             assert sx.kept_rows.size < len(lp[2]), k
-            seen["dropped"] += 1
-        _pivot_randomly(sx, rng, 2)
-        check(sx, "phase2")
+        _pivot_randomly(sx, rng, int(rng.integers(1, 6)))
+        yield sx, "dropped" if k % 4 == 0 else "phase2"
         sx.fix(int(rng.integers(2)), float(rng.integers(2)))
+        yield sx, "fixed"
         if sx.reoptimize() == "optimal":
-            _pivot_randomly(sx, rng, 2)
-            check(sx, "fixed")
+            _pivot_randomly(sx, rng, int(rng.integers(1, 6)))
+            yield sx, "reoptimized"
+
+
+def _assert_matches_dense_inverse(sx, case):
+    """``_col``, ``_row`` and ``v`` equal what ``inv(A_ext[:, basis])`` gives."""
+    B_inv = np.linalg.inv(sx.A_ext[:, sx.basis])
+    want = B_inv @ sx.A_ext
+    at_ub = sx.status == _AT_UB
+    rhs = sx.b_eff - sx.A_ext[:, at_ub] @ sx.U[at_ub]
+    rows = np.array([sx._row(i) for i in range(sx.basis.size)])
+    cols = np.array([sx._col(j) for j in range(sx.N)]).T
+    assert np.abs(rows - want).max() <= 1e-9, case
+    assert np.abs(cols - want).max() <= 1e-9, case
+    assert np.abs(sx.v - B_inv @ rhs).max() <= 1e-9, case
+
+
+def test_eta_file_matches_dense_inverse():
+    """With pivots pending in the eta file, the column and row queries and
+    the basic values equal a dense inverse of the whole basis, in every
+    state of ``_kernel_states``."""
+    seen = {"phase1": 0, "dropped": 0, "phase2": 0, "fixed": 0, "reoptimized": 0}
+    for sx, case in _kernel_states(37):
+        if sx._etas:
+            _assert_matches_dense_inverse(sx, case)
+            seen[case] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_block_refresh_matches_dense_inverse():
+    """Right after a refactorization (no etas) the structural-block solves
+    equal a dense inverse of the whole basis, with artificial and surplus
+    unit columns basic among the checked states."""
+    seen = {"phase1": 0, "dropped": 0, "phase2": 0, "fixed": 0, "reoptimized": 0,
+            "artificial": 0, "surplus": 0}
+    for sx, case in _kernel_states(31):
+        sx._refresh()
+        assert not sx._etas
+        _assert_matches_dense_inverse(sx, case)
+        units = sx.basis[sx.basis >= sx.n]
+        seen["artificial"] += int(np.any(units >= sx.art_start))
+        seen["surplus"] += int(np.any(sx.A_ext[:, units].sum(axis=0) < 0))
+        seen[case] += 1
     assert min(seen.values()) >= 10, seen
 
 
 def test_refresh_refuses_singular_bases():
     """Two basic unit columns on one row, or a singular structural block,
-    raise instead of returning a tableau."""
+    raise, and the refused refresh leaves the factorization and ``v`` as
+    they were."""
     # rows: x0 + x1 <= 4 (slack column 2), x0 + x1 >= 1 (surplus 3, artificial 4)
     sx = _Simplex(np.zeros(2), np.array([[1.0, 1.0], [1.0, 1.0]]), [LEQ, GEQ],
                   np.array([4.0, 1.0]), np.zeros(2), np.full(2, np.inf))
     assert list(sx.basis) == [2, 4]
-    tab = sx.Tab
+    factor, v = sx._factor, sx.v
     sx.basis[0] = 3                    # surplus and artificial both on row 1
     with pytest.raises(NumericalBreakdownError, match="singular basis"):
         sx._refresh()
     sx.basis[:] = [0, 1]               # identical structural columns
     with pytest.raises(NumericalBreakdownError, match="singular basis"):
         sx._refresh()
-    assert sx.Tab is tab
+    assert sx._factor is factor and sx.v is v
 
 
 def _budget_probe_model():
