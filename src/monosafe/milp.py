@@ -5,7 +5,13 @@ either bound, so binary branching and the encoder's variable bounds never
 add rows.  A cold solve is a two-phase primal simplex with Dantzig pricing
 (steepest reduced cost, lowest index on ties) and a permanent switch to
 Bland's rule after a stall, which gives the usual practical speed while
-retaining the anti-cycling termination guarantee.  No tableau is kept: the
+retaining the anti-cycling termination guarantee.  The simplex keeps the
+model's rows one for one: a "<=" row has a +1 slack, a ">=" row a -1
+surplus, and a row whose slack or surplus cannot start the basis (an
+equation, or a right-hand side of the wrong sign) has an artificial of the
+right-hand side's sign.  After phase 1 every artificial is fixed at 0, so
+one left basic on a redundant row stays there, and no row is ever negated,
+dropped or renumbered.  No tableau is kept: the
 entering column and the pivot row are computed from a factorization of the
 basis when needed (``_col``, ``_row``), and reduced costs are updated from
 the pivot row.  A refactorization inverts only the k x k block of the basis
@@ -159,7 +165,7 @@ class MilpSolution:
     elapsed: float = 0.0
     pivots: int = 0                 # simplex pivots, summed over all nodes
     refactorizations: int = 0       # basis refactorizations (``_refresh``)
-    duals: np.ndarray | None = None
+    duals: np.ndarray | None = None  # solve_lp only: one per model row
 
 
 # --------------------------------------------------------------------------
@@ -184,46 +190,25 @@ class _Simplex:
         # shift structurals to y = x - lb >= 0
         span = ub - lb
         b_eff = b - A @ lb
-        rels = list(rels)
-        A = A.copy()
-        # make rhs nonnegative
-        self.row_sign = np.ones(m)
-        for i in range(m):
-            if b_eff[i] < 0:
-                b_eff[i] = -b_eff[i]
-                A[i] = -A[i]
-                self.row_sign[i] = -1.0
-                if rels[i] == LEQ:
-                    rels[i] = GEQ
-                elif rels[i] == GEQ:
-                    rels[i] = LEQ
-        # extended columns: structurals, then one slack/surplus per
-        # inequality row, then artificials for rows lacking a slack basis
-        slack_cols, art_rows = [], []
-        for i, rel in enumerate(rels):
-            if rel == LEQ:
-                slack_cols.append((i, 1.0))
-            elif rel == GEQ:
-                slack_cols.append((i, -1.0))
-                art_rows.append(i)
-            else:
-                art_rows.append(i)
-        n_slack, n_art = len(slack_cols), len(art_rows)
-        N = n + n_slack + n_art
+        # extended columns: structurals, then a slack (+1) per <= row and a
+        # surplus (-1) per >= row, then an artificial for each row whose
+        # slack or surplus cannot start the basis at a nonnegative value;
+        # the artificial has the sign of b_eff, so it starts at |b_eff|
+        slack_rows = [i for i, rel in enumerate(rels) if rel != EQ]
+        art_rows = [i for i, rel in enumerate(rels)
+                    if rel == EQ or (rel == LEQ) == (b_eff[i] < 0)]
+        self.art_start = n + len(slack_rows)
+        N = self.art_start + len(art_rows)
         A_ext = np.zeros((m, N))
         A_ext[:, :n] = A
+        slack_cols = np.arange(n, self.art_start)
+        art_cols = np.arange(self.art_start, N)
+        A_ext[slack_rows, slack_cols] = [1.0 if rels[i] == LEQ else -1.0 for i in slack_rows]
+        A_ext[art_rows, art_cols] = np.where(b_eff[art_rows] < 0, -1.0, 1.0)
         # the row of each slack or artificial column, a signed unit vector
         self.unit_row = np.full(N, -1)
-        slack_of_row = {}
-        for k, (i, sgn) in enumerate(slack_cols):
-            A_ext[i, n + k] = sgn
-            self.unit_row[n + k] = i
-            if sgn > 0:
-                slack_of_row[i] = n + k
-        self.art_start = n + n_slack
-        for k, i in enumerate(art_rows):
-            A_ext[i, self.art_start + k] = 1.0
-        self.unit_row[self.art_start:] = art_rows
+        self.unit_row[slack_cols] = slack_rows
+        self.unit_row[art_cols] = art_rows
         U = np.full(N, np.inf)
         U[:n] = span
         self.n, self.N = n, N
@@ -233,15 +218,10 @@ class _Simplex:
         self.lb_orig = np.array(lb, dtype=float)
         self.c = np.zeros(N)
         self.c[:n] = c
-        self.kept_rows = np.arange(m)
-        # basis: slack for <= rows, artificial otherwise
+        # basis: the artificial of each row that has one, else its slack
         basis = np.empty(m, dtype=int)
-        for i in range(m):
-            basis[i] = slack_of_row.get(i, -1)
-        k = 0
-        for i in art_rows:
-            basis[i] = self.art_start + k
-            k += 1
+        basis[slack_rows] = slack_cols
+        basis[art_rows] = art_cols
         self.basis = basis
         self.status = np.full(N, _AT_LB, dtype=np.int8)
         self.status[basis] = _BASIC
@@ -265,10 +245,9 @@ class _Simplex:
         with A_RS = A_ext[R, S] (``_ftran``, ``_btran``).  Most basic
         columns are unit columns, so the k x k inverse is far cheaper than
         one of the whole m x m basis.  The pivots since the last refresh are
-        kept as an eta file and cleared here.  Two unit columns
-        on one row, a unit column whose row was dropped, or a singular B_QS
-        all mean B is singular; the factorization and ``v`` are then left
-        as they were.
+        kept as an eta file and cleared here.  Two unit columns on one row
+        or a singular B_QS mean B is singular; the factorization and ``v``
+        are then left as they were.
         """
         basis = self.basis
         is_struct = basis < self.n
@@ -276,8 +255,8 @@ class _Simplex:
         R = self.unit_row[basis[unit]]
         covered = np.zeros(basis.size, dtype=bool)
         covered[R] = True
-        if (R < 0).any() or np.count_nonzero(covered) != R.size:
-            # a unit column whose row was dropped, or two on one row
+        if np.count_nonzero(covered) != R.size:
+            # two unit columns on one row
             raise NumericalBreakdownError("singular basis during refresh")
         Q = np.nonzero(~covered)[0]
         S = basis[struct]
@@ -358,7 +337,7 @@ class _Simplex:
 
     # -- the primal pivot loop ---------------------------------------------
 
-    def _optimize(self, c, phase: int):
+    def _optimize(self, c):
         m = self.basis.size
         r = self._reduced_costs(c)
         obj = float(c @ self._current_x())
@@ -407,8 +386,6 @@ class _Simplex:
                 leave_row = i_min
                 leave_to = _AT_LB if t_fall[i_min] <= t_rise[i_min] else _AT_UB
             if not np.isfinite(t_best):
-                if phase == 1:
-                    raise NumericalBreakdownError("phase-1 objective unbounded")
                 return "unbounded", obj
             gain = r[j] * direction * t_best
             obj += gain
@@ -437,55 +414,21 @@ class _Simplex:
                     bland = True
         raise NumericalBreakdownError("simplex iteration limit exceeded")
 
-    def _drive_out_artificials(self):
-        drop = []
-        for i in range(self.basis.size):
-            if self.basis[i] < self.art_start:
-                continue
-            row = self._row(i)[:self.art_start]
-            nonbasic = self.status[:self.art_start] != _BASIC
-            free = np.nonzero((np.abs(row) > PIVOT_TOL) & nonbasic
-                              & (self.U[:self.art_start] > PIVOT_TOL))[0]
-            if free.size == 0:
-                # the row is a linear combination of the others: drop it
-                drop.append(i)
-                continue
-            # degenerate basis exchange (the artificial sits at value 0):
-            # the entering variable keeps its current value
-            j = int(free[np.argmax(np.abs(row[free]))])
-            enter_value = self.U[j] if self.status[j] == _AT_UB else 0.0
-            self.status[self.basis[i]] = _AT_LB
-            self._pivot(i, j, self._col(j))
-            self.v[i] = enter_value
-        if drop:
-            keep = np.array([i for i in range(self.basis.size) if i not in drop])
-            for i in drop:
-                self.status[self.basis[i]] = _AT_LB
-            self.basis = self.basis[keep]
-            self.kept_rows = self.kept_rows[keep]
-            self.A_ext = self.A_ext[keep]
-            self.b_eff = self.b_eff[keep]
-            # renumber the rows the unit columns cover; those of dropped
-            # rows cover none
-            new_row = np.full(len(drop) + keep.size, -1)
-            new_row[keep] = np.arange(keep.size)
-            units = self.unit_row >= 0
-            self.unit_row[units] = new_row[self.unit_row[units]]
-            self._refresh()
-
     def solve(self) -> str:
         """Cold two-phase solve: optimal | infeasible | unbounded."""
         # phase 1: minimize artificial mass
         c1 = np.zeros(self.N)
         c1[self.art_start:] = 1.0
-        status, obj1 = self._optimize(c1, phase=1)
+        status, obj1 = self._optimize(c1)
         if status != "optimal":  # pragma: no cover - phase 1 cannot be unbounded
             raise NumericalBreakdownError("phase 1 ended " + status)
         if obj1 > _PHASE1_TOL:
             return "infeasible"
-        self._drive_out_artificials()
-        self.U[self.art_start:] = 0.0  # artificials may never re-enter
-        status, _ = self._optimize(self.c, phase=2)
+        # artificials are fixed at 0 from here on: a nonbasic one never
+        # re-enters, and the ratio tests hold a basic one at 0 (one on a
+        # redundant row stays basic for good)
+        self.U[self.art_start:] = 0.0
+        status, _ = self._optimize(self.c)
         return status
 
     # -- warm start: bound changes and the dual simplex --------------------
@@ -544,7 +487,7 @@ class _Simplex:
                 if self._etas:
                     self._refresh()
                     continue
-                status, _ = self._optimize(c, phase=2)
+                status, _ = self._optimize(c)
                 return status
             if bland:
                 p = int(rows[np.argmin(self.basis[rows])])
@@ -602,7 +545,7 @@ class _Simplex:
         return self.lb_orig, self.lb_orig + self.U[:self.n]
 
     def duals(self):
-        """Duals of the kept standardized rows."""
+        """One dual per model row: d(min c.x) / d rhs, in the row's own sign."""
         return self._btran(self.c[self.basis])
 
 
@@ -622,7 +565,11 @@ def _check_solution(c, A, rels, b, lb, ub, x, tol=FEAS_TOL):
 
 
 def solve_lp(model: MilpModel) -> MilpSolution:
-    """Solve the continuous relaxation of ``model`` (binaries in [0, 1])."""
+    """Solve the continuous relaxation of ``model`` (binaries in [0, 1]).
+
+    An optimal answer carries ``duals``, one per model row: the rate at
+    which the objective changes with that row's right-hand side.
+    """
     c, A, rels, b, lb, ub = model.dense()
     t0 = time.monotonic()
     c_min = -c if model.sense == "max" else c
@@ -636,9 +583,8 @@ def solve_lp(model: MilpModel) -> MilpSolution:
     # hard re-check: never return an uncertified answer
     if not _check_solution(c, A, rels, b, lb, ub, x):
         raise NumericalBreakdownError("solution failed the independent re-check")
-    duals = np.zeros(A.shape[0])
     sgn = -1.0 if model.sense == "max" else 1.0
-    duals[sx.kept_rows] = sgn * sx.row_sign[sx.kept_rows] * sx.duals()
+    duals = sgn * sx.duals()
     # objective reported from the model's own coefficients, not the simplex's
     return MilpSolution(status="optimal", x=x, objective=float(c @ x), nodes=1,
                         elapsed=elapsed, duals=duals, pivots=sx.pivots,

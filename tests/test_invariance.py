@@ -28,13 +28,16 @@ def test_sweep_finds_minimal_t7(case1_search):
 
 
 def test_solver_counts_on_bundled_models(case1_search, traffic):
-    """Pinned branch-and-bound node counts: the case-1 max-l1 sweep, and the
-    traffic first-feasible proofs of T=1 and T=2.  A change to the pivoting
-    rules or to their rounding shows here first."""
-    assert [r.nodes for r in case1_search.records] == [3, 7, 15, 31, 63, 127, 115]
+    """Pinned branch-and-bound node, pivot and refactorization counts: the
+    case-1 max-l1 sweep, and the traffic first-feasible proofs of T=1 and
+    T=2.  A change to the pivoting rules, to the cold solve's start or to
+    their rounding shows here first."""
+    assert [(r.nodes, r.pivots, r.refactorizations) for r in case1_search.records] == [
+        (3, 14, 6), (7, 34, 12), (15, 66, 24), (31, 134, 48), (63, 286, 96),
+        (127, 579, 192), (115, 496, 174)]
     res = find_s_sequence(traffic[0], t_max=2, objective="first_feasible")
-    assert [(r.status, r.nodes) for r in res.records] == [
-        ("proven_infeasible", 3), ("proven_infeasible", 51)]
+    assert [(r.status, r.nodes, r.pivots, r.refactorizations) for r in res.records] == [
+        ("proven_infeasible", 3, 43, 5), ("proven_infeasible", 51, 173, 63)]
 
 
 def test_sweep_with_tmin_forfeits_minimality(case1):

@@ -145,29 +145,59 @@ def test_lp_agrees_with_scipy_randomized():
     assert min(outcomes.values()) > 0
 
 
-def test_duals_match_scipy_marginals():
-    rng = np.random.default_rng(11)
-    checked = 0
-    for k in range(40):
+def _dual_lps(rng):
+    """Minimizations over x >= 0: 40 with only "<=" rows of positive rhs,
+    then 40 with every row kind and rhs of either sign, led by a bounding
+    row sum(x) <= 10."""
+    for _ in range(40):
         n, m_rows = int(rng.integers(2, 7)), int(rng.integers(1, 7))
         A = rng.uniform(0, 3, (m_rows, n)).round(2)
         b = (A @ rng.uniform(0.2, 1.0, n) + rng.uniform(0.1, 2, m_rows)).round(2)
-        c = rng.uniform(-3, 3, n).round(2)
+        yield rng.uniform(-3, 3, n).round(2), A, [LEQ] * m_rows, b
+    for _ in range(40):
+        n, m_rows = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+        A = rng.uniform(-3, 3, (m_rows, n)).round(2)
+        A[0] = 1.0
+        rels = [LEQ] + list(rng.choice([LEQ, GEQ, EQ], m_rows - 1, p=[0.4, 0.4, 0.2]))
+        gap = rng.uniform(0.1, 2, m_rows)
+        side = np.select([np.array(rels) == LEQ, np.array(rels) == GEQ], [gap, -gap], 0.0)
+        b = (A @ rng.uniform(0.2, 1.0, n) + side).round(2)
+        b[0] = 10.0
+        yield rng.uniform(-3, 3, n).round(2), A, rels, b
+
+
+def test_duals_match_scipy_marginals():
+    """Duals are per model row, in the row's own sign: d objective / d rhs.
+    scipy writes a ">=" row as a negated "<=" row, so its marginal there is
+    the negated dual."""
+    rng = np.random.default_rng(11)
+    checked = 0
+    kinds = {(LEQ, False): 0, (LEQ, True): 0, (GEQ, False): 0, (GEQ, True): 0,
+             (EQ, False): 0, (EQ, True): 0}
+    for k, (c, A, rels, b) in enumerate(_dual_lps(rng)):
+        n = A.shape[1]
         mdl = MilpModel()
         for j in range(n):
             mdl.add_var(f"x{j}")
-        for i in range(m_rows):
-            mdl.add_constraint({j: A[i, j] for j in range(n)}, "<=", b[i])
+        for i, rel in enumerate(rels):
+            mdl.add_constraint({j: A[i, j] for j in range(n)}, rel, b[i])
         mdl.set_objective(dict(enumerate(c)), "min")
         sol = solve_lp(mdl)
-        ref = linprog(c, A_ub=A, b_ub=b, bounds=[(0, None)] * n, method="highs")
+        ref = _scipy_reference(c, A, rels, b, np.zeros(n), np.full(n, np.inf), "min")
         if sol.status == "optimal" and ref.status == 0:
             # strong duality and agreement with an independent solver
             assert abs(sol.objective - float(sol.duals @ b)) \
                 < 1e-6 * (1 + abs(sol.objective)), k
-            assert np.allclose(sol.duals, ref.ineqlin.marginals, atol=1e-6), k
+            is_eq = np.array(rels) == EQ
+            ub_sign = np.where(np.array(rels) == GEQ, -1.0, 1.0)[~is_eq]
+            assert np.allclose(ub_sign * sol.duals[~is_eq], ref.ineqlin.marginals,
+                               atol=1e-6), k
+            if is_eq.any():
+                assert np.allclose(sol.duals[is_eq], ref.eqlin.marginals, atol=1e-6), k
+            for rel, rhs in zip(rels, b):
+                kinds[rel, bool(rhs < 0)] += 1
             checked += 1
-    assert checked >= 20
+    assert checked >= 40 and min(kinds.values()) >= 5, (checked, kinds)
 
 
 def _enumerate_oracle(mdl, nb):
@@ -241,43 +271,61 @@ def _with_bounds(mdl, bounds, objective=None):
     return sub
 
 
+def _with_duplicate_eq(mdl):
+    """``mdl`` with its first row made an equation and a copy of that row
+    appended, and the same model without the copy."""
+    plain = _with_bounds(mdl, {})
+    plain.rels[0] = EQ
+    dup = _with_bounds(plain, {})
+    dup.add_constraint(plain.rows[0], EQ, plain.rhs[0])
+    return dup, plain
+
+
 def test_warm_children_match_cold_lp():
     """Fixing a binary at the root's optimal basis and running the dual
     simplex gives the child's cold LP status and objective.  A fractional
     binary is fixed to 0 on the live simplex and to 1 on one refactorized
     from a basis snapshot, as branch-and-bound does; an integral one (at a
-    bound, or basic and degenerate) is moved to its other value."""
+    bound, or basic and degenerate) is moved to its other value.  Each model
+    is also solved with a duplicated equation, whose redundant row keeps an
+    artificial basic at 0 through ``fix``, ``reoptimize`` and ``restore``;
+    its reference is the child without the copy."""
     rng = np.random.default_rng(23)
-    seen = {"optimal": 0, "infeasible": 0}
+    seen = {"optimal": 0, "infeasible": 0, "duplicated": 0}
     for k in range(120):
         mdl, nb = _random_milp(rng, k)
-        c, A, rels, b, lb, ub = mdl.dense()
-        sx = _Simplex(-c, A, rels, b, lb, ub)          # the models maximize
-        if sx.solve() != "optimal" or nb == 0:
-            continue
-        xb = sx.x()[:nb]
-        frac = np.abs(xb - np.round(xb))
-        if frac.max() <= 1e-6:
-            continue
-        j = int(np.argmax(frac))
-        children = [(j, 0.0), (j, 1.0)]
-        children += [(i, 1.0 - round(xb[i])) for i in np.flatnonzero(frac <= 1e-6)[:1]]
-        snap = sx.snapshot()
-        for n, (j, val) in enumerate(children):
-            if n:
-                sx.restore(tuple(a.copy() for a in snap))
-            sx.fix(j, val)
-            status = sx.reoptimize()
-            ref = solve_lp(_with_bounds(mdl, {j: (val, val)}))
-            assert status == ref.status, (k, j, val, status, ref.status)
-            if status == "optimal":
-                x = sx.x()
-                assert abs(x[j] - val) <= 1e-9, (k, j, val)
-                assert _check_solution(c, A, rels, b, *sx.bounds(), x), (k, j, val)
-                assert abs(float(c @ x) - ref.objective) \
-                    <= 1e-6 * (1 + abs(ref.objective)), (k, j, val)
-            seen[status] += 1
-    assert seen["optimal"] >= 30 and seen["infeasible"] >= 5, seen
+        for model, ref_model in [(mdl, mdl), _with_duplicate_eq(mdl)]:
+            c, A, rels, b, lb, ub = model.dense()
+            sx = _Simplex(-c, A, rels, b, lb, ub)          # the models maximize
+            if sx.solve() != "optimal" or nb == 0:
+                continue
+            xb = sx.x()[:nb]
+            frac = np.abs(xb - np.round(xb))
+            if frac.max() <= 1e-6:
+                continue
+            j = int(np.argmax(frac))
+            children = [(j, 0.0), (j, 1.0)]
+            children += [(i, 1.0 - round(xb[i])) for i in np.flatnonzero(frac <= 1e-6)[:1]]
+            snap = sx.snapshot()
+            for n, (j, val) in enumerate(children):
+                if n:
+                    sx.restore(tuple(a.copy() for a in snap))
+                if model is not ref_model:
+                    assert np.any(sx.basis >= sx.art_start), (k, j, val)
+                    seen["duplicated"] += 1
+                sx.fix(j, val)
+                status = sx.reoptimize()
+                ref = solve_lp(_with_bounds(ref_model, {j: (val, val)}))
+                assert status == ref.status, (k, j, val, status, ref.status)
+                if status == "optimal":
+                    x = sx.x()
+                    assert abs(x[j] - val) <= 1e-9, (k, j, val)
+                    assert _check_solution(c, A, rels, b, *sx.bounds(), x), (k, j, val)
+                    assert abs(float(c @ x) - ref.objective) \
+                        <= 1e-6 * (1 + abs(ref.objective)), (k, j, val)
+                seen[status] += 1
+    assert seen["optimal"] >= 30 and seen["infeasible"] >= 5 \
+        and seen["duplicated"] >= 30, seen
 
 
 def test_first_feasible_zero_objective_matches_enumeration():
@@ -345,9 +393,10 @@ def test_traffic_nodes_are_warm_started(traffic):
 
 def _rows_lp(rng, dup_eq):
     """The data of a feasible LP with LEQ, GEQ and EQ rows (shifted rhs of
-    either sign, so some rows flip), two binaries and a mix of finite and
-    infinite upper bounds; ``dup_eq`` puts a copy of its first EQ row on
-    top, and phase 1 drops one of the two."""
+    either sign, so artificials of both signs start basic), two binaries and
+    a mix of finite and infinite upper bounds; ``dup_eq`` puts a copy of its
+    first EQ row on top, and the artificial of one of the two stays basic at
+    0 through phase 2."""
     m, n = int(rng.integers(4, 9)), int(rng.integers(4, 9))
     A = np.where(rng.random((m, n)) < 0.7, rng.uniform(-3, 3, (m, n)).round(2), 0.0)
     rels = [LEQ, GEQ, EQ] + list(rng.choice([LEQ, GEQ, EQ], m - 3))
@@ -388,9 +437,9 @@ def _pivot_randomly(sx, rng, count):
 def _kernel_states(seed):
     """Simplex states with 1 to 5 random pivots pending since the last
     refactorization: in phase 1 with artificials basic; after the cold solve
-    (a quarter of the models have a duplicated EQ row, and phase 1 drops a
-    redundant one); after a binary is fixed; and after the dual simplex has
-    re-optimized."""
+    (a quarter of the models have a duplicated EQ row, so a redundant row's
+    artificial is basic at 0); after a binary is fixed; and after the dual
+    simplex has re-optimized."""
     rng = np.random.default_rng(seed)
     lps = [_rows_lp(np.random.default_rng([seed, k]), k % 4 == 0) for k in range(80)]
     for lp in lps:
@@ -402,9 +451,10 @@ def _kernel_states(seed):
         if sx.solve() != "optimal":       # unbounded: some upper bounds are infinite
             continue
         if k % 4 == 0:
-            assert sx.kept_rows.size < len(lp[2]), k
+            arts = np.flatnonzero(sx.basis >= sx.art_start)
+            assert arts.size and np.abs(sx.v[arts]).max() <= 1e-9, k
         _pivot_randomly(sx, rng, int(rng.integers(1, 6)))
-        yield sx, "dropped" if k % 4 == 0 else "phase2"
+        yield sx, "redundant" if k % 4 == 0 else "phase2"
         sx.fix(int(rng.integers(2)), float(rng.integers(2)))
         yield sx, "fixed"
         if sx.reoptimize() == "optimal":
@@ -429,7 +479,7 @@ def test_eta_file_matches_dense_inverse():
     """With pivots pending in the eta file, the column and row queries and
     the basic values equal a dense inverse of the whole basis, in every
     state of ``_kernel_states``."""
-    seen = {"phase1": 0, "dropped": 0, "phase2": 0, "fixed": 0, "reoptimized": 0}
+    seen = {"phase1": 0, "redundant": 0, "phase2": 0, "fixed": 0, "reoptimized": 0}
     for sx, case in _kernel_states(37):
         if sx._etas:
             _assert_matches_dense_inverse(sx, case)
@@ -441,7 +491,7 @@ def test_block_refresh_matches_dense_inverse():
     """Right after a refactorization (no etas) the structural-block solves
     equal a dense inverse of the whole basis, with artificial and surplus
     unit columns basic among the checked states."""
-    seen = {"phase1": 0, "dropped": 0, "phase2": 0, "fixed": 0, "reoptimized": 0,
+    seen = {"phase1": 0, "redundant": 0, "phase2": 0, "fixed": 0, "reoptimized": 0,
             "artificial": 0, "surplus": 0}
     for sx, case in _kernel_states(31):
         sx._refresh()
