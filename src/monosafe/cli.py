@@ -129,7 +129,8 @@ def cmd_find(args):
     for r in result.records:
         lines.append(f"  T={r.T}: {r.status}  [{r.solver_status}, "
                      f"{r.nodes} nodes, {r.pivots} pivots, "
-                     f"{r.refactorizations} refactorizations, {r.elapsed:.2f}s]"
+                     f"{r.refactorizations} refactorizations, "
+                     f"{r.farkas_leaves} Farkas leaves, {r.elapsed:.2f}s]"
                      + (f" {r.failure}" if r.failure else ""))
     if result.found:
         cert = dataclasses.replace(result.certificate, system_hash=digest)

@@ -40,6 +40,7 @@ class HorizonRecord:
     elapsed: float
     pivots: int = 0      # simplex pivots over all of the horizon's nodes
     refactorizations: int = 0  # basis refactorizations over all of the horizon's nodes
+    farkas_leaves: int = 0     # infeasible leaves closed by a checked Farkas row
     failure: str = ""    # for "failed": the exception's class and message
 
 
@@ -147,7 +148,8 @@ def find_s_sequence(system, safe_set=None, t_max=10, objective="max_l1_x0",
             except DecodeMismatchError as exc:
                 status, failure = "failed", f"{type(exc).__name__}: {exc}"
         records.append(HorizonRecord(T, status, sol.status, sol.nodes, dt,
-                                     sol.pivots, sol.refactorizations, failure))
+                                     sol.pivots, sol.refactorizations, sol.farkas_leaves,
+                                     failure))
         if certificate is not None:
             break
     minimal = (certificate is not None and t_min == 1

@@ -19,10 +19,16 @@ that the structural columns form on the rows no basic slack or artificial
 covers, since the slack and artificial columns are signed unit vectors
 (Koberstein, 2005, on slack-heavy bases); each later pivot appends one
 product-form eta (Forrest & Tomlin, *Updated triangular factors of the
-basis*, 1972).  The basis is refactorized before every optimal or
-infeasible verdict, on every basis restore and every ``_REFRESH_EVERY``
-pivots; the refactorizations are counted and reported as
-``MilpSolution.refactorizations``.
+basis*, 1972).  The basis is refactorized before every optimal verdict,
+every ``_REFRESH_EVERY`` pivots, and on a basis restore unless the
+snapshot's own factorization is still parked; the refactorizations are
+counted and reported as ``MilpSolution.refactorizations``.  An infeasible
+verdict with pivots pending is not refactorized but checked: the leaving
+row's row of the inverse must be a Farkas row for the model's own rows over
+the node's bounds (Cheung, Gleixner & Steffy, *Verifying integer
+programming results*, 2017), and only if the check fails is the basis
+refactorized and the verdict retried; such leaves are counted as
+``MilpSolution.farkas_leaves``.
 
 The integer layer is a deterministic depth-first branch-and-bound on the
 binary variables that keeps one live simplex for the whole search.  Only the
@@ -32,8 +38,10 @@ simplex re-optimizes each child from it, usually in a handful of pivots
 (Koberstein, *The dual simplex method*, 2005; Bixby, *Solving real-world
 linear programs*, 2002).  The child the search enters first continues on the
 live simplex; its sibling waits on the stack as a basis snapshot (basis,
-bound status, spans, right-hand side and lower-bound shift: a few KB) and
-is refactorized once when popped.  Binaries a model lists in
+bound status, spans, right-hand side and lower-bound shift: a few KB).  The
+factorization of the latest snapshot is parked in one slot, so a sibling
+popped right after its twin closed as a leaf takes it over; any other is
+refactorized once when popped.  Binaries a model lists in
 ``branch_first`` (the encoders list their control choices) are branched on
 before all others.
 
@@ -165,6 +173,7 @@ class MilpSolution:
     elapsed: float = 0.0
     pivots: int = 0                 # simplex pivots, summed over all nodes
     refactorizations: int = 0       # basis refactorizations (``_refresh``)
+    farkas_leaves: int = 0          # infeasible leaves closed by a checked Farkas row
     duals: np.ndarray | None = None  # solve_lp only: one per model row
 
 
@@ -225,8 +234,13 @@ class _Simplex:
         self.basis = basis
         self.status = np.full(N, _AT_LB, dtype=np.int8)
         self.status[basis] = _BASIC
+        # the model's own rows, read only by the Farkas check of ``reoptimize``
+        self.model_rows = (A, np.asarray(rels), b)
         self.pivots = 0
         self.refactorizations = 0
+        self.farkas_leaves = 0
+        # (basis array of a snapshot, the factor of that basis): see ``snapshot``
+        self._parked = None
         self._refresh()
 
     # -- the factorization: structural block plus eta file -----------------
@@ -244,10 +258,9 @@ class _Simplex:
 
         with A_RS = A_ext[R, S] (``_ftran``, ``_btran``).  Most basic
         columns are unit columns, so the k x k inverse is far cheaper than
-        one of the whole m x m basis.  The pivots since the last refresh are
-        kept as an eta file and cleared here.  Two unit columns on one row
-        or a singular B_QS mean B is singular; the factorization and ``v``
-        are then left as they were.
+        one of the whole m x m basis.  Two unit columns on one row or a
+        singular B_QS mean B is singular; the factorization and ``v`` are
+        then left as they were.
         """
         basis = self.basis
         is_struct = basis < self.n
@@ -264,15 +277,20 @@ class _Simplex:
             inv_QS = np.linalg.inv(self.A_ext[Q][:, S])
         except np.linalg.LinAlgError as exc:
             raise NumericalBreakdownError("singular basis during refresh") from exc
-        self._factor = (struct, unit, Q, R, inv_QS, self.A_ext[R][:, S],
-                        self.A_ext[R, basis[unit]])
+        self._load((struct, unit, Q, R, inv_QS, self.A_ext[R][:, S],
+                    self.A_ext[R, basis[unit]]))
+        self.refactorizations += 1
+
+    def _load(self, factor):
+        """Install ``factor``, the factorization of the current basis: the
+        eta file is cleared and ``v`` recomputed from the bounds."""
+        self._factor = factor
         self._etas = []
         rhs = self.b_eff
         ub_mask = self.status == _AT_UB
         if ub_mask.any():
             rhs = rhs - self.A_ext[:, ub_mask] @ self.U[ub_mask]
         self.v = self._ftran(rhs)
-        self.refactorizations += 1
 
     def _ftran(self, a):
         """``inv(B) @ a``: the block solve, then the etas in pivot order."""
@@ -303,11 +321,15 @@ class _Simplex:
         """Column ``j`` of ``inv(B) @ A_ext``."""
         return self._ftran(self.A_ext[:, j])
 
-    def _row(self, i):
-        """Row ``i`` of ``inv(B) @ A_ext``."""
+    def _rho(self, i):
+        """Row ``i`` of ``inv(B)``."""
         e = np.zeros(self.basis.size)
         e[i] = 1.0
-        return self._btran(e) @ self.A_ext
+        return self._btran(e)
+
+    def _row(self, i):
+        """Row ``i`` of ``inv(B) @ A_ext``."""
+        return self._rho(i) @ self.A_ext
 
     def _reduced_costs(self, c):
         """``c - c_B inv(B) A_ext``, from one btran."""
@@ -451,13 +473,29 @@ class _Simplex:
         self.lb_orig[j] += val
 
     def snapshot(self):
-        """The basis and bounds, enough to refactorize (a few KB)."""
-        return (self.basis.copy(), self.status.copy(), self.U.copy(),
+        """The basis and bounds, enough to refactorize (a few KB).
+
+        Taken with an empty eta file, the current factorization is that of
+        the snapshot's basis; it is parked in one slot, keyed by the
+        snapshot's basis array, so that restoring this snapshot next needs
+        no refactorization.  A later snapshot takes the slot over.
+        """
+        snap = (self.basis.copy(), self.status.copy(), self.U.copy(),
                 self.b_eff.copy(), self.lb_orig.copy())
+        self._parked = None if self._etas else (snap[0], self._factor)
+        return snap
 
     def restore(self, snap):
+        """Continue from ``snap``: the parked factorization if it is this
+        snapshot's, else a refactorization.  The state is the same either
+        way, to the bit.  ``snap`` is consumed: the live simplex works on
+        its arrays from here on."""
+        parked, self._parked = self._parked, None
         self.basis, self.status, self.U, self.b_eff, self.lb_orig = snap
-        self._refresh()
+        if parked is not None and parked[0] is snap[0]:
+            self._load(parked[1])
+        else:
+            self._refresh()
 
     def reoptimize(self) -> str:
         """Bounded dual simplex from a dual feasible basis.
@@ -471,6 +509,12 @@ class _Simplex:
         variable index leaves, lowest index enters).  Once primal feasible,
         a primal phase 2 removes any reduced cost rounding pushed past
         ``_DUAL_TOL``; normally it makes no pivot.
+
+        A leaving row without an entering column proves the node infeasible
+        in exact arithmetic: its row of ``inv(B)`` is a Farkas row.  With
+        pivots pending in the eta file that row is checked against the
+        model's own data (``_farkas_certifies``); only if the check fails is
+        the basis refactorized and the row tried again.
         """
         c = self.c
         r = self._reduced_costs(c)
@@ -494,7 +538,8 @@ class _Simplex:
             else:
                 p = int(rows[np.argmax(viol[rows])])
             to_upper = above[p] > below[p]
-            alpha = self._row(p)
+            rho = self._rho(p)
+            alpha = rho @ self.A_ext
             # entering columns move the leaving variable back toward the bound
             # it violates: up from a lower bound or down from an upper one
             toward = alpha if to_upper else -alpha
@@ -503,11 +548,14 @@ class _Simplex:
             cand = np.flatnonzero(movable & np.where(at_lb, toward > PIVOT_TOL,
                                                      toward < -PIVOT_TOL))
             if cand.size == 0:
-                if self._etas:
-                    self._refresh()
-                    r = self._reduced_costs(c)
-                    continue
-                return "infeasible"
+                if not self._etas:
+                    return "infeasible"
+                if _farkas_certifies(rho, *self.model_rows, *self.bounds()):
+                    self.farkas_leaves += 1
+                    return "infeasible"
+                self._refresh()
+                r = self._reduced_costs(c)
+                continue
             slack = np.maximum(np.where(at_lb[cand], r[cand], -r[cand]), 0.0)
             ratios = slack / np.abs(alpha[cand])
             near = cand[ratios <= ratios.min() + _TIE_TOL]
@@ -550,18 +598,34 @@ class _Simplex:
 
 
 def _check_solution(c, A, rels, b, lb, ub, x, tol=FEAS_TOL):
+    """True if ``x`` meets its bounds and every row to within ``tol``."""
     if np.any(x < lb - tol) or np.any(x > ub + tol):
         return False
-    if A.shape[0]:
-        Ax = A @ x
-        for i, rel in enumerate(rels):
-            if rel == LEQ and Ax[i] > b[i] + tol:
-                return False
-            if rel == GEQ and Ax[i] < b[i] - tol:
-                return False
-            if rel == EQ and abs(Ax[i] - b[i]) > tol:
-                return False
-    return True
+    rels = np.asarray(rels)
+    Ax = A @ x
+    leq, geq, eq = rels == LEQ, rels == GEQ, rels == EQ
+    return not (np.any(Ax[leq] > b[leq] + tol) or np.any(Ax[geq] < b[geq] - tol)
+                or np.any(np.abs(Ax[eq] - b[eq]) > tol))
+
+
+def _farkas_certifies(y, A, rels, b, lo, hi, tol=FEAS_TOL):
+    """True if ``y`` or ``-y`` proves ``A x rels b`` has no x in [lo, hi].
+
+    Entries of the wrong sign for their row (negative on a "<=" row,
+    positive on a ">=" row) are zeroed, so the combination ``(yA) x <= y b``
+    holds for every x that meets the rows.  The proof holds if the least
+    ``(yA) x`` over the box still exceeds ``y b`` by ``tol`` per unit of
+    ``|y|``.  The zeroing matters: a row whose slack is basic carries only
+    round-off in ``y``, of either sign.
+    """
+    for z in (y, -y):
+        z = np.where(((rels == LEQ) & (z < 0)) | ((rels == GEQ) & (z > 0)), 0.0, z)
+        g = z @ A
+        pos, neg = g > 0, g < 0
+        least = g[pos] @ lo[pos] + g[neg] @ hi[neg]
+        if least > z @ b + tol * (1.0 + np.abs(z).sum()):
+            return True
+    return False
 
 
 def solve_lp(model: MilpModel) -> MilpSolution:
@@ -608,7 +672,8 @@ def solve_milp(model: MilpModel, node_budget: int | None = None,
     The root LP is solved cold; every other node is re-optimized by the dual
     simplex from its parent's optimal basis.  The nearest-integer child
     continues on the live simplex at once; its sibling waits on the stack as
-    a basis snapshot and is refactorized when popped.  Branching follows the
+    a basis snapshot and, when popped, takes over the parked factorization
+    if it is the latest snapshot, else is refactorized.  Branching follows the
     most fractional binary among ``model.branch_first``, and the most
     fractional binary overall once those are all integral (lowest index on
     ties).  Everything is deterministic, and every node's LP answer passes
@@ -619,6 +684,7 @@ def solve_milp(model: MilpModel, node_budget: int | None = None,
     if not set(model.branch_first) <= set(model.binary_indices):
         raise MilpError("branch_first may only list binary variables")
     c, A, rels, b, lb0, ub0 = model.dense()
+    rels = np.asarray(rels)
     bins = np.array(model.binary_indices, dtype=int)
     first = np.isin(bins, list(model.branch_first))
     t0 = time.monotonic()
@@ -679,7 +745,7 @@ def solve_milp(model: MilpModel, node_budget: int | None = None,
 
     elapsed = time.monotonic() - t0
     done = dict(nodes=nodes, elapsed=elapsed, pivots=sx.pivots,
-                refactorizations=sx.refactorizations)
+                refactorizations=sx.refactorizations, farkas_leaves=sx.farkas_leaves)
     if unbounded:
         return MilpSolution(status="unbounded", **done)
     if best_x is None:

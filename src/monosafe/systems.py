@@ -342,8 +342,8 @@ def system_hash(spec) -> str:
 
     Accepts a raw spec dict or a system object.  Certificates carry this
     value so a certificate cannot silently be verified against a different
-    model.  The hash covers the spec as written (before any turn-ratio
-    resolution is applied), so one file has one hash.
+    model.  The hash covers the spec as written; ``load_system_file`` binds
+    a turn-ratio resolution other than ``"first"`` into it.
     """
     if hasattr(spec, "to_dict"):
         spec = spec.to_dict()
@@ -390,8 +390,16 @@ def system_from_dict(spec: dict, beta_resolution: str = "first"):
 
 
 def load_system_file(path, beta_resolution: str = "first"):
-    """Load a system spec file.  Returns ``(system, safe_set, hash)``."""
+    """Load a system spec file.  Returns ``(system, safe_set, hash)``.
+
+    The hash is ``system_hash`` of the spec.  A traffic spec loaded under
+    another turn-ratio resolution than ``"first"`` is another model, so its
+    hash covers the spec together with the resolution: a plan made under
+    one resolution does not verify under the other.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
     system, safe = system_from_dict(spec, beta_resolution)
+    if isinstance(system, TrafficNetwork) and beta_resolution != "first":
+        spec = {"spec": spec, "beta_resolution": beta_resolution}
     return system, safe, system_hash(spec)

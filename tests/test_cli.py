@@ -16,6 +16,7 @@ from monosafe import invariance
 from monosafe.cli import main
 from monosafe.encode import DecodeMismatchError
 from monosafe.milp import NumericalBreakdownError
+from monosafe.systems import load_system_file
 
 DATA = resources.files("monosafe.data")
 
@@ -58,12 +59,12 @@ def test_find_summary_reports_pivots(tmp_path, capsys):
                  "--out", str(out)]) == 2
     capsys.readouterr()
     records = [re.match(r"^\s+T=(\d+): (\w+)\s+\[(\w+), (\d+) nodes, (\d+) pivots, "
-                        r"(\d+) refactorizations, ", line)
+                        r"(\d+) refactorizations, (\d+) Farkas leaves, ", line)
                for line in (out / "summary.txt").read_text().splitlines()]
     records = [m for m in records if m]
     assert [(m[1], m[2], m[3]) for m in records] == [
         ("1", "proven_infeasible", "infeasible"), ("2", "proven_infeasible", "infeasible")]
-    assert all(int(m[5]) > 0 and int(m[6]) > 0 for m in records)
+    assert all(int(m[5]) > 0 and int(m[6]) > 0 and int(m[7]) > 0 for m in records)
 
 
 @pytest.mark.parametrize("target, exc", [
@@ -115,10 +116,29 @@ def test_verify_bundled_certificates(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["beta_resolution"] == "first"
 
-    # the stored witness chain was generated under the first resolution
+    # the certificate names the hash of the first resolution's model
     assert main(["verify", "--system", "traffic_table1.json",
                  "--certificate", "cert_table2.json",
-                 "--beta-resolution", "second"]) == 2
+                 "--beta-resolution", "second"]) == 1
+    assert "hash" in capsys.readouterr().err
+
+
+def test_verify_binds_beta_resolution(tmp_path, capsys):
+    """A certificate that names the second resolution's hash is checked
+    under the second resolution only: there its witness chain, made under
+    the first, fails (exit 2); under the first it is refused (exit 1)."""
+    second = load_system_file(str(DATA / "traffic_table1.json"), "second")[2]
+    raw = json.loads((DATA / "cert_table2.json").read_text())
+    assert raw["system_hash"] != second
+    raw["system_hash"] = second
+    cert = tmp_path / "cert_second.json"
+    cert.write_text(json.dumps(raw))
+    assert main(["verify", "--system", "traffic_table1.json",
+                 "--certificate", str(cert), "--beta-resolution", "second"]) == 2
+    assert json.loads(capsys.readouterr().out)["system_hash"] == second
+    assert main(["verify", "--system", "traffic_table1.json",
+                 "--certificate", str(cert), "--beta-resolution", "first"]) == 1
+    assert "hash" in capsys.readouterr().err
 
 
 def test_verify_tampered_certificate(tmp_path):

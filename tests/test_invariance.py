@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from monosafe import milp
 from monosafe.certificate import SSequenceCertificate
 from monosafe.invariance import (LimitCycleError, build_attractive_set, build_rcis,
                                  compute_limit_cycle, find_s_sequence, necessity_bound)
@@ -27,17 +28,34 @@ def test_sweep_finds_minimal_t7(case1_search):
     assert [r.T for r in res.records] == list(range(1, 8))
 
 
+# traffic first-feasible proofs of T=1..3:
+# (nodes, pivots, refactorizations, Farkas leaves) per horizon
+TRAFFIC_PROOF_COUNTS = [(3, 43, 3, 1), (51, 173, 37, 11), (433, 1972, 288, 163)]
+
+
 def test_solver_counts_on_bundled_models(case1_search, traffic):
-    """Pinned branch-and-bound node, pivot and refactorization counts: the
-    case-1 max-l1 sweep, and the traffic first-feasible proofs of T=1 and
-    T=2.  A change to the pivoting rules, to the cold solve's start or to
-    their rounding shows here first."""
-    assert [(r.nodes, r.pivots, r.refactorizations) for r in case1_search.records] == [
-        (3, 14, 6), (7, 34, 12), (15, 66, 24), (31, 134, 48), (63, 286, 96),
-        (127, 579, 192), (115, 496, 174)]
-    res = find_s_sequence(traffic[0], t_max=2, objective="first_feasible")
-    assert [(r.status, r.nodes, r.pivots, r.refactorizations) for r in res.records] == [
-        ("proven_infeasible", 3, 43, 5), ("proven_infeasible", 51, 173, 63)]
+    """Pinned branch-and-bound node, pivot, refactorization and Farkas-leaf
+    counts: the case-1 max-l1 sweep, and the traffic first-feasible proofs
+    of T=1..3.  A change to the pivoting rules, to the cold solve's start or
+    to their rounding shows here first."""
+    assert [(r.nodes, r.pivots, r.refactorizations, r.farkas_leaves)
+            for r in case1_search.records] == [
+        (3, 14, 3, 2), (7, 34, 6, 4), (15, 66, 12, 8), (31, 134, 24, 16), (63, 286, 48, 32),
+        (127, 579, 96, 64), (115, 496, 91, 55)]
+    res = find_s_sequence(traffic[0], t_max=3, objective="first_feasible")
+    assert [r.status for r in res.records] == ["proven_infeasible"] * 3
+    assert [(r.nodes, r.pivots, r.refactorizations, r.farkas_leaves)
+            for r in res.records] == TRAFFIC_PROOF_COUNTS
+
+
+def test_failed_farkas_checks_fall_back_to_refactorization(traffic, monkeypatch):
+    """With every Farkas check failing, each infeasible leaf is refactorized
+    and retried as before the check existed: the same nodes and pivots."""
+    monkeypatch.setattr(milp, "_farkas_certifies", lambda *args: False)
+    res = find_s_sequence(traffic[0], t_max=3, objective="first_feasible")
+    assert [r.status for r in res.records] == ["proven_infeasible"] * 3
+    assert [(r.nodes, r.pivots) for r in res.records] == [c[:2] for c in TRAFFIC_PROOF_COUNTS]
+    assert all(r.farkas_leaves == 0 for r in res.records)
 
 
 def test_sweep_with_tmin_forfeits_minimality(case1):

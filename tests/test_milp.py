@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from monosafe import milp
 from monosafe.encode import encode_traffic
 from monosafe.milp import (_AT_LB, _AT_UB, _BASIC, EQ, FEAS_TOL, GEQ, LEQ, MilpError,
                            MilpModel, NumericalBreakdownError, _check_solution, _Simplex,
@@ -382,8 +383,9 @@ def test_branch_first_binaries_split_first():
 def test_traffic_nodes_are_warm_started(traffic):
     """A cold solve of a traffic T=2 node takes about 67 pivots; warm
     children take a few, so a silent fallback to cold solves shows here.
-    Refactorizations happen at node verdicts and sibling restores, about one
-    per node, so refreshing per pivot shows here too."""
+    Refactorizations happen at optimal verdicts and at sibling restores
+    whose factorization is not parked, fewer than one per node, so
+    refreshing per pivot shows here too."""
     art = encode_traffic(traffic[0], 2, objective="feasibility")
     sol = solve_milp(art.model, mode="first_feasible")
     assert sol.status == "infeasible"
@@ -520,6 +522,136 @@ def test_refresh_refuses_singular_bases():
     with pytest.raises(NumericalBreakdownError, match="singular basis"):
         sx._refresh()
     assert sx._factor is factor and sx.v is v
+
+
+def test_restore_from_parked_factor_is_bit_identical():
+    """Restoring the latest snapshot, taken with an empty eta file, loads
+    the parked factorization: no refactorization is counted, and ``v`` and
+    every factor array equal those of a fresh ``_refresh`` bit for bit.  A
+    restore of any other snapshot refactorizes."""
+    rng = np.random.default_rng(47)
+    parked = 0
+    for k in range(120):
+        mdl, nb = _random_milp(rng, k)
+        c, A, rels, b, lb, ub = mdl.dense()
+        sx = _Simplex(-c, A, rels, b, lb, ub)
+        if sx.solve() != "optimal" or nb == 0:
+            continue
+        older = sx.snapshot()
+        snap = sx.snapshot()
+        assert not sx._etas and sx._parked[0] is snap[0]
+        j = int(rng.integers(nb))
+        sx.fix(j, 1.0 - float(np.round(sx.x()[j])))
+        sx.reoptimize()
+        count = sx.refactorizations
+        sx.restore(snap)
+        assert sx.refactorizations == count and sx._parked is None, k
+        factor, v = sx._factor, sx.v
+        sx._refresh()
+        assert np.array_equal(sx.v, v), k
+        assert all(np.array_equal(a, b) for a, b in zip(sx._factor, factor)), k
+        parked += 1
+        latest = sx.snapshot()
+        count = sx.refactorizations
+        sx.restore(tuple(a.copy() for a in latest))    # a copy is not the parked snapshot
+        sx.snapshot()
+        sx.restore(older)                               # nor is an older one
+        assert sx.refactorizations == count + 2, k
+    assert parked >= 30, parked
+
+
+def test_farkas_rows_of_infeasible_leaves_are_checked(monkeypatch):
+    """Every infeasible leaf the dual simplex closes without refactorizing
+    passes ``_farkas_certifies`` with its leaving row of ``inv(B)``; a cold
+    solve of the leaf's box agrees that it is infeasible, and the same row
+    is rejected over the root's box when the root LP is feasible."""
+    calls = []
+    certifies = milp._farkas_certifies
+
+    def recording(y, A, rels, b, lo, hi):
+        ok = certifies(y, A, rels, b, lo, hi)
+        calls.append((y.copy(), lo.copy(), hi.copy(), ok))
+        return ok
+
+    monkeypatch.setattr(milp, "_farkas_certifies", recording)
+    rng = np.random.default_rng(41)
+    checked = rejected = 0
+    for k in range(150):
+        mdl, _ = _random_milp(rng, k)
+        for model in (mdl, _with_duplicate_eq(mdl)[0]):
+            calls.clear()
+            sol = solve_milp(model)
+            assert sol.farkas_leaves == len(calls), k
+            c, A, rels, b, lb, ub = model.dense()
+            rels = np.asarray(rels)
+            root_feasible = solve_lp(model).status == "optimal"
+            for y, lo, hi, ok in calls:
+                assert ok, k
+                leaf = _with_bounds(model, {j: (lo[j], hi[j]) for j in range(lo.size)})
+                assert solve_lp(leaf).status == "infeasible", k
+                if root_feasible:
+                    assert not certifies(y, A, rels, b, lb, ub), k
+                    rejected += 1
+                checked += 1
+    assert checked >= 40 and rejected >= 20, (checked, rejected)
+
+
+def test_farkas_check_zeroes_wrong_signs():
+    """On x in [0, 1]: the rows x >= 0.8 and x <= 0.2 are proved empty by
+    y = (-1, 1) in either orientation; flipping the sign of one entry
+    breaks the proof.  The rows x <= 0.9 and x >= 0.1 have a point, and
+    y = (-1, 1), whose entries both have the wrong sign, would prove them
+    empty if its entries were not zeroed."""
+    A = np.array([[1.0], [1.0]])
+    lo, hi = np.zeros(1), np.ones(1)
+    empty = (A, np.array([GEQ, LEQ]), np.array([0.8, 0.2]))
+    y = np.array([-1.0, 1.0])
+    assert milp._farkas_certifies(y, *empty, lo, hi)
+    assert milp._farkas_certifies(-y, *empty, lo, hi)
+    assert not milp._farkas_certifies(np.array([-1.0, -1.0]), *empty, lo, hi)
+    assert not milp._farkas_certifies(np.array([1.0, 1.0]), *empty, lo, hi)
+    inhabited = (A, np.array([LEQ, GEQ]), np.array([0.9, 0.1]))
+    # unzeroed, y gives 0 x <= -0.8
+    assert (y @ A)[0] == 0.0 and y @ inhabited[2] < 0.0
+    assert not milp._farkas_certifies(y, *inhabited, lo, hi)
+    assert not milp._farkas_certifies(-y, *inhabited, lo, hi)
+
+
+def test_check_solution_matches_row_rule():
+    """The vectorized re-check gives the per-row verdict on points a few
+    tolerances either side of their bounds and rows, with every relation
+    kind and with exact ties at the tolerance."""
+    def per_row(A, rels, b, lb, ub, x, tol=FEAS_TOL):
+        if np.any(x < lb - tol) or np.any(x > ub + tol):
+            return False
+        Ax = A @ x
+        for i, rel in enumerate(rels):
+            if rel == LEQ and Ax[i] > b[i] + tol:
+                return False
+            if rel == GEQ and Ax[i] < b[i] - tol:
+                return False
+            if rel == EQ and abs(Ax[i] - b[i]) > tol:
+                return False
+        return True
+
+    rng = np.random.default_rng(43)
+    steps = FEAS_TOL * np.array([-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5])
+    verdicts = {True: 0, False: 0}
+    kinds = set()
+    for _ in range(600):
+        m, n = int(rng.integers(0, 7)), int(rng.integers(1, 5))
+        A = rng.uniform(-2, 2, (m, n)).round(1)
+        x = rng.uniform(-1, 1, n)
+        lb = x - np.where(rng.random(n) < 0.9, 1.0, rng.choice(steps, n))
+        ub = x + np.where(rng.random(n) < 0.9, 1.0, rng.choice(steps, n))
+        rels = list(rng.choice([LEQ, GEQ, EQ], m))
+        b = A @ x + rng.choice(steps, m) * (rng.random(m) < 0.3)
+        want = per_row(A, rels, b, lb, ub, x)
+        assert _check_solution(None, A, rels, b, lb, ub, x) == want
+        assert _check_solution(None, A, np.array(rels), b, lb, ub, x) == want
+        verdicts[want] += 1
+        kinds.update(rels)
+    assert min(verdicts.values()) >= 100 and kinds == {LEQ, GEQ, EQ}, verdicts
 
 
 def _budget_probe_model():

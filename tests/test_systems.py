@@ -1,12 +1,16 @@
 """System models: switched affine, traffic network, monotonicity checks."""
 
+from importlib import resources
+
 import numpy as np
 import pytest
 
 from monosafe.order import Box
 from monosafe.systems import (EW, NS, Link, SwitchedAffineSystem, TrafficNetwork,
                               check_monotone, cooperative_bound_check,
-                              system_from_dict, system_hash)
+                              load_system_file, system_from_dict, system_hash)
+
+DATA = resources.files("monosafe.data")
 
 A1 = [[1.5, 0.1], [0.2, 0.5]]
 A2 = [[0.7, 0.1], [0.1, 1.1]]
@@ -150,6 +154,17 @@ def test_system_hash_binds_content(traffic_spec_dict, traffic, case1):
     tweaked["links"][0]["c"] = 21
     assert system_hash(tweaked) != traffic[2]
     assert case1[2] != traffic[2]
+
+
+def test_loaded_hash_binds_beta_resolution(traffic, case1):
+    """Loaded under the second turn-ratio resolution, a traffic spec hashes
+    differently from the first; a switched spec, which the resolution does
+    not change, keeps its hash."""
+    traffic_path, case1_path = str(DATA / "traffic_table1.json"), str(DATA / "case1.json")
+    assert load_system_file(traffic_path, "first")[2] == traffic[2]
+    second = load_system_file(traffic_path, "second")[2]
+    assert second != traffic[2] and len(second) == len(traffic[2])
+    assert load_system_file(case1_path, "second")[2] == case1[2]
 
 
 def test_switched_to_dict_round_trip(case1):
