@@ -24,7 +24,7 @@ m.set_objective({j: values[j] for j in range(4)}, "max")
 relax = solve_lp(m)
 print(f"LP relaxation bound: {relax.objective:.3f} at x = {relax.x.round(3)}")
 
-sol = solve_milp(m, mode="prove_optimal")
+sol = solve_milp(m)
 chosen = [j for j in range(4) if sol.x[j] > 0.5]
 print(f"optimal value {sol.objective:.1f}, picks {chosen}, "
       f"{sol.nodes} nodes explored")
@@ -32,7 +32,7 @@ print(f"optimal value {sol.objective:.1f}, picks {chosen}, "
 # Budgets turn the solver into an anytime method: statuses degrade honestly
 # from optimal to feasible_budget_hit to budget_unknown as the cap tightens.
 for cap in (None, 8, 3):
-    s = solve_milp(m, node_budget=cap, mode="prove_optimal")
+    s = solve_milp(m, node_budget=cap)
     obj = f"{s.objective:.1f}" if s.objective is not None else "-"
     print(f"node budget {cap}: status {s.status}, incumbent {obj}")
 

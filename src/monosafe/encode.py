@@ -128,11 +128,12 @@ def encode_traffic(net: TrafficNetwork, T: int,
     """Big-M encoding of the served-flow min-terms and phase selection.
 
     Junction binaries use 1 = NS.  The green indicator of a link is the
-    affine expression ``u`` (NS links) or ``1 - u`` (EW links) of its head
-    junction's binary.  Each link/step gets a flow variable ``z`` bracketed
-    by ``min(x, c)`` on green and pinned to 0 on red, with a selector
-    binary choosing the active min branch.  Safety is the box ``x <= x_s``
-    of ``net.safe_set()``, which enters as the state variables' caps.
+    affine expression ``g = g1 u + g0`` of its head junction's binary ``u``:
+    ``u`` for NS links, ``1 - u`` for EW links.  Each link/step gets a flow
+    variable ``z`` bracketed by ``min(x, c)`` on green and pinned to 0 on
+    red, with a selector binary choosing the active min branch.  Safety is
+    the box ``x <= x_s`` of ``net.safe_set()``, which enters as the state
+    variables' caps.
     """
 
     def write_dynamics(art):
@@ -151,29 +152,20 @@ def encode_traffic(net: TrafficNetwork, T: int,
                 x = x_idx[(k, i)]
                 d = selector[(k, i)]
                 u = art.control_idx[(k, link.head)]
-                ns = link.direction == NS
+                g1, g0 = (1.0, 0.0) if link.direction == NS else (-1.0, 1.0)
                 c = float(net.c[i])
                 m_flow = min(2.0 * c, M_CAP)
                 m_state = min(2.0 * float(net.x_s[i]), M_CAP)
                 # z <= x
                 model.add_constraint({z: 1.0, x: -1.0}, "<=", 0.0)
-                # z <= M g   (g = u for NS, 1-u for EW)
-                model.add_constraint({z: 1.0, u: -m_flow if ns else m_flow},
-                                     "<=", 0.0 if ns else m_flow)
+                # z <= M g
+                model.add_constraint({z: 1.0, u: -m_flow * g1}, "<=", m_flow * g0)
                 # z >= x - M d - M (1-g)
-                if ns:
-                    model.add_constraint({x: 1.0, z: -1.0, d: -m_state, u: m_state},
-                                         "<=", m_state)
-                else:
-                    model.add_constraint({x: 1.0, z: -1.0, d: -m_state, u: -m_state},
-                                         "<=", 0.0)
+                model.add_constraint({x: 1.0, z: -1.0, d: -m_state, u: m_state * g1},
+                                     "<=", m_state * (1.0 - g0))
                 # z >= c - M (1-d) - M (1-g)
-                if ns:
-                    model.add_constraint({z: -1.0, d: m_flow, u: m_flow},
-                                         "<=", 2.0 * m_flow - c)
-                else:
-                    model.add_constraint({z: -1.0, d: m_flow, u: -m_flow},
-                                         "<=", m_flow - c)
+                model.add_constraint({z: -1.0, d: m_flow, u: m_flow * g1},
+                                     "<=", m_flow * (2.0 - g0) - c)
             # state update equalities
             for i, link in enumerate(net.links):
                 row = {x_idx[(k + 1, i)]: 1.0, x_idx[(k, i)]: -1.0, z_idx[(k, i)]: 1.0}
@@ -186,8 +178,7 @@ def encode_traffic(net: TrafficNetwork, T: int,
     return _witness_model("traffic", net, net.safe_set(), T, objective, write_dynamics)
 
 
-def decode(art: EncodingArtifacts, sol: MilpSolution,
-           sys=None) -> SSequenceCertificate:
+def decode(art: EncodingArtifacts, sol: MilpSolution) -> SSequenceCertificate:
     """Extract controls, re-simulate the witness, and cross-check everything.
 
     The simulation (not the solver's state values) is authoritative: the
@@ -197,7 +188,7 @@ def decode(art: EncodingArtifacts, sol: MilpSolution,
     """
     if sol.x is None:
         raise DecodeMismatchError(f"no assignment to decode (status {sol.status})")
-    sys = sys if sys is not None else art.system
+    sys = art.system
     T = art.T
     controls = []
     if art.kind == "switched":

@@ -63,9 +63,8 @@ class SearchResult:
         return tuple(r for r in self.records if r.status == "failed")
 
 
-_HORIZON_STATUS = {"optimal": "found", "feasible": "found",
-                   "feasible_budget_hit": "found", "infeasible": "proven_infeasible",
-                   "budget_unknown": "budget_unknown"}
+_HORIZON_STATUS = {"optimal": "found", "feasible_budget_hit": "found",
+                   "infeasible": "proven_infeasible", "budget_unknown": "budget_unknown"}
 
 
 def _encode(system, safe_set, T, objective):
@@ -94,7 +93,8 @@ def find_s_sequence(system, safe_set=None, t_max=10, objective="max_l1_x0",
     as ``failed``, with the message, and the sweep moves on too.
 
     ``objective`` is ``"max_l1_x0"`` (maximize the l1 norm of x*_0, proving
-    optimality) or ``"first_feasible"`` (stop at the first integral point).
+    optimality) or ``"first_feasible"`` (a zero objective, so the search
+    stops at the first integral point).
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
@@ -102,7 +102,6 @@ def find_s_sequence(system, safe_set=None, t_max=10, objective="max_l1_x0",
         raise ValueError("need 1 <= t_min <= t_max")
     if objective not in ("max_l1_x0", "first_feasible"):
         raise ValueError(f"unknown objective {objective!r}")
-    mode = "first_feasible" if objective == "first_feasible" else "prove_optimal"
     enc_objective = "feasibility" if objective == "first_feasible" else "max_l1_x0"
 
     records = []
@@ -131,7 +130,7 @@ def find_s_sequence(system, safe_set=None, t_max=10, objective="max_l1_x0",
             write_lp_format(art.model, f"{dump_lp}_T{T}.lp")
         t0 = time.monotonic()
         try:
-            sol = solve_milp(art.model, node_budget=n_slice, time_budget=t_slice, mode=mode)
+            sol = solve_milp(art.model, node_budget=n_slice, time_budget=t_slice)
         except NumericalBreakdownError as exc:
             records.append(HorizonRecord(T, "failed", "error", 0, time.monotonic() - t0,
                                          failure=f"{type(exc).__name__}: {exc}"))

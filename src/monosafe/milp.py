@@ -43,7 +43,9 @@ factorization of the latest snapshot is parked in one slot, so a sibling
 popped right after its twin closed as a leaf takes it over; any other is
 refactorized once when popped.  Binaries a model lists in
 ``branch_first`` (the encoders list their control choices) are branched on
-before all others.
+before all others.  The search ends when no open node is left or when the
+incumbent meets the root LP's bound; with a zero objective, as in the
+encoders' feasibility models, that is the first integral point.
 
 Every answer the solver returns is independently re-checked against the
 original constraints before it leaves this module, and every node's LP
@@ -165,12 +167,11 @@ class MilpModel:
 
 @dataclass
 class MilpSolution:
-    status: str                     # optimal | feasible | feasible_budget_hit |
-                                    # infeasible | unbounded | budget_unknown
+    status: str                     # optimal | feasible_budget_hit | infeasible |
+                                    # unbounded | budget_unknown
     x: np.ndarray | None = None
     objective: float | None = None
     nodes: int = 0
-    elapsed: float = 0.0
     pivots: int = 0                 # simplex pivots, summed over all nodes
     refactorizations: int = 0       # basis refactorizations (``_refresh``)
     farkas_leaves: int = 0          # infeasible leaves closed by a checked Farkas row
@@ -597,9 +598,9 @@ class _Simplex:
         return self._btran(self.c[self.basis])
 
 
-def _check_solution(c, A, rels, b, lb, ub, x, tol=FEAS_TOL):
-    """True if ``x`` meets its bounds and every row to within ``tol``."""
-    if np.any(x < lb - tol) or np.any(x > ub + tol):
+def _check_solution(A, rels, b, lb, ub, x, tol=FEAS_TOL):
+    """True if ``x`` is finite and meets its bounds and every row to within ``tol``."""
+    if not np.all(np.isfinite(x)) or np.any(x < lb - tol) or np.any(x > ub + tol):
         return False
     rels = np.asarray(rels)
     Ax = A @ x
@@ -635,23 +636,21 @@ def solve_lp(model: MilpModel) -> MilpSolution:
     which the objective changes with that row's right-hand side.
     """
     c, A, rels, b, lb, ub = model.dense()
-    t0 = time.monotonic()
     c_min = -c if model.sense == "max" else c
     sx = _Simplex(c_min, A, rels, b, lb, ub)
     status = sx.solve()
-    elapsed = time.monotonic() - t0
     if status != "optimal":
-        return MilpSolution(status=status, nodes=1, elapsed=elapsed, pivots=sx.pivots,
+        return MilpSolution(status=status, nodes=1, pivots=sx.pivots,
                             refactorizations=sx.refactorizations)
     x = sx.x()
     # hard re-check: never return an uncertified answer
-    if not _check_solution(c, A, rels, b, lb, ub, x):
+    if not _check_solution(A, rels, b, lb, ub, x):
         raise NumericalBreakdownError("solution failed the independent re-check")
     sgn = -1.0 if model.sense == "max" else 1.0
     duals = sgn * sx.duals()
     # objective reported from the model's own coefficients, not the simplex's
     return MilpSolution(status="optimal", x=x, objective=float(c @ x), nodes=1,
-                        elapsed=elapsed, duals=duals, pivots=sx.pivots,
+                        duals=duals, pivots=sx.pivots,
                         refactorizations=sx.refactorizations)
 
 
@@ -660,14 +659,15 @@ def solve_lp(model: MilpModel) -> MilpSolution:
 # --------------------------------------------------------------------------
 
 def solve_milp(model: MilpModel, node_budget: int | None = None,
-               time_budget: float | None = None,
-               mode: str = "prove_optimal") -> MilpSolution:
+               time_budget: float | None = None) -> MilpSolution:
     """Depth-first branch-and-bound over the binary variables.
 
-    ``prove_optimal`` explores until the incumbent is proved optimal (or the
+    The search explores until the incumbent is proved optimal (or the
     budget runs out: ``feasible_budget_hit`` with an incumbent,
-    ``budget_unknown`` without).  ``first_feasible`` returns the first
-    integral solution found (status ``feasible``).
+    ``budget_unknown`` without).  It is proved optimal when no open node is
+    left, or as soon as it meets the root LP's bound, which bounds every
+    node (Achterberg, *Constraint integer programming*, 2007): with a zero
+    objective the first integral point ends the search.
 
     The root LP is solved cold; every other node is re-optimized by the dual
     simplex from its parent's optimal basis.  The nearest-integer child
@@ -679,8 +679,6 @@ def solve_milp(model: MilpModel, node_budget: int | None = None,
     ties).  Everything is deterministic, and every node's LP answer passes
     the independent re-check before it is used.
     """
-    if mode not in ("prove_optimal", "first_feasible"):
-        raise MilpError(f"unknown mode {mode!r}")
     if not set(model.branch_first) <= set(model.binary_indices):
         raise MilpError("branch_first may only list binary variables")
     c, A, rels, b, lb0, ub0 = model.dense()
@@ -692,6 +690,7 @@ def solve_milp(model: MilpModel, node_budget: int | None = None,
     sx = _Simplex(-sign * c, A, rels, b, lb0, ub0)
 
     best_x, best_obj = None, -np.inf
+    root_bound = np.inf     # the root LP's optimum bounds every node
     nodes = 0
     exhausted = False
     unbounded = False
@@ -722,9 +721,11 @@ def solve_milp(model: MilpModel, node_budget: int | None = None,
             unbounded = True
             break
         x = sx.x()
-        if not _check_solution(c, A, rels, b, *sx.bounds(), x):
+        if not _check_solution(A, rels, b, *sx.bounds(), x):
             raise NumericalBreakdownError("solution failed the independent re-check")
         bound = sign * float(c @ x)
+        if entry is None:
+            root_bound = bound
         if best_x is not None and bound <= best_obj + OBJ_TOL:
             continue
         xb = x[bins]
@@ -733,7 +734,7 @@ def solve_milp(model: MilpModel, node_budget: int | None = None,
             # integral: the node LP optimum is the best of the subtree
             if best_x is None or bound > best_obj + OBJ_TOL:
                 best_x, best_obj = x, bound
-                if mode == "first_feasible":
+                if best_obj >= root_bound - OBJ_TOL:
                     break
             continue
         marked = np.where(first, frac, 0.0)
@@ -743,24 +744,18 @@ def solve_milp(model: MilpModel, node_budget: int | None = None,
         stack.append((sx.snapshot(), j, 1.0 - preferred))
         stack.append((None, j, preferred))   # popped next: the live simplex
 
-    elapsed = time.monotonic() - t0
-    done = dict(nodes=nodes, elapsed=elapsed, pivots=sx.pivots,
+    done = dict(nodes=nodes, pivots=sx.pivots,
                 refactorizations=sx.refactorizations, farkas_leaves=sx.farkas_leaves)
     if unbounded:
         return MilpSolution(status="unbounded", **done)
     if best_x is None:
         return MilpSolution(status="budget_unknown" if exhausted else "infeasible", **done)
     # hard re-check of the incumbent, integrality included
-    if not _check_solution(c, A, rels, b, lb0, ub0, best_x):
+    if not _check_solution(A, rels, b, lb0, ub0, best_x):
         raise NumericalBreakdownError("incumbent failed the independent re-check")
     if bins.size and np.max(np.abs(best_x[bins] - np.round(best_x[bins]))) > INT_TOL:
         raise NumericalBreakdownError("incumbent failed the integrality re-check")
-    if exhausted:
-        status = "feasible_budget_hit"
-    elif mode == "first_feasible" and stack:
-        status = "feasible"
-    else:
-        status = "optimal"
+    status = "feasible_budget_hit" if exhausted else "optimal"
     return MilpSolution(status=status, x=best_x, objective=float(c @ best_x), **done)
 
 

@@ -13,7 +13,7 @@ give.  Its membership flags come from one batch ``contains`` call per set.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -181,8 +181,7 @@ class ConditionReport:
     first_violation_step: int | None
 
     def to_dict(self):
-        return {"passed": self.passed, "worst_residual": self.worst_residual,
-                "first_violation_step": self.first_violation_step}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -194,10 +193,7 @@ class VerificationReport:
     closure: ConditionReport
 
     def to_dict(self):
-        return {"passed": self.passed, "tol": self.tol,
-                "dynamics": self.dynamics.to_dict(),
-                "safety": self.safety.to_dict(),
-                "closure": self.closure.to_dict()}
+        return asdict(self)
 
 
 def verify_certificate(sys, S: PolyLowerSet,
@@ -248,8 +244,7 @@ class DominanceReport:
     first_violation_step: int | None
 
     def to_dict(self):
-        return {"dominated": self.dominated, "worst_excess": self.worst_excess,
-                "first_violation_step": self.first_violation_step}
+        return asdict(self)
 
 
 def dominance_check(sys, cert: SSequenceCertificate,

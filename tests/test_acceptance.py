@@ -202,7 +202,7 @@ def test_criterion_6_solver_matches_enumeration(capsys):
         for k, (lo, hi) in enumerate(schedule):
             mdl, nb = _sized_random_milp(rng, k, lo, hi)
             want = _enumerate_oracle(mdl, nb)
-            got = solve_milp(mdl, mode="prove_optimal")
+            got = solve_milp(mdl)
             if want is None:
                 assert got.status == "infeasible", (k, got.status)
             else:

@@ -4,6 +4,7 @@ numerical failure."""
 
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -210,21 +211,38 @@ def test_simulate_outside_witness_warns(tmp_path, capsys):
     assert "outside" in capsys.readouterr().err
 
 
-def test_module_execution_round_trip(tmp_path):
-    """`python -m monosafe.cli verify` in a fresh interpreter, started from a
-    directory outside the repo, against the `monosafe` the suite imported."""
+def _child_env():
+    """The environment of a fresh interpreter that imports the `monosafe` the
+    suite imported, from any working directory."""
     # The child resolves relative PYTHONPATH entries against its own cwd, so
     # put the absolute root of the imported package in front.
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(monosafe.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_module_execution_round_trip(tmp_path):
+    """`python -m monosafe.cli verify` in a fresh interpreter, started from a
+    directory outside the repo, against the `monosafe` the suite imported."""
     proc = subprocess.run(
         [sys.executable, "-m", "monosafe.cli", "verify", "--system", "case1.json",
          "--certificate", "cert_case1.json"],
-        capture_output=True, text=True, cwd=tmp_path, env=env)
+        capture_output=True, text=True, cwd=tmp_path, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["passed"] is True
+
+
+DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(tmp_path, demo):
+    """Each demo runs to exit 0 in a fresh interpreter outside the repo."""
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                          cwd=tmp_path, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("argv", [

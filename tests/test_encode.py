@@ -89,7 +89,7 @@ def test_traffic_size_formula(T, traffic):
 def test_case1_round_trip(case1):
     sys_, S, _ = case1
     art = encode_switched(sys_, S, 7, objective="max_l1_x0")
-    sol = solve_milp(art.model, mode="prove_optimal")
+    sol = solve_milp(art.model)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(50.0, abs=1e-6)
     cert = decode(art, sol)
@@ -131,8 +131,8 @@ def test_alternating_net_horizons():
     art1 = encode_traffic(net, 1)
     assert solve_milp(art1.model).status == "infeasible"
     art2 = encode_traffic(net, 2)
-    sol = solve_milp(art2.model, mode="first_feasible")
-    assert sol.status == "feasible"
+    sol = solve_milp(art2.model)
+    assert sol.status == "optimal"
     cert = decode(art2, sol)
     assert cert.T == 2
     assert verify_certificate(net, net.safe_set(), cert).passed

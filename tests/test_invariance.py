@@ -41,7 +41,7 @@ def test_solver_counts_on_bundled_models(case1_search, traffic):
     assert [(r.nodes, r.pivots, r.refactorizations, r.farkas_leaves)
             for r in case1_search.records] == [
         (3, 14, 3, 2), (7, 34, 6, 4), (15, 66, 12, 8), (31, 134, 24, 16), (63, 286, 48, 32),
-        (127, 579, 96, 64), (115, 496, 91, 55)]
+        (127, 579, 96, 64), (113, 489, 87, 55)]
     res = find_s_sequence(traffic[0], t_max=3, objective="first_feasible")
     assert [r.status for r in res.records] == ["proven_infeasible"] * 3
     assert [(r.nodes, r.pivots, r.refactorizations, r.farkas_leaves)

@@ -247,7 +247,7 @@ def test_milp_matches_enumeration_randomized():
     for k in range(50):
         mdl, nb = _random_milp(rng, k)
         want = _enumerate_oracle(mdl, nb)
-        got = solve_milp(mdl, mode="prove_optimal")
+        got = solve_milp(mdl)
         if want is None:
             assert got.status == "infeasible", k
         else:
@@ -321,7 +321,7 @@ def test_warm_children_match_cold_lp():
                 if status == "optimal":
                     x = sx.x()
                     assert abs(x[j] - val) <= 1e-9, (k, j, val)
-                    assert _check_solution(c, A, rels, b, *sx.bounds(), x), (k, j, val)
+                    assert _check_solution(A, rels, b, *sx.bounds(), x), (k, j, val)
                     assert abs(float(c @ x) - ref.objective) \
                         <= 1e-6 * (1 + abs(ref.objective)), (k, j, val)
                 seen[status] += 1
@@ -332,26 +332,41 @@ def test_warm_children_match_cold_lp():
 def test_first_feasible_zero_objective_matches_enumeration():
     """With a zero objective every basis is dual degenerate, the case of the
     traffic feasibility searches.  The answer must be a point exactly when
-    enumeration finds one; a search whose first integral node leaves no open
-    node reports ``optimal``, otherwise ``feasible``."""
+    enumeration finds one, and it is ``optimal``: the first integral point
+    meets the root bound, 0."""
     rng = np.random.default_rng(29)
     found = infeasible = 0
     for k in range(60):
         mdl, nb = _random_milp(rng, k)
         mdl = _with_bounds(mdl, {}, objective={})
         want = _enumerate_oracle(mdl, nb)
-        got = solve_milp(mdl, mode="first_feasible")
+        got = solve_milp(mdl)
         if want is None:
             assert got.status == "infeasible", (k, got.status)
             infeasible += 1
             continue
-        assert got.status in ("feasible", "optimal"), (k, got.status)
-        c, A, rels, b, lb, ub = mdl.dense()
-        assert _check_solution(c, A, rels, b, lb, ub, got.x), k
+        assert got.status == "optimal", (k, got.status)
+        _, A, rels, b, lb, ub = mdl.dense()
+        assert _check_solution(A, rels, b, lb, ub, got.x), k
         for j in mdl.binary_indices:
             assert abs(got.x[j] - round(got.x[j])) <= 1e-6, (k, j)
         found += 1
     assert found >= 20 and infeasible >= 10, (found, infeasible)
+
+
+def test_search_stops_when_incumbent_meets_root_bound():
+    """max y with y <= 2b: the root LP stops at b = 0.5, y = 1.  The child
+    b = 1 is integral with y = 1, the root bound, so the search ends there
+    and the sibling b = 0 is never solved: 2 nodes, not 3."""
+    m = MilpModel("stop")
+    m.add_var("b", binary=True)
+    m.add_var("y", ub=1.0)
+    m.add_constraint({1: 1.0, 0: -2.0}, "<=", 0.0)
+    m.set_objective({1: 1.0}, "max")
+    assert np.allclose(solve_lp(m).x, [0.5, 1.0])
+    sol = solve_milp(m)
+    assert (sol.status, sol.nodes) == ("optimal", 2)
+    assert np.allclose(sol.x, [1.0, 1.0])
 
 
 def test_branch_first_binaries_split_first():
@@ -387,7 +402,7 @@ def test_traffic_nodes_are_warm_started(traffic):
     whose factorization is not parked, fewer than one per node, so
     refreshing per pivot shows here too."""
     art = encode_traffic(traffic[0], 2, objective="feasibility")
-    sol = solve_milp(art.model, mode="first_feasible")
+    sol = solve_milp(art.model)
     assert sol.status == "infeasible"
     assert sol.nodes > 1 and 0 < sol.pivots < 20 * sol.nodes, (sol.nodes, sol.pivots)
     assert 0 < sol.refactorizations <= 2 * sol.nodes, (sol.nodes, sol.refactorizations)
@@ -647,11 +662,24 @@ def test_check_solution_matches_row_rule():
         rels = list(rng.choice([LEQ, GEQ, EQ], m))
         b = A @ x + rng.choice(steps, m) * (rng.random(m) < 0.3)
         want = per_row(A, rels, b, lb, ub, x)
-        assert _check_solution(None, A, rels, b, lb, ub, x) == want
-        assert _check_solution(None, A, np.array(rels), b, lb, ub, x) == want
+        assert _check_solution(A, rels, b, lb, ub, x) == want
+        assert _check_solution(A, np.array(rels), b, lb, ub, x) == want
         verdicts[want] += 1
         kinds.update(rels)
     assert min(verdicts.values()) >= 100 and kinds == {LEQ, GEQ, EQ}, verdicts
+
+
+def test_check_solution_refuses_non_finite_points():
+    """Every comparison with NaN is false, so a bounds-and-rows test alone
+    would pass a NaN entry; an infinite entry inside infinite bounds would
+    pass the bounds.  Both are refused."""
+    A, rels, b = np.array([[1.0, 1.0]]), [LEQ], np.array([1.0])
+    lb, ub = np.zeros(2), np.array([1.0, np.inf])
+    assert _check_solution(A, rels, b, lb, ub, np.array([0.5, 0.0]))
+    for x in ([np.nan, 0.0], [0.0, np.nan], [0.0, np.inf], [0.0, -np.inf]):
+        assert not _check_solution(A, rels, b, lb, ub, np.array(x)), x
+    no_rows = (np.zeros((0, 2)), [], np.zeros(0), lb, ub)
+    assert not _check_solution(*no_rows, np.array([np.nan, np.nan]))
 
 
 def _budget_probe_model():
@@ -670,8 +698,6 @@ def test_budget_statuses_deterministic():
     assert hit.objective == pytest.approx(1.0)
     full = solve_milp(_budget_probe_model())
     assert full.status == "optimal" and full.nodes == 5
-    ff = solve_milp(_budget_probe_model(), mode="first_feasible")
-    assert ff.status == "feasible" and ff.objective == pytest.approx(1.0)
     tiny_time = solve_milp(_budget_probe_model(), time_budget=0.0)
     assert tiny_time.status == "budget_unknown"
 
