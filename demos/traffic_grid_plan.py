@@ -42,8 +42,8 @@ def main():
           f"peak queue {peak:.2f} (limit 60)")
 
     # Synthesis from scratch.  T=1..4 have no plan.  Proving T=1..3
-    # infeasible takes 487 nodes and under a second, but T=4 alone takes
-    # 16,597 nodes and about 25 s (2-core Xeon, one BLAS thread), so jump
+    # infeasible takes 485 nodes and under a second, but T=4 alone takes
+    # 19,573 nodes and about 32 s (2-core Xeon, one BLAS thread), so jump
     # straight to T=5 and take the first feasible plan.
     print("\nsearching for a fresh T=5 plan (first-feasible, 120 s budget)...")
     result = find_s_sequence(net, t_max=5, t_min=5,

@@ -1,21 +1,24 @@
 """Mixed-integer encodings of the s-sequence feasibility/optimization problem.
 
-Produces, for a horizon ``T``, a model over witness states ``x_0 .. x_T``
-whose integral solutions are exactly the control sequences with
+Produces, for a horizon ``T``, a model over witness states ``x_0 .. x_T``:
 
-    x_{k+1} = f(x_k, w*, u_k),   x_k safe for k < T,   x_T <= x_0 .
+    x_{k+1} >= f(x_k, w*, u_k),   x_k safe for k < T,   x_T <= x_0 .
+
+This inequality model is exact.  ``f`` is monotone (``SwitchedAffineSystem``
+requires ``A_u >= 0``, ``TrafficNetwork`` turn ratios in ``[0, 1]``), so the
+true run ``y`` from ``y_0 = x_0`` has ``y_k <= x_k``: it is safe, as ``S`` is
+a lower set, and ``y_T <= x_T <= x_0 = y_0``.  Every exact witness satisfies
+the model, and the max-l1 objective reads only ``x_0``.
 
 Mode selection (switched systems) and the served-flow min-terms (traffic)
 are linearized with per-constraint big-M disjunctions; each M is twice the
-relevant bound-derived maximum, capped at 1000, so no admissible state can
-spuriously satisfy a relaxed branch.
+bound-derived maximum of the term it relaxes, with no cap, so a relaxed row
+never cuts off an admissible state whatever the units of the data.
 
-``decode`` is deliberately paranoid: controls are read off the binaries and
-the witness is *re-simulated* with the real step function; the solver's
-state values are only accepted if they match the simulation to
-``order.WITNESS_TOL``, and the safety/closure conditions are re-checked on
-the simulated states to the same tolerance.  A big-M
-artifact therefore cannot survive decoding.
+``decode`` is deliberately paranoid: it reads the controls off the binaries,
+*re-simulates* the witness with the real step function, accepts solver
+states only at or above the simulation (to ``order.WITNESS_TOL``), and
+re-checks the cap, safety and closure on the simulated states.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ from .certificate import SSequenceCertificate
 from .milp import INT_TOL, MilpModel, MilpSolution
 from .order import WITNESS_TOL, PolyLowerSet, leq
 from .systems import NS, EW, SwitchedAffineSystem, TrafficNetwork
-
-M_CAP = 1000.0       # ceiling on any big-M constant
 
 
 class DecodeMismatchError(Exception):
@@ -108,17 +109,12 @@ def encode_switched(sys: SwitchedAffineSystem, S: PolyLowerSet, T: int,
                 A = sys.modes[m - 1]
                 bidx = art.control_idx[(k, m)]
                 for i in range(n):
-                    # when the mode binary is 0 both rows relax completely
-                    m_lo = min(2.0 * (float(A[i] @ ub) + w[i]), M_CAP)
+                    # x_{k+1,i} >= A_i x_k + w_i if the binary is 1, void if 0
+                    big_m = 2.0 * (float(A[i] @ ub) + w[i])
                     row = {x[(k, j)]: float(A[i, j]) for j in range(n) if A[i, j]}
                     row[x[(k + 1, i)]] = row.get(x[(k + 1, i)], 0.0) - 1.0
-                    row[bidx] = m_lo
-                    model.add_constraint(row, "<=", m_lo - w[i])
-                    m_hi = min(2.0 * float(ub[i]), M_CAP)
-                    row = {x[(k, j)]: -float(A[i, j]) for j in range(n) if A[i, j]}
-                    row[x[(k + 1, i)]] = row.get(x[(k + 1, i)], 0.0) + 1.0
-                    row[bidx] = m_hi
-                    model.add_constraint(row, "<=", m_hi + w[i])
+                    row[bidx] = big_m
+                    model.add_constraint(row, "<=", big_m - w[i])
 
     return _witness_model("switched", sys, S, T, objective, write_dynamics)
 
@@ -130,11 +126,13 @@ def encode_traffic(net: TrafficNetwork, T: int,
     Junction binaries use 1 = NS.  The green indicator of a link is the
     affine expression ``g = g1 u + g0`` of its head junction's binary ``u``:
     ``u`` for NS links, ``1 - u`` for EW links.  Each link/step gets a flow
-    variable ``z`` bracketed by ``min(x, c)`` on green and pinned to 0 on
-    red, with a selector binary choosing the active min branch.  Safety is
-    the box ``x <= x_s`` of ``net.safe_set()``, which enters as the state
-    variables' caps.
+    variable ``z <= min(x, c)`` on green, pinned to 0 on red.  A link that
+    feeds another by a nonzero turn ratio also gets ``z >= min(x, c)`` on
+    green, with a selector binary choosing the active min branch; any other
+    ``z`` enters the state update only with a minus sign.  Safety is the
+    box ``x <= x_s`` of ``net.safe_set()``: the state variables' caps.
     """
+    feeds = {net.link_index(src) for (src, _, ratio) in net.turns if ratio}
 
     def write_dynamics(art):
         model, x_idx = art.model, art.x_idx
@@ -145,35 +143,36 @@ def encode_traffic(net: TrafficNetwork, T: int,
                 art.control_idx[(k, j)] = model.add_var(f"u_{k}_{j}", binary=True)
             for i, link in enumerate(net.links):
                 z_idx[(k, i)] = model.add_var(f"z_{k}_{link.id}", lb=0.0, ub=float(net.c[i]))
-                selector[(k, i)] = model.add_var(f"d_{k}_{link.id}", binary=True)
+                if i in feeds:
+                    selector[(k, i)] = model.add_var(f"d_{k}_{link.id}", binary=True)
         for k in range(T):
             for i, link in enumerate(net.links):
                 z = z_idx[(k, i)]
                 x = x_idx[(k, i)]
-                d = selector[(k, i)]
                 u = art.control_idx[(k, link.head)]
                 g1, g0 = (1.0, 0.0) if link.direction == NS else (-1.0, 1.0)
                 c = float(net.c[i])
-                m_flow = min(2.0 * c, M_CAP)
-                m_state = min(2.0 * float(net.x_s[i]), M_CAP)
+                m_flow = 2.0 * c
                 # z <= x
                 model.add_constraint({z: 1.0, x: -1.0}, "<=", 0.0)
                 # z <= M g
                 model.add_constraint({z: 1.0, u: -m_flow * g1}, "<=", m_flow * g0)
-                # z >= x - M d - M (1-g)
-                model.add_constraint({x: 1.0, z: -1.0, d: -m_state, u: m_state * g1},
-                                     "<=", m_state * (1.0 - g0))
-                # z >= c - M (1-d) - M (1-g)
-                model.add_constraint({z: -1.0, d: m_flow, u: m_flow * g1},
-                                     "<=", m_flow * (2.0 - g0) - c)
-            # state update equalities
+                if i in feeds:
+                    d, m_state = selector[(k, i)], 2.0 * float(net.x_s[i])
+                    # z >= x - M d - M (1-g)
+                    model.add_constraint({x: 1.0, z: -1.0, d: -m_state, u: m_state * g1},
+                                         "<=", m_state * (1.0 - g0))
+                    # z >= c - M (1-d) - M (1-g)
+                    model.add_constraint({z: -1.0, d: m_flow, u: m_flow * g1},
+                                         "<=", m_flow * (2.0 - g0) - c)
+            # state update: x_{k+1} >= x_k - z + w + sum of beta z_q
             for i, link in enumerate(net.links):
                 row = {x_idx[(k + 1, i)]: 1.0, x_idx[(k, i)]: -1.0, z_idx[(k, i)]: 1.0}
                 for (src, dst, ratio) in net.turns:
                     if dst == link.id and ratio:
                         zq = z_idx[(k, net.link_index(src))]
                         row[zq] = row.get(zq, 0.0) - ratio
-                model.add_constraint(row, "=", float(net.w_star[i]))
+                model.add_constraint(row, ">=", float(net.w_star[i]))
 
     return _witness_model("traffic", net, net.safe_set(), T, objective, write_dynamics)
 
@@ -181,10 +180,10 @@ def encode_traffic(net: TrafficNetwork, T: int,
 def decode(art: EncodingArtifacts, sol: MilpSolution) -> SSequenceCertificate:
     """Extract controls, re-simulate the witness, and cross-check everything.
 
-    The simulation (not the solver's state values) is authoritative: the
-    returned certificate carries simulated states, and any disagreement
-    beyond ``WITNESS_TOL`` — or a safety/closure violation of the simulated
-    witness — raises ``DecodeMismatchError``.
+    The simulation is authoritative: the certificate carries simulated
+    states.  A solver state more than ``WITNESS_TOL`` below it (above is
+    the model's slack), or a cap, safety or closure violation of the
+    simulated witness, raises ``DecodeMismatchError``.
     """
     if sol.x is None:
         raise DecodeMismatchError(f"no assignment to decode (status {sol.status})")
@@ -214,10 +213,10 @@ def decode(art: EncodingArtifacts, sol: MilpSolution) -> SSequenceCertificate:
         states.append(sys.step(states[-1], sys.w_star, controls[k]))
     for k in range(T + 1):
         solver_state = np.array([sol.x[art.x_idx[(k, i)]] for i in range(n)])
-        gap = float(np.max(np.abs(solver_state - states[k])))
+        gap = float(np.max(states[k] - solver_state))
         if gap > WITNESS_TOL:
             raise DecodeMismatchError(
-                f"step {k}: solver state deviates from re-simulation by {gap:.3g}")
+                f"step {k}: solver state lies {gap:.3g} below the re-simulation")
     cap = art.state_cap
     for k, xs in enumerate(states):
         if np.any(xs > cap + WITNESS_TOL):

@@ -31,8 +31,9 @@ name                             value  guards
                                         sums, ``check_monotone`` and
                                         ``cooperative_bound_check``
 ``order.WITNESS_TOL``            1e-5   a witness against its re-simulation:
-                                        ``decode``'s solver-vs-simulation
-                                        gap and its cap, safety and closure
+                                        how far ``decode`` lets a solver
+                                        state lie below the simulation, and
+                                        its cap, safety and closure
                                         re-checks; ``verify_certificate``
                                         when the certificate declares no
                                         ``tol``

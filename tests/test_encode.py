@@ -1,11 +1,15 @@
-"""Big-M encodings: size formulas, pinned models, round-trips, decode paranoia."""
+"""Big-M encodings: size formulas, pinned models, round-trips, decode paranoia,
+exactness against enumeration, and changes of units."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from monosafe.encode import DecodeMismatchError, decode, encode_switched, encode_traffic
+from monosafe.invariance import find_s_sequence
 from monosafe.milp import solve_milp, write_lp_format
 from monosafe.order import PolyLowerSet
 from monosafe.simulate import verify_certificate
@@ -35,11 +39,11 @@ def test_switched_size_formula(T, case1):
     n, n_modes = sys_.state_dim, len(sys_.controls)
     assert len(art.model.binary_indices) == T * n_modes
     assert art.model.num_vars == T * n_modes + (T + 1) * n
-    # rows: per step, one one-hot + 2 sandwich rows per mode per coordinate,
+    # rows: per step, one one-hot + 1 dynamics row per mode per coordinate,
     # plus safety rows (those with two or more nonzeros) for k < T and n
     # closure rows
     multi = int(np.sum(np.count_nonzero(S.A, axis=1) > 1))
-    assert art.model.num_constraints == T * (1 + 2 * n_modes * n) + T * multi + n
+    assert art.model.num_constraints == T * (1 + n_modes * n) + T * multi + n
 
 
 @pytest.mark.parametrize("T", [1, 3])
@@ -49,7 +53,7 @@ def test_switched_size_formula_mixed_safe_set(T, case1):
     S = PolyLowerSet(np.array([[1.0, 0.0], [1.0, 1.0]]), np.array([5.0, 8.0]))
     art = encode_switched(sys_, S, T)
     n, n_modes = sys_.state_dim, len(sys_.controls)
-    assert art.model.num_constraints == T * (1 + 2 * n_modes * n) + T * 1 + n
+    assert art.model.num_constraints == T * (1 + n_modes * n) + T * 1 + n
     for k in range(T + 1):
         assert [art.model.vars[art.x_idx[(k, i)]].ub for i in range(n)] == [5.0, 8.0]
 
@@ -57,13 +61,13 @@ def test_switched_size_formula_mixed_safe_set(T, case1):
 # sha256 of ``write_lp_format``: every coefficient, bound, name and row order
 @pytest.mark.parametrize("system, T, objective, digest", [
     ("case1", 3, "feasibility",
-     "212880df99a4da8beaca510347b618103c04e477f5ef115e2b1fc68acc0ba7fe"),
+     "1b7cb4876a769270ef5751f0881b488e4119f5ce658d2abdaa44f112002328b2"),
     ("case1", 3, "max_l1_x0",
-     "669fe67fcf232f548f0d713d8199080ad2564b552f4dc08984737621c7a0427f"),
+     "cf7ec65ad27357d8629ea2ad42381c5b2a990739015dc1e3ac9c9442d7ffa492"),
     ("traffic", 2, "feasibility",
-     "5b370913fc68f6af8c2e97a48bcd01026575b8589f3e06124a71515cc8101600"),
+     "8635f7d0f4ca82ff5c7f7386f97feefa2a87c0d1d926e55d5b3085552b0eaaa7"),
     ("traffic", 2, "max_l1_x0",
-     "b9be67be45b7b49b72bf69e3a3d94073e50ba947c04a1196ef3e019ba8f473fa"),
+     "1dc1c3b73e421f82fcd276f0f49a18394141223503ffa767172d8d4a2cea4dff"),
 ])
 def test_encoding_pinned(system, T, objective, digest, case1, traffic, tmp_path):
     if system == "case1":
@@ -81,9 +85,13 @@ def test_traffic_size_formula(T, traffic):
     net, _, _ = traffic
     art = encode_traffic(net, T)
     L, J, n = len(net.links), len(net.junctions), net.state_dim
-    assert len(art.model.binary_indices) == T * (J + L)
-    assert art.model.num_vars == (T + 1) * n + T * (J + L) + T * L
-    assert art.model.num_constraints == T * (4 * L + L) + n
+    # only a link with a nonzero outgoing turn gets a selector binary and
+    # its two lower rows; the bundled grid has 10 such links of 12
+    F = len({src for (src, _, ratio) in net.turns if ratio})
+    assert F == 10
+    assert len(art.model.binary_indices) == T * (J + F)
+    assert art.model.num_vars == (T + 1) * n + T * (J + L) + T * F
+    assert art.model.num_constraints == T * (2 * L + 2 * F + L) + n
 
 
 def test_case1_round_trip(case1):
@@ -145,9 +153,23 @@ def test_decode_rejects_corrupted_state(case1):
     sys_, S, _ = case1
     art = encode_switched(sys_, S, 7, objective="max_l1_x0")
     sol = solve_milp(art.model)
-    sol.x[art.x_idx[(3, 0)]] += 0.02      # poke one witness coordinate
+    sol.x[art.x_idx[(3, 0)]] -= 0.02      # poke one witness coordinate below the run
     with pytest.raises(DecodeMismatchError):
         decode(art, sol)
+
+
+def test_decode_accepts_state_above_simulation(case1):
+    # the model only asks x_{k+1} >= f(x_k): slack above the run is valid,
+    # and the certificate carries the simulated states, not the solver's
+    sys_, S, _ = case1
+    art = encode_switched(sys_, S, 7, objective="max_l1_x0")
+    sol = solve_milp(art.model)
+    exact = decode(art, sol)
+    sol.x[art.x_idx[(3, 0)]] += 0.02
+    cert = decode(art, sol)
+    assert cert.controls == exact.controls
+    assert all(np.array_equal(a, b) for a, b in zip(cert.x_star, exact.x_star))
+    assert verify_certificate(sys_, S, cert).passed
 
 
 def test_decode_rejects_fractional_binary(case1):
@@ -180,3 +202,177 @@ def test_encoder_input_validation(case1):
         encode_switched(sys_, S, 2, objective="nope")
     with pytest.raises(ValueError):
         encode_traffic(alternating_net(), 0)
+
+
+def random_positive_switched(seed):
+    """A small positive switched system whose modes each shrink some
+    coordinates and grow the others, so that closing a period may take a
+    mix of modes; the safe set is a box plus one coupling row."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    modes = []
+    for _ in range(int(rng.integers(2, 4))):
+        A = np.where(rng.random((n, n)) < 0.3, rng.uniform(0.0, 0.3, (n, n)), 0.0)
+        grow = rng.random(n) < 0.5
+        A[np.diag_indices(n)] = np.where(grow, rng.uniform(1.0, 1.6, n),
+                                         rng.uniform(0.1, 0.7, n))
+        modes.append(A.round(2))
+    w = rng.uniform(0.1, 1.0, n).round(2)
+    rows = np.vstack([np.eye(n), rng.uniform(0.0, 1.0, (1, n)).round(2)])
+    b = rng.uniform(4.0, 12.0, n + 1).round(2)
+    return SwitchedAffineSystem(modes, w), PolyLowerSet(rows, b)
+
+
+def turning_net():
+    # two junctions; link 1 feeds the short link 3, links 2-4 feed nothing.
+    # Holding vehicles back on link 1 would spare link 3, so a model that
+    # let z_1 fall below min(x_1, c_1) would overstate the max-l1 optimum
+    links = [
+        Link(id=1, direction=EW, head="a", c=8.0, x_s=30.0, w_star=1.5, entry=True),
+        Link(id=2, direction=NS, head="a", c=4.0, x_s=12.0, w_star=1.0, entry=True),
+        Link(id=3, direction=EW, head="b", c=4.0, x_s=10.0, w_star=0.5, entry=False),
+        Link(id=4, direction=NS, head="b", c=5.0, x_s=20.0, w_star=2.0, entry=True),
+    ]
+    return TrafficNetwork(links, ["a", "b"], [(1, 3, 0.8)])
+
+
+def _lp_max_l1(G, h, cap):
+    """max sum(x_0) over {0 <= x_0 <= cap : G x_0 <= h}, or None if empty."""
+    res = linprog(-np.ones(cap.shape[0]), A_ub=np.vstack(G), b_ub=np.concatenate(h),
+                  bounds=[(0.0, float(c)) for c in cap], method="highs")
+    return -res.fun if res.status == 0 else None
+
+
+def _best(values):
+    found = [v for v in values if v is not None]
+    return max(found) if found else None
+
+
+def _switched_oracle(sys_, S, T):
+    """Best max-l1 witness over every mode sequence, each an LP over x_0 on
+    the exact affine rollout x_k = Phi_k x_0 + psi_k; None if none closes."""
+    n = sys_.state_dim
+
+    def lp(seq):
+        Phi, psi, G, h = np.eye(n), np.zeros(n), [], []
+        for m in seq:
+            G.append(S.A @ Phi)
+            h.append(S.b - S.A @ psi)
+            A = sys_.modes[m - 1]
+            Phi, psi = A @ Phi, A @ psi + sys_.w_star
+        G.append(Phi - np.eye(n))
+        h.append(-psi)
+        return _lp_max_l1(G, h, S.coordinate_bounds())
+
+    return _best(lp(seq) for seq in itertools.product(sys_.controls, repeat=T))
+
+
+def _traffic_oracle(net, T):
+    """As ``_switched_oracle`` over every phase sequence and min branch: a
+    green link serves z = x while x <= c, or z = c while x >= c."""
+    n = net.state_dim
+    flow = -np.eye(n)                       # x+ = x + flow z + w
+    for (src, dst, ratio) in net.turns:
+        flow[net.link_index(dst), net.link_index(src)] += ratio
+
+    def lp(seq, at_c):
+        Phi, psi, G, h = np.eye(n), np.zeros(n), [], []
+        for u, branches in zip(seq, at_c):
+            G.append(Phi)
+            h.append(net.x_s - psi)
+            Zphi, zpsi = np.zeros((n, n)), np.zeros(n)
+            for i, full in zip(np.flatnonzero(net.green_mask(u)), branches):
+                if full:
+                    zpsi[i] = net.c[i]
+                    G.append(-Phi[i:i + 1])
+                    h.append([psi[i] - net.c[i]])
+                else:
+                    Zphi[i], zpsi[i] = Phi[i], psi[i]
+                    G.append(Phi[i:i + 1])
+                    h.append([net.c[i] - psi[i]])
+            Phi, psi = Phi + flow @ Zphi, psi + flow @ zpsi + net.w_star
+        G.append(Phi - np.eye(n))
+        h.append(-psi)
+        return _lp_max_l1(G, h, net.x_s)
+
+    def choices(seq):
+        greens = [int(np.count_nonzero(net.green_mask(u))) for u in seq]
+        return itertools.product(*(itertools.product((False, True), repeat=g)
+                                   for g in greens))
+
+    return _best(lp(seq, at_c) for seq in itertools.product(net.controls, repeat=T)
+                 for at_c in choices(seq))
+
+
+def _assert_matches_oracle(system, S, T, encode, want):
+    feas = solve_milp(encode(T).model)
+    art = encode(T, objective="max_l1_x0")
+    sol = solve_milp(art.model)
+    if want is None:
+        assert (feas.status, sol.status) == ("infeasible", "infeasible"), T
+        return
+    assert (feas.status, sol.status) == ("optimal", "optimal"), T
+    assert sol.objective == pytest.approx(want, rel=1e-7, abs=1e-7), T
+    assert verify_certificate(system, S, decode(art, sol)).passed
+    assert verify_certificate(system, S, decode(encode(T), feas)).passed
+
+
+def test_switched_encoding_matches_enumeration():
+    """The one-sided model has exactly the exact dynamics' witnesses: every
+    horizon's status, and the max-l1 optimum, match an enumeration of mode
+    sequences solved as LPs on the exact rollout."""
+    outcomes = set()
+    for seed in range(24):
+        sys_, S = random_positive_switched(seed)
+        for T in (1, 2, 3):
+            want = _switched_oracle(sys_, S, T)
+            _assert_matches_oracle(sys_, S, T,
+                                   lambda T, **kw: encode_switched(sys_, S, T, **kw), want)
+            outcomes.add((T, want is None))
+    # both answers occur at every horizon
+    assert outcomes == {(T, none) for T in (1, 2, 3) for none in (True, False)}
+
+
+@pytest.mark.parametrize("make_net, horizons", [(alternating_net, (1, 2, 3)),
+                                                (turning_net, (1, 2))])
+def test_traffic_encoding_matches_enumeration(make_net, horizons):
+    net = make_net()
+    outcomes = []
+    for T in horizons:
+        want = _traffic_oracle(net, T)
+        _assert_matches_oracle(net, net.safe_set(), T,
+                               lambda T, **kw: encode_traffic(net, T, **kw), want)
+        outcomes.append(want is None)
+    assert outcomes[0] and not outcomes[-1]
+
+
+def rescaled(sys_, S, scale):
+    """The same system in other units: ``w_star`` and ``b`` times ``scale``."""
+    return (SwitchedAffineSystem(sys_.modes, scale * np.asarray(sys_.w_star)),
+            PolyLowerSet(S.A, scale * S.b))
+
+
+def test_scaled_case1_finds_t7(case1):
+    """case1 in units 100 times smaller still has its minimal T=7 witness,
+    with 100 times the max-l1 optimum, under both objectives."""
+    sys_, S = rescaled(*case1[:2], 100.0)
+    for objective in ("max_l1_x0", "first_feasible"):
+        res = find_s_sequence(sys_, S, t_max=7, objective=objective)
+        assert res.found and res.minimal, objective
+        assert res.certificate.T == 7
+        assert verify_certificate(sys_, S, res.certificate).passed
+        if objective == "max_l1_x0":
+            assert np.sum(res.certificate.x_star[0]) == pytest.approx(5000.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_horizon_status_invariant_under_units(seed):
+    base = random_positive_switched(seed)
+
+    def statuses(scale):
+        sys_, S = rescaled(*base, scale)
+        return [solve_milp(encode_switched(sys_, S, T).model).status for T in (1, 2, 3)]
+
+    want = statuses(1.0)
+    for k in (1, 2, 3, 4):
+        assert statuses(10.0 ** k) == want, k

@@ -30,7 +30,7 @@ def test_sweep_finds_minimal_t7(case1_search):
 
 # traffic first-feasible proofs of T=1..3:
 # (nodes, pivots, refactorizations, Farkas leaves) per horizon
-TRAFFIC_PROOF_COUNTS = [(3, 43, 3, 1), (51, 173, 37, 11), (433, 1972, 288, 163)]
+TRAFFIC_PROOF_COUNTS = [(3, 43, 3, 1), (53, 212, 39, 16), (429, 1901, 306, 162)]
 
 
 def test_solver_counts_on_bundled_models(case1_search, traffic):
@@ -40,8 +40,8 @@ def test_solver_counts_on_bundled_models(case1_search, traffic):
     to their rounding shows here first."""
     assert [(r.nodes, r.pivots, r.refactorizations, r.farkas_leaves)
             for r in case1_search.records] == [
-        (3, 14, 3, 2), (7, 34, 6, 4), (15, 66, 12, 8), (31, 134, 24, 16), (63, 286, 48, 32),
-        (127, 579, 96, 64), (113, 489, 87, 55)]
+        (3, 14, 3, 2), (7, 34, 6, 4), (15, 66, 12, 8), (31, 135, 24, 16), (63, 283, 48, 32),
+        (127, 561, 96, 64), (113, 485, 87, 55)]
     res = find_s_sequence(traffic[0], t_max=3, objective="first_feasible")
     assert [r.status for r in res.records] == ["proven_infeasible"] * 3
     assert [(r.nodes, r.pivots, r.refactorizations, r.farkas_leaves)
