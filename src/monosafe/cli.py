@@ -24,8 +24,8 @@ from .invariance import (LimitCycleError, build_attractive_set, build_rcis,
                          compute_limit_cycle, find_s_sequence)
 from .milp import MilpError
 from .order import Box, PolyLowerSet
-from .simulate import (feedback, open_loop, simulate, uniform, verify_certificate,
-                       worst_case_w_star, write_trajectory_csv)
+from .simulate import (_fmt_control, feedback, open_loop, simulate, uniform,
+                       verify_certificate, worst_case_w_star, write_trajectory_csv)
 from .systems import TrafficNetwork, load_system_file, system_hash
 
 EXIT_OK = 0
@@ -166,9 +166,8 @@ def cmd_find(args):
 
 
 def _control_text(controls):
-    if controls and isinstance(controls[0], tuple):
-        return "; ".join(":".join(u) for u in controls)
-    return ",".join(str(u) for u in controls)
+    sep = "; " if controls and isinstance(controls[0], tuple) else ","
+    return sep.join(_fmt_control(u) for u in controls)
 
 
 def _write_points_csv(path, label, points):

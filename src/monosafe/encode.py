@@ -13,12 +13,16 @@ the model, and the max-l1 objective reads only ``x_0``.
 Mode selection (switched systems) and the served-flow min-terms (traffic)
 are linearized with per-constraint big-M disjunctions; each M is twice the
 bound-derived maximum of the term it relaxes, with no cap, so a relaxed row
-never cuts off an admissible state whatever the units of the data.
+never cuts off an admissible state whatever the units of the data.  The
+state caps ``S.coordinate_bounds()`` back those constants, so they matter
+only to negative answers: a positive answer stands on the re-simulated
+witness alone.
 
-``decode`` is deliberately paranoid: it reads the controls off the binaries,
+``decode`` trusts the solver for nothing but the controls and ``x_0``: it
 *re-simulates* the witness with the real step function, accepts solver
 states only at or above the simulation (to ``order.WITNESS_TOL``), and
-re-checks the cap, safety and closure on the simulated states.
+accepts the certificate only if ``simulate.verify_certificate`` -- the
+checker ``monosafe verify`` runs -- passes it.
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ import numpy as np
 
 from .certificate import SSequenceCertificate
 from .milp import INT_TOL, MilpModel, MilpSolution
-from .order import WITNESS_TOL, PolyLowerSet, leq
+from .order import WITNESS_TOL, PolyLowerSet
+from .simulate import verify_certificate
 from .systems import NS, EW, SwitchedAffineSystem, TrafficNetwork
 
 
@@ -40,7 +45,6 @@ class DecodeMismatchError(Exception):
 @dataclass
 class EncodingArtifacts:
     model: MilpModel
-    kind: str                       # "switched" | "traffic"
     T: int
     system: object
     safe_set: PolyLowerSet
@@ -68,8 +72,7 @@ def _witness_model(kind, system, S, T, objective, write_dynamics):
     if not np.all(np.isfinite(cap)):
         raise ValueError("safe set must bound every coordinate (big-M derivation)")
     model = MilpModel(f"{kind}_T{T}")
-    art = EncodingArtifacts(model=model, kind=kind, T=T, system=system,
-                            safe_set=S, state_cap=cap)
+    art = EncodingArtifacts(model=model, T=T, system=system, safe_set=S, state_cap=cap)
     for k in range(T + 1):
         for i in range(n):
             art.x_idx[(k, i)] = model.add_var(f"x_{k}_{i}", lb=0.0, ub=float(cap[i]))
@@ -84,7 +87,7 @@ def _witness_model(kind, system, S, T, objective, write_dynamics):
                              "<=", 0.0)
     if objective == "max_l1_x0":
         model.set_objective({art.x_idx[(0, i)]: 1.0 for i in range(n)}, "max")
-    elif objective == "feasibility":
+    elif objective == "first_feasible":
         model.set_objective({}, "min")
     else:
         raise ValueError(f"unknown objective {objective!r}")
@@ -93,7 +96,7 @@ def _witness_model(kind, system, S, T, objective, write_dynamics):
 
 
 def encode_switched(sys: SwitchedAffineSystem, S: PolyLowerSet, T: int,
-                    objective: str = "feasibility") -> EncodingArtifacts:
+                    objective: str = "first_feasible") -> EncodingArtifacts:
     """Big-M encoding with one-hot mode binaries per step."""
 
     def write_dynamics(art):
@@ -120,7 +123,7 @@ def encode_switched(sys: SwitchedAffineSystem, S: PolyLowerSet, T: int,
 
 
 def encode_traffic(net: TrafficNetwork, T: int,
-                   objective: str = "feasibility") -> EncodingArtifacts:
+                   objective: str = "first_feasible") -> EncodingArtifacts:
     """Big-M encoding of the served-flow min-terms and phase selection.
 
     Junction binaries use 1 = NS.  The green indicator of a link is the
@@ -178,19 +181,22 @@ def encode_traffic(net: TrafficNetwork, T: int,
 
 
 def decode(art: EncodingArtifacts, sol: MilpSolution) -> SSequenceCertificate:
-    """Extract controls, re-simulate the witness, and cross-check everything.
+    """Extract controls, re-simulate the witness, and verify the certificate.
 
     The simulation is authoritative: the certificate carries simulated
     states.  A solver state more than ``WITNESS_TOL`` below it (above is
-    the model's slack), or a cap, safety or closure violation of the
-    simulated witness, raises ``DecodeMismatchError``.
+    the model's slack) raises ``DecodeMismatchError``, and so does a
+    certificate that ``verify_certificate`` rejects; the message names each
+    failed condition.  The state caps need no check of their own: the gap
+    check puts the simulation below the solver's states plus
+    ``WITNESS_TOL``, and ``solve_milp`` re-checks those against their caps.
     """
     if sol.x is None:
         raise DecodeMismatchError(f"no assignment to decode (status {sol.status})")
     sys = art.system
     T = art.T
     controls = []
-    if art.kind == "switched":
+    if isinstance(sys, SwitchedAffineSystem):
         for k in range(T):
             vals = {m: sol.x[art.control_idx[(k, m)]] for m in sys.controls}
             m_best = max(vals, key=lambda m: vals[m])
@@ -206,7 +212,7 @@ def decode(art: EncodingArtifacts, sol: MilpSolution) -> SSequenceCertificate:
                     raise DecodeMismatchError(f"step {k}: junction {j} binary fractional: {v}")
                 phases.append(NS if round(v) == 1 else EW)
             controls.append(tuple(phases))
-    n = art.state_cap.shape[0]
+    n = sys.state_dim
     x = np.array([sol.x[art.x_idx[(0, i)]] for i in range(n)])
     states = [x]
     for k in range(T):
@@ -217,13 +223,11 @@ def decode(art: EncodingArtifacts, sol: MilpSolution) -> SSequenceCertificate:
         if gap > WITNESS_TOL:
             raise DecodeMismatchError(
                 f"step {k}: solver state lies {gap:.3g} below the re-simulation")
-    cap = art.state_cap
-    for k, xs in enumerate(states):
-        if np.any(xs > cap + WITNESS_TOL):
-            raise DecodeMismatchError(f"step {k}: re-simulated state exceeds the "
-                                      "bound backing the big-M constants")
-        if k < T and not art.safe_set.contains(xs, WITNESS_TOL):
-            raise DecodeMismatchError(f"step {k}: re-simulated witness leaves the safe set")
-    if not leq(states[T], states[0], WITNESS_TOL):
-        raise DecodeMismatchError("re-simulated witness violates closure x_T <= x_0")
-    return SSequenceCertificate(T=T, controls=tuple(controls), x_star=tuple(states))
+    cert = SSequenceCertificate(T=T, controls=tuple(controls), x_star=tuple(states))
+    report = verify_certificate(sys, art.safe_set, cert)
+    failed = [f"{name} (step {c.first_violation_step}, residual {c.worst_residual:.3g})"
+              for name, c in (("dynamics", report.dynamics), ("safety", report.safety),
+                              ("closure", report.closure)) if not c.passed]
+    if failed:
+        raise DecodeMismatchError("re-simulated witness fails " + ", ".join(failed))
+    return cert

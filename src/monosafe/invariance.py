@@ -1,4 +1,4 @@
-"""Periodic invariance: certificate search, RCIS, limit cycles, policies.
+"""Periodic invariance: certificate search, RCIS, limit cycles.
 
 A certificate with controls ``u*_0..u*_{T-1}`` and witness ``x*_0..x*_T``
 induces the robust controlled-invariant set  Omega* = U_k R(x*_k)  (union of
@@ -94,15 +94,13 @@ def find_s_sequence(system, safe_set=None, t_max=10, objective="max_l1_x0",
 
     ``objective`` is ``"max_l1_x0"`` (maximize the l1 norm of x*_0, proving
     optimality) or ``"first_feasible"`` (a zero objective, so the search
-    stops at the first integral point).
+    stops at the first integral point); the encoders take it as it is and
+    reject any other value with ``ValueError``.
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
     if not 1 <= t_min <= t_max:
         raise ValueError("need 1 <= t_min <= t_max")
-    if objective not in ("max_l1_x0", "first_feasible"):
-        raise ValueError(f"unknown objective {objective!r}")
-    enc_objective = "feasibility" if objective == "first_feasible" else "max_l1_x0"
 
     records = []
     certificate = None
@@ -125,7 +123,7 @@ def find_s_sequence(system, safe_set=None, t_max=10, objective="max_l1_x0",
                 continue
             n_slice = max(1, remaining_nodes // horizons_left)
 
-        art = _encode(system, safe_set, T, enc_objective)
+        art = _encode(system, safe_set, T, objective)
         if dump_lp is not None:
             write_lp_format(art.model, f"{dump_lp}_T{T}.lp")
         t0 = time.monotonic()

@@ -175,7 +175,6 @@ class MilpSolution:
     pivots: int = 0                 # simplex pivots, summed over all nodes
     refactorizations: int = 0       # basis refactorizations (``_refresh``)
     farkas_leaves: int = 0          # infeasible leaves closed by a checked Farkas row
-    duals: np.ndarray | None = None  # solve_lp only: one per model row
 
 
 # --------------------------------------------------------------------------
@@ -593,10 +592,6 @@ class _Simplex:
         """The current bounds of the structurals (fixings included)."""
         return self.lb_orig, self.lb_orig + self.U[:self.n]
 
-    def duals(self):
-        """One dual per model row: d(min c.x) / d rhs, in the row's own sign."""
-        return self._btran(self.c[self.basis])
-
 
 def _check_solution(A, rels, b, lb, ub, x, tol=FEAS_TOL):
     """True if ``x`` is finite and meets its bounds and every row to within ``tol``."""
@@ -630,11 +625,7 @@ def _farkas_certifies(y, A, rels, b, lo, hi, tol=FEAS_TOL):
 
 
 def solve_lp(model: MilpModel) -> MilpSolution:
-    """Solve the continuous relaxation of ``model`` (binaries in [0, 1]).
-
-    An optimal answer carries ``duals``, one per model row: the rate at
-    which the objective changes with that row's right-hand side.
-    """
+    """Solve the continuous relaxation of ``model`` (binaries in [0, 1])."""
     c, A, rels, b, lb, ub = model.dense()
     c_min = -c if model.sense == "max" else c
     sx = _Simplex(c_min, A, rels, b, lb, ub)
@@ -646,12 +637,9 @@ def solve_lp(model: MilpModel) -> MilpSolution:
     # hard re-check: never return an uncertified answer
     if not _check_solution(A, rels, b, lb, ub, x):
         raise NumericalBreakdownError("solution failed the independent re-check")
-    sgn = -1.0 if model.sense == "max" else 1.0
-    duals = sgn * sx.duals()
     # objective reported from the model's own coefficients, not the simplex's
     return MilpSolution(status="optimal", x=x, objective=float(c @ x), nodes=1,
-                        duals=duals, pivots=sx.pivots,
-                        refactorizations=sx.refactorizations)
+                        pivots=sx.pivots, refactorizations=sx.refactorizations)
 
 
 # --------------------------------------------------------------------------

@@ -32,11 +32,10 @@ name                             value  guards
                                         ``cooperative_bound_check``
 ``order.WITNESS_TOL``            1e-5   a witness against its re-simulation:
                                         how far ``decode`` lets a solver
-                                        state lie below the simulation, and
-                                        its cap, safety and closure
-                                        re-checks; ``verify_certificate``
-                                        when the certificate declares no
-                                        ``tol``
+                                        state lie below the simulation;
+                                        ``verify_certificate`` (which
+                                        ``decode`` also runs) when the
+                                        certificate declares no ``tol``
 ``milp.INT_TOL``                 1e-6   a binary's distance to {0, 1}:
                                         branching, incumbents, and
                                         ``decode`` reading mode one-hots and
@@ -189,8 +188,10 @@ class PolyLowerSet:
     def violation(self, x) -> float:
         """Worst constraint excess ``max(max_i (A x - b)_i, 0)``.
 
-        Zero for points inside the set; membership at tolerance ``tol``
-        is exactly ``violation(x) <= tol`` for nonnegative ``x``.
+        Zero for points inside the set.  For nonnegative ``x``,
+        ``violation(x) <= tol`` is ``contains(x, tol)`` up to rounding:
+        ``contains`` sums ``A x`` in column order and tests ``A x <= b + tol``,
+        so the two can disagree on a point within a few ulps of the boundary.
         """
         xv = np.asarray(x, dtype=float).reshape(-1)
         if xv.shape[0] != self.dim:

@@ -2,8 +2,10 @@
 
 This module is the independent oracle: everything here drives the system's
 own dynamics and never consults the optimizer, so solver output can be
-judged against it.  Certificate verification calls ``step`` at every
-transition.  A rollout checks its inputs once -- the initial state, the
+judged against it.  ``verify_certificate`` is the one certificate checker:
+``encode.decode`` accepts a solver's witness only through it, and
+``monosafe verify`` runs it on a saved certificate.  It calls ``step`` at
+every transition.  A rollout checks its inputs once -- the initial state, the
 adversary's whole disturbance block, each distinct control, and at the end
 every state -- and in between runs the same ``advance`` kernel that ``step``
 returns, so a trajectory is bit for bit the one a loop over ``step`` would
@@ -18,7 +20,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .certificate import SSequenceCertificate
-from .invariance import LimitCycle, Rcis
 from .order import WITNESS_TOL, BoxUnion, PolyLowerSet, as_rows, as_vector, leq
 from .rng import SplitMix64
 

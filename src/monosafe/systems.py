@@ -211,14 +211,6 @@ class TrafficNetwork(MonotoneSystem):
         """Read-only bool per link: green under control ``u``."""
         return self._green[self.check_control(u)]
 
-    def outflow(self, x, u, link_id) -> float:
-        """Served flow of one link: ``min(x, c)`` on green, 0 on red."""
-        i = self._link_index[link_id]
-        xv = as_vector(x, dim=self.state_dim, name="x")
-        if self.green_mask(u)[i]:
-            return float(min(xv[i], self.c[i]))
-        return 0.0
-
     def advance(self, x, w, u) -> np.ndarray:
         z = np.where(self._green[u], np.minimum(x, self.c), 0.0)
         return x - z + w + self._beta.T @ z

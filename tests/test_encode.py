@@ -1,5 +1,5 @@
-"""Big-M encodings: size formulas, pinned models, round-trips, decode paranoia,
-exactness against enumeration, and changes of units."""
+"""Big-M encodings: size formulas, pinned models, round-trips, decode's gap
+check and rejections, exactness against enumeration, and changes of units."""
 
 import hashlib
 import itertools
@@ -60,11 +60,11 @@ def test_switched_size_formula_mixed_safe_set(T, case1):
 
 # sha256 of ``write_lp_format``: every coefficient, bound, name and row order
 @pytest.mark.parametrize("system, T, objective, digest", [
-    ("case1", 3, "feasibility",
+    ("case1", 3, "first_feasible",
      "1b7cb4876a769270ef5751f0881b488e4119f5ce658d2abdaa44f112002328b2"),
     ("case1", 3, "max_l1_x0",
      "cf7ec65ad27357d8629ea2ad42381c5b2a990739015dc1e3ac9c9442d7ffa492"),
-    ("traffic", 2, "feasibility",
+    ("traffic", 2, "first_feasible",
      "8635f7d0f4ca82ff5c7f7386f97feefa2a87c0d1d926e55d5b3085552b0eaaa7"),
     ("traffic", 2, "max_l1_x0",
      "1dc1c3b73e421f82fcd276f0f49a18394141223503ffa767172d8d4a2cea4dff"),
@@ -170,6 +170,23 @@ def test_decode_accepts_state_above_simulation(case1):
     assert cert.controls == exact.controls
     assert all(np.array_equal(a, b) for a, b in zip(cert.x_star, exact.x_star))
     assert verify_certificate(sys_, S, cert).passed
+
+
+@pytest.mark.parametrize("x0, x1, condition", [((0.0, 0.0), (1.0, 1.0), "closure"),
+                                               ((20.0, 0.0), (1e3, 1e3), "safety")],
+                         ids=["closure", "safety"])
+def test_decode_rejects_unverified_witness(x0, x1, condition):
+    # solver states above the re-simulation pass the gap check, so the
+    # certificate checker alone must refuse a run that does not close, or
+    # one that starts outside S (and outside the state caps)
+    art = encode_switched(contraction_2d(), simplex_safe_set(10.0), 1, objective="max_l1_x0")
+    sol = solve_milp(art.model)
+    assert sol.status == "optimal"
+    for k, state in enumerate((x0, x1)):
+        for i, v in enumerate(state):
+            sol.x[art.x_idx[(k, i)]] = v
+    with pytest.raises(DecodeMismatchError, match=condition):
+        decode(art, sol)
 
 
 def test_decode_rejects_fractional_binary(case1):

@@ -1,4 +1,8 @@
-"""Simulation oracle: rolls, memberships, verification, dominance, CSV."""
+"""Simulation oracle: independence, rolls, memberships, verification, dominance, CSV."""
+
+import ast
+import importlib.util
+import pathlib
 
 import numpy as np
 import pytest
@@ -10,6 +14,22 @@ from monosafe.rng import SplitMix64
 from monosafe.simulate import (Adversary, Policy, dominance_check, feedback, gamma_excess,
                                open_loop, simulate, uniform, verify_certificate,
                                worst_case_w_star, write_trajectory_csv)
+
+
+def test_oracle_imports_no_optimizer():
+    """The oracle judges solver output, so it must not import the encoder,
+    the solver or the sweep; ``encode`` can then import it without a cycle."""
+    origin = importlib.util.find_spec("monosafe.simulate").origin
+    tree = ast.parse(pathlib.Path(origin).read_text())
+    local = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            local.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("monosafe"):
+            local.add(node.module)
+        elif isinstance(node, ast.Import):
+            local.update(a.name for a in node.names if a.name.startswith("monosafe"))
+    assert local == {"certificate", "order", "rng"}
 
 
 def test_worst_case_endpoint_matches_witness(case1, case1_cert):

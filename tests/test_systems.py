@@ -75,11 +75,10 @@ def test_traffic_turn_propagation():
 
 
 def test_traffic_outflow():
+    # with no turns, a link's served flow is x + w* - x+: min(x, c) on green, 0 on red
     net = mini_net()
-    assert net.outflow([10, 7], (NS,), 2) == 5.0
-    assert net.outflow([10, 7], (NS,), 1) == 0.0
-    assert net.outflow([10, 3], (EW,), 1) == 5.0
-    assert net.outflow([10, 3], (EW,), 2) == 0.0
+    for x, u, served in (([10, 7], (NS,), [0, 5]), ([10, 3], (EW,), [5, 0])):
+        assert np.array_equal(np.add(x, net.w_star) - net.step(x, net.w_star, u), served)
 
 
 def test_traffic_step_validation():
