@@ -3,12 +3,12 @@
 
 * verify the bundled reference plan against the network it was issued for
 * stress it with the constant worst-case demand for 500 periods
-* re-synthesize a plan from scratch under a node/time budget
+* re-synthesize a plan from scratch, sweeping up to the minimal horizon
 
 The same steps are available from the command line:
 
     python3 -m monosafe.cli verify --system traffic_table1.json --certificate cert_table2.json
-    python3 -m monosafe.cli find --system traffic_table1.json --tmin 5 --tmax 5 \
+    python3 -m monosafe.cli find --system traffic_table1.json --tmax 5 \
         --objective first-feasible --time-budget 120 --out out/
 """
 
@@ -41,17 +41,18 @@ def main():
     print(f"worst-case 2500-step run: all safe = {all(traj.safe)}, "
           f"peak queue {peak:.2f} (limit 60)")
 
-    # Synthesis from scratch.  T=1..4 have no plan.  Proving T=1..3
-    # infeasible takes 485 nodes and under a second, but T=4 alone takes
-    # 19,573 nodes and about 32 s (2-core Xeon, one BLAS thread), so jump
-    # straight to T=5 and take the first feasible plan.
-    print("\nsearching for a fresh T=5 plan (first-feasible, 120 s budget)...")
-    result = find_s_sequence(net, t_max=5, t_min=5,
-                             objective="first_feasible", time_budget=120.0)
-    rec = result.records[-1]
-    print(f"  status {rec.status} after {rec.nodes} nodes, {rec.elapsed:.1f} s")
+    # Synthesis from scratch, sweeping T=1,2,...  At every T <= 4 some
+    # junction cannot get the green steps its links' flow balance needs (at
+    # T=4, junctions a, c and f need 5 of 4), so the root LP proves each of
+    # those horizons infeasible, and T=5 is minimal.
+    print("\nsweeping T=1..5 for a fresh plan (first-feasible, 120 s budget)...")
+    result = find_s_sequence(net, t_max=5, objective="first_feasible", time_budget=120.0)
+    for rec in result.records:
+        print(f"  T={rec.T}: {rec.status} after {rec.nodes} nodes, {rec.elapsed:.2f} s")
     if result.found:
         fresh = result.certificate
+        print(f"  minimal horizon: T={fresh.T}" if result.minimal
+              else f"  plan at T={fresh.T}, minimality not proven")
         print(f"  fresh plan verifies: "
               f"{verify_certificate(net, safe_set, fresh).passed}")
         print("  fresh phases:",

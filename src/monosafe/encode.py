@@ -8,7 +8,10 @@ This inequality model is exact.  ``f`` is monotone (``SwitchedAffineSystem``
 requires ``A_u >= 0``, ``TrafficNetwork`` turn ratios in ``[0, 1]``), so the
 true run ``y`` from ``y_0 = x_0`` has ``y_k <= x_k``: it is safe, as ``S`` is
 a lower set, and ``y_T <= x_T <= x_0 = y_0``.  Every exact witness satisfies
-the model, and the max-l1 objective reads only ``x_0``.
+the model, and the max-l1 objective reads only ``x_0``.  A traffic model
+whose horizon the flow balance rules out also carries green-step count
+rows (``green_step_counts``); every exact witness meets them too, so they
+remove none.
 
 Mode selection (switched systems) and the served-flow min-terms (traffic)
 are linearized with per-constraint big-M disjunctions; each M is twice the
@@ -27,6 +30,7 @@ checker ``monosafe verify`` runs -- passes it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +40,10 @@ from .milp import INT_TOL, MilpModel, MilpSolution
 from .order import WITNESS_TOL, PolyLowerSet
 from .simulate import verify_certificate
 from .systems import NS, EW, SwitchedAffineSystem, TrafficNetwork
+
+
+# the objectives every encoder takes: maximize the l1 norm of x_0, or none
+OBJECTIVES = ("max_l1_x0", "first_feasible")
 
 
 class DecodeMismatchError(Exception):
@@ -65,6 +73,8 @@ def _witness_model(kind, system, S, T, objective, write_dynamics):
     """
     if T < 1:
         raise ValueError("horizon T must be >= 1")
+    if objective not in OBJECTIVES:
+        raise ValueError(f"unknown objective {objective!r}")
     n = system.state_dim
     if S.dim != n:
         raise ValueError("safe set dimension mismatch")
@@ -87,10 +97,8 @@ def _witness_model(kind, system, S, T, objective, write_dynamics):
                              "<=", 0.0)
     if objective == "max_l1_x0":
         model.set_objective({art.x_idx[(0, i)]: 1.0 for i in range(n)}, "max")
-    elif objective == "first_feasible":
-        model.set_objective({}, "min")
     else:
-        raise ValueError(f"unknown objective {objective!r}")
+        model.set_objective({}, "min")
     model.branch_first = list(art.control_idx.values())
     return art
 
@@ -134,6 +142,12 @@ def encode_traffic(net: TrafficNetwork, T: int,
     green, with a selector binary choosing the active min branch; any other
     ``z`` enters the state update only with a minus sign.  Safety is the
     box ``x <= x_s`` of ``net.safe_set()``: the state variables' caps.
+
+    At the model's end, a junction whose ``green_step_counts`` conflict
+    (``ns + ew > T``) gets the two rows ``ns <= sum_k u_k <= T - ew``, so
+    the root LP proves the horizon infeasible.  They are valid at every
+    horizon, but are written only there: a horizon with no conflict keeps
+    its model unchanged.
     """
     feeds = {net.link_index(src) for (src, _, ratio) in net.turns if ratio}
 
@@ -177,7 +191,58 @@ def encode_traffic(net: TrafficNetwork, T: int,
                         row[zq] = row.get(zq, 0.0) - ratio
                 model.add_constraint(row, ">=", float(net.w_star[i]))
 
-    return _witness_model("traffic", net, net.safe_set(), T, objective, write_dynamics)
+    art = _witness_model("traffic", net, net.safe_set(), T, objective, write_dynamics)
+    for j, (ns, ew) in green_step_counts(net, T).items():
+        if ns + ew > T:
+            steps = {art.control_idx[(k, j)]: 1.0 for k in range(T)}
+            art.model.add_constraint(steps, ">=", float(ns))
+            art.model.add_constraint(steps, "<=", float(T - ew))
+    return art
+
+
+def green_step_counts(net: TrafficNetwork, T: int) -> dict:
+    """Per junction, the fewest NS and the fewest EW green steps of a period.
+
+    Summing a link's state update over the period and applying the closure
+    ``x_T <= x_0`` gives the flow balance ``Z >= T w* + beta^T Z`` for the
+    served flows ``Z_i = sum_k z_{k,i}``.  As ``beta >= 0``, every iterate
+    of ``F <- T w* + beta^T F`` from ``F = 0`` is a lower bound on ``Z``,
+    turn cycles included; one sweep per link is taken.  A link serves at most
+    ``c_i`` per green step, so it needs ``ceil(F_i / c_i)`` of them (``T +
+    1``, i.e. more than the period has, if ``c_i = 0 < F_i``), and a
+    junction needs the largest count over its links of each direction:
+    ``{junction: (ns, ew)}``.  A junction with ``ns + ew > T`` rules the
+    horizon out (integer rounding of an aggregated row: Chvatal, 1973;
+    Marchand & Wolsey, 2001).
+
+    The arithmetic is exact over the data as written: each float is read
+    as its shortest decimal, ``Fraction(repr(v))``.  So ``3 * 0.1 / 0.1``
+    is 3, where floats give ``3.0000000000000004`` and a fourth step; and
+    ``3 * 3.2 / 9.6`` is 1, where the binary values of the floats exceed 1
+    by ``9e-17`` and would demand a second green step that a certificate
+    ``verify_certificate`` accepts does not take.
+    """
+    from fractions import Fraction  # imported here: only traffic encodings use it
+
+    def exact(v):
+        return Fraction(repr(float(v)))
+
+    links = net.links
+    arrivals = [T * exact(link.w_star) for link in links]
+    turns = [(net.link_index(s), net.link_index(d), exact(r)) for (s, d, r) in net.turns if r]
+    F = [Fraction(0)] * len(links)
+    for _ in links:
+        F_next = list(arrivals)
+        for q, i, r in turns:
+            F_next[i] += r * F[q]
+        F = F_next
+    counts = {j: [0, 0] for j in net.junctions}
+    for F_i, link in zip(F, links):
+        c = exact(link.c)
+        need = math.ceil(F_i / c) if c else (T + 1 if F_i else 0)
+        side = 0 if link.direction == NS else 1
+        counts[link.head][side] = max(counts[link.head][side], need)
+    return {j: tuple(v) for j, v in counts.items()}
 
 
 def decode(art: EncodingArtifacts, sol: MilpSolution) -> SSequenceCertificate:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificate import SSequenceCertificate
-from .encode import DecodeMismatchError, decode, encode_switched, encode_traffic
+from .encode import OBJECTIVES, DecodeMismatchError, decode, encode_switched, encode_traffic
 from .milp import NumericalBreakdownError, solve_milp, write_lp_format
 from .order import Box, BoxUnion, as_vector
 from .systems import TrafficNetwork
@@ -94,9 +94,11 @@ def find_s_sequence(system, safe_set=None, t_max=10, objective="max_l1_x0",
 
     ``objective`` is ``"max_l1_x0"`` (maximize the l1 norm of x*_0, proving
     optimality) or ``"first_feasible"`` (a zero objective, so the search
-    stops at the first integral point); the encoders take it as it is and
-    reject any other value with ``ValueError``.
+    stops at the first integral point): ``encode.OBJECTIVES``.  Any other
+    value raises ``ValueError`` before any horizon is tried.
     """
+    if objective not in OBJECTIVES:
+        raise ValueError(f"unknown objective {objective!r}")
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
     if not 1 <= t_min <= t_max:

@@ -1,9 +1,11 @@
+import copy
 import json
 from importlib import resources
 
 import pytest
 
 from monosafe.certificate import SSequenceCertificate
+from monosafe.encode import encode_traffic
 from monosafe.systems import load_system_file
 
 DATA = resources.files("monosafe.data")
@@ -34,3 +36,32 @@ def traffic_cert():
 @pytest.fixture(scope="session")
 def traffic_spec_dict():
     return json.loads((DATA / "traffic_table1.json").read_text())
+
+
+def _without_count_rows(art):
+    """A copy of a traffic encoding's model without the rows whose support
+    lies in the junction binaries.  Those are exactly its green-step count
+    rows, so what is left is the model as it was before them, rows in the
+    same order."""
+    controls = set(art.control_idx.values())
+    keep = [r for r, row in enumerate(art.model.rows) if not set(row) <= controls]
+    model = copy.copy(art.model)
+    model.rows = [art.model.rows[r] for r in keep]
+    model.rels = [art.model.rels[r] for r in keep]
+    model.rhs = [art.model.rhs[r] for r in keep]
+    return model
+
+
+@pytest.fixture(scope="session")
+def without_count_rows():
+    return _without_count_rows
+
+
+@pytest.fixture(scope="session")
+def deep_traffic_model(traffic):
+    """``T -> `` the bundled traffic model of horizon T without its count
+    rows: T=1..3 then take a real branch-and-bound search, which the tests
+    of warm starts, Farkas leaves and pinned counts need."""
+    def build(T, objective="first_feasible"):
+        return _without_count_rows(encode_traffic(traffic[0], T, objective=objective))
+    return build

@@ -3,12 +3,14 @@ check and rejections, exactness against enumeration, and changes of units."""
 
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from monosafe.encode import DecodeMismatchError, decode, encode_switched, encode_traffic
+from monosafe.encode import (DecodeMismatchError, decode, encode_switched, encode_traffic,
+                             green_step_counts)
 from monosafe.invariance import find_s_sequence
 from monosafe.milp import solve_milp, write_lp_format
 from monosafe.order import PolyLowerSet
@@ -58,7 +60,9 @@ def test_switched_size_formula_mixed_safe_set(T, case1):
         assert [art.model.vars[art.x_idx[(k, i)]].ub for i in range(n)] == [5.0, 8.0]
 
 
-# sha256 of ``write_lp_format``: every coefficient, bound, name and row order
+# sha256 of ``write_lp_format``: every coefficient, bound, name and row order.
+# "traffic" is the encoding without its green-step count rows, the model the
+# deep traffic tests search; "traffic+counts" is the whole encoding
 @pytest.mark.parametrize("system, T, objective, digest", [
     ("case1", 3, "first_feasible",
      "1b7cb4876a769270ef5751f0881b488e4119f5ce658d2abdaa44f112002328b2"),
@@ -68,15 +72,25 @@ def test_switched_size_formula_mixed_safe_set(T, case1):
      "8635f7d0f4ca82ff5c7f7386f97feefa2a87c0d1d926e55d5b3085552b0eaaa7"),
     ("traffic", 2, "max_l1_x0",
      "1dc1c3b73e421f82fcd276f0f49a18394141223503ffa767172d8d4a2cea4dff"),
+    ("traffic+counts", 2, "first_feasible",
+     "710ffc1902fc0e770b6ce90b2985aaef3bc33ae4f1b92f69a338d5e76774e99a"),
+    ("traffic+counts", 2, "max_l1_x0",
+     "be875d9e13ddcfa59c095874475fac691f49b1deb992d7a59fdff524ea70f2bc"),
+    # no junction's counts conflict at T=5, so the encoding has no count rows
+    ("traffic+counts", 5, "first_feasible",
+     "7e734f90cc3ac7b3e17a20d76457087b93429f7c7e58ea570c24ef54ed255c7e"),
 ])
-def test_encoding_pinned(system, T, objective, digest, case1, traffic, tmp_path):
+def test_encoding_pinned(system, T, objective, digest, case1, traffic, deep_traffic_model,
+                         tmp_path):
     if system == "case1":
         sys_, S, _ = case1
-        art = encode_switched(sys_, S, T, objective=objective)
+        model = encode_switched(sys_, S, T, objective=objective).model
+    elif system == "traffic":
+        model = deep_traffic_model(T, objective)
     else:
-        art = encode_traffic(traffic[0], T, objective=objective)
+        model = encode_traffic(traffic[0], T, objective=objective).model
     path = tmp_path / "model.lp"
-    write_lp_format(art.model, str(path))
+    write_lp_format(model, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
@@ -91,7 +105,109 @@ def test_traffic_size_formula(T, traffic):
     assert F == 10
     assert len(art.model.binary_indices) == T * (J + F)
     assert art.model.num_vars == (T + 1) * n + T * (J + L) + T * F
-    assert art.model.num_constraints == T * (2 * L + 2 * F + L) + n
+    # plus two count rows per junction whose green-step counts conflict:
+    # all six at T=1, and a, c and f at T=2
+    conflicting = {1: "abcdef", 2: "acf"}[T]
+    counts = green_step_counts(net, T)
+    assert "".join(j for j, (ns, ew) in counts.items() if ns + ew > T) == conflicting
+    assert art.model.num_constraints == T * (2 * L + 2 * F + L) + n + 2 * len(conflicting)
+
+
+def ns_steps(net, controls):
+    """Per junction, the number of steps ``controls`` give NS green."""
+    return {j: sum(u[jx] == NS for u in controls) for jx, j in enumerate(net.junctions)}
+
+
+def meets_counts(net, cert):
+    counts = green_step_counts(net, cert.T)
+    return all(counts[j][0] <= ns <= cert.T - counts[j][1]
+               for j, ns in ns_steps(net, cert.controls).items())
+
+
+def test_table2_plan_meets_the_counts(traffic, traffic_cert):
+    net = traffic[0]
+    assert green_step_counts(net, 5) == {"a": (3, 2), "b": (2, 2), "c": (3, 2),
+                                         "d": (2, 2), "e": (2, 3), "f": (3, 2)}
+    assert ns_steps(net, traffic_cert.controls) == {"a": 3, "b": 2, "c": 3,
+                                                    "d": 3, "e": 2, "f": 3}
+    assert meets_counts(net, traffic_cert)
+
+
+@pytest.mark.parametrize("ns_link, ew_link, T, counts", [
+    # float division rounds 3 * 0.1 / 0.1 up to 3.0000000000000004
+    ((0.1, 0.1, 1.0), None, 3, (3, 0)),
+    # the binary values of 3.2 and 9.6 give 3 * 3.2 / 9.6 = 1 + 9e-17
+    ((9.6, 3.2, 20.0), (3.0, 2.0, 20.0), 3, (1, 2)),
+])
+def test_green_step_counts_are_exact(ns_link, ew_link, T, counts):
+    """A flow balance that is a whole number of green steps in the data as
+    written needs that many, not one more: the horizon stays feasible."""
+    c, w, x_s = ns_link
+    assert math.ceil(T * w / c) == counts[0] + 1
+    links = [Link(id=1, direction=NS, head="a", c=c, x_s=x_s, w_star=w, entry=True)]
+    if ew_link:
+        c, w, x_s = ew_link
+        links.append(Link(id=2, direction=EW, head="a", c=c, x_s=x_s, w_star=w, entry=True))
+    net = TrafficNetwork(links, ["a"], [])
+    assert green_step_counts(net, T) == {"a": counts}
+    res = find_s_sequence(net, t_min=T, t_max=T, objective="first_feasible")
+    assert res.found
+    assert verify_certificate(net, net.safe_set(), res.certificate).passed
+    assert meets_counts(net, res.certificate)
+
+
+def random_small_net(seed):
+    """A seeded network of one to four junctions and two to five links, its
+    data on a 0.1 grid so that flow balances often land exactly on a whole
+    number of green steps.  A link receives turns from some links headed at
+    one junction, its tail, and is an entry link if it receives none."""
+    rng = np.random.default_rng(seed)
+    junctions = "abcd"[:int(rng.integers(1, 5))]
+    links = []
+    for i in range(int(rng.integers(2, 6))):
+        c = round(float(rng.uniform(2.0, 10.0)), 1)
+        links.append({"id": i + 1, "direction": (NS, EW)[int(rng.integers(2))],
+                      "head": junctions[i] if i < len(junctions)
+                      else junctions[int(rng.integers(len(junctions)))],
+                      "c": c, "x_s": round(c * float(rng.uniform(0.5, 3.0)), 1),
+                      "w_star": round(c * float(rng.uniform(0.0, 0.6)), 1)})
+    turns, out = [], {}
+    for dst in links:
+        if rng.random() < 0.5:
+            continue
+        tail = junctions[int(rng.integers(len(junctions)))]
+        for src in links:
+            ratio = round(float(rng.uniform(0.1, 0.6)), 1)
+            if (src["head"] == tail and src is not dst and rng.random() < 0.7
+                    and out.get(src["id"], 0.0) + ratio <= 1.0):
+                out[src["id"]] = out.get(src["id"], 0.0) + ratio
+                turns.append((src["id"], dst["id"], ratio))
+    receiving = {dst for (_, dst, _) in turns}
+    return TrafficNetwork([Link(entry=l["id"] not in receiving, **l) for l in links],
+                          list(junctions), turns)
+
+
+def test_count_rows_keep_every_status(without_count_rows):
+    """On seeded small networks the count rows change no horizon's status:
+    where they are written, the model without them is infeasible too.  And
+    every plan found meets the counts at every junction, rows written or
+    not, so the counts never exceed what a verified plan takes."""
+    seen = set()
+    for seed in range(40):
+        net = random_small_net(seed)
+        for T in (1, 2, 3):
+            art = encode_traffic(net, T)
+            sol = solve_milp(art.model)
+            bare = without_count_rows(art)
+            if len(bare.rows) < art.model.num_constraints:
+                assert (sol.status, solve_milp(bare).status) == ("infeasible",) * 2, (seed, T)
+                seen.add("rows")
+            else:
+                seen.add(sol.status)
+            if sol.status == "optimal":
+                assert meets_counts(net, decode(art, sol)), (seed, T)
+    # rows are written, and horizons without rows are feasible or not
+    assert seen == {"rows", "infeasible", "optimal"}
 
 
 def test_case1_round_trip(case1):

@@ -9,7 +9,7 @@ from monosafe.certificate import SSequenceCertificate
 from monosafe.invariance import (LimitCycleError, build_attractive_set, build_rcis,
                                  compute_limit_cycle, find_s_sequence, necessity_bound)
 from monosafe.order import PolyLowerSet
-from monosafe.simulate import feedback, open_loop
+from monosafe.simulate import feedback, open_loop, verify_certificate
 from monosafe.systems import SwitchedAffineSystem
 
 
@@ -28,34 +28,56 @@ def test_sweep_finds_minimal_t7(case1_search):
     assert [r.T for r in res.records] == list(range(1, 8))
 
 
-# traffic first-feasible proofs of T=1..3:
+# traffic first-feasible proofs of T=1..3 without the count rows:
 # (nodes, pivots, refactorizations, Farkas leaves) per horizon
 TRAFFIC_PROOF_COUNTS = [(3, 43, 3, 1), (53, 212, 39, 16), (429, 1901, 306, 162)]
 
 
-def test_solver_counts_on_bundled_models(case1_search, traffic):
+def test_solver_counts_on_bundled_models(case1_search, deep_traffic_model):
     """Pinned branch-and-bound node, pivot, refactorization and Farkas-leaf
     counts: the case-1 max-l1 sweep, and the traffic first-feasible proofs
-    of T=1..3.  A change to the pivoting rules, to the cold solve's start or
-    to their rounding shows here first."""
+    of T=1..3 searched without the count rows.  A change to the pivoting
+    rules, to the cold solve's start or to their rounding shows here
+    first."""
     assert [(r.nodes, r.pivots, r.refactorizations, r.farkas_leaves)
             for r in case1_search.records] == [
         (3, 14, 3, 2), (7, 34, 6, 4), (15, 66, 12, 8), (31, 135, 24, 16), (63, 283, 48, 32),
         (127, 561, 96, 64), (113, 485, 87, 55)]
-    res = find_s_sequence(traffic[0], t_max=3, objective="first_feasible")
-    assert [r.status for r in res.records] == ["proven_infeasible"] * 3
-    assert [(r.nodes, r.pivots, r.refactorizations, r.farkas_leaves)
-            for r in res.records] == TRAFFIC_PROOF_COUNTS
+    sols = [milp.solve_milp(deep_traffic_model(T)) for T in (1, 2, 3)]
+    assert [s.status for s in sols] == ["infeasible"] * 3
+    assert [(s.nodes, s.pivots, s.refactorizations, s.farkas_leaves)
+            for s in sols] == TRAFFIC_PROOF_COUNTS
 
 
-def test_failed_farkas_checks_fall_back_to_refactorization(traffic, monkeypatch):
+def test_failed_farkas_checks_fall_back_to_refactorization(deep_traffic_model, monkeypatch):
     """With every Farkas check failing, each infeasible leaf is refactorized
     and retried as before the check existed: the same nodes and pivots."""
     monkeypatch.setattr(milp, "_farkas_certifies", lambda *args: False)
-    res = find_s_sequence(traffic[0], t_max=3, objective="first_feasible")
-    assert [r.status for r in res.records] == ["proven_infeasible"] * 3
-    assert [(r.nodes, r.pivots) for r in res.records] == [c[:2] for c in TRAFFIC_PROOF_COUNTS]
-    assert all(r.farkas_leaves == 0 for r in res.records)
+    sols = [milp.solve_milp(deep_traffic_model(T)) for T in (1, 2, 3)]
+    assert [s.status for s in sols] == ["infeasible"] * 3
+    assert [(s.nodes, s.pivots) for s in sols] == [c[:2] for c in TRAFFIC_PROOF_COUNTS]
+    assert all(s.farkas_leaves == 0 for s in sols)
+
+
+def test_traffic_sweep_decides_t1_to_t4_at_the_root(traffic):
+    """The count rows make the root LP of T=1..4 infeasible, so the
+    first-feasible sweep proves each in one node, inside ``solve_milp``
+    (a horizon with no node would have no per-node cost to report), and
+    returns T=5 as minimal."""
+    net = traffic[0]
+    res = find_s_sequence(net, t_max=5, objective="first_feasible")
+    assert res.found and res.minimal and res.certificate.T == 5
+    assert [(r.T, r.status, r.solver_status, r.nodes) for r in res.records[:4]] == [
+        (T, "proven_infeasible", "infeasible", 1) for T in (1, 2, 3, 4)]
+    assert res.records[4].status == "found"
+    assert verify_certificate(net, net.safe_set(), res.certificate).passed
+
+
+def test_unknown_objective_rejected_before_any_horizon(case1):
+    # with no node to spend no horizon gets encoded, and the sweep still refuses
+    sys_, S, _ = case1
+    with pytest.raises(ValueError, match="unknown objective"):
+        find_s_sequence(sys_, S, t_max=2, objective="nope", node_budget=0)
 
 
 def test_sweep_with_tmin_forfeits_minimality(case1):

@@ -9,7 +9,6 @@ import pytest
 from scipy.optimize import linprog
 
 from monosafe import milp
-from monosafe.encode import encode_traffic
 from monosafe.milp import (_AT_LB, _AT_UB, _BASIC, EQ, FEAS_TOL, GEQ, LEQ, MilpError,
                            MilpModel, NumericalBreakdownError, _check_solution, _Simplex,
                            solve_lp, solve_milp, write_lp_format)
@@ -340,14 +339,14 @@ def test_branch_first_binaries_split_first():
         solve_milp(m)
 
 
-def test_traffic_nodes_are_warm_started(traffic):
+def test_traffic_nodes_are_warm_started(deep_traffic_model):
     """A cold solve of a traffic T=2 node takes about 67 pivots; warm
     children take a few, so a silent fallback to cold solves shows here.
     Refactorizations happen at optimal verdicts and at sibling restores
     whose factorization is not parked, fewer than one per node, so
-    refreshing per pivot shows here too."""
-    art = encode_traffic(traffic[0], 2, objective="first_feasible")
-    sol = solve_milp(art.model)
+    refreshing per pivot shows here too.  The model has no count rows,
+    which would close it at the root."""
+    sol = solve_milp(deep_traffic_model(2))
     assert sol.status == "infeasible"
     assert sol.nodes > 1 and 0 < sol.pivots < 20 * sol.nodes, (sol.nodes, sol.pivots)
     assert 0 < sol.refactorizations <= 2 * sol.nodes, (sol.nodes, sol.refactorizations)
