@@ -43,8 +43,9 @@ def main():
 
     # Synthesis from scratch, sweeping T=1,2,...  At every T <= 4 some
     # junction cannot get the green steps its links' flow balance needs (at
-    # T=4, junctions a, c and f need 5 of 4), so the root LP proves each of
-    # those horizons infeasible, and T=5 is minimal.
+    # T=4, junctions a, c and f need 5 of 4).  Its two count rows contradict,
+    # so the solver closes each of those horizons at the root without a
+    # pivot, and T=5 is minimal.
     print("\nsweeping T=1..5 for a fresh plan (first-feasible, 120 s budget)...")
     result = find_s_sequence(net, t_max=5, objective="first_feasible", time_budget=120.0)
     for rec in result.records:

@@ -131,7 +131,8 @@ def cmd_find(args):
                      f"{r.nodes} nodes, {r.pivots} pivots, "
                      f"{r.refactorizations} refactorizations, "
                      f"{r.farkas_leaves} Farkas leaves, {r.elapsed:.2f}s]"
-                     + (f" {r.failure}" if r.failure else ""))
+                     + (f" {r.failure}" if r.failure else "")
+                     + (_closed_by(r.parallel_rows) if r.parallel_rows else ""))
     if result.found:
         cert = dataclasses.replace(result.certificate, system_hash=digest)
         cert.save(os.path.join(out, "certificate.json"))
@@ -163,6 +164,12 @@ def cmd_find(args):
               + "; ".join(f"T={r.T} ({r.failure})" for r in result.failures),
               file=sys.stderr)
     return code
+
+
+def _closed_by(rows):
+    """The two contradicting rows, named as ``--dump-lp`` names them."""
+    return (f" closed by rows c{rows.lo_row} >= {rows.lo:.17g}"
+            f" and c{rows.hi_row} <= {rows.hi:.17g}")
 
 
 def _control_text(controls):

@@ -30,6 +30,7 @@ checker ``monosafe verify`` runs -- passes it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -144,10 +145,10 @@ def encode_traffic(net: TrafficNetwork, T: int,
     box ``x <= x_s`` of ``net.safe_set()``: the state variables' caps.
 
     At the model's end, a junction whose ``green_step_counts`` conflict
-    (``ns + ew > T``) gets the two rows ``ns <= sum_k u_k <= T - ew``, so
-    the root LP proves the horizon infeasible.  They are valid at every
-    horizon, but are written only there: a horizon with no conflict keeps
-    its model unchanged.
+    (``ns + ew > T``) gets the two rows ``ns <= sum_k u_k <= T - ew``; they
+    contradict, so ``solve_milp`` closes the root with no pivot and names
+    them.  They are valid at every horizon, but are written only there: a
+    horizon with no conflict keeps its model unchanged.
     """
     feeds = {net.link_index(src) for (src, _, ratio) in net.turns if ratio}
 
@@ -220,15 +221,30 @@ def green_step_counts(net: TrafficNetwork, T: int) -> dict:
     is 3, where floats give ``3.0000000000000004`` and a fourth step; and
     ``3 * 3.2 / 9.6`` is 1, where the binary values of the floats exceed 1
     by ``9e-17`` and would demand a second green step that a certificate
-    ``verify_certificate`` accepts does not take.
+    ``verify_certificate`` accepts does not take.  The floor is linear in
+    ``T``, so it is computed once per network, at ``T = 1``, and scaled.
     """
+    counts = {j: [0, 0] for j in net.junctions}
+    for steps, link in zip(_unit_green_steps(net), net.links):
+        need = T + 1 if steps is None else math.ceil(T * steps)
+        side = 0 if link.direction == NS else 1
+        counts[link.head][side] = max(counts[link.head][side], need)
+    return {j: tuple(v) for j, v in counts.items()}
+
+
+@functools.lru_cache(maxsize=1)
+def _unit_green_steps(net: TrafficNetwork) -> tuple:
+    """Per link, the exact flow floor of a period of length 1 over the
+    capacity: ``F_i / c_i`` green steps, None if ``c_i = 0 < F_i``.  The
+    floor iteration is linear from ``F = 0``, so at period T it is exactly
+    T times this."""
     from fractions import Fraction  # imported here: only traffic encodings use it
 
     def exact(v):
         return Fraction(repr(float(v)))
 
     links = net.links
-    arrivals = [T * exact(link.w_star) for link in links]
+    arrivals = [exact(link.w_star) for link in links]
     turns = [(net.link_index(s), net.link_index(d), exact(r)) for (s, d, r) in net.turns if r]
     F = [Fraction(0)] * len(links)
     for _ in links:
@@ -236,13 +252,8 @@ def green_step_counts(net: TrafficNetwork, T: int) -> dict:
         for q, i, r in turns:
             F_next[i] += r * F[q]
         F = F_next
-    counts = {j: [0, 0] for j in net.junctions}
-    for F_i, link in zip(F, links):
-        c = exact(link.c)
-        need = math.ceil(F_i / c) if c else (T + 1 if F_i else 0)
-        side = 0 if link.direction == NS else 1
-        counts[link.head][side] = max(counts[link.head][side], need)
-    return {j: tuple(v) for j, v in counts.items()}
+    capacities = [exact(link.c) for link in links]
+    return tuple(F_i / c if c else (None if F_i else 0) for F_i, c in zip(F, capacities))
 
 
 def decode(art: EncodingArtifacts, sol: MilpSolution) -> SSequenceCertificate:

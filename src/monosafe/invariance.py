@@ -18,7 +18,7 @@ import numpy as np
 
 from .certificate import SSequenceCertificate
 from .encode import OBJECTIVES, DecodeMismatchError, decode, encode_switched, encode_traffic
-from .milp import NumericalBreakdownError, solve_milp, write_lp_format
+from .milp import NumericalBreakdownError, ParallelRows, solve_milp, write_lp_format
 from .order import Box, BoxUnion, as_vector
 from .systems import TrafficNetwork
 
@@ -42,6 +42,7 @@ class HorizonRecord:
     refactorizations: int = 0  # basis refactorizations over all of the horizon's nodes
     farkas_leaves: int = 0     # infeasible leaves closed by a checked Farkas row
     failure: str = ""    # for "failed": the exception's class and message
+    parallel_rows: ParallelRows | None = None  # the two rows that closed the root, if any
 
 
 @dataclass(frozen=True)
@@ -148,7 +149,7 @@ def find_s_sequence(system, safe_set=None, t_max=10, objective="max_l1_x0",
                 status, failure = "failed", f"{type(exc).__name__}: {exc}"
         records.append(HorizonRecord(T, status, sol.status, sol.nodes, dt,
                                      sol.pivots, sol.refactorizations, sol.farkas_leaves,
-                                     failure))
+                                     failure, sol.parallel_rows))
         if certificate is not None:
             break
     minimal = (certificate is not None and t_min == 1

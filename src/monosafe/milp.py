@@ -45,7 +45,12 @@ refactorized once when popped.  Binaries a model lists in
 ``branch_first`` (the encoders list their control choices) are branched on
 before all others.  The search ends when no open node is left or when the
 incumbent meets the root LP's bound; with a zero objective, as in the
-encoders' feasibility models, that is the first integral point.
+encoders' feasibility models, that is the first integral point.  Before the
+root's cold solve, rows with identical coefficients are compared: a largest
+lower right-hand side above the smallest upper one by more than the two
+rows' re-check tolerances together decides the root infeasible with no
+pivot, and the two rows are reported (Andersen & Andersen, *Presolving in
+linear programming*, 1995).
 
 Every answer the solver returns is independently re-checked against the
 original constraints before it leaves this module, and every node's LP
@@ -57,6 +62,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -165,6 +171,16 @@ class MilpModel:
         return c, A, list(self.rels), np.array(self.rhs, dtype=float), lb, ub
 
 
+class ParallelRows(NamedTuple):
+    """Two rows with the same coefficients that no point meets to within
+    ``FEAS_TOL`` each: row ``lo_row`` (">=" or "=") asks at least ``lo``,
+    row ``hi_row`` ("<=" or "=") at most ``hi``, and ``lo - hi > 2 FEAS_TOL``."""
+    lo_row: int
+    hi_row: int
+    lo: float
+    hi: float
+
+
 @dataclass
 class MilpSolution:
     status: str                     # optimal | feasible_budget_hit | infeasible |
@@ -175,6 +191,7 @@ class MilpSolution:
     pivots: int = 0                 # simplex pivots, summed over all nodes
     refactorizations: int = 0       # basis refactorizations (``_refresh``)
     farkas_leaves: int = 0          # infeasible leaves closed by a checked Farkas row
+    parallel_rows: ParallelRows | None = None  # the rows that closed an infeasible root
 
 
 # --------------------------------------------------------------------------
@@ -624,6 +641,27 @@ def _farkas_certifies(y, A, rels, b, lo, hi, tol=FEAS_TOL):
     return False
 
 
+def _parallel_rows(model: MilpModel) -> ParallelRows | None:
+    """The first group of rows with identical coefficients whose largest
+    lower right-hand side exceeds its smallest upper one by more than
+    ``2 FEAS_TOL``, or None.  Past that gap no point passes the independent
+    re-check, which lets each row miss by ``FEAS_TOL``; a smaller gap is
+    left to the simplex.  Rows are compared as written, without scaling."""
+    lower, upper = {}, {}   # coefficients -> (rhs, row) of the tightest bound
+    for i, (row, rel, rhs) in enumerate(zip(model.rows, model.rels, model.rhs)):
+        key = frozenset(row.items())
+        if rel != LEQ and (key not in lower or rhs > lower[key][0]):
+            lower[key] = (rhs, i)
+        if rel != GEQ and (key not in upper or rhs < upper[key][0]):
+            upper[key] = (rhs, i)
+    for key, (lo, i) in lower.items():
+        if key in upper:
+            hi, k = upper[key]
+            if lo - hi > 2.0 * FEAS_TOL:
+                return ParallelRows(i, k, lo, hi)
+    return None
+
+
 def solve_lp(model: MilpModel) -> MilpSolution:
     """Solve the continuous relaxation of ``model`` (binaries in [0, 1])."""
     c, A, rels, b, lb, ub = model.dense()
@@ -657,15 +695,19 @@ def solve_milp(model: MilpModel, node_budget: int | None = None,
     node (Achterberg, *Constraint integer programming*, 2007): with a zero
     objective the first integral point ends the search.
 
-    The root LP is solved cold; every other node is re-optimized by the dual
-    simplex from its parent's optimal basis.  The nearest-integer child
-    continues on the live simplex at once; its sibling waits on the stack as
-    a basis snapshot and, when popped, takes over the parked factorization
-    if it is the latest snapshot, else is refactorized.  Branching follows the
-    most fractional binary among ``model.branch_first``, and the most
-    fractional binary overall once those are all integral (lowest index on
-    ties).  Everything is deterministic, and every node's LP answer passes
-    the independent re-check before it is used.
+    The root is first checked for two rows with identical coefficients
+    whose bounds contradict (``_parallel_rows``): such a pair makes the root
+    infeasible with no simplex built and no pivot, and is reported as
+    ``parallel_rows``.  Otherwise the root LP is solved cold; every other
+    node is re-optimized by the dual simplex from its parent's optimal
+    basis.  The nearest-integer child continues on the live simplex at once;
+    its sibling waits on the stack as a basis snapshot and, when popped,
+    takes over the parked factorization if it is the latest snapshot, else
+    is refactorized.  Branching follows the most fractional binary among
+    ``model.branch_first``, and the most fractional binary overall once
+    those are all integral (lowest index on ties).  Everything is
+    deterministic, and every node's LP answer passes the independent
+    re-check before it is used.
     """
     if not set(model.branch_first) <= set(model.binary_indices):
         raise MilpError("branch_first may only list binary variables")
@@ -675,13 +717,14 @@ def solve_milp(model: MilpModel, node_budget: int | None = None,
     first = np.isin(bins, list(model.branch_first))
     t0 = time.monotonic()
     sign = 1.0 if model.sense == "max" else -1.0  # internal: maximize sign*obj
-    sx = _Simplex(-sign * c, A, rels, b, lb0, ub0)
+    sx = None               # the live simplex, built when the root needs a solve
 
     best_x, best_obj = None, -np.inf
     root_bound = np.inf     # the root LP's optimum bounds every node
     nodes = 0
     exhausted = False
     unbounded = False
+    parallel = None
     # entries: None for the root, else (snapshot, j, val) = the node the
     # snapshot records with binary j fixed to val; snapshot None means the
     # live simplex's own node, whose entry is always the next one popped
@@ -695,7 +738,12 @@ def solve_milp(model: MilpModel, node_budget: int | None = None,
             break
         entry = stack.pop()
         if entry is None:
-            status = sx.solve()
+            parallel = _parallel_rows(model)
+            if parallel is None:
+                sx = _Simplex(-sign * c, A, rels, b, lb0, ub0)
+                status = sx.solve()
+            else:
+                status = "infeasible"
         else:
             snap, j, val = entry
             if snap is not None:
@@ -732,12 +780,15 @@ def solve_milp(model: MilpModel, node_budget: int | None = None,
         stack.append((sx.snapshot(), j, 1.0 - preferred))
         stack.append((None, j, preferred))   # popped next: the live simplex
 
-    done = dict(nodes=nodes, pivots=sx.pivots,
-                refactorizations=sx.refactorizations, farkas_leaves=sx.farkas_leaves)
+    done = dict(nodes=nodes)
+    if sx is not None:
+        done.update(pivots=sx.pivots, refactorizations=sx.refactorizations,
+                    farkas_leaves=sx.farkas_leaves)
     if unbounded:
         return MilpSolution(status="unbounded", **done)
     if best_x is None:
-        return MilpSolution(status="budget_unknown" if exhausted else "infeasible", **done)
+        return MilpSolution(status="budget_unknown" if exhausted else "infeasible",
+                            parallel_rows=parallel, **done)
     # hard re-check of the incumbent, integrality included
     if not _check_solution(A, rels, b, lb0, ub0, best_x):
         raise NumericalBreakdownError("incumbent failed the independent re-check")

@@ -8,6 +8,7 @@ import pathlib
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 
 import pytest
@@ -66,6 +67,50 @@ def test_find_summary_reports_pivots(tmp_path, capsys):
     assert [(m[1], m[2], m[3]) for m in records] == [
         ("1", "proven_infeasible", "infeasible"), ("2", "proven_infeasible", "infeasible")]
     assert all(int(m[5]) > 0 and int(m[6]) > 0 and int(m[7]) > 0 for m in records)
+
+
+def _lp_rows(path):
+    """``{row: (terms, relation, rhs)}`` of a ``--dump-lp`` file, the terms
+    ``{variable: coefficient}`` and the right-hand side as exact fractions."""
+    rows = {}
+    for line in path.read_text().splitlines():
+        m = re.match(r"^ c(\d+): (.*) (<=|>=|=) (\S+)$", line)
+        if not m:
+            continue
+        terms, sign, tokens = {}, 1, m[2].split()
+        while tokens:
+            token = tokens.pop(0)
+            if token in "+-":
+                sign = -1 if token == "-" else 1
+                continue
+            terms[tokens.pop(0)] = sign * Fraction(token)
+            sign = 1
+        rows[int(m[1])] = (terms, m[3], Fraction(m[4]))
+    return rows
+
+
+def test_closed_horizons_name_contradicting_rows(tmp_path, capsys):
+    """Each traffic horizon closed at the root names its two rows; in the
+    dumped model they have the same terms, one asks at least what the other
+    allows at most, and the first bound exceeds the second in exact
+    arithmetic.  The negative answer is checked without the solver."""
+    out = tmp_path / "closed"
+    assert main(["find", "--system", "traffic_table1.json", "--tmax", "3",
+                 "--objective", "first-feasible", "--dump-lp", "--out", str(out)]) == 2
+    capsys.readouterr()
+    closed = [re.match(r"^\s+T=(\d+): proven_infeasible\s+\[infeasible, 1 nodes, 0 pivots, "
+                       r".*\] closed by rows c(\d+) >= (\S+) and c(\d+) <= (\S+)$", line)
+              for line in (out / "summary.txt").read_text().splitlines()]
+    closed = [m for m in closed if m]
+    assert [m[1] for m in closed] == ["1", "2", "3"]
+    for m in closed:
+        rows = _lp_rows(out / f"model_T{m[1]}.lp")
+        lo_terms, lo_rel, lo = rows[int(m[2])]
+        hi_terms, hi_rel, hi = rows[int(m[4])]
+        assert lo_terms == hi_terms and lo_terms
+        assert lo_rel in (">=", "=") and hi_rel in ("<=", "=")
+        assert (lo, hi) == (Fraction(m[3]), Fraction(m[5]))
+        assert lo > hi
 
 
 @pytest.mark.parametrize("target, exc", [

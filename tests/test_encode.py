@@ -4,6 +4,7 @@ check and rejections, exactness against enumeration, and changes of units."""
 import hashlib
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -208,6 +209,44 @@ def test_count_rows_keep_every_status(without_count_rows):
                 assert meets_counts(net, decode(art, sol)), (seed, T)
     # rows are written, and horizons without rows are feasible or not
     assert seen == {"rows", "infeasible", "optimal"}
+
+
+def reference_green_step_counts(net, T):
+    """The flow floor iterated afresh at period T, in exact arithmetic:
+    ``F <- T w* + beta^T F`` from ``F = 0``, one sweep per link."""
+    def exact(v):
+        return Fraction(repr(float(v)))
+
+    F = [Fraction(0)] * len(net.links)
+    for _ in net.links:
+        F_next = [T * exact(link.w_star) for link in net.links]
+        for (src, dst, ratio) in net.turns:
+            F_next[net.link_index(dst)] += exact(ratio) * F[net.link_index(src)]
+        F = F_next
+    counts = {j: [0, 0] for j in net.junctions}
+    for F_i, link in zip(F, net.links):
+        c = exact(link.c)
+        need = math.ceil(F_i / c) if c else (T + 1 if F_i else 0)
+        side = 0 if link.direction == NS else 1
+        counts[link.head][side] = max(counts[link.head][side], need)
+    return {j: tuple(v) for j, v in counts.items()}
+
+
+def test_scaled_unit_floor_matches_the_iteration_at_each_period(traffic):
+    """``green_step_counts`` scales a floor computed once per network at
+    T=1; it gives the counts of the iteration run at each T, on the bundled
+    grid, on the seeded networks above and on a junction whose links have
+    no capacity, networks alternating so that the one-network cache is
+    refilled."""
+    blocked = TrafficNetwork(
+        [Link(id=1, direction=NS, head="a", c=0.0, x_s=5.0, w_star=1.0, entry=True),
+         Link(id=2, direction=EW, head="a", c=0.0, x_s=5.0, w_star=0.0, entry=True)],
+        ["a"], [])
+    nets = [traffic[0], blocked] + [random_small_net(seed) for seed in range(40)]
+    for T in range(1, 13):
+        assert green_step_counts(blocked, T) == {"a": (T + 1, 0)}
+        for k, net in enumerate(nets):
+            assert green_step_counts(net, T) == reference_green_step_counts(net, T), (k, T)
 
 
 def test_case1_round_trip(case1):

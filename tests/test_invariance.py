@@ -60,16 +60,18 @@ def test_failed_farkas_checks_fall_back_to_refactorization(deep_traffic_model, m
 
 
 def test_traffic_sweep_decides_t1_to_t4_at_the_root(traffic):
-    """The count rows make the root LP of T=1..4 infeasible, so the
-    first-feasible sweep proves each in one node, inside ``solve_milp``
-    (a horizon with no node would have no per-node cost to report), and
-    returns T=5 as minimal."""
+    """The count rows contradict each other at T=1..4, so the first-feasible
+    sweep proves each in one node with no pivot: ``solve_milp`` compares the
+    two rows before any simplex is built.  The decision stays inside
+    ``solve_milp`` (a horizon with no node would have no per-node cost to
+    report), and T=5 is returned as minimal."""
     net = traffic[0]
     res = find_s_sequence(net, t_max=5, objective="first_feasible")
     assert res.found and res.minimal and res.certificate.T == 5
-    assert [(r.T, r.status, r.solver_status, r.nodes) for r in res.records[:4]] == [
-        (T, "proven_infeasible", "infeasible", 1) for T in (1, 2, 3, 4)]
-    assert res.records[4].status == "found"
+    assert [(r.T, r.status, r.solver_status, r.nodes, r.pivots) for r in res.records[:4]] == [
+        (T, "proven_infeasible", "infeasible", 1, 0) for T in (1, 2, 3, 4)]
+    assert all(r.parallel_rows is not None for r in res.records[:4])
+    assert res.records[4].status == "found" and res.records[4].parallel_rows is None
     assert verify_certificate(net, net.safe_set(), res.certificate).passed
 
 

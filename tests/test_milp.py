@@ -298,6 +298,84 @@ def test_first_feasible_zero_objective_matches_enumeration():
     assert found >= 20 and infeasible >= 10, (found, infeasible)
 
 
+@pytest.mark.parametrize("rel", [GEQ, LEQ])
+@pytest.mark.parametrize("shift", [0.0, FEAS_TOL, -FEAS_TOL, 3 * FEAS_TOL, -3 * FEAS_TOL,
+                                   1.0, -1.0])
+def test_parallel_rows_never_change_a_status(rel, shift, monkeypatch):
+    """A model's first row copied with relation ``rel``, its right-hand side
+    moved by ``shift``, and the original row given the other relation.  The
+    status is the one the simplex finds with the check switched off.  A gap
+    ``lo - hi`` over ``2 FEAS_TOL`` closes the root with no pivot and names
+    the pair; a smaller one is left to the simplex, which then runs as if
+    the check did not exist."""
+    rng = np.random.default_rng(37)
+    gap = shift if rel == GEQ else -shift
+    used = pivoted = 0
+    for k in range(30):
+        mdl, _ = _random_milp(rng, k)
+        model = _with_bounds(mdl, {})
+        # the copy must be the first row's only twin
+        if not model.rows[0] or model.rows.count(model.rows[0]) > 1 or \
+                milp._parallel_rows(model) is not None:
+            continue
+        model.rels[0] = LEQ if rel == GEQ else GEQ
+        model.add_constraint(model.rows[0], rel, model.rhs[0] + shift)
+        got = solve_milp(model)
+        with monkeypatch.context() as patch:
+            patch.setattr(milp, "_parallel_rows", lambda model: None)
+            ref = solve_milp(model)
+        assert got.status == ref.status, (k, got.status, ref.status)
+        if gap > 2 * FEAS_TOL:
+            copy = model.num_constraints - 1
+            assert got.parallel_rows[:2] == ((copy, 0) if rel == GEQ else (0, copy)), k
+            assert (got.nodes, got.pivots, got.refactorizations) == (1, 0, 0), k
+        else:
+            # a simplex was built (its first factorization counts) and ran
+            # exactly as without the check
+            assert got.parallel_rows is None and got.refactorizations > 0, k
+            assert (got.nodes, got.pivots, got.refactorizations) == \
+                (ref.nodes, ref.pivots, ref.refactorizations), k
+            assert (got.x is None) == (ref.x is None), k
+            assert got.x is None or np.array_equal(got.x, ref.x), k
+            pivoted += got.pivots > 0
+        used += 1
+    assert used >= 20
+    if gap <= 2 * FEAS_TOL:
+        # the simplex ran; a model whose first basis already decides it makes no pivot
+        assert pivoted >= used - 3, (pivoted, used)
+
+
+def test_parallel_rows_group_rows_by_exact_coefficients():
+    """Rows pair only when every coefficient is equal; the largest lower and
+    the smallest upper right-hand side of a group are compared, and an
+    equation bounds its group from both sides."""
+    m = MilpModel("groups")
+    m.add_var("x", ub=10.0); m.add_var("y", ub=10.0)
+    m.add_constraint({0: 1.0, 1: 1.0}, LEQ, 5.0)
+    m.add_constraint({0: 1.0, 1: 2.0}, GEQ, 9.0)       # other coefficients: no pair
+    m.add_constraint({1: 1.0, 0: 1.0}, GEQ, 4.0)
+    assert milp._parallel_rows(m) is None
+    m.add_constraint({0: 1.0, 1: 1.0}, LEQ, 3.0)
+    m.add_constraint({0: 1.0, 1: 1.0}, EQ, 4.5)
+    assert milp._parallel_rows(m) == milp.ParallelRows(4, 3, 4.5, 3.0)
+    sol = solve_milp(m)
+    assert sol.status == "infeasible" and sol.parallel_rows == (4, 3, 4.5, 3.0)
+
+
+def test_parallel_rows_respect_the_budgets():
+    """The check runs where the root is popped: a zero budget stops before
+    it, with no node and no pair."""
+    m = MilpModel("budget")
+    m.add_var("b", binary=True)
+    m.add_constraint({0: 1.0}, GEQ, 1.0)
+    m.add_constraint({0: 1.0}, LEQ, 0.0)
+    for budget in (dict(node_budget=0), dict(time_budget=0.0)):
+        sol = solve_milp(m, **budget)
+        assert (sol.status, sol.nodes, sol.parallel_rows) == ("budget_unknown", 0, None)
+    sol = solve_milp(m, node_budget=1)
+    assert (sol.status, sol.nodes, sol.pivots) == ("infeasible", 1, 0)
+
+
 def test_search_stops_when_incumbent_meets_root_bound():
     """max y with y <= 2b: the root LP stops at b = 0.5, y = 1.  The child
     b = 1 is integral with y = 1, the root bound, so the search ends there
