@@ -217,22 +217,23 @@ def compute_limit_cycle(sys, cert: SSequenceCertificate, tol: float = 1e-9,
     controls = [sys.check_control(u) for u in cert.controls]
     advance = sys.advance
     first_tol = max(tol, cert.tol) if cert.tol is not None else tol
-    phase = [as_vector(x, n, "x") for x in cert.x_star[:T]]
+    # the T phase states of the last period, and a buffer for the next one
+    phase = np.array([as_vector(x, n, "x") for x in cert.x_star[:T]])
+    new = np.empty_like(phase)
     violations = 0
     residual = np.inf
     for period in range(1, max_periods + 1):
         x = advance(phase[T - 1], w, controls[T - 1])
-        new = []
         for k in range(T):
-            new.append(x)
+            new[k] = x
             x = advance(x, w, controls[k])
-        residual = max(float(np.max(np.abs(new[k] - phase[k]))) for k in range(T))
+        residual = float(np.max(np.abs(new - phase)))
         if not np.isfinite(residual):
             raise LimitCycleError(
                 f"the period iteration overflowed after {period} periods", residual)
         thresh = first_tol if period == 1 else tol
-        violations += sum(bool(np.any(new[k] > phase[k] + thresh)) for k in range(T))
-        phase = new
+        violations += int(np.count_nonzero((new > phase + thresh).any(axis=1)))
+        phase, new = new, phase
         if residual < tol:
             cycle = LimitCycle(
                 points=tuple(p.copy() for p in phase),

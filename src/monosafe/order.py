@@ -17,7 +17,13 @@ All membership predicates are *closed* (boundary points are inside) and take
 an explicit tolerance so that exact arithmetic and solver output can be
 compared with different slack.  ``contains`` takes one point and returns a
 ``bool``, or an ``(m, n)`` array of points and returns one bool per row;
-each row's answer is the one its point gets alone.
+each row's answer is the one its point gets alone.  ``BoxUnion.locate``
+answers one point, the smallest index of a box holding it, on Python
+floats: one list conversion, then a scan of the corners plus the
+tolerance (summed once, when the union is built, for ``DEFAULT_TOL``) that
+leaves each box at its first failed coordinate.  A feedback rollout asks
+it once per step, and a dozen floats are cheaper to compare one by one
+than to hand to numpy.
 
 Every tolerance in the package, and the comparison it guards:
 
@@ -224,6 +230,8 @@ class BoxUnion:
     boxes: tuple = field(default_factory=tuple)
     #: the corners as one (boxes, n) matrix
     corners: np.ndarray = field(init=False, repr=False, compare=False)
+    #: ``corners + DEFAULT_TOL`` as nested lists of floats, for ``locate``
+    _bounds: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         boxes = tuple(b if isinstance(b, Box) else Box(b) for b in self.boxes)
@@ -234,6 +242,7 @@ class BoxUnion:
             raise ValueError(f"boxes must share a dimension, got {sorted(dims)}")
         object.__setattr__(self, "boxes", boxes)
         object.__setattr__(self, "corners", np.array([b.corner for b in boxes]))
+        object.__setattr__(self, "_bounds", (self.corners + DEFAULT_TOL).tolist())
 
     @property
     def dim(self) -> int:
@@ -243,14 +252,27 @@ class BoxUnion:
         return len(self.boxes)
 
     def locate(self, x, tol: float = DEFAULT_TOL) -> int | None:
-        """Smallest index ``p`` with the point ``x`` in ``boxes[p]``, or ``None``."""
-        xv = np.asarray(x, dtype=float).reshape(-1)
-        if xv.shape[0] != self.dim:
-            raise ValueError(f"dimension mismatch: {xv.shape[0]} vs {self.dim}")
-        if not (xv >= -tol).all():
-            return None
-        hits = (xv <= self.corners + tol).all(axis=1)
-        return int(hits.argmax()) if hits.any() else None
+        """Smallest index ``p`` with the point ``x`` in ``boxes[p]``, or ``None``.
+
+        Answered on Python floats (see the module docstring).  A float sum
+        ``corner + tol`` rounds as numpy's does, and every test is a negated
+        ``<=`` or ``>=``, so a NaN coordinate is outside, as in ``contains``.
+        """
+        xs = np.asarray(x, dtype=float).reshape(-1).tolist()
+        if len(xs) != self.dim:
+            raise ValueError(f"dimension mismatch: {len(xs)} vs {self.dim}")
+        low = -tol
+        for v in xs:
+            if not v >= low:
+                return None
+        bounds = self._bounds if tol == DEFAULT_TOL else (self.corners + tol).tolist()
+        for p, upper in enumerate(bounds):
+            for v, c in zip(xs, upper):
+                if not v <= c:
+                    break
+            else:
+                return p
+        return None
 
     def contains(self, x, tol: float = DEFAULT_TOL):
         X, single = _points(x, self.dim)

@@ -210,9 +210,13 @@ def test_necessity_bound_arithmetic():
 
 
 def _step_loop_cycle(sys_, cert, tol=1e-9):
-    """compute_limit_cycle's period iteration written over ``sys.step``."""
+    """compute_limit_cycle's period iteration written over ``sys.step``,
+    with its monotonicity count: a phase state that rose by more than the
+    period's threshold (the larger of ``tol`` and ``cert.tol`` in the first
+    period, ``tol`` after it) is a violation."""
     T, w = cert.T, sys_.w_star
     phase = [np.asarray(x, dtype=float) for x in cert.x_star[:T]]
+    violations = 0
     for period in range(1, 10 ** 6):
         x = sys_.step(phase[T - 1], w, cert.controls[T - 1])
         new = []
@@ -220,11 +224,14 @@ def _step_loop_cycle(sys_, cert, tol=1e-9):
             new.append(x)
             x = sys_.step(x, w, cert.controls[k])
         residual = max(float(np.max(np.abs(new[k] - phase[k]))) for k in range(T))
+        thresh = max(tol, cert.tol or 0.0) if period == 1 else tol
+        violations += sum(any(a > b + thresh for a, b in zip(new[k], phase[k]))
+                          for k in range(T))
         phase = new
         if residual < tol:
             closure = float(np.max(np.abs(
                 sys_.step(phase[T - 1], w, cert.controls[T - 1]) - phase[0])))
-            return phase, period, residual, closure
+            return phase, period, residual, closure, violations
 
 
 @pytest.mark.parametrize("which, periods", [("case1", 349), ("traffic", 158)])
@@ -232,7 +239,24 @@ def test_limit_cycle_equals_step_loop(request, which, periods):
     sys_ = request.getfixturevalue(which)[0]
     cert = request.getfixturevalue(f"{which}_cert")
     cycle = compute_limit_cycle(sys_, cert)
-    points, ref_periods, residual, closure = _step_loop_cycle(sys_, cert)
+    points, ref_periods, residual, closure, violations = _step_loop_cycle(sys_, cert)
     assert cycle.periods == ref_periods == periods
+    assert np.array(cycle.points).tobytes() == np.array(points).tobytes()
+    assert (cycle.residual, cycle.closure_error) == (residual, closure)
+    assert cycle.monotone_violations == violations == 0
+
+
+def test_limit_cycle_counts_monotone_violations(case1, case1_cert):
+    """A witness scaled below the certificate's is not a fixed point of the
+    worst-case period: its first period rises past ``cert.tol``, and the
+    count agrees with the step loop's."""
+    sys_, cert = case1[0], case1_cert
+    low = SSequenceCertificate(cert.T, cert.controls,
+                               tuple(0.9 * np.asarray(x) for x in cert.x_star),
+                               cert.system_hash, cert.tol)
+    cycle = compute_limit_cycle(sys_, low)
+    points, periods, residual, closure, violations = _step_loop_cycle(sys_, low)
+    assert cycle.monotone_violations == violations > 0
+    assert cycle.periods == periods
     assert np.array(cycle.points).tobytes() == np.array(points).tobytes()
     assert (cycle.residual, cycle.closure_error) == (residual, closure)

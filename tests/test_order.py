@@ -172,3 +172,48 @@ def test_batch_contains_matches_each_point():
     for p in pts:
         first = next((k for k, box in enumerate(union.boxes) if box.contains(p)), None)
         assert union.locate(p) == first
+
+
+def _numpy_locate(corners, x, tol=DEFAULT_TOL):
+    """``BoxUnion.locate`` as numpy reductions over the corner matrix."""
+    xv = np.asarray(x, dtype=float).reshape(-1)
+    if not (xv >= -tol).all():
+        return None
+    hits = (xv <= corners + tol).all(axis=1)
+    return int(hits.argmax()) if hits.any() else None
+
+
+def test_locate_matches_numpy_reference():
+    """The float scan gives the numpy formula's answer on seeded points, on
+    points exactly at ``corner + tol`` and one ulp above, on coordinates at
+    ``-tol`` and one ulp below, on NaN and infinities, and on list and
+    ``(1, n)`` inputs."""
+    rng = np.random.default_rng(16)
+    corners = np.array([[3.0, 0.7, 5.25, 0.0], [1.0, 4.0, 0.1, 2.0],
+                        [2.5, 2.5, 2.5, 2.5], [0.3, 1e-12, 7.0, 1.0 / 3.0]])
+    union = BoxUnion(tuple(Box(c) for c in corners))
+    for tol in (0.0, DEFAULT_TOL, 1e-3):
+        upper = corners + tol
+        pts = list(rng.uniform(-0.05, 1.1, (200, 4)) * corners.max(axis=0))
+        for c in upper:
+            pts.append(c)
+            pts.append(np.nextafter(c, np.inf))
+            for i in range(4):
+                pts.append(np.where(np.arange(4) == i, np.nextafter(c, np.inf), c))
+                for v in (-tol, np.nextafter(-tol, -np.inf), np.nan, np.inf, -np.inf):
+                    moved = c.copy()
+                    moved[i] = v
+                    pts.append(moved)
+        answers = []
+        for p in pts:
+            expected = _numpy_locate(corners, p, tol)
+            answers.append(expected)
+            assert union.locate(p, tol) == expected
+            assert union.locate(list(p), tol) == expected
+            assert union.locate(p.reshape(1, -1), tol) == expected
+        assert None in answers and len(set(answers)) == len(corners) + 1
+    assert union.locate(corners[0] + DEFAULT_TOL) == 0
+    assert union.locate(np.nextafter(corners[0] + DEFAULT_TOL, np.inf)) is None
+    for bad in ([1.0, 2.0, 3.0], np.zeros((2, 4)), np.zeros(5)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            union.locate(bad)

@@ -9,7 +9,7 @@ import pytest
 
 from monosafe.certificate import SSequenceCertificate
 from monosafe.invariance import Rcis, build_attractive_set, build_rcis, compute_limit_cycle
-from monosafe.order import Box, BoxUnion, PolyLowerSet
+from monosafe.order import DEFAULT_TOL, Box, BoxUnion, PolyLowerSet
 from monosafe.rng import SplitMix64
 from monosafe.simulate import (Adversary, Policy, dominance_check, feedback, gamma_excess,
                                open_loop, simulate, uniform, verify_certificate,
@@ -273,6 +273,45 @@ def test_halted_rollout_leaves_the_stream_as_the_scalar_path(case1, case1_cert):
     _assert_same_rollout(traj, ref)
     assert traj.status == "halted_outside_region" and 1 < len(traj.states) < 201
     assert [stream.next_u64() for _ in range(3)] == [ref_stream.next_u64() for _ in range(3)]
+
+
+def _numpy_feedback(corners, controls):
+    """Feedback on the boxes below ``corners`` decided by numpy reductions,
+    not by ``BoxUnion.locate``: u*_p of the lowest-index box holding x."""
+    corners = np.asarray(corners, dtype=float)
+
+    def control(k, x):
+        xv = np.asarray(x, dtype=float)
+        if not (xv >= -DEFAULT_TOL).all():
+            return None
+        hits = (xv <= corners + DEFAULT_TOL).all(axis=1)
+        return controls[int(hits.argmax())] if hits.any() else None
+
+    return Policy("feedback", len(corners), control)
+
+
+def test_feedback_rollout_equals_numpy_box_test(traffic, traffic_cert):
+    """Feedback under w* on traffic, against a reference policy whose box
+    test shares no code with ``BoxUnion.locate``: on the witness boxes from
+    two states, and on boxes shrunk below the witness, where it halts."""
+    net, S, _ = traffic
+    cert = traffic_cert
+    witness = np.array(cert.x_star[:cert.T])
+    for shrink, start, status in ((1.0, 0.6, "completed"), (1.0, 1.0, "completed"),
+                                  (0.8, 0.0, "halted_outside_region")):
+        corners = shrink * witness
+        rcis = Rcis(BoxUnion(tuple(Box(c) for c in corners)), cert)
+        x0 = start * corners[0]
+        traj = simulate(net, x0, feedback(rcis), worst_case_w_star(), 300,
+                        safe_set=S, omega=rcis.region)
+        ref = _scalar_rollout(net, x0, _numpy_feedback(corners, cert.controls), None, 300,
+                              S, rcis.region)
+        _assert_same_rollout(traj, ref)
+        assert traj.status == status
+        if status == "completed":
+            assert len(set(traj.controls)) > 1
+        else:
+            assert 1 < len(traj.states) < 301
 
 
 def test_rollout_input_errors(case1, case1_cert):
