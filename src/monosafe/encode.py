@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,24 +53,33 @@ class DecodeMismatchError(Exception):
 
 @dataclass
 class EncodingArtifacts:
+    """A horizon-``T`` model and where its witness lives in it.
+
+    ``x`` is the (T+1, n) array of the state columns: ``x[k, i]`` is the
+    column of ``x_{k,i}``.  ``u`` is the (T, m) array of the control
+    binaries: for a switched system one column per mode, in
+    ``sys.controls`` order; for a traffic network one per junction, in
+    ``net.junctions`` order, with 1 = NS.  So ``sol.x[art.x]`` and
+    ``sol.x[art.u]`` read a witness as arrays.
+    """
     model: MilpModel
     T: int
     system: object
     safe_set: PolyLowerSet
-    state_cap: np.ndarray           # per-coordinate cap of every x_{k,i}
-    x_idx: dict = field(default_factory=dict)        # (k, i) -> var
-    control_idx: dict = field(default_factory=dict)  # (k, mode)/(k, junction) -> var
+    x: np.ndarray
+    u: np.ndarray
 
 
 def _witness_model(kind, system, S, T, objective, write_dynamics):
     """The part of the model both encodings share, around their own dynamics.
 
     State variables ``x_{k,i}`` are capped by ``S.coordinate_bounds()``
-    (``x_T`` too: closure forces ``x_T <= x_0``).  ``write_dynamics(art)``
-    then adds the control binaries (into ``art.control_idx``) and the
-    dynamics rows.  Safety rows follow for ``k < T``; a row with a single
-    nonzero is left out, since the variable cap already implies it.  Then
-    the cyclic closure, the objective, and ``branch_first`` = the controls.
+    (``x_T`` too: closure forces ``x_T <= x_0``).  ``write_dynamics(model,
+    x, cap)`` then adds the control binaries and the dynamics rows over the
+    state columns ``x[k][i]``, and returns the control columns ``u[k]``.
+    Safety rows follow for ``k < T``; a row with a single nonzero is left
+    out, since the variable cap already implies it.  Then the cyclic
+    closure, the objective, and ``branch_first`` = the controls.
     """
     if T < 1:
         raise ValueError("horizon T must be >= 1")
@@ -83,50 +92,45 @@ def _witness_model(kind, system, S, T, objective, write_dynamics):
     if not np.all(np.isfinite(cap)):
         raise ValueError("safe set must bound every coordinate (big-M derivation)")
     model = MilpModel(f"{kind}_T{T}")
-    art = EncodingArtifacts(model=model, T=T, system=system, safe_set=S, state_cap=cap)
-    for k in range(T + 1):
-        for i in range(n):
-            art.x_idx[(k, i)] = model.add_var(f"x_{k}_{i}", lb=0.0, ub=float(cap[i]))
-    write_dynamics(art)
+    x = [[model.add_var(f"x_{k}_{i}", lb=0.0, ub=ub) for i, ub in enumerate(cap.tolist())]
+         for k in range(T + 1)]
+    u = write_dynamics(model, x, cap)
     for k in range(T):
-        for a_row, b_val in zip(S.A, S.b):
-            coeffs = {art.x_idx[(k, j)]: float(a_row[j]) for j in range(n) if a_row[j]}
+        for a_row, b_val in zip(S.A.tolist(), S.b.tolist()):
+            coeffs = {x[k][j]: a for j, a in enumerate(a_row) if a}
             if len(coeffs) > 1:
-                model.add_constraint(coeffs, "<=", float(b_val))
+                model.add_constraint(coeffs, "<=", b_val)
     for i in range(n):
-        model.add_constraint({art.x_idx[(T, i)]: 1.0, art.x_idx[(0, i)]: -1.0},
-                             "<=", 0.0)
+        model.add_constraint({x[T][i]: 1.0, x[0][i]: -1.0}, "<=", 0.0)
     if objective == "max_l1_x0":
-        model.set_objective({art.x_idx[(0, i)]: 1.0 for i in range(n)}, "max")
+        model.set_objective(dict.fromkeys(x[0], 1.0), "max")
     else:
         model.set_objective({}, "min")
-    model.branch_first = list(art.control_idx.values())
-    return art
+    model.branch_first = [j for step in u for j in step]
+    return EncodingArtifacts(model=model, T=T, system=system, safe_set=S,
+                             x=np.array(x), u=np.array(u))
 
 
 def encode_switched(sys: SwitchedAffineSystem, S: PolyLowerSet, T: int,
                     objective: str = "first_feasible") -> EncodingArtifacts:
     """Big-M encoding with one-hot mode binaries per step."""
 
-    def write_dynamics(art):
-        model, x, ub, w = art.model, art.x_idx, art.state_cap, sys.w_star
-        n = sys.state_dim
+    def write_dynamics(model, x, cap):
+        u, w = [], sys.w_star.tolist()
         for k in range(T):
-            for m in sys.controls:
-                art.control_idx[(k, m)] = model.add_var(f"u_{k}_{m}", binary=True)
-            model.add_constraint({art.control_idx[(k, m)]: 1.0 for m in sys.controls},
-                                 "=", 1.0)
+            u.append([model.add_var(f"u_{k}_{m}", binary=True) for m in sys.controls])
+            model.add_constraint(dict.fromkeys(u[k], 1.0), "=", 1.0)
         for k in range(T):
-            for m in sys.controls:
+            for m, bidx in zip(sys.controls, u[k]):
                 A = sys.modes[m - 1]
-                bidx = art.control_idx[(k, m)]
-                for i in range(n):
+                for i, A_i in enumerate(A.tolist()):
                     # x_{k+1,i} >= A_i x_k + w_i if the binary is 1, void if 0
-                    big_m = 2.0 * (float(A[i] @ ub) + w[i])
-                    row = {x[(k, j)]: float(A[i, j]) for j in range(n) if A[i, j]}
-                    row[x[(k + 1, i)]] = row.get(x[(k + 1, i)], 0.0) - 1.0
+                    big_m = 2.0 * (float(A[i] @ cap) + w[i])
+                    row = {x[k][j]: a for j, a in enumerate(A_i) if a}
+                    row[x[k + 1][i]] = -1.0
                     row[bidx] = big_m
                     model.add_constraint(row, "<=", big_m - w[i])
+        return u
 
     return _witness_model("switched", sys, S, T, objective, write_dynamics)
 
@@ -151,51 +155,49 @@ def encode_traffic(net: TrafficNetwork, T: int,
     horizon with no conflict keeps its model unchanged.
     """
     feeds = {net.link_index(src) for (src, _, ratio) in net.turns if ratio}
+    heads = [net.junctions.index(link.head) for link in net.links]
+    # per link, (source link, ratio) of each turn into it, in turn order
+    inflows = [[(net.link_index(src), ratio) for (src, dst, ratio) in net.turns
+                if dst == link.id and ratio] for link in net.links]
+    caps, x_s, w = net.c.tolist(), net.x_s.tolist(), net.w_star.tolist()
 
-    def write_dynamics(art):
-        model, x_idx = art.model, art.x_idx
-        z_idx = {}      # (k, link) -> served flow
-        selector = {}   # (k, link) -> binary choosing the active min branch
+    def write_dynamics(model, x, _):
+        u, flows = [], []   # per step: junction binaries; per link, (z, selector or None)
         for k in range(T):
-            for j in net.junctions:
-                art.control_idx[(k, j)] = model.add_var(f"u_{k}_{j}", binary=True)
-            for i, link in enumerate(net.links):
-                z_idx[(k, i)] = model.add_var(f"z_{k}_{link.id}", lb=0.0, ub=float(net.c[i]))
-                if i in feeds:
-                    selector[(k, i)] = model.add_var(f"d_{k}_{link.id}", binary=True)
+            u.append([model.add_var(f"u_{k}_{j}", binary=True) for j in net.junctions])
+            flows.append([(model.add_var(f"z_{k}_{link.id}", lb=0.0, ub=caps[i]),
+                           model.add_var(f"d_{k}_{link.id}", binary=True) if i in feeds else None)
+                          for i, link in enumerate(net.links)])
         for k in range(T):
             for i, link in enumerate(net.links):
-                z = z_idx[(k, i)]
-                x = x_idx[(k, i)]
-                u = art.control_idx[(k, link.head)]
+                (zi, di), xi, ui = flows[k][i], x[k][i], u[k][heads[i]]
                 g1, g0 = (1.0, 0.0) if link.direction == NS else (-1.0, 1.0)
-                c = float(net.c[i])
-                m_flow = 2.0 * c
+                c, m_flow = caps[i], 2.0 * caps[i]
                 # z <= x
-                model.add_constraint({z: 1.0, x: -1.0}, "<=", 0.0)
+                model.add_constraint({zi: 1.0, xi: -1.0}, "<=", 0.0)
                 # z <= M g
-                model.add_constraint({z: 1.0, u: -m_flow * g1}, "<=", m_flow * g0)
+                model.add_constraint({zi: 1.0, ui: -m_flow * g1}, "<=", m_flow * g0)
                 if i in feeds:
-                    d, m_state = selector[(k, i)], 2.0 * float(net.x_s[i])
+                    m_state = 2.0 * x_s[i]
                     # z >= x - M d - M (1-g)
-                    model.add_constraint({x: 1.0, z: -1.0, d: -m_state, u: m_state * g1},
+                    model.add_constraint({xi: 1.0, zi: -1.0, di: -m_state, ui: m_state * g1},
                                          "<=", m_state * (1.0 - g0))
                     # z >= c - M (1-d) - M (1-g)
-                    model.add_constraint({z: -1.0, d: m_flow, u: m_flow * g1},
+                    model.add_constraint({zi: -1.0, di: m_flow, ui: m_flow * g1},
                                          "<=", m_flow * (2.0 - g0) - c)
             # state update: x_{k+1} >= x_k - z + w + sum of beta z_q
-            for i, link in enumerate(net.links):
-                row = {x_idx[(k + 1, i)]: 1.0, x_idx[(k, i)]: -1.0, z_idx[(k, i)]: 1.0}
-                for (src, dst, ratio) in net.turns:
-                    if dst == link.id and ratio:
-                        zq = z_idx[(k, net.link_index(src))]
-                        row[zq] = row.get(zq, 0.0) - ratio
-                model.add_constraint(row, ">=", float(net.w_star[i]))
+            z = [zi for zi, _ in flows[k]]
+            for i, into in enumerate(inflows):
+                row = {x[k + 1][i]: 1.0, x[k][i]: -1.0, z[i]: 1.0}
+                for q, ratio in into:
+                    row[z[q]] = row.get(z[q], 0.0) - ratio
+                model.add_constraint(row, ">=", w[i])
+        return u
 
     art = _witness_model("traffic", net, net.safe_set(), T, objective, write_dynamics)
-    for j, (ns, ew) in green_step_counts(net, T).items():
+    for column, (ns, ew) in zip(art.u.T.tolist(), green_step_counts(net, T).values()):
         if ns + ew > T:
-            steps = {art.control_idx[(k, j)]: 1.0 for k in range(T)}
+            steps = dict.fromkeys(column, 1.0)
             art.model.add_constraint(steps, ">=", float(ns))
             art.model.add_constraint(steps, "<=", float(T - ew))
     return art
@@ -269,33 +271,27 @@ def decode(art: EncodingArtifacts, sol: MilpSolution) -> SSequenceCertificate:
     """
     if sol.x is None:
         raise DecodeMismatchError(f"no assignment to decode (status {sol.status})")
-    sys = art.system
-    T = art.T
-    controls = []
+    sys, T, U = art.system, art.T, sol.x[art.u]
     if isinstance(sys, SwitchedAffineSystem):
-        for k in range(T):
-            vals = {m: sol.x[art.control_idx[(k, m)]] for m in sys.controls}
-            m_best = max(vals, key=lambda m: vals[m])
-            if vals[m_best] < 1.0 - INT_TOL:
-                raise DecodeMismatchError(f"step {k}: mode binaries not one-hot: {vals}")
-            controls.append(m_best)
+        controls = []
+        for k, vals in enumerate(U):
+            best = int(np.argmax(vals))     # the first maximal mode
+            if vals[best] < 1.0 - INT_TOL:
+                raise DecodeMismatchError(f"step {k}: mode binaries not one-hot: "
+                                          f"{dict(zip(sys.controls, vals))}")
+            controls.append(sys.controls[best])
     else:
-        for k in range(T):
-            phases = []
-            for j in sys.junctions:
-                v = sol.x[art.control_idx[(k, j)]]
-                if abs(v - round(v)) > INT_TOL:
-                    raise DecodeMismatchError(f"step {k}: junction {j} binary fractional: {v}")
-                phases.append(NS if round(v) == 1 else EW)
-            controls.append(tuple(phases))
-    n = sys.state_dim
-    x = np.array([sol.x[art.x_idx[(0, i)]] for i in range(n)])
-    states = [x]
-    for k in range(T):
-        states.append(sys.step(states[-1], sys.w_star, controls[k]))
-    for k in range(T + 1):
-        solver_state = np.array([sol.x[art.x_idx[(k, i)]] for i in range(n)])
-        gap = float(np.max(states[k] - solver_state))
+        fractional = np.argwhere(np.abs(U - np.round(U)) > INT_TOL)
+        if fractional.size:
+            k, p = fractional[0]
+            raise DecodeMismatchError(
+                f"step {k}: junction {sys.junctions[p]} binary fractional: {U[k, p]}")
+        controls = [tuple(NS if v == 1 else EW for v in step) for step in np.round(U).tolist()]
+    X = sol.x[art.x]
+    states = [X[0]]
+    for u in controls:
+        states.append(sys.step(states[-1], sys.w_star, u))
+    for k, gap in enumerate(np.max(np.array(states) - X, axis=1).tolist()):
         if gap > WITNESS_TOL:
             raise DecodeMismatchError(
                 f"step {k}: solver state lies {gap:.3g} below the re-simulation")

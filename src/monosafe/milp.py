@@ -123,14 +123,18 @@ class MilpModel:
         self.vars.append(_Var(name, float(lb), float(ub), binary))
         return len(self.vars) - 1
 
-    def add_constraint(self, coeffs, rel: str, rhs: float) -> int:
-        if rel not in (LEQ, EQ, GEQ):
-            raise MilpError(f"unknown relation {rel!r}")
+    def _terms(self, coeffs, what: str) -> dict[int, float]:
+        """``coeffs`` as {int index: float coefficient}, every index a variable."""
         row = dict(coeffs)
         for j in row:
             if not 0 <= j < len(self.vars):
-                raise MilpError(f"constraint references unknown variable index {j}")
-        self.rows.append({int(j): float(a) for j, a in row.items()})
+                raise MilpError(f"{what} references unknown variable index {j}")
+        return {int(j): float(a) for j, a in row.items()}
+
+    def add_constraint(self, coeffs, rel: str, rhs: float) -> int:
+        if rel not in (LEQ, EQ, GEQ):
+            raise MilpError(f"unknown relation {rel!r}")
+        self.rows.append(self._terms(coeffs, "constraint"))
         self.rels.append(rel)
         self.rhs.append(float(rhs))
         return len(self.rows) - 1
@@ -138,11 +142,7 @@ class MilpModel:
     def set_objective(self, coeffs, sense: str = "min"):
         if sense not in ("min", "max"):
             raise MilpError(f"unknown sense {sense!r}")
-        row = dict(coeffs)
-        for j in row:
-            if not 0 <= j < len(self.vars):
-                raise MilpError(f"objective references unknown variable index {j}")
-        self.obj = {int(j): float(a) for j, a in row.items()}
+        self.obj = self._terms(coeffs, "objective")
         self.sense = sense
 
     @property
@@ -168,7 +168,7 @@ class MilpModel:
             c[j] = a
         lb = np.array([v.lb for v in self.vars])
         ub = np.array([v.ub for v in self.vars])
-        return c, A, list(self.rels), np.array(self.rhs, dtype=float), lb, ub
+        return c, A, np.array(self.rels), np.array(self.rhs, dtype=float), lb, ub
 
 
 class ParallelRows(NamedTuple):
@@ -697,7 +697,8 @@ def solve_milp(model: MilpModel, node_budget: int | None = None,
 
     The root is first checked for two rows with identical coefficients
     whose bounds contradict (``_parallel_rows``): such a pair makes the root
-    infeasible with no simplex built and no pivot, and is reported as
+    infeasible with no dense matrix or simplex built and no pivot, and is
+    reported as
     ``parallel_rows``.  Otherwise the root LP is solved cold; every other
     node is re-optimized by the dual simplex from its parent's optimal
     basis.  The nearest-integer child continues on the live simplex at once;
@@ -711,8 +712,6 @@ def solve_milp(model: MilpModel, node_budget: int | None = None,
     """
     if not set(model.branch_first) <= set(model.binary_indices):
         raise MilpError("branch_first may only list binary variables")
-    c, A, rels, b, lb0, ub0 = model.dense()
-    rels = np.asarray(rels)
     bins = np.array(model.binary_indices, dtype=int)
     first = np.isin(bins, list(model.branch_first))
     t0 = time.monotonic()
@@ -740,6 +739,7 @@ def solve_milp(model: MilpModel, node_budget: int | None = None,
         if entry is None:
             parallel = _parallel_rows(model)
             if parallel is None:
+                c, A, rels, b, lb0, ub0 = model.dense()
                 sx = _Simplex(-sign * c, A, rels, b, lb0, ub0)
                 status = sx.solve()
             else:

@@ -39,8 +39,10 @@ def open_loop(cert: SSequenceCertificate) -> Policy:
     return Policy("open_loop", cert.T, lambda k, x: cert.controls[k % cert.T])
 
 
-def feedback(rcis: Rcis) -> Policy:
-    """u*_p of the lowest-index box R(x*_p) containing x; None outside."""
+def feedback(rcis) -> Policy:
+    """u*_p of the lowest-index box R(x*_p) containing x; None outside.
+
+    ``rcis`` is an ``invariance.Rcis``: its region and its certificate."""
     controls = rcis.certificate.controls
 
     def control(k, x):
@@ -276,8 +278,9 @@ def dominance_check(sys, cert: SSequenceCertificate,
     return DominanceReport(first is None, worst, first)
 
 
-def gamma_excess(trajectory: Trajectory, cycle: LimitCycle) -> list:
-    """Per-state distance to the phase-matched cycle corner.
+def gamma_excess(trajectory: Trajectory, cycle) -> list:
+    """Per-state distance to the phase-matched corner of ``cycle``, an
+    ``invariance.LimitCycle``.
 
     max over coordinates of the positive part of x_k - x_inf_{k mod T};
     0.0 means the state is inside its phase box of Gamma.

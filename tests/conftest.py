@@ -43,7 +43,7 @@ def _without_count_rows(art):
     lies in the junction binaries.  Those are exactly its green-step count
     rows, so what is left is the model as it was before them, rows in the
     same order."""
-    controls = set(art.control_idx.values())
+    controls = set(art.u.ravel().tolist())
     keep = [r for r, row in enumerate(art.model.rows) if not set(row) <= controls]
     model = copy.copy(art.model)
     model.rows = [art.model.rows[r] for r in keep]

@@ -13,7 +13,7 @@ from scipy.optimize import linprog
 from monosafe.encode import (DecodeMismatchError, decode, encode_switched, encode_traffic,
                              green_step_counts)
 from monosafe.invariance import find_s_sequence
-from monosafe.milp import solve_milp, write_lp_format
+from monosafe.milp import MilpSolution, solve_milp, write_lp_format
 from monosafe.order import PolyLowerSet
 from monosafe.simulate import verify_certificate
 from monosafe.systems import EW, NS, Link, SwitchedAffineSystem, TrafficNetwork
@@ -58,7 +58,7 @@ def test_switched_size_formula_mixed_safe_set(T, case1):
     n, n_modes = sys_.state_dim, len(sys_.controls)
     assert art.model.num_constraints == T * (1 + n_modes * n) + T * 1 + n
     for k in range(T + 1):
-        assert [art.model.vars[art.x_idx[(k, i)]].ub for i in range(n)] == [5.0, 8.0]
+        assert [art.model.vars[art.x[k, i]].ub for i in range(n)] == [5.0, 8.0]
 
 
 # sha256 of ``write_lp_format``: every coefficient, bound, name and row order.
@@ -308,7 +308,7 @@ def test_decode_rejects_corrupted_state(case1):
     sys_, S, _ = case1
     art = encode_switched(sys_, S, 7, objective="max_l1_x0")
     sol = solve_milp(art.model)
-    sol.x[art.x_idx[(3, 0)]] -= 0.02      # poke one witness coordinate below the run
+    sol.x[art.x[3, 0]] -= 0.02  # poke one witness coordinate below the run
     with pytest.raises(DecodeMismatchError):
         decode(art, sol)
 
@@ -320,7 +320,7 @@ def test_decode_accepts_state_above_simulation(case1):
     art = encode_switched(sys_, S, 7, objective="max_l1_x0")
     sol = solve_milp(art.model)
     exact = decode(art, sol)
-    sol.x[art.x_idx[(3, 0)]] += 0.02
+    sol.x[art.x[3, 0]] += 0.02
     cert = decode(art, sol)
     assert cert.controls == exact.controls
     assert all(np.array_equal(a, b) for a, b in zip(cert.x_star, exact.x_star))
@@ -339,7 +339,7 @@ def test_decode_rejects_unverified_witness(x0, x1, condition):
     assert sol.status == "optimal"
     for k, state in enumerate((x0, x1)):
         for i, v in enumerate(state):
-            sol.x[art.x_idx[(k, i)]] = v
+            sol.x[art.x[k, i]] = v
     with pytest.raises(DecodeMismatchError, match=condition):
         decode(art, sol)
 
@@ -348,10 +348,38 @@ def test_decode_rejects_fractional_binary(case1):
     sys_, S, _ = case1
     art = encode_switched(sys_, S, 7, objective="max_l1_x0")
     sol = solve_milp(art.model)
-    for m in sys_.controls:
-        sol.x[art.control_idx[(2, m)]] = 0.5
+    sol.x[art.u[2]] = 0.5
     with pytest.raises(DecodeMismatchError):
         decode(art, sol)
+
+
+@pytest.fixture(scope="module")
+def traffic_t5_witness(traffic):
+    """The bundled traffic certificate at T=5 and its encoding, with the
+    certificate's states and phases written into a zero assignment."""
+    net = traffic[0]
+    cert = find_s_sequence(net, t_min=5, t_max=5, objective="first_feasible").certificate
+    art = encode_traffic(net, 5)
+    x = np.zeros(art.model.num_vars)
+    x[art.x] = cert.x_star
+    x[art.u] = [[phase == NS for phase in step] for step in cert.controls]
+    return cert, art, x
+
+
+def test_traffic_decode_round_trip(traffic_t5_witness):
+    cert, art, x = traffic_t5_witness
+    got = decode(art, MilpSolution(status="optimal", x=x.copy()))
+    assert got.controls == cert.controls
+    assert [s.tobytes() for s in got.x_star] == [s.tobytes() for s in cert.x_star]
+
+
+def test_traffic_decode_names_fractional_junction(traffic_t5_witness):
+    _, art, x = traffic_t5_witness
+    x = x.copy()
+    x[art.u[2, 3]] = 0.5
+    junction = art.system.junctions[3]
+    with pytest.raises(DecodeMismatchError, match=f"step 2: junction {junction} binary"):
+        decode(art, MilpSolution(status="optimal", x=x))
 
 
 def test_decode_requires_assignment(case1):

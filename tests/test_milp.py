@@ -74,6 +74,11 @@ def test_model_validation():
         m.add_constraint({0: 1.0}, "<", 1.0)
     with pytest.raises(MilpError):
         m.add_constraint({5: 1.0}, "<=", 1.0)
+    with pytest.raises(MilpError):
+        m.add_constraint({-1: 1.0}, "<=", 1.0)
+    with pytest.raises(MilpError):
+        m.set_objective({5: 1.0}, "max")
+    assert (m.rows, m.obj, m.sense) == ([], {}, "min")
 
 
 def test_beale_degenerate_instance():
@@ -374,6 +379,23 @@ def test_parallel_rows_respect_the_budgets():
         assert (sol.status, sol.nodes, sol.parallel_rows) == ("budget_unknown", 0, None)
     sol = solve_milp(m, node_budget=1)
     assert (sol.status, sol.nodes, sol.pivots) == ("infeasible", 1, 0)
+
+
+def test_dense_model_built_only_for_a_root_simplex(monkeypatch):
+    """The dense matrices feed the root's simplex and nothing else: a root
+    that parallel rows close, or a zero budget, never builds them."""
+    calls = []
+    dense = MilpModel.dense
+    monkeypatch.setattr(MilpModel, "dense", lambda self: calls.append(1) or dense(self))
+    m = MilpModel("closed")
+    m.add_var("b", binary=True)
+    m.add_constraint({0: 1.0}, GEQ, 1.0)
+    m.add_constraint({0: 1.0}, LEQ, 0.0)
+    assert solve_milp(m).status == "infeasible"
+    assert solve_milp(small_lp(), node_budget=0).status == "budget_unknown"
+    assert len(calls) == 0
+    assert solve_milp(small_lp()).status == "optimal"
+    assert len(calls) == 1
 
 
 def test_search_stops_when_incumbent_meets_root_bound():
