@@ -142,6 +142,10 @@ def cmd_find(args):
         lines.append(f"found: s-sequence of length T={cert.T}"
                      + (" (minimal)" if result.minimal else " (minimality not proven)"))
         lines.append(f"controls: {_control_text(cert.controls)}")
+        if objective == "max_l1_x0":
+            proven = result.records[-1].solver_status == "optimal"
+            lines.append(f"max-l1: sum of x*_0 = {float(np.sum(cert.x_star[0])):.10g} "
+                         f"({'' if proven else 'not '}proven optimal)")
         lines.append(f"wrote certificate.json and rcis_corners.csv to {out}")
         code = EXIT_OK
     elif result.failures:

@@ -21,6 +21,16 @@ state caps ``S.coordinate_bounds()`` back those constants, so they matter
 only to negative answers: a positive answer stands on the re-simulated
 witness alone.
 
+Each model is written as arrays: its columns as one block and its rows as
+one more (``MilpModel.add_vars``, ``add_rows``), plus a traffic model's
+count rows.  A step's rows, the same at every step and horizon, are built
+once per system (``_switched_step``, ``_traffic_step``; systems are not
+changed after construction) and repeated T times by ``_by_step``.  The
+row order is kept on purpose: the solver breaks ties by lowest index, so
+it decides the search path.  Writing the traffic T=5 rows family by
+family instead of link by link moved the first-feasible dive from 61 to
+71 nodes; the pinned digests in the tests hold the order.
+
 ``decode`` trusts the solver for nothing but the controls and ``x_0``: it
 *re-simulates* the witness with the real step function, accepts solver
 states only at or above the simulation (to ``order.WITNESS_TOL``), and
@@ -37,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificate import SSequenceCertificate
-from .milp import INT_TOL, MilpModel, MilpSolution
+from .milp import EQ, GEQ, INT_TOL, LEQ, MilpModel, MilpSolution
 from .order import WITNESS_TOL, PolyLowerSet
 from .simulate import verify_certificate
 from .systems import NS, EW, SwitchedAffineSystem, TrafficNetwork
@@ -70,16 +80,45 @@ class EncodingArtifacts:
     u: np.ndarray
 
 
-def _witness_model(kind, system, S, T, objective, write_dynamics):
+def _terms(*terms):
+    """One step's row entries from terms ``(rows, cols, vals)``: rows within
+    the step, columns as places in the step's row of a ``_by_step`` table,
+    and values, one per row or one for all."""
+    return (np.concatenate([r for r, _, _ in terms]), np.concatenate([c for _, c, _ in terms]),
+            np.concatenate([np.full(len(r), v, float) for r, _, v in terms]))
+
+
+def _by_step(T, rows_per_step, step, table):
+    """COO arrays of T copies of the row entries ``step`` (``_terms``),
+    ``rows_per_step`` apart; step k reads its columns from ``table[k]``.
+    ``add_rows`` sorts the entries, so their order does not matter."""
+    rows, cols, vals = step
+    return ((rows_per_step * np.arange(T)[:, None] + rows).ravel(), table[:, cols].ravel(),
+            np.concatenate([vals] * T))
+
+
+def _frozen(*parts):
+    """``parts``, arrays or tuples of arrays, made read-only: a cached step
+    is shared by every encoding of its system."""
+    for a in parts:
+        for b in a if isinstance(a, tuple) else (a,):
+            b.flags.writeable = False
+    return parts
+
+
+def _witness_model(kind, system, S, T, objective, dynamics):
     """The part of the model both encodings share, around their own dynamics.
 
-    State variables ``x_{k,i}`` are capped by ``S.coordinate_bounds()``
-    (``x_T`` too: closure forces ``x_T <= x_0``).  ``write_dynamics(model,
-    x, cap)`` then adds the control binaries and the dynamics rows over the
-    state columns ``x[k][i]``, and returns the control columns ``u[k]``.
+    State variables ``x_{k,i}`` come first, capped by
+    ``S.coordinate_bounds()`` (``x_T`` too: closure forces ``x_T <= x_0``).
+    ``dynamics(x, cap)`` gives the control binaries and any other columns
+    that follow them, as ``(names, ub, binary)`` (every lower bound is 0),
+    the dynamics rows over the state columns ``x[k, i]`` and those columns,
+    as ``(row, col, val, rels, rhs)``, and the control columns ``u[k]``.
     Safety rows follow for ``k < T``; a row with a single nonzero is left
     out, since the variable cap already implies it.  Then the cyclic
-    closure, the objective, and ``branch_first`` = the controls.
+    closure, the objective, and ``branch_first`` = the controls.  The
+    columns and the rows are each appended as one block.
     """
     if T < 1:
         raise ValueError("horizon T must be >= 1")
@@ -89,50 +128,135 @@ def _witness_model(kind, system, S, T, objective, write_dynamics):
     if S.dim != n:
         raise ValueError("safe set dimension mismatch")
     cap = S.coordinate_bounds()
-    if not np.all(np.isfinite(cap)):
+    if not np.isfinite(cap).all():
         raise ValueError("safe set must bound every coordinate (big-M derivation)")
+    x = np.arange((T + 1) * n).reshape(T + 1, n)
+    (names, ub, binary), (row, col, val, rels, rhs), u = dynamics(x, cap)
     model = MilpModel(f"{kind}_T{T}")
-    x = [[model.add_var(f"x_{k}_{i}", lb=0.0, ub=ub) for i, ub in enumerate(cap.tolist())]
-         for k in range(T + 1)]
-    u = write_dynamics(model, x, cap)
-    for k in range(T):
-        for a_row, b_val in zip(S.A.tolist(), S.b.tolist()):
-            coeffs = {x[k][j]: a for j, a in enumerate(a_row) if a}
-            if len(coeffs) > 1:
-                model.add_constraint(coeffs, "<=", b_val)
-    for i in range(n):
-        model.add_constraint({x[T][i]: 1.0, x[0][i]: -1.0}, "<=", 0.0)
+    model.add_vars([f"x_{k}_{i}" for k in range(T + 1) for i in range(n)] + names,
+                   ub=np.concatenate([cap] * (T + 1) + [ub]),
+                   binary=np.concatenate([np.zeros(x.size, bool), binary]))
+    multi = (S.A != 0).sum(axis=1) > 1
+    A, b = S.A[multi], S.b[multi]
+    r, j = A.nonzero()
+    safety = _by_step(T, b.size, (r, j, A[r, j]), x[:T])
+    first = rhs.size + T * b.size       # the closure rows x_T - x_0 <= 0
+    model.add_rows(
+        np.concatenate([row, rhs.size + safety[0], first + np.arange(n), first + np.arange(n)]),
+        np.concatenate([col, safety[1], x[T], x[0]]),
+        np.concatenate([val, safety[2], np.ones(n), np.full(n, -1.0)]),
+        np.concatenate([rels, np.full(T * b.size + n, LEQ)]),
+        np.concatenate([rhs] + [b] * T + [np.zeros(n)]))
     if objective == "max_l1_x0":
-        model.set_objective(dict.fromkeys(x[0], 1.0), "max")
-    else:
-        model.set_objective({}, "min")
-    model.branch_first = [j for step in u for j in step]
-    return EncodingArtifacts(model=model, T=T, system=system, safe_set=S,
-                             x=np.array(x), u=np.array(u))
+        model.set_objective(dict.fromkeys(x[0].tolist(), 1.0), "max")
+    model.branch_first = u.ravel().tolist()
+    return EncodingArtifacts(model=model, T=T, system=system, safe_set=S, x=x, u=u)
+
+
+@functools.lru_cache(maxsize=1)
+def _switched_step(sys: SwitchedAffineSystem, cap: tuple) -> tuple:
+    """One step of ``encode_switched`` under the state caps ``cap``, the
+    same at every step and horizon: ``(terms, rhs)``.
+
+    Mode by mode and coordinate by coordinate, the row of mode m and
+    coordinate i reads ``A_i x_k - x_{k+1,i} + M u_{k,m} <= M - w_i``, with
+    M twice the row's bound on the caps; its entries are ``_terms`` over
+    the table ``x_k``, ``x_{k+1}``, the step's mode binaries.
+    """
+    n, w, cap = sys.state_dim, sys.w_star, np.array(cap)
+    A = np.array([sys.modes[m - 1] for m in sys.controls])
+    big_m = np.array([[2.0 * (float(A_m[i] @ cap) + w[i]) for i in range(n)]
+                      for A_m in A]).ravel()
+    rows = np.arange(big_m.size)
+    m, i, j = np.nonzero(A)
+    terms = _terms((m * n + i, j, A[m, i, j]), (rows, n + rows % n, -1.0),
+                   (rows, 2 * n + rows // n, big_m))
+    return _frozen(terms, big_m - np.concatenate([w] * len(A)))
 
 
 def encode_switched(sys: SwitchedAffineSystem, S: PolyLowerSet, T: int,
                     objective: str = "first_feasible") -> EncodingArtifacts:
-    """Big-M encoding with one-hot mode binaries per step."""
+    """Big-M encoding with one-hot mode binaries per step.
 
-    def write_dynamics(model, x, cap):
-        u, w = [], sys.w_star.tolist()
-        for k in range(T):
-            u.append([model.add_var(f"u_{k}_{m}", binary=True) for m in sys.controls])
-            model.add_constraint(dict.fromkeys(u[k], 1.0), "=", 1.0)
-        for k in range(T):
-            for m, bidx in zip(sys.controls, u[k]):
-                A = sys.modes[m - 1]
-                for i, A_i in enumerate(A.tolist()):
-                    # x_{k+1,i} >= A_i x_k + w_i if the binary is 1, void if 0
-                    big_m = 2.0 * (float(A[i] @ cap) + w[i])
-                    row = {x[k][j]: a for j, a in enumerate(A_i) if a}
-                    row[x[k + 1][i]] = -1.0
-                    row[bidx] = big_m
-                    model.add_constraint(row, "<=", big_m - w[i])
-        return u
+    The one-hot rows of all steps come first, then each step's
+    ``_switched_step``: ``x_{k+1,i} >= A_i x_k + w_i`` if the mode's binary
+    is 1, void if 0.
+    """
+    modes = len(sys.controls)
 
-    return _witness_model("switched", sys, S, T, objective, write_dynamics)
+    def dynamics(x, cap):
+        terms, rhs = _switched_step(sys, tuple(cap.tolist()))
+        u = x.size + np.arange(T * modes).reshape(T, modes)
+        row, col, val = _by_step(T, rhs.size, terms, np.concatenate([x[:-1], x[1:], u], axis=1))
+        names = [f"u_{k}_{m}" for k in range(T) for m in sys.controls]
+        ones = np.ones(u.size)
+        return ((names, ones, ones.astype(bool)),
+                (np.concatenate([np.arange(T).repeat(modes), T + row]),
+                 np.concatenate([u.ravel(), col]), np.concatenate([ones, val]),
+                 np.where(np.arange(T * (1 + rhs.size)) < T, EQ, LEQ),
+                 np.concatenate([np.ones(T)] + [rhs] * T)),
+                u)
+
+    return _witness_model("switched", sys, S, T, objective, dynamics)
+
+
+@functools.lru_cache(maxsize=1)
+def _traffic_step(net: TrafficNetwork) -> tuple:
+    """One step of ``encode_traffic``, the same at every step and horizon:
+    ``(labels, ub, binary, terms, rels, rhs)``.
+
+    The step's columns are its junction binaries, then link by link ``z``
+    and (a feeding link) its selector ``d``: their names around the step
+    number, upper bounds and binary flags.  Its rows are link by link
+    the two upper rows of ``z`` and (a feeding link) its two lower rows,
+    then the state updates: their entries (``_terms``, over the table
+    ``x_k``, ``x_{k+1}``, the step's columns), relations and right-hand
+    sides.
+    """
+    L, J = len(net.links), len(net.junctions)
+    turns = np.array([(net.link_index(s), net.link_index(d), r)
+                      for (s, d, r) in net.turns if r]).reshape(-1, 3)
+    src, dst, ratio = turns[:, 0].astype(int), turns[:, 1].astype(int), turns[:, 2]
+    f = np.zeros(L, bool)            # the links that feed another
+    f[src] = True
+    F = int(f.sum())
+    at = J + np.arange(L) + np.cumsum(f) - f       # z_i among the step's columns
+    labels = [("u_", f"_{j}") for j in net.junctions]
+    for link, feeds in zip(net.links, f.tolist()):
+        labels += [("z_", f"_{link.id}")] + [("d_", f"_{link.id}")] * feeds
+    binary = np.ones(J + L + F, bool)
+    binary[at] = False
+    ub = np.ones(J + L + F)
+    ub[at] = net.c
+    # places in the table
+    xk, x1 = np.arange(L), L + np.arange(L)
+    z, g = 2 * L + at, 2 * L + np.array([net.junctions.index(link.head) for link in net.links])
+    d = z[f] + 1
+    ns = np.array([link.direction == NS for link in net.links])
+    g1, g0 = np.where(ns, 1.0, -1.0), np.where(ns, 0.0, 1.0)
+    c, m_flow, m_state = net.c, 2.0 * net.c, 2.0 * net.x_s
+    r, s, q = 2 * (at - J), 2 * (at[f] - J) + 2, 2 * (L + F) + np.arange(L)
+    rhs = np.empty(3 * L + 2 * F)
+    rhs[r], rhs[r + 1] = 0.0, m_flow * g0
+    rhs[s], rhs[s + 1] = m_state[f] * (1.0 - g0[f]), m_flow[f] * (2.0 - g0[f]) - c[f]
+    rhs[q] = net.w_star
+    # the z terms of the state updates: z_i, merged with a turn into itself
+    loop = src == dst
+    self_ratio = np.zeros(L)
+    self_ratio[dst[loop]] = ratio[loop]
+    into = np.concatenate([np.arange(L), dst[~loop]])
+    beta = np.concatenate([1.0 - self_ratio, 0.0 - ratio[~loop]])
+    flow = z[np.concatenate([np.arange(L), src[~loop]])]
+    terms = _terms(
+        # z <= x;  z <= M g
+        (r, z, 1.0), (r, xk, -1.0), (r + 1, z, 1.0), (r + 1, g, -m_flow * g1),
+        # z >= x - M d - M (1-g);  z >= c - M (1-d) - M (1-g)
+        (s, xk[f], 1.0), (s, z[f], -1.0), (s, d, -m_state[f]), (s, g[f], m_state[f] * g1[f]),
+        (s + 1, z[f], -1.0), (s + 1, d, m_flow[f]), (s + 1, g[f], m_flow[f] * g1[f]),
+        # x_{k+1} >= x_k - z + w + sum of beta z_q
+        (q, x1, 1.0), (q, xk, -1.0), (q[into], flow, beta))
+    rels = np.where(np.arange(rhs.size) < 2 * (L + F), LEQ, GEQ)
+    return (tuple(labels), *_frozen(ub, binary, terms, rels, rhs))
 
 
 def encode_traffic(net: TrafficNetwork, T: int,
@@ -147,6 +271,7 @@ def encode_traffic(net: TrafficNetwork, T: int,
     green, with a selector binary choosing the active min branch; any other
     ``z`` enters the state update only with a minus sign.  Safety is the
     box ``x <= x_s`` of ``net.safe_set()``: the state variables' caps.
+    Each step repeats ``_traffic_step``.
 
     At the model's end, a junction whose ``green_step_counts`` conflict
     (``ns + ew > T``) gets the two rows ``ns <= sum_k u_k <= T - ew``; they
@@ -154,52 +279,23 @@ def encode_traffic(net: TrafficNetwork, T: int,
     them.  They are valid at every horizon, but are written only there: a
     horizon with no conflict keeps its model unchanged.
     """
-    feeds = {net.link_index(src) for (src, _, ratio) in net.turns if ratio}
-    heads = [net.junctions.index(link.head) for link in net.links]
-    # per link, (source link, ratio) of each turn into it, in turn order
-    inflows = [[(net.link_index(src), ratio) for (src, dst, ratio) in net.turns
-                if dst == link.id and ratio] for link in net.links]
-    caps, x_s, w = net.c.tolist(), net.x_s.tolist(), net.w_star.tolist()
+    labels, ub, binary, terms, rels, rhs = _traffic_step(net)
 
-    def write_dynamics(model, x, _):
-        u, flows = [], []   # per step: junction binaries; per link, (z, selector or None)
-        for k in range(T):
-            u.append([model.add_var(f"u_{k}_{j}", binary=True) for j in net.junctions])
-            flows.append([(model.add_var(f"z_{k}_{link.id}", lb=0.0, ub=caps[i]),
-                           model.add_var(f"d_{k}_{link.id}", binary=True) if i in feeds else None)
-                          for i, link in enumerate(net.links)])
-        for k in range(T):
-            for i, link in enumerate(net.links):
-                (zi, di), xi, ui = flows[k][i], x[k][i], u[k][heads[i]]
-                g1, g0 = (1.0, 0.0) if link.direction == NS else (-1.0, 1.0)
-                c, m_flow = caps[i], 2.0 * caps[i]
-                # z <= x
-                model.add_constraint({zi: 1.0, xi: -1.0}, "<=", 0.0)
-                # z <= M g
-                model.add_constraint({zi: 1.0, ui: -m_flow * g1}, "<=", m_flow * g0)
-                if i in feeds:
-                    m_state = 2.0 * x_s[i]
-                    # z >= x - M d - M (1-g)
-                    model.add_constraint({xi: 1.0, zi: -1.0, di: -m_state, ui: m_state * g1},
-                                         "<=", m_state * (1.0 - g0))
-                    # z >= c - M (1-d) - M (1-g)
-                    model.add_constraint({zi: -1.0, di: m_flow, ui: m_flow * g1},
-                                         "<=", m_flow * (2.0 - g0) - c)
-            # state update: x_{k+1} >= x_k - z + w + sum of beta z_q
-            z = [zi for zi, _ in flows[k]]
-            for i, into in enumerate(inflows):
-                row = {x[k + 1][i]: 1.0, x[k][i]: -1.0, z[i]: 1.0}
-                for q, ratio in into:
-                    row[z[q]] = row.get(z[q], 0.0) - ratio
-                model.add_constraint(row, ">=", w[i])
-        return u
+    def dynamics(x, _):
+        cols = x.size + np.arange(T * ub.size).reshape(T, ub.size)
+        names = [f"{kind}{k}{tail}" for k in range(T) for kind, tail in labels]
+        return ((names, np.concatenate([ub] * T), np.concatenate([binary] * T)),
+                (*_by_step(T, rhs.size, terms, np.concatenate([x[:-1], x[1:], cols], axis=1)),
+                 np.concatenate([rels] * T), np.concatenate([rhs] * T)),
+                cols[:, :len(net.junctions)])
 
-    art = _witness_model("traffic", net, net.safe_set(), T, objective, write_dynamics)
-    for column, (ns, ew) in zip(art.u.T.tolist(), green_step_counts(net, T).values()):
-        if ns + ew > T:
-            steps = dict.fromkeys(column, 1.0)
-            art.model.add_constraint(steps, ">=", float(ns))
-            art.model.add_constraint(steps, "<=", float(T - ew))
+    art = _witness_model("traffic", net, net.safe_set(), T, objective, dynamics)
+    counts = np.array(list(green_step_counts(net, T).values())).reshape(-1, 2)
+    clash = np.flatnonzero(counts.sum(axis=1) > T)
+    if clash.size:
+        art.model.add_rows(np.arange(2 * clash.size).repeat(T),
+                           art.u.T[clash].repeat(2, axis=0), 1.0, [GEQ, LEQ] * clash.size,
+                           np.column_stack([counts[clash, 0], T - counts[clash, 1]]).ravel())
     return art
 
 
@@ -219,7 +315,7 @@ def green_step_counts(net: TrafficNetwork, T: int) -> dict:
     Marchand & Wolsey, 2001).
 
     The arithmetic is exact over the data as written: each float is read
-    as its shortest decimal, ``Fraction(repr(v))``.  So ``3 * 0.1 / 0.1``
+    as its shortest decimal, ``repr(v)``.  So ``3 * 0.1 / 0.1``
     is 3, where floats give ``3.0000000000000004`` and a fourth step; and
     ``3 * 3.2 / 9.6`` is 1, where the binary values of the floats exceed 1
     by ``9e-17`` and would demand a second green step that a certificate
@@ -228,7 +324,8 @@ def green_step_counts(net: TrafficNetwork, T: int) -> dict:
     """
     counts = {j: [0, 0] for j in net.junctions}
     for steps, link in zip(_unit_green_steps(net), net.links):
-        need = T + 1 if steps is None else math.ceil(T * steps)
+        # ceil(T * steps), in integers
+        need = T + 1 if steps is None else -(-T * steps.numerator // steps.denominator)
         side = 0 if link.direction == NS else 1
         counts[link.head][side] = max(counts[link.head][side], need)
     return {j: tuple(v) for j, v in counts.items()}
@@ -239,23 +336,35 @@ def _unit_green_steps(net: TrafficNetwork) -> tuple:
     """Per link, the exact flow floor of a period of length 1 over the
     capacity: ``F_i / c_i`` green steps, None if ``c_i = 0 < F_i``.  The
     floor iteration is linear from ``F = 0``, so at period T it is exactly
-    T times this."""
-    from fractions import Fraction  # imported here: only traffic encodings use it
+    T times this.
+
+    The sweeps run on integers.  Each value is read as the ratio of its
+    shortest decimal, and over the least common denominators ``w*_i = a_i /
+    d_w`` and ``beta = r / d_b``; after sweep s, ``F`` is held as its
+    numerators over ``d_w d_b^(s-1)``.  One ``Fraction`` per link is made
+    at the end.
+    """
+    from decimal import Decimal     # imported here: only traffic encodings use them
+    from fractions import Fraction
 
     def exact(v):
-        return Fraction(repr(float(v)))
+        return Decimal(repr(float(v))).as_integer_ratio()
 
-    links = net.links
-    arrivals = [exact(link.w_star) for link in links]
+    arrivals = [exact(link.w_star) for link in net.links]
     turns = [(net.link_index(s), net.link_index(d), exact(r)) for (s, d, r) in net.turns if r]
-    F = [Fraction(0)] * len(links)
-    for _ in links:
-        F_next = list(arrivals)
+    d_w = math.lcm(*(d for _, d in arrivals))
+    d_b = math.lcm(*(d for _, _, (_, d) in turns))
+    arrivals = [a * (d_w // d) for a, d in arrivals]
+    turns = [(q, i, r * (d_b // d)) for q, i, (r, d) in turns]
+    F, scale = [0] * len(arrivals), 1
+    for _ in arrivals:
+        F_next = [a * scale for a in arrivals]
         for q, i, r in turns:
             F_next[i] += r * F[q]
-        F = F_next
-    capacities = [exact(link.c) for link in links]
-    return tuple(F_i / c if c else (None if F_i else 0) for F_i, c in zip(F, capacities))
+        F, den, scale = F_next, d_w * scale, scale * d_b
+    capacities = [exact(link.c) for link in net.links]
+    return tuple(Fraction(F_i * c_den, den * c) if c else (None if F_i else 0)
+                 for F_i, (c, c_den) in zip(F, capacities))
 
 
 def decode(art: EncodingArtifacts, sol: MilpSolution) -> SSequenceCertificate:

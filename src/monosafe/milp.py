@@ -1,5 +1,10 @@
 """Self-contained LP and mixed-integer solver (no external solver dependency).
 
+A model (``MilpModel``) holds its columns as arrays and its rows in COO
+form, (row, column, value) triplets sorted by row and column, appended in
+blocks that are checked as a whole.  ``dense`` scatters the triplets into
+the matrix the simplex works on; ``write_lp_format`` reads them in order.
+
 The LP core is a bounded-variable revised simplex: variables may rest at
 either bound, so binary branching and the encoder's variable bounds never
 add rows.  A cold solve is a two-phase primal simplex with Dantzig pricing
@@ -90,85 +95,117 @@ class NumericalBreakdownError(MilpError):
     """The solver could not certify its own answer; nothing is returned."""
 
 
-@dataclass
-class _Var:
-    name: str
-    lb: float
-    ub: float
-    binary: bool
-
-
 class MilpModel:
-    """Linear model: bounded reals, binary markers, rows, one objective."""
+    """Linear model: bounded reals, binary markers, rows, one objective.
+
+    Columns are the arrays ``lb``, ``ub`` and ``binary`` plus the list
+    ``names``.  Rows are in COO form: entry k of ``row``, ``col`` and
+    ``val`` puts ``val[k]`` in column ``col[k]`` of row ``row[k]``; entries
+    are sorted by row and then column, a column appears once per row, and
+    explicit zeros are kept.  ``rels`` and ``rhs`` hold one entry per row,
+    and ``obj`` is ``{column: coefficient}`` in column order.
+
+    ``add_vars`` and ``add_rows`` append a block, checked as a whole: a
+    rejected block leaves the model as it was.  ``add_var`` and
+    ``add_constraint`` append a block of one.
+    """
 
     def __init__(self, name: str = "model"):
         self.name = name
-        self.vars: list[_Var] = []
-        self.rows: list[dict[int, float]] = []
-        self.rels: list[str] = []
-        self.rhs: list[float] = []
+        self.names: list[str] = []
+        self.lb, self.ub, self.binary = np.empty(0), np.empty(0), np.empty(0, bool)
+        self.row, self.col = np.empty(0, np.intp), np.empty(0, np.intp)
+        self.val, self.rels, self.rhs = np.empty(0), np.empty(0, str), np.empty(0)
         self.obj: dict[int, float] = {}
         self.sense = "min"
         # binaries branch-and-bound splits on before any other binary
         self.branch_first: list[int] = []
 
+    def add_vars(self, names, lb=0.0, ub=np.inf, binary=False) -> np.ndarray:
+        """Append a column per name; bounds and flags are given per column
+        or once for all, and a binary's bounds are [0, 1].  Returns the
+        new columns."""
+        names = list(names)
+        binary = np.full(len(names), binary, bool)
+        lb, ub = np.where(binary, 0.0, lb), np.where(binary, 1.0, ub)
+        if not np.isfinite(lb).all() or (ub < lb).any():
+            j = int(np.flatnonzero(~np.isfinite(lb) | (ub < lb))[0])
+            what = "empty bound interval" if np.isfinite(lb[j]) else "lower bound must be finite"
+            raise MilpError(f"variable {names[j]}: {what} [{lb[j]}, {ub[j]}]")
+        first = len(self.names)
+        self.names += names
+        self.lb = np.concatenate([self.lb, lb])
+        self.ub = np.concatenate([self.ub, ub])
+        self.binary = np.concatenate([self.binary, binary])
+        return np.arange(first, len(self.names))
+
     def add_var(self, name: str, lb: float = 0.0, ub: float = np.inf,
                 binary: bool = False) -> int:
-        if binary:
-            lb, ub = 0.0, 1.0
-        if not np.isfinite(lb):
-            raise MilpError(f"variable {name}: lower bound must be finite")
-        if ub < lb:
-            raise MilpError(f"variable {name}: empty bound interval [{lb}, {ub}]")
-        self.vars.append(_Var(name, float(lb), float(ub), binary))
-        return len(self.vars) - 1
+        return int(self.add_vars([name], lb, ub, binary)[0])
 
-    def _terms(self, coeffs, what: str) -> dict[int, float]:
-        """``coeffs`` as {int index: float coefficient}, every index a variable."""
-        row = dict(coeffs)
-        for j in row:
-            if not 0 <= j < len(self.vars):
-                raise MilpError(f"{what} references unknown variable index {j}")
-        return {int(j): float(a) for j, a in row.items()}
+    def add_rows(self, row, col, val, rel, rhs) -> np.ndarray:
+        """Append a row per entry of ``rhs``, ``rel`` given per row or once
+        for all; entry k puts ``val[k]`` (or ``val`` for every entry) in
+        column ``col[k]`` of the block's row ``row[k]``, 0 being the block's
+        first row.  Returns the new rows.  The entries may come in any
+        order; they are kept sorted by row and column."""
+        rhs = np.asarray(rhs, float).ravel()
+        bad = set(np.ravel(rel).tolist()) - {LEQ, EQ, GEQ}
+        if bad:
+            raise MilpError(f"unknown relation {min(bad)!r}")
+        rels = np.full(rhs.size, rel)
+        row, col = np.asarray(row, np.intp).ravel(), np.asarray(col, np.intp).ravel()
+        val = np.full(col.size, val, float)
+        n, first = self.num_vars, self.num_constraints
+        if col.size and (col.min() < 0 or col.max() >= n):
+            j = col[(col < 0) | (col >= n)][0]
+            raise MilpError(f"constraint references unknown variable index {j}")
+        if row.shape != col.shape or row.size and (row.min() < 0 or row.max() >= rhs.size):
+            raise MilpError("constraint entries must name rows of the block")
+        key = row * n + col
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        if (key[1:] == key[:-1]).any():
+            raise MilpError("a row lists one variable twice")
+        self.row = np.concatenate([self.row, row[order] + first])
+        self.col = np.concatenate([self.col, col[order]])
+        self.val = np.concatenate([self.val, val[order]])
+        self.rels = np.concatenate([self.rels, rels])
+        self.rhs = np.concatenate([self.rhs, rhs])
+        return np.arange(first, self.num_constraints)
 
     def add_constraint(self, coeffs, rel: str, rhs: float) -> int:
-        if rel not in (LEQ, EQ, GEQ):
-            raise MilpError(f"unknown relation {rel!r}")
-        self.rows.append(self._terms(coeffs, "constraint"))
-        self.rels.append(rel)
-        self.rhs.append(float(rhs))
-        return len(self.rows) - 1
+        row = dict(coeffs)
+        return int(self.add_rows([0] * len(row), list(row), list(row.values()), rel, rhs)[0])
 
     def set_objective(self, coeffs, sense: str = "min"):
         if sense not in ("min", "max"):
             raise MilpError(f"unknown sense {sense!r}")
-        self.obj = self._terms(coeffs, "objective")
+        obj = dict(coeffs)
+        for j in obj:
+            if not 0 <= j < self.num_vars:
+                raise MilpError(f"objective references unknown variable index {j}")
+        self.obj = {int(j): float(obj[j]) for j in sorted(obj)}
         self.sense = sense
 
     @property
     def num_vars(self) -> int:
-        return len(self.vars)
+        return len(self.names)
 
     @property
     def num_constraints(self) -> int:
-        return len(self.rows)
+        return self.rhs.size
 
     @property
-    def binary_indices(self) -> list[int]:
-        return [j for j, v in enumerate(self.vars) if v.binary]
+    def binary_indices(self) -> np.ndarray:
+        return np.flatnonzero(self.binary)
 
     def dense(self):
-        n, m = len(self.vars), len(self.rows)
-        A = np.zeros((m, n))
-        for i, row in enumerate(self.rows):
-            for j, a in row.items():
-                A[i, j] = a
-        c = np.zeros(n)
-        for j, a in self.obj.items():
-            c[j] = a
-        lb = np.array([v.lb for v in self.vars])
-        ub = np.array([v.ub for v in self.vars])
-        return c, A, np.array(self.rels), np.array(self.rhs, dtype=float), lb, ub
+        c = np.zeros(self.num_vars)
+        c[list(self.obj)] = list(self.obj.values())
+        A = np.zeros((self.num_constraints, self.num_vars))
+        A[self.row, self.col] = self.val
+        return c, A, self.rels.copy(), self.rhs.copy(), self.lb.copy(), self.ub.copy()
 
 
 class ParallelRows(NamedTuple):
@@ -646,10 +683,17 @@ def _parallel_rows(model: MilpModel) -> ParallelRows | None:
     lower right-hand side exceeds its smallest upper one by more than
     ``2 FEAS_TOL``, or None.  Past that gap no point passes the independent
     re-check, which lets each row miss by ``FEAS_TOL``; a smaller gap is
-    left to the simplex.  Rows are compared as written, without scaling."""
-    lower, upper = {}, {}   # coefficients -> (rhs, row) of the tightest bound
-    for i, (row, rel, rhs) in enumerate(zip(model.rows, model.rels, model.rhs)):
-        key = frozenset(row.items())
+    left to the simplex.  Rows are compared as written, without scaling:
+    a row's key is the bytes of its COO slice, (column, coefficient) pairs
+    in column order, with ``+ 0.0`` folding -0.0 into 0.0."""
+    pairs = np.empty(model.col.size, [("col", np.int64), ("val", float)])
+    pairs["col"], pairs["val"] = model.col, model.val + 0.0
+    data, width = pairs.tobytes(), pairs.itemsize
+    ends = np.searchsorted(model.row, np.arange(model.num_constraints) + 1).tolist()
+    lower, upper = {}, {}   # key -> (rhs, row) of the tightest bound
+    start = 0
+    for i, (end, rel, rhs) in enumerate(zip(ends, model.rels.tolist(), model.rhs.tolist())):
+        key, start = data[start * width:end * width], end
         if rel != LEQ and (key not in lower or rhs > lower[key][0]):
             lower[key] = (rhs, i)
         if rel != GEQ and (key not in upper or rhs < upper[key][0]):
@@ -710,10 +754,14 @@ def solve_milp(model: MilpModel, node_budget: int | None = None,
     deterministic, and every node's LP answer passes the independent
     re-check before it is used.
     """
-    if not set(model.branch_first) <= set(model.binary_indices):
+    first = np.zeros(model.num_vars, bool)
+    marked = np.asarray(model.branch_first, dtype=np.intp)
+    if marked.size and (marked.min() < 0 or marked.max() >= model.num_vars
+                        or not model.binary[marked].all()):
         raise MilpError("branch_first may only list binary variables")
-    bins = np.array(model.binary_indices, dtype=int)
-    first = np.isin(bins, list(model.branch_first))
+    first[marked] = True
+    bins = model.binary_indices
+    first = first[bins]
     t0 = time.monotonic()
     sign = 1.0 if model.sense == "max" else -1.0  # internal: maximize sign*obj
     sx = None               # the live simplex, built when the root needs a solve
@@ -809,12 +857,10 @@ def _lp_name(name: str, j: int) -> str:
     return safe
 
 
-def _lp_terms(coeffs: dict[int, float], names: list[str]) -> str:
-    if not coeffs:
-        return "0 " + names[0]
+def _lp_terms(pairs, names: list[str]) -> str:
+    """``pairs`` of (column, coefficient), in column order, as LP-format terms."""
     parts = []
-    for j in sorted(coeffs):
-        a = coeffs[j]
+    for j, a in pairs:
         if a == 0:
             continue
         sign = "-" if a < 0 else ("+" if parts else "")
@@ -823,17 +869,20 @@ def _lp_terms(coeffs: dict[int, float], names: list[str]) -> str:
 
 
 def write_lp_format(model: MilpModel, path: str):
-    names = [_lp_name(v.name, j) for j, v in enumerate(model.vars)]
+    names = [_lp_name(name, j) for j, name in enumerate(model.names)]
     lines = [f"\\ {model.name}", "Maximize" if model.sense == "max" else "Minimize",
-             " obj: " + _lp_terms(model.obj, names), "Subject To"]
-    for i, (row, rel, rhs) in enumerate(zip(model.rows, model.rels, model.rhs)):
-        lines.append(f" c{i}: {_lp_terms(row, names)} {rel} {rhs:.17g}")
+             " obj: " + _lp_terms(model.obj.items(), names), "Subject To"]
+    pairs = list(zip(model.col.tolist(), model.val.tolist()))
+    ends = np.searchsorted(model.row, np.arange(model.num_constraints) + 1).tolist()
+    for i, (start, end, rel, rhs) in enumerate(zip([0] + ends, ends, model.rels.tolist(),
+                                                   model.rhs.tolist())):
+        lines.append(f" c{i}: {_lp_terms(pairs[start:end], names)} {rel} {rhs:.17g}")
     lines.append("Bounds")
-    for j, v in enumerate(model.vars):
-        if v.binary:
-            continue
-        hi = "" if np.isinf(v.ub) else f" <= {v.ub:.17g}"
-        lines.append(f" {v.lb:.17g} <= {names[j]}{hi}")
+    for name, lb, ub, binary in zip(names, model.lb.tolist(), model.ub.tolist(),
+                                    model.binary.tolist()):
+        if not binary:
+            hi = "" if np.isinf(ub) else f" <= {ub:.17g}"
+            lines.append(f" {lb:.17g} <= {name}{hi}")
     bin_names = [names[j] for j in model.binary_indices]
     if bin_names:
         lines.append("Binaries")

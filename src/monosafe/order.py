@@ -213,14 +213,9 @@ class PolyLowerSet:
         ``min_j b_j / A_{ji}`` over rows with ``A_{ji} > 0`` (``inf`` if no
         row bounds the coordinate).  No LP is needed.
         """
-        n = self.dim
-        out = np.full(n, np.inf)
-        for i in range(n):
-            col = self.A[:, i]
-            mask = col > 0
-            if np.any(mask):
-                out[i] = np.min(self.b[mask] / col[mask])
-        return out
+        bounds = np.divide(self.b[:, None], self.A, out=np.full(self.A.shape, np.inf),
+                           where=self.A > 0)
+        return bounds.min(axis=0, initial=np.inf)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
-import copy
 import json
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from monosafe.certificate import SSequenceCertificate
 from monosafe.encode import encode_traffic
+from monosafe.milp import MilpModel
 from monosafe.systems import load_system_file
 
 DATA = resources.files("monosafe.data")
@@ -43,12 +44,16 @@ def _without_count_rows(art):
     lies in the junction binaries.  Those are exactly its green-step count
     rows, so what is left is the model as it was before them, rows in the
     same order."""
-    controls = set(art.u.ravel().tolist())
-    keep = [r for r, row in enumerate(art.model.rows) if not set(row) <= controls]
-    model = copy.copy(art.model)
-    model.rows = [art.model.rows[r] for r in keep]
-    model.rels = [art.model.rels[r] for r in keep]
-    model.rhs = [art.model.rhs[r] for r in keep]
+    src = art.model
+    keep = np.zeros(src.num_constraints, bool)
+    keep[src.row[~np.isin(src.col, art.u)]] = True
+    entries = keep[src.row]
+    model = MilpModel(src.name)
+    model.add_vars(src.names, src.lb, src.ub, src.binary)
+    model.add_rows((np.cumsum(keep) - 1)[src.row[entries]], src.col[entries], src.val[entries],
+                   src.rels[keep], src.rhs[keep])
+    model.set_objective(src.obj, src.sense)
+    model.branch_first = list(src.branch_first)
     return model
 
 

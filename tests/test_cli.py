@@ -69,6 +69,33 @@ def test_find_summary_reports_pivots(tmp_path, capsys):
     assert all(int(m[5]) > 0 and int(m[6]) > 0 and int(m[7]) > 0 for m in records)
 
 
+@pytest.mark.parametrize("argv, solver_status, proven", [
+    (["--system", "case1.json", "--tmax", "7"], "optimal", True),
+    # the first incumbent comes after about 800 nodes; the root bound (720)
+    # is not met, so the budget ends the search
+    (["--system", "traffic_table1.json", "--tmin", "5", "--tmax", "5",
+      "--node-budget", "1000"], "feasible_budget_hit", False),
+])
+def test_find_says_whether_max_l1_was_proven(argv, solver_status, proven, tmp_path, capsys):
+    """Under max-l1 the summary gives the sum of x*_0 and whether the
+    solver proved it optimal; the horizon lines keep their form."""
+    out = tmp_path / "m"
+    assert main(["find", *argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    text = (out / "summary.txt").read_text()
+    assert re.search(rf"^  T=\d+: found  \[{solver_status}, \d+ nodes", text, re.M)
+    lines = [line for line in text.splitlines() if line.startswith("max-l1:")]
+    assert len(lines) == 1
+    m = re.fullmatch(r"max-l1: sum of x\*_0 = (\S+) \((not )?proven optimal\)", lines[0])
+    assert m and (m[2] is None) == proven, lines
+    cert = json.loads((out / "certificate.json").read_text())
+    assert float(m[1]) == pytest.approx(sum(cert["x_star"][0]), rel=1e-9)
+    if proven:
+        assert float(m[1]) == pytest.approx(50.0, abs=1e-6) and "(minimal)" in text
+    assert main(["find", *argv, "--objective", "first-feasible", "--out", str(out)]) == 0
+    assert "max-l1" not in (out / "summary.txt").read_text()
+
+
 def _lp_rows(path):
     """``{row: (terms, relation, rhs)}`` of a ``--dump-lp`` file, the terms
     ``{variable: coefficient}`` and the right-hand side as exact fractions."""

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from monosafe.encode import (DecodeMismatchError, decode, encode_switched, encode_traffic,
-                             green_step_counts)
+from monosafe.encode import (DecodeMismatchError, _unit_green_steps, decode, encode_switched,
+                             encode_traffic, green_step_counts)
 from monosafe.invariance import find_s_sequence
 from monosafe.milp import MilpSolution, solve_milp, write_lp_format
 from monosafe.order import PolyLowerSet
@@ -58,7 +58,7 @@ def test_switched_size_formula_mixed_safe_set(T, case1):
     n, n_modes = sys_.state_dim, len(sys_.controls)
     assert art.model.num_constraints == T * (1 + n_modes * n) + T * 1 + n
     for k in range(T + 1):
-        assert [art.model.vars[art.x[k, i]].ub for i in range(n)] == [5.0, 8.0]
+        assert art.model.ub[art.x[k]].tolist() == [5.0, 8.0]
 
 
 # sha256 of ``write_lp_format``: every coefficient, bound, name and row order.
@@ -80,6 +80,11 @@ def test_switched_size_formula_mixed_safe_set(T, case1):
     # no junction's counts conflict at T=5, so the encoding has no count rows
     ("traffic+counts", 5, "first_feasible",
      "7e734f90cc3ac7b3e17a20d76457087b93429f7c7e58ea570c24ef54ed255c7e"),
+    # the largest models the benchmark's finds build
+    ("case1", 7, "max_l1_x0",
+     "ec36857e916344d9d31f2cb634f4f990c97216148deeb7e216e5298166daf245"),
+    ("traffic+counts", 3, "first_feasible",
+     "e64ccff760fe5a5a5aedb1b1f7a420ce9b588b860d0df9e8cd094b1716e51b7f"),
 ])
 def test_encoding_pinned(system, T, objective, digest, case1, traffic, deep_traffic_model,
                          tmp_path):
@@ -134,22 +139,32 @@ def test_table2_plan_meets_the_counts(traffic, traffic_cert):
     assert meets_counts(net, traffic_cert)
 
 
-@pytest.mark.parametrize("ns_link, ew_link, T, counts", [
+EXACT_CASES = [
     # float division rounds 3 * 0.1 / 0.1 up to 3.0000000000000004
     ((0.1, 0.1, 1.0), None, 3, (3, 0)),
     # the binary values of 3.2 and 9.6 give 3 * 3.2 / 9.6 = 1 + 9e-17
     ((9.6, 3.2, 20.0), (3.0, 2.0, 20.0), 3, (1, 2)),
-])
+]
+
+
+def exact_case_net(ns_link, ew_link):
+    """One junction with an NS link and optionally an EW link, each given as
+    (c, w*, x_s)."""
+    c, w, x_s = ns_link
+    links = [Link(id=1, direction=NS, head="a", c=c, x_s=x_s, w_star=w, entry=True)]
+    if ew_link:
+        c, w, x_s = ew_link
+        links.append(Link(id=2, direction=EW, head="a", c=c, x_s=x_s, w_star=w, entry=True))
+    return TrafficNetwork(links, ["a"], [])
+
+
+@pytest.mark.parametrize("ns_link, ew_link, T, counts", EXACT_CASES)
 def test_green_step_counts_are_exact(ns_link, ew_link, T, counts):
     """A flow balance that is a whole number of green steps in the data as
     written needs that many, not one more: the horizon stays feasible."""
     c, w, x_s = ns_link
     assert math.ceil(T * w / c) == counts[0] + 1
-    links = [Link(id=1, direction=NS, head="a", c=c, x_s=x_s, w_star=w, entry=True)]
-    if ew_link:
-        c, w, x_s = ew_link
-        links.append(Link(id=2, direction=EW, head="a", c=c, x_s=x_s, w_star=w, entry=True))
-    net = TrafficNetwork(links, ["a"], [])
+    net = exact_case_net(ns_link, ew_link)
     assert green_step_counts(net, T) == {"a": counts}
     res = find_s_sequence(net, t_min=T, t_max=T, objective="first_feasible")
     assert res.found
@@ -200,7 +215,7 @@ def test_count_rows_keep_every_status(without_count_rows):
             art = encode_traffic(net, T)
             sol = solve_milp(art.model)
             bare = without_count_rows(art)
-            if len(bare.rows) < art.model.num_constraints:
+            if bare.num_constraints < art.model.num_constraints:
                 assert (sol.status, solve_milp(bare).status) == ("infeasible",) * 2, (seed, T)
                 seen.add("rows")
             else:
@@ -247,6 +262,34 @@ def test_scaled_unit_floor_matches_the_iteration_at_each_period(traffic):
         assert green_step_counts(blocked, T) == {"a": (T + 1, 0)}
         for k, net in enumerate(nets):
             assert green_step_counts(net, T) == reference_green_step_counts(net, T), (k, T)
+
+
+def reference_unit_green_steps(net):
+    """The unit flow floor over the capacity, iterated in ``Fraction``s."""
+    def exact(v):
+        return Fraction(repr(float(v)))
+
+    arrivals = [exact(link.w_star) for link in net.links]
+    turns = [(net.link_index(s), net.link_index(d), exact(r)) for (s, d, r) in net.turns if r]
+    F = [Fraction(0)] * len(net.links)
+    for _ in net.links:
+        F_next = list(arrivals)
+        for q, i, r in turns:
+            F_next[i] += r * F[q]
+        F = F_next
+    capacities = [exact(link.c) for link in net.links]
+    return tuple(F_i / c if c else (None if F_i else 0) for F_i, c in zip(F, capacities))
+
+
+def test_integer_unit_floor_matches_fractions(traffic):
+    """The integer sweeps give the ``Fraction`` iteration's floor exactly,
+    on the bundled grid, the seeded networks and both exact cases."""
+    nets = ([traffic[0]] + [random_small_net(seed) for seed in range(40)]
+            + [exact_case_net(ns, ew) for ns, ew, _, _ in EXACT_CASES])
+    for k, net in enumerate(nets):
+        got, want = _unit_green_steps(net), reference_unit_green_steps(net)
+        assert got == want, k
+        assert [type(v) for v in got] == [type(v) for v in want], k
 
 
 def test_case1_round_trip(case1):

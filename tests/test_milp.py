@@ -78,7 +78,49 @@ def test_model_validation():
         m.add_constraint({-1: 1.0}, "<=", 1.0)
     with pytest.raises(MilpError):
         m.set_objective({5: 1.0}, "max")
-    assert (m.rows, m.obj, m.sense) == ([], {}, "min")
+    assert (m.num_constraints, m.row.size, m.obj, m.sense) == (0, 0, {}, "min")
+
+
+def _contents(m):
+    """Everything a model holds, as plain values."""
+    arrays = (m.lb, m.ub, m.binary, m.row, m.col, m.val, m.rels, m.rhs)
+    return (list(m.names), [a.tolist() for a in arrays], [a.dtype for a in arrays],
+            dict(m.obj), m.sense)
+
+
+def test_rejected_appends_leave_the_model_unchanged():
+    """A block with one bad item among good ones is refused whole: a bad
+    relation, a negative or out-of-range column, an entry outside the
+    block's rows, a column listed twice in a row, or a bad bound."""
+    m = small_lp()
+    m.add_var("b", binary=True)
+    before = _contents(m)
+    bad_rows = [
+        ([0, 1], [0, 1], [1.0, 1.0], [LEQ, "<"], [1.0, 2.0]),
+        ([0, 1], [0, -1], [1.0, 1.0], LEQ, [1.0, 2.0]),
+        ([0, 1], [0, 3], [1.0, 1.0], LEQ, [1.0, 2.0]),
+        ([0, 2], [0, 1], [1.0, 1.0], GEQ, [1.0, 2.0]),
+        ([0, 0, 1], [2, 2, 1], [1.0, 1.0, 1.0], EQ, [1.0, 2.0]),
+    ]
+    for block in bad_rows:
+        with pytest.raises(MilpError):
+            m.add_rows(*block)
+        assert _contents(m) == before, block
+    for coeffs, rel in (({0: 1.0}, "<"), ({-1: 1.0}, LEQ), ({3: 1.0}, LEQ)):
+        with pytest.raises(MilpError):
+            m.add_constraint(coeffs, rel, 1.0)
+        assert _contents(m) == before, coeffs
+    for lb, ub in (([0.0, -np.inf], 1.0), ([0.0, 2.0], [1.0, 1.0])):
+        with pytest.raises(MilpError):
+            m.add_vars(["p", "q"], lb, ub)
+        assert _contents(m) == before, (lb, ub)
+    with pytest.raises(MilpError):
+        m.set_objective({3: 1.0}, "max")
+    assert _contents(m) == before
+    assert list(m.add_rows([0, 1, 1], [2, 1, 0], [1.0, 3.0, -1.0], [LEQ, GEQ], [1.0, 0.0])) \
+        == [2, 3]
+    assert (m.row[-3:].tolist(), m.col[-3:].tolist(), m.val[-3:].tolist()) == \
+        ([2, 3, 3], [2, 0, 1], [1.0, -1.0, 3.0])
 
 
 def test_beale_degenerate_instance():
@@ -153,14 +195,11 @@ def test_lp_agrees_with_scipy_randomized():
 def _enumerate_oracle(mdl, nb):
     best = None
     for bits in itertools.product([0.0, 1.0], repeat=nb):
+        lb, ub = mdl.lb.copy(), mdl.ub.copy()
+        lb[:nb] = ub[:nb] = bits
         sub = MilpModel("sub")
-        for j, v in enumerate(mdl.vars):
-            if j < nb:
-                sub.add_var(v.name, lb=bits[j], ub=bits[j])
-            else:
-                sub.add_var(v.name, lb=v.lb, ub=v.ub)
-        for row, rel, rhs in zip(mdl.rows, mdl.rels, mdl.rhs):
-            sub.add_constraint(row, rel, rhs)
+        sub.add_vars(mdl.names, lb, ub)
+        sub.add_rows(mdl.row, mdl.col, mdl.val, mdl.rels, mdl.rhs)
         sub.set_objective(mdl.obj, mdl.sense)
         s = solve_lp(sub)
         if s.status == "optimal":
@@ -168,11 +207,11 @@ def _enumerate_oracle(mdl, nb):
     return best
 
 
-def _random_milp(rng, k, max_binaries=8):
+def _random_milp(rng, k, max_binaries=8, model=MilpModel):
     nb = int(rng.integers(0, max_binaries + 1))
     nc = int(rng.integers(1, 7))
     m_rows = int(rng.integers(1, 9))
-    mdl = MilpModel(f"m{k}")
+    mdl = model(f"m{k}")
     for j in range(nb):
         mdl.add_var(f"b{j}", binary=True)
     for j in range(nc):
@@ -209,26 +248,144 @@ def test_milp_matches_enumeration_randomized():
     assert agree >= 25
 
 
-def _with_bounds(mdl, bounds, objective=None):
-    """Copy of ``mdl`` with ``bounds`` {j: (lb, ub)} and an optional new objective."""
+def _with_bounds(mdl, bounds, objective=None, rels=None):
+    """Copy of ``mdl`` with ``bounds`` {j: (lb, ub)}, and optionally a new
+    objective or new relations."""
+    lb, ub, binary = mdl.lb.copy(), mdl.ub.copy(), mdl.binary.copy()
+    for j, (lo, hi) in bounds.items():
+        lb[j], ub[j], binary[j] = lo, hi, False
     sub = MilpModel(mdl.name)
-    for j, v in enumerate(mdl.vars):
-        lb, ub = bounds.get(j, (v.lb, v.ub))
-        sub.add_var(v.name, lb=lb, ub=ub, binary=v.binary and j not in bounds)
-    for row, rel, rhs in zip(mdl.rows, mdl.rels, mdl.rhs):
-        sub.add_constraint(row, rel, rhs)
+    sub.add_vars(mdl.names, lb, ub, binary)
+    sub.add_rows(mdl.row, mdl.col, mdl.val, mdl.rels if rels is None else rels, mdl.rhs)
     sub.set_objective(mdl.obj if objective is None else objective, mdl.sense)
     return sub
+
+
+def _row_dicts(mdl):
+    """Each row of ``mdl`` as ``{column: coefficient}``."""
+    return [dict(zip(mdl.col[mdl.row == i].tolist(), mdl.val[mdl.row == i].tolist()))
+            for i in range(mdl.num_constraints)]
 
 
 def _with_duplicate_eq(mdl):
     """``mdl`` with its first row made an equation and a copy of that row
     appended, and the same model without the copy."""
-    plain = _with_bounds(mdl, {})
-    plain.rels[0] = EQ
+    rels = mdl.rels.copy()
+    rels[0] = EQ
+    plain = _with_bounds(mdl, {}, rels=rels)
     dup = _with_bounds(plain, {})
-    dup.add_constraint(plain.rows[0], EQ, plain.rhs[0])
+    dup.add_constraint(_row_dicts(plain)[0], EQ, plain.rhs[0])
     return dup, plain
+
+
+class _DictRows(MilpModel):
+    """A model that also keeps its columns, rows and objective as the
+    dict-per-row storage did, and builds the dense matrices from them."""
+
+    def __init__(self, name="model"):
+        super().__init__(name)
+        self.ref_vars, self.ref_rows, self.ref_obj = [], [], {}
+
+    def add_var(self, name, lb=0.0, ub=np.inf, binary=False):
+        self.ref_vars.append((0.0, 1.0) if binary else (float(lb), float(ub)))
+        return super().add_var(name, lb, ub, binary)
+
+    def add_constraint(self, coeffs, rel, rhs):
+        self.ref_rows.append(({int(j): float(a) for j, a in dict(coeffs).items()},
+                              rel, float(rhs)))
+        return super().add_constraint(coeffs, rel, rhs)
+
+    def set_objective(self, coeffs, sense="min"):
+        super().set_objective(coeffs, sense)
+        self.ref_obj = {int(j): float(a) for j, a in dict(coeffs).items()}
+
+    def ref_dense(self):
+        A = np.zeros((len(self.ref_rows), len(self.ref_vars)))
+        for i, (row, _, _) in enumerate(self.ref_rows):
+            for j, a in row.items():
+                A[i, j] = a
+        c = np.zeros(len(self.ref_vars))
+        for j, a in self.ref_obj.items():
+            c[j] = a
+        lb, ub = (np.array(v, dtype=float).reshape(-1) for v in zip(*self.ref_vars))
+        return (c, A, np.array([r[1] for r in self.ref_rows]),
+                np.array([r[2] for r in self.ref_rows], dtype=float), lb, ub)
+
+    def ref_parallel_rows(self):
+        """``_parallel_rows`` as it grouped rows by ``frozenset(row.items())``."""
+        lower, upper = {}, {}
+        for i, (row, rel, rhs) in enumerate(self.ref_rows):
+            key = frozenset(row.items())
+            if rel != LEQ and (key not in lower or rhs > lower[key][0]):
+                lower[key] = (rhs, i)
+            if rel != GEQ and (key not in upper or rhs < upper[key][0]):
+                upper[key] = (rhs, i)
+        for key, (lo, i) in lower.items():
+            if key in upper:
+                hi, k = upper[key]
+                if lo - hi > 2.0 * FEAS_TOL:
+                    return milp.ParallelRows(i, k, lo, hi)
+        return None
+
+
+def _twin_rows_model(rng, k):
+    """Rows over few columns and few coefficients, with explicit zeros of
+    either sign, so that rows often repeat up to the order of their terms,
+    the sign of a zero, or an explicit zero; relations and right-hand sides
+    drawn so that groups often contradict, and rows often tie."""
+    n = int(rng.integers(1, 5))
+    mdl = _DictRows(f"t{k}")
+    for j in range(n):
+        mdl.add_var(f"x{j}", ub=3.0, binary=bool(rng.random() < 0.3))
+    rows = []
+    for _ in range(int(rng.integers(1, 13))):
+        if rows and rng.random() < 0.6:
+            row = dict(rows[int(rng.integers(len(rows)))])
+            if row and rng.random() < 0.5:
+                j = list(row)[int(rng.integers(len(row)))]
+                row[j] = {0.0: -0.0, -0.0: 0.0}.get(row[j], row[j])
+            items = list(row.items())
+            rng.shuffle(items)
+            row = dict(items)
+        else:
+            cols = rng.permutation(n)[:int(rng.integers(0, n + 1))]
+            row = {int(j): float(rng.choice([1.0, -1.0, 2.0, 0.0, -0.0])) for j in cols}
+        rows.append(row)
+        mdl.add_constraint(row, str(rng.choice([LEQ, GEQ, EQ])), float(rng.integers(-2, 3)))
+    mdl.set_objective({j: 1.0 for j in range(n)}, "max")
+    return mdl
+
+
+def test_dense_matches_dict_rows():
+    """``dense`` scatters the COO entries into the matrix the dict-per-row
+    storage built, bit for bit (the sign of a zero included), on random
+    models and on models with explicit zeros of either sign."""
+    rng = np.random.default_rng(53)
+    signed_zeros = 0
+    for k in range(200):
+        mdl = _random_milp(rng, k, model=_DictRows)[0] if k % 2 else _twin_rows_model(rng, k)
+        dense = mdl.dense()
+        for got, want in zip(dense, mdl.ref_dense()):
+            assert got.shape == want.shape and got.dtype.kind == want.dtype.kind, k
+            assert np.array_equal(got, want), k
+            if got.dtype.kind == "f":
+                assert np.array_equal(np.signbit(got), np.signbit(want)), k
+        signed_zeros += int(np.any(np.signbit(dense[1]) & (dense[1] == 0)))
+    assert signed_zeros >= 10, signed_zeros
+
+
+def test_parallel_rows_match_frozenset_groups():
+    """Grouping rows by the bytes of their COO slices names the pair that
+    grouping by ``frozenset(row.items())`` named: -0.0 equals 0.0, an
+    explicit zero is a term, and ties go to the first row."""
+    rng = np.random.default_rng(59)
+    named = 0
+    for k in range(400):
+        mdl = _twin_rows_model(rng, k)
+        want = mdl.ref_parallel_rows()
+        assert milp._parallel_rows(mdl) == want, k
+        named += want is not None
+    assert 40 <= named <= 360, named
 
 
 def test_warm_children_match_cold_lp():
@@ -319,12 +476,15 @@ def test_parallel_rows_never_change_a_status(rel, shift, monkeypatch):
     for k in range(30):
         mdl, _ = _random_milp(rng, k)
         model = _with_bounds(mdl, {})
+        rows = _row_dicts(model)
         # the copy must be the first row's only twin
-        if not model.rows[0] or model.rows.count(model.rows[0]) > 1 or \
+        if not rows[0] or rows.count(rows[0]) > 1 or \
                 milp._parallel_rows(model) is not None:
             continue
-        model.rels[0] = LEQ if rel == GEQ else GEQ
-        model.add_constraint(model.rows[0], rel, model.rhs[0] + shift)
+        rels = model.rels.copy()
+        rels[0] = LEQ if rel == GEQ else GEQ
+        model = _with_bounds(model, {}, rels=rels)
+        model.add_constraint(rows[0], rel, model.rhs[0] + shift)
         got = solve_milp(model)
         with monkeypatch.context() as patch:
             patch.setattr(milp, "_parallel_rows", lambda model: None)
