@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -282,10 +283,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """``build_parser()`` once per process; parsing leaves no state on it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (InputError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -218,6 +218,9 @@ class PolyLowerSet:
         return bounds.min(axis=0, initial=np.inf)
 
 
+_FLOAT = np.dtype(float)
+
+
 @dataclass(frozen=True)
 class BoxUnion:
     """Ordered finite union of boxes; membership reports the smallest index."""
@@ -225,6 +228,8 @@ class BoxUnion:
     boxes: tuple = field(default_factory=tuple)
     #: the corners as one (boxes, n) matrix
     corners: np.ndarray = field(init=False, repr=False, compare=False)
+    #: the dimension every box shares
+    dim: int = field(init=False, repr=False, compare=False)
     #: ``corners + DEFAULT_TOL`` as nested lists of floats, for ``locate``
     _bounds: list = field(init=False, repr=False, compare=False)
 
@@ -236,12 +241,9 @@ class BoxUnion:
         if len(dims) != 1:
             raise ValueError(f"boxes must share a dimension, got {sorted(dims)}")
         object.__setattr__(self, "boxes", boxes)
+        object.__setattr__(self, "dim", dims.pop())
         object.__setattr__(self, "corners", np.array([b.corner for b in boxes]))
         object.__setattr__(self, "_bounds", (self.corners + DEFAULT_TOL).tolist())
-
-    @property
-    def dim(self) -> int:
-        return self.boxes[0].dim
 
     def __len__(self) -> int:
         return len(self.boxes)
@@ -253,7 +255,10 @@ class BoxUnion:
         ``corner + tol`` rounds as numpy's does, and every test is a negated
         ``<=`` or ``>=``, so a NaN coordinate is outside, as in ``contains``.
         """
-        xs = np.asarray(x, dtype=float).reshape(-1).tolist()
+        if type(x) is np.ndarray and x.ndim == 1 and x.dtype is _FLOAT:
+            xs = x.tolist()
+        else:
+            xs = np.asarray(x, dtype=float).reshape(-1).tolist()
         if len(xs) != self.dim:
             raise ValueError(f"dimension mismatch: {len(xs)} vs {self.dim}")
         low = -tol

@@ -10,11 +10,18 @@ package:
 * ``step(x, w, u)``      -- one-step successor, monotone in ``(x, w)`` for
   every fixed ``u``.
 
-``step`` checks its inputs and then calls ``advance(x, w, u)``, the one
-dynamics kernel, which trusts them.  A rollout that makes many steps checks
-the state, the disturbances (``check_disturbance``) and each control
-(``check_control``) once and then iterates ``advance``; it computes what the
-same calls of ``step`` would, bit for bit.
+Under a fixed control each model is one map, and a checked control *is*
+that map: ``check_control(u)`` validates ``u`` and returns the read-only
+matrix that ``advance(x, w, m)``, the one dynamics kernel, applies.  For a
+switched system it is the mode matrix ``A_u``, and ``x+ = A_u x + w``; for a
+traffic network it is ``M_u = (beta^T - I) G_u``, with ``G_u`` the diagonal
+green mask of ``u``, and ``x+ = x + w + M_u min(x, c)``.
+
+``step`` checks its inputs and then calls ``advance``, which trusts them.  A
+rollout that makes many steps checks the state, the disturbances
+(``check_disturbance``) and each control (``check_control``) once and then
+iterates ``advance``; it computes what the same calls of ``step`` would, bit
+for bit.
 
 Monotonicity is not enforced structurally; ``check_monotone`` samples
 ordered pairs and reports violations, which is how a modelling mistake
@@ -42,8 +49,9 @@ class MonotoneSystem:
 
     A model sets ``state_dim``, ``w_star`` and ``controls`` and defines
     ``check_control(u)`` (raise ``ValueError`` for a control outside the
-    alphabet, else return it in the form ``advance`` takes) and
-    ``advance(x, w, u)`` (the successor of checked inputs).
+    alphabet, else return the read-only matrix of ``u``'s map) and
+    ``advance(x, w, m)`` (the successor of checked inputs under the map
+    ``m``).
     """
 
     def step(self, x, w, u) -> np.ndarray:
@@ -86,17 +94,22 @@ class SwitchedAffineSystem(MonotoneSystem):
             if np.any(A < 0):
                 raise ValueError("mode matrices must be entrywise nonnegative")
         self.modes = tuple(mats)
+        # what check_control hands out: read-only views of the mode matrices
+        self._maps = tuple(A.view() for A in mats)
+        for m in self._maps:
+            m.flags.writeable = False
         self.w_star = as_vector(w_star, dim=n, name="w_star")
         self.state_dim = n
         self.controls = tuple(range(1, len(mats) + 1))
 
-    def check_control(self, u):
+    def check_control(self, u) -> np.ndarray:
+        """A read-only view of the mode matrix ``A_u`` of the label ``u``."""
         if u not in self.controls:
             raise ValueError(f"unknown mode label {u!r}; expected one of {self.controls}")
-        return u
+        return self._maps[u - 1]
 
-    def advance(self, x, w, u) -> np.ndarray:
-        return self.modes[u - 1] @ x + w
+    def advance(self, x, w, A) -> np.ndarray:
+        return A @ x + w
 
     def to_dict(self) -> dict:
         return {
@@ -128,10 +141,18 @@ class TrafficNetwork(MonotoneSystem):
     releases ``z = min(x, c)`` vehicles, split among downstream links by the
     turn ratios; otherwise it releases nothing.  The update is
 
-        x+ = x - z + w + sum over upstream k of beta_kl z_k .
+        x+ = x - z + w + sum over upstream k of beta_kl z_k ,
+
+    which under a control ``u`` is the map ``x+ = x + w + M_u min(x, c)``
+    with ``M_u = (beta^T - I) G_u`` and ``G_u`` the diagonal green mask of
+    ``u``.  ``advance`` computes ``(x + w) + M_u min(x, c)``: the only
+    negative entry of row l of ``M_u`` is its diagonal, no less than ``-1``,
+    so the row's product is at least ``-min(x_l, c_l)`` in any summation
+    order and ``x+ >= 0`` holds exactly, not only up to rounding.
 
     A control is a tuple of phases (``"NS"``/``"EW"``), one per junction, in
-    ``self.junctions`` order (junction ids sorted alphabetically).
+    ``self.junctions`` order (junction ids sorted alphabetically).  A
+    control's green mask and map are built on its first check and cached.
 
     Construction validates the topology: turn ratios lie in [0, 1] and sum
     to at most 1 per source link, entry links receive no turns, and all
@@ -182,38 +203,44 @@ class TrafficNetwork(MonotoneSystem):
                     f"link {l.id}: incoming turns from junctions {sorted(tails)}; "
                     "all upstream links must share one head (the link's tail)")
         self.turns = tuple((int(s), int(d), float(r)) for (s, d, r) in turns)
-        self._beta = beta
         self.state_dim = n
         self.c = np.array([l.c for l in self.links])
         self.x_s = np.array([l.x_s for l in self.links])
         self.w_star = np.array([l.w_star for l in self.links])
         self.controls = tuple(itertools.product((NS, EW), repeat=len(self.junctions)))
-        # green_mask of every control: link l is green when its head's phase
-        # is its own direction
-        head_ns = np.array([[p == NS for p in u] for u in self.controls],
-                           dtype=bool).reshape(len(self.controls), len(self.junctions))
-        head_ns = head_ns[:, [self._junction_index[l.head] for l in self.links]]
-        masks = head_ns == np.array([l.direction == NS for l in self.links])
-        masks.flags.writeable = False
-        self._green = dict(zip(self.controls, masks))
+        # link l is green when its head's phase is its own direction
+        self._head = np.array([self._junction_index[l.head] for l in self.links], dtype=int)
+        self._ns = np.array([l.direction == NS for l in self.links], dtype=bool)
+        self._flow = beta.T - np.eye(n)
+        # per control played so far: its green mask and its map M_u
+        self._green = {}
+        self._maps = {}
 
     # -- dynamics ----------------------------------------------------------
 
-    def check_control(self, u) -> tuple:
+    def check_control(self, u) -> np.ndarray:
+        """The read-only map ``M_u = (beta^T - I) G_u`` of the control ``u``."""
         if len(u) != len(self.junctions):
             raise ValueError(f"control must assign a phase to all {len(self.junctions)} junctions")
         for p in u:
             if p not in (NS, EW):
                 raise ValueError(f"bad phase {p!r}")
-        return tuple(u)
+        u = tuple(u)
+        m = self._maps.get(u)
+        if m is None:
+            green = np.array([p == NS for p in u], dtype=bool)[self._head] == self._ns
+            m = self._flow * green
+            green.flags.writeable = m.flags.writeable = False
+            self._green[u], self._maps[u] = green, m
+        return m
 
     def green_mask(self, u) -> np.ndarray:
         """Read-only bool per link: green under control ``u``."""
-        return self._green[self.check_control(u)]
+        self.check_control(u)
+        return self._green[tuple(u)]
 
-    def advance(self, x, w, u) -> np.ndarray:
-        z = np.where(self._green[u], np.minimum(x, self.c), 0.0)
-        return x - z + w + self._beta.T @ z
+    def advance(self, x, w, m) -> np.ndarray:
+        return x + w + m @ np.minimum(x, self.c)
 
     # -- bookkeeping -------------------------------------------------------
 

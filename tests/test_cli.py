@@ -15,6 +15,7 @@ import pytest
 
 import monosafe
 from monosafe import invariance
+from monosafe import cli
 from monosafe.cli import main
 from monosafe.encode import DecodeMismatchError
 from monosafe.milp import NumericalBreakdownError
@@ -244,6 +245,32 @@ def test_input_errors(tmp_path, capsys):
     assert main(["find", "--system", "traffic_table1.json",
                  "--safe-set", "case1.json"]) == 1
     capsys.readouterr()
+
+
+def test_main_reuses_one_parser_and_carries_nothing_over(tmp_path, capsys):
+    """``main`` builds its parser once per process; each call still parses
+    as a freshly built parser would, so no flag or default of one command
+    leaks into the next."""
+    runs = [
+        (["find", "--system", "case1.json", "--tmax", "7",
+          "--objective", "first-feasible", "--out", str(tmp_path / "a")], 0),
+        (["verify", "--system", "case1.json", "--certificate", "cert_case1.json",
+          "--steps", "5"], 1),
+        (["find", "--system", "case1.json", "--tmax", "2", "--dump-lp",
+          "--out", str(tmp_path / "b")], 2),
+        (["find", "--system", "case1.json", "--tmax", "7", "--out", str(tmp_path / "c")], 0),
+    ]
+    for argv, code in runs:
+        assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --steps 5" in err and err.startswith("usage: monosafe")
+    assert cli._parser() is cli._parser()
+    for argv, code in runs[:1] + runs[2:]:
+        assert vars(cli._parser().parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+    summaries = {d: (tmp_path / d / "summary.txt").read_text() for d in "ac"}
+    assert "max-l1" not in summaries["a"] and "max-l1: sum of x*_0 = 50 " in summaries["c"]
+    assert (tmp_path / "b" / "model_T2.lp").is_file()
+    assert not list((tmp_path / "c").glob("*.lp")) and not list((tmp_path / "a").glob("*.lp"))
 
 
 @pytest.mark.parametrize("content", ["[1, 2]", '{"A": [[1, 1]]}', "{oops"])

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from monosafe.order import Box
+from monosafe.simulate import Policy, open_loop, simulate, uniform, worst_case_w_star
 from monosafe.systems import (EW, NS, Link, SwitchedAffineSystem, TrafficNetwork,
                               check_monotone, cooperative_bound_check,
                               load_system_file, system_from_dict, system_hash)
+from test_encode import random_small_net
 
 DATA = resources.files("monosafe.data")
 
@@ -198,6 +200,125 @@ def test_check_monotone_flags_mutated_system():
     rep = check_monotone(s, 500, seed=13, domain_box=Box([50.0, 50.0]))
     assert rep.violations > 0
     assert rep.worst_violation > 0
+
+
+def test_switched_rollout_is_the_mode_loop(case1, case1_cert):
+    """A seeded case1 rollout computes ``modes[u - 1] @ x + w`` step by
+    step, byte for byte."""
+    sys_ = case1[0]
+    traj = simulate(sys_, case1_cert.x_star[0], open_loop(case1_cert), uniform(17), 400)
+    x = np.asarray(case1_cert.x_star[0], dtype=float)
+    states = [x]
+    for u, w in zip(traj.controls, traj.disturbances):
+        x = sys_.modes[u - 1] @ x + w
+        states.append(x)
+    assert np.array(traj.states).tobytes() == np.array(states).tobytes()
+
+
+def _textbook_step(net, x, w, u):
+    """``x - z + w + beta^T z`` with ``z`` the green links' ``min(x, c)``,
+    from the link table and the turn list alone; also ``beta^T z``."""
+    beta = np.zeros((net.state_dim, net.state_dim))
+    for (src, dst, ratio) in net.turns:
+        beta[net.link_index(src), net.link_index(dst)] = ratio
+    phase = dict(zip(net.junctions, u))
+    green = np.array([phase[l.head] == l.direction for l in net.links])
+    z = np.where(green, np.minimum(x, net.c), 0.0)
+    inflow = beta.T @ z
+    return x - z + w + inflow, inflow
+
+
+def _kernel_nets(traffic):
+    return [traffic[0]] + [random_small_net(seed) for seed in range(12)]
+
+
+def test_traffic_advance_matches_textbook_update(traffic):
+    """For every control, ``advance`` under the checked map is the textbook
+    update within 4 ulps of the terms' magnitude ``x + w + beta^T z``: the
+    two differ only in the order of rounding."""
+    rng = np.random.default_rng(23)
+    for net in _kernel_nets(traffic):
+        for u in net.controls:
+            m = net.check_control(u)
+            for _ in range(4):
+                x = rng.uniform(0.0, 2.0 * net.c + 1.0)
+                w = rng.uniform(0.0, net.w_star)
+                ref, inflow = _textbook_step(net, x, w, u)
+                got = net.advance(x, w, m)
+                assert np.all(np.abs(got - ref) <= 4 * np.spacing(x + w + inflow))
+
+
+def test_checked_control_is_a_cached_read_only_map(traffic):
+    net = traffic[0]
+    u = (NS, EW, NS, EW, NS, EW)
+    m = net.check_control(u)
+    assert net.check_control(u) is m and net.check_control(list(u)) is m
+    assert not m.flags.writeable and not net.green_mask(u).flags.writeable
+    with pytest.raises(ValueError):
+        m[0, 0] = 1.0
+    s = fresh_switched()
+    assert s.check_control(2) is s.check_control(2)
+    assert not s.check_control(2).flags.writeable
+    assert np.array_equal(s.check_control(2), A2)
+
+
+def test_traffic_step_is_nonnegative_exactly(traffic):
+    """``x+ >= 0`` with no slack, down to the queues that empty: states at,
+    just below and just above capacity, with and without disturbance."""
+    rng = np.random.default_rng(29)
+    for net in _kernel_nets(traffic):
+        for u in net.controls:
+            m = net.check_control(u)
+            for _ in range(4):
+                x = rng.uniform(0.0, net.c) * rng.integers(0, 2, net.state_dim)
+                x = np.where(rng.random(net.state_dim) < 0.3,
+                             np.nextafter(net.c, rng.choice([0.0, np.inf])), x)
+                for w in (np.zeros(net.state_dim), rng.uniform(0.0, net.w_star)):
+                    assert np.all(net.advance(x, w, m) >= 0.0)
+
+
+def test_green_link_without_inflow_empties_to_zero(traffic):
+    """A green link below capacity, with no disturbance and nothing turning
+    into it, ends the step at exactly 0.0."""
+    net = mini_net()
+    assert net.step([10.0, 3.3], [0.0, 0.0], (NS,))[1] == 0.0
+    rng = np.random.default_rng(31)
+    emptied = 0
+    for net in _kernel_nets(traffic):
+        w = np.zeros(net.state_dim)
+        for u in net.controls:
+            x = rng.uniform(0.0, net.c)
+            ref, inflow = _textbook_step(net, x, w, u)
+            green = net.green_mask(u)
+            x1 = net.step(x, w, u)
+            quiet = green & (inflow == 0.0)
+            assert np.all(x1[quiet] == 0.0)
+            emptied += int(np.count_nonzero(quiet))
+    assert emptied > 100
+
+
+def chain_net(junctions):
+    """One link per junction, each feeding the next: a chain of junctions."""
+    names = [f"j{i:02d}" for i in range(junctions)]
+    links = [Link(id=i + 1, direction=(NS, EW)[i % 2], head=name, c=5.0, x_s=20.0,
+                  w_star=1.0 if i == 0 else 0.0, entry=i == 0)
+             for i, name in enumerate(names)]
+    turns = [(i, i + 1, 0.9) for i in range(1, junctions)]
+    return TrafficNetwork(links, names, turns)
+
+
+def test_traffic_maps_are_built_on_first_use():
+    """Construction builds no green mask and no map; a rollout builds them
+    for exactly the controls it plays."""
+    net = chain_net(14)
+    assert len(net.controls) == 2 ** 14
+    assert net._green == {} and net._maps == {}
+    rng = np.random.default_rng(37)
+    played = [net.controls[i] for i in rng.integers(len(net.controls), size=3)]
+    traj = simulate(net, np.full(14, 4.0), Policy("open_loop", 3, lambda k, x: played[k % 3]),
+                    worst_case_w_star(), 12)
+    assert traj.status == "completed"
+    assert set(net._green) == set(net._maps) == set(played)
 
 
 def test_cooperative_bound_check():
