@@ -43,10 +43,10 @@ simplex re-optimizes each child from it, usually in a handful of pivots
 (Koberstein, *The dual simplex method*, 2005; Bixby, *Solving real-world
 linear programs*, 2002).  The child the search enters first continues on the
 live simplex; its sibling waits on the stack as a basis snapshot (basis,
-bound status, spans, right-hand side and lower-bound shift: a few KB).  The
-factorization of the latest snapshot is parked in one slot, so a sibling
-popped right after its twin closed as a leaf takes it over; any other is
-refactorized once when popped.  Binaries a model lists in
+bound status, spans, right-hand side, lower-bound shift and reduced costs:
+a few KB).  The factorization of the latest snapshot is parked in one slot,
+so a sibling popped right after its twin closed as a leaf takes it over;
+any other is refactorized once when popped.  Binaries a model lists in
 ``branch_first`` (the encoders list their control choices) are branched on
 before all others.  The search ends when no open node is left or when the
 incumbent meets the root LP's bound; with a zero objective, as in the
@@ -56,6 +56,21 @@ lower right-hand side above the smallest upper one by more than the two
 rows' re-check tolerances together decides the root infeasible with no
 pivot, and the two rows are reported (Andersen & Andersen, *Presolving in
 linear programming*, 1995).
+
+Both pivot loops keep two arrays between pivots instead of rebuilding them
+from the bound status each iteration: the spans of the basic variables, and
+a direction per variable, +1 for a nonbasic at its lower bound, -1 at its
+upper and 0 for a basic one or one that may not enter (the dual loop moves
+only variables with room to move; the primal loop also lets a variable at
+its upper bound enter).  A pivot updates the entries of the entering and the
+leaving variable.  The candidate tests read ``dirs * alpha`` and
+``dirs * r``, which are +-alpha, +-r or 0 exactly, since negation and
+multiplying by +-1 are exact in IEEE arithmetic; so the candidates, the
+ratios and the tie choices are those of the per-status tests bit for bit.
+A child's dual loop starts from the reduced costs of its parent's optimal
+verdict: fixing a binary moves no reduced cost, and a sibling's snapshot
+carries them, since a refactorization of its basis gives the parked
+factorization again to the bit.
 
 Every answer the solver returns is independently re-checked against the
 original constraints before it leaves this module, and every node's LP
@@ -236,6 +251,9 @@ class MilpSolution:
 # --------------------------------------------------------------------------
 
 _AT_LB, _AT_UB, _BASIC = 0, 1, 2
+# the direction a nonbasic variable of each status moves in: up from its
+# lower bound, down from its upper; a basic variable has none
+_DIRECTION = np.array([1.0, -1.0, 0.0])
 
 
 class _Simplex:
@@ -288,8 +306,12 @@ class _Simplex:
         self.basis = basis
         self.status = np.full(N, _AT_LB, dtype=np.int8)
         self.status[basis] = _BASIC
-        # the model's own rows, read only by the Farkas check of ``reoptimize``
-        self.model_rows = (A, np.asarray(rels), b)
+        # the model's own rows, read by the Farkas check of ``reoptimize``
+        # and by ``solve_milp``'s re-check of each node
+        self.model_rows = (A, _senses(rels), b)
+        # ``c``'s reduced costs at the last optimal verdict, while the basis
+        # and its factorization are those of that verdict (see ``reoptimize``)
+        self._r = None
         self.pivots = 0
         self.refactorizations = 0
         self.farkas_leaves = 0
@@ -318,14 +340,14 @@ class _Simplex:
         """
         basis = self.basis
         is_struct = basis < self.n
-        struct, unit = np.nonzero(is_struct)[0], np.nonzero(~is_struct)[0]
+        struct, unit = is_struct.nonzero()[0], (~is_struct).nonzero()[0]
         R = self.unit_row[basis[unit]]
         covered = np.zeros(basis.size, dtype=bool)
         covered[R] = True
         if np.count_nonzero(covered) != R.size:
             # two unit columns on one row
             raise NumericalBreakdownError("singular basis during refresh")
-        Q = np.nonzero(~covered)[0]
+        Q = (~covered).nonzero()[0]
         S = basis[struct]
         try:
             inv_QS = np.linalg.inv(self.A_ext[Q][:, S])
@@ -410,70 +432,92 @@ class _Simplex:
         self.basis[row] = j
         self.status[j] = _BASIC
         self.pivots += 1
+        self._r = None
 
     # -- the primal pivot loop ---------------------------------------------
 
     def _optimize(self, c):
+        """Primal simplex on ``c`` from a primal feasible basis.
+
+        Returns the status (optimal | unbounded), the objective the loop
+        tracked and the reduced costs it ended with.  The objective is read
+        from the state only when an entering column will use it, so it is
+        None if none was found since the call or the last refactorization;
+        the caller then reads it from the unchanged state.
+        """
         m = self.basis.size
+        U, status = self.U, self.status
         r = self._reduced_costs(c)
-        obj = float(c @ self._current_x())
+        # kept between pivots, each pivot updating the entries it changes:
+        # the spans of the basic variables, and the direction each nonbasic
+        # may enter in (+1 up from a lower bound with room to move, -1 down
+        # from an upper bound, else 0), so that ``dirs * r < 0`` is the
+        # test on the sign of r per status, exactly
+        spans = U[self.basis]
+        dirs = np.where((U > PIVOT_TOL) | (status == _AT_UB), _DIRECTION[status], 0.0)
+        obj = best = None
         bland = False
         stall = 0
-        best = obj
         max_iter = 2000 + 60 * (m + self.N)
         for _ in range(max_iter):
-            enterable = self.U > PIVOT_TOL
-            cand_lo = (self.status == _AT_LB) & (r < -_DUAL_TOL) & enterable
-            cand_hi = (self.status == _AT_UB) & (r > _DUAL_TOL)
-            cand = np.nonzero(cand_lo | cand_hi)[0]
+            cand = (dirs * r < -_DUAL_TOL).nonzero()[0]
             if cand.size == 0:
                 if self._etas:
                     self._refresh()
                     r = self._reduced_costs(c)
-                    obj = float(c @ self._current_x())
+                    obj = None
                     continue
-                return "optimal", obj
+                return "optimal", obj, r
+            if obj is None:
+                obj = float(c @ self._current_x())
+                if best is None:
+                    best = obj
             if bland:
                 j = int(cand[0])
             else:
-                j = int(cand[np.argmax(np.abs(r[cand]))])
-            direction = 1.0 if self.status[j] == _AT_LB else -1.0
+                j = int(cand[np.abs(r[cand]).argmax()])
+            direction = float(dirs[j])
             alpha = self._col(j)
             d = direction * alpha
             # ratio test: basic vars falling to 0 or rising to their span
-            t_best = self.U[j]
+            t_best = U[j]
             leave_row, leave_to = -1, _AT_LB
             falling = d > PIVOT_TOL
-            rising = (d < -PIVOT_TOL) & np.isfinite(self.U[self.basis])
+            rising = (d < -PIVOT_TOL) & np.isfinite(spans)
             v_pos = np.maximum(self.v, 0.0)
             t_fall = np.where(falling, v_pos / np.where(falling, d, 1.0), np.inf)
-            span_b = self.U[self.basis]
-            head = np.maximum(span_b - self.v, 0.0)
+            head = np.maximum(spans - self.v, 0.0)
             t_rise = np.where(rising, head / np.where(rising, -d, 1.0), np.inf)
             t_rows = np.minimum(t_fall, t_rise)
-            i_min = int(np.argmin(t_rows)) if m else -1
+            i_min = int(t_rows.argmin()) if m else -1
             t_row_best = t_rows[i_min] if m else np.inf
             if t_row_best < t_best - _RATIO_MARGIN:
                 # deterministic tie handling: among rows within _TIE_TOL of
                 # the minimum pick the largest pivot magnitude, lowest row index
-                near = np.nonzero(t_rows <= t_row_best + _TIE_TOL)[0]
-                i_min = int(near[np.argmax(np.abs(d[near]))])
+                near = (t_rows <= t_row_best + _TIE_TOL).nonzero()[0]
+                i_min = int(near[np.abs(d[near]).argmax()])
                 t_best = float(t_rows[i_min])
                 leave_row = i_min
                 leave_to = _AT_LB if t_fall[i_min] <= t_rise[i_min] else _AT_UB
             if not np.isfinite(t_best):
-                return "unbounded", obj
+                return "unbounded", obj, r
             gain = r[j] * direction * t_best
             obj += gain
             if leave_row < 0:
                 # bound flip, basis unchanged
-                self.status[j] = _AT_UB if self.status[j] == _AT_LB else _AT_LB
+                if direction > 0:
+                    status[j], dirs[j] = _AT_UB, -1.0
+                else:
+                    status[j], dirs[j] = _AT_LB, float(U[j] > PIVOT_TOL)
                 self.v = self.v - d * t_best
             else:
                 lv = self.basis[leave_row]
                 self.v = self.v - d * t_best
-                self.v[leave_row] = t_best if direction > 0 else self.U[j] - t_best
-                self.status[lv] = leave_to
+                self.v[leave_row] = t_best if direction > 0 else U[j] - t_best
+                status[lv] = leave_to
+                spans[leave_row] = U[j]
+                dirs[j] = 0.0
+                dirs[lv] = -1.0 if leave_to == _AT_UB else float(U[lv] > PIVOT_TOL)
                 prow = self._row(leave_row)
                 r = r - r[j] / prow[j] * prow
                 self._pivot(leave_row, j, alpha)
@@ -495,16 +539,20 @@ class _Simplex:
         # phase 1: minimize artificial mass
         c1 = np.zeros(self.N)
         c1[self.art_start:] = 1.0
-        status, obj1 = self._optimize(c1)
+        status, obj1, _ = self._optimize(c1)
         if status != "optimal":  # pragma: no cover - phase 1 cannot be unbounded
             raise NumericalBreakdownError("phase 1 ended " + status)
+        if obj1 is None:
+            obj1 = float(c1 @ self._current_x())
         if obj1 > _PHASE1_TOL:
             return "infeasible"
         # artificials are fixed at 0 from here on: a nonbasic one never
         # re-enters, and the ratio tests hold a basic one at 0 (one on a
         # redundant row stays basic for good)
         self.U[self.art_start:] = 0.0
-        status, _ = self._optimize(self.c)
+        status, _, r = self._optimize(self.c)
+        if status == "optimal":
+            self._r = r
         return status
 
     # -- warm start: bound changes and the dual simplex --------------------
@@ -517,7 +565,7 @@ class _Simplex:
         the shift and may leave their bounds, which ``reoptimize`` repairs.
         """
         if self.status[j] == _BASIC:
-            self.v[int(np.flatnonzero(self.basis == j)[0])] -= val
+            self.v[int((self.basis == j).argmax())] -= val
         else:
             x_j = self.U[j] if self.status[j] == _AT_UB else 0.0
             self.v -= self._col(j) * (val - x_j)
@@ -527,7 +575,9 @@ class _Simplex:
         self.lb_orig[j] += val
 
     def snapshot(self):
-        """The basis and bounds, enough to refactorize (a few KB).
+        """The basis and bounds, enough to refactorize, and the reduced
+        costs of the last optimal verdict, which a refactorization of the
+        same basis gives again to the bit (a few KB).
 
         Taken with an empty eta file, the current factorization is that of
         the snapshot's basis; it is parked in one slot, keyed by the
@@ -535,7 +585,7 @@ class _Simplex:
         no refactorization.  A later snapshot takes the slot over.
         """
         snap = (self.basis.copy(), self.status.copy(), self.U.copy(),
-                self.b_eff.copy(), self.lb_orig.copy())
+                self.b_eff.copy(), self.lb_orig.copy(), self._r)
         self._parked = None if self._etas else (snap[0], self._factor)
         return snap
 
@@ -545,11 +595,12 @@ class _Simplex:
         way, to the bit.  ``snap`` is consumed: the live simplex works on
         its arrays from here on."""
         parked, self._parked = self._parked, None
-        self.basis, self.status, self.U, self.b_eff, self.lb_orig = snap
+        self.basis, self.status, self.U, self.b_eff, self.lb_orig, r = snap
         if parked is not None and parked[0] is snap[0]:
             self._load(parked[1])
         else:
             self._refresh()
+        self._r = r
 
     def reoptimize(self) -> str:
         """Bounded dual simplex from a dual feasible basis.
@@ -569,38 +620,50 @@ class _Simplex:
         pivots pending in the eta file that row is checked against the
         model's own data (``_farkas_certifies``); only if the check fails is
         the basis refactorized and the row tried again.
+
+        The loop starts from the reduced costs of the last optimal verdict
+        when they are kept: ``fix`` moves no reduced cost, and a restore
+        brings back the snapshot's basis and, to the bit, its factorization.
         """
-        c = self.c
-        r = self._reduced_costs(c)
+        c, U = self.c, self.U
+        r, self._r = self._r, None
+        if r is None:
+            r = self._reduced_costs(c)
+        # kept between pivots, each pivot updating the entries it changes:
+        # the spans of the basic variables, and the direction each nonbasic
+        # can move in (+1 up from its lower bound, -1 down from its upper,
+        # 0 for a basic variable or one with no room to move)
+        spans = U[self.basis]
+        dirs = np.where(U > PIVOT_TOL, _DIRECTION[self.status], 0.0)
         bland = False
         stall = 0
         max_iter = 2000 + 60 * (self.basis.size + self.N)
         for _ in range(max_iter):
-            span_b = self.U[self.basis]
-            below = -self.v
-            above = self.v - span_b
-            viol = np.maximum(below, above)
-            rows = np.flatnonzero(viol > _PRIMAL_TOL)
+            v = self.v
+            above = v - spans
+            viol = np.maximum(-v, above)
+            rows = (viol > _PRIMAL_TOL).nonzero()[0]
             if rows.size == 0:
                 if self._etas:
                     self._refresh()
                     continue
-                status, _ = self._optimize(c)
+                status, _, r = self._optimize(c)
+                if status == "optimal":
+                    self._r = r
                 return status
             if bland:
-                p = int(rows[np.argmin(self.basis[rows])])
+                p = int(rows[self.basis[rows].argmin()])
             else:
-                p = int(rows[np.argmax(viol[rows])])
-            to_upper = above[p] > below[p]
+                p = int(rows[viol[rows].argmax()])
+            to_upper = above[p] > -v[p]
             rho = self._rho(p)
             alpha = rho @ self.A_ext
             # entering columns move the leaving variable back toward the bound
-            # it violates: up from a lower bound or down from an upper one
-            toward = alpha if to_upper else -alpha
-            at_lb = self.status == _AT_LB
-            movable = (self.status != _BASIC) & (self.U > PIVOT_TOL)
-            cand = np.flatnonzero(movable & np.where(at_lb, toward > PIVOT_TOL,
-                                                     toward < -PIVOT_TOL))
+            # it violates: up from a lower bound or down from an upper one.
+            # dirs * alpha is alpha, -alpha or 0, exactly, so this is the test
+            # on alpha's sign per bound status
+            moves = dirs * alpha
+            cand = ((moves > PIVOT_TOL) if to_upper else (moves < -PIVOT_TOL)).nonzero()[0]
             if cand.size == 0:
                 if not self._etas:
                     return "infeasible"
@@ -610,18 +673,25 @@ class _Simplex:
                 self._refresh()
                 r = self._reduced_costs(c)
                 continue
-            slack = np.maximum(np.where(at_lb[cand], r[cand], -r[cand]), 0.0)
-            ratios = slack / np.abs(alpha[cand])
-            near = cand[ratios <= ratios.min() + _TIE_TOL]
-            q = int(near[0]) if bland else int(near[np.argmax(np.abs(alpha[near]))])
+            # a candidate's slack is its reduced cost, negated at an upper bound
+            size = np.abs(alpha[cand])
+            ratios = np.maximum(dirs[cand] * r[cand], 0.0) / size
+            ties = ratios <= ratios.min() + _TIE_TOL
+            near = cand[ties]
+            q = int(near[0]) if bland else int(near[size[ties].argmax()])
             # primal step: the leaving variable lands on the bound it violated
-            target = span_b[p] if to_upper else 0.0
+            target = spans[p] if to_upper else 0.0
             col = self._col(q)
-            delta = (self.v[p] - target) / col[p]
-            x_q = self.U[q] if self.status[q] == _AT_UB else 0.0
-            self.v = self.v - col * delta
+            delta = (v[p] - target) / col[p]
+            x_q = U[q] if self.status[q] == _AT_UB else 0.0
+            self.v = v - col * delta
             self.v[p] = x_q + delta
-            self.status[self.basis[p]] = _AT_UB if to_upper and target > 0 else _AT_LB
+            lv = self.basis[p]
+            lands_up = to_upper and target > 0
+            self.status[lv] = _AT_UB if lands_up else _AT_LB
+            spans[p] = U[q]
+            dirs[q] = 0.0
+            dirs[lv] = (-1.0 if lands_up else 1.0) if U[lv] > PIVOT_TOL else 0.0
             gain = r[q] * delta
             r = r - r[q] / alpha[q] * alpha
             self._pivot(p, q, col)
@@ -647,19 +717,36 @@ class _Simplex:
         return self.lb_orig, self.lb_orig + self.U[:self.n]
 
 
-def _check_solution(A, rels, b, lb, ub, x, tol=FEAS_TOL):
-    """True if ``x`` is finite and meets its bounds and every row to within ``tol``."""
-    if not np.all(np.isfinite(x)) or np.any(x < lb - tol) or np.any(x > ub + tol):
-        return False
+class _Senses(NamedTuple):
+    """The rows of each relation, as masks; built once per model."""
+    leq: np.ndarray
+    geq: np.ndarray
+    eq: np.ndarray
+
+
+def _senses(rels) -> _Senses:
+    """``rels`` as masks: relation strings are compared once, and masks
+    already built pass through."""
+    if isinstance(rels, _Senses):
+        return rels
     rels = np.asarray(rels)
+    return _Senses(rels == LEQ, rels == GEQ, rels == EQ)
+
+
+def _check_solution(A, rels, b, lb, ub, x, tol=FEAS_TOL):
+    """True if ``x`` is finite and meets its bounds and every row to within
+    ``tol``.  ``rels`` holds the relation strings or their ``_senses``."""
+    if not np.isfinite(x).all() or (x < lb - tol).any() or (x > ub + tol).any():
+        return False
+    leq, geq, eq = _senses(rels)
     Ax = A @ x
-    leq, geq, eq = rels == LEQ, rels == GEQ, rels == EQ
-    return not (np.any(Ax[leq] > b[leq] + tol) or np.any(Ax[geq] < b[geq] - tol)
-                or np.any(np.abs(Ax[eq] - b[eq]) > tol))
+    return not ((Ax[leq] > b[leq] + tol).any() or (Ax[geq] < b[geq] - tol).any()
+                or (np.abs(Ax[eq] - b[eq]) > tol).any())
 
 
 def _farkas_certifies(y, A, rels, b, lo, hi, tol=FEAS_TOL):
-    """True if ``y`` or ``-y`` proves ``A x rels b`` has no x in [lo, hi].
+    """True if ``y`` or ``-y`` proves ``A x rels b`` has no x in [lo, hi];
+    ``rels`` holds the relation strings or their ``_senses``.
 
     Entries of the wrong sign for their row (negative on a "<=" row,
     positive on a ">=" row) are zeroed, so the combination ``(yA) x <= y b``
@@ -668,8 +755,9 @@ def _farkas_certifies(y, A, rels, b, lo, hi, tol=FEAS_TOL):
     ``|y|``.  The zeroing matters: a row whose slack is basic carries only
     round-off in ``y``, of either sign.
     """
+    leq, geq, _ = _senses(rels)
     for z in (y, -y):
-        z = np.where(((rels == LEQ) & (z < 0)) | ((rels == GEQ) & (z > 0)), 0.0, z)
+        z = np.where((leq & (z < 0)) | (geq & (z > 0)), 0.0, z)
         g = z @ A
         pos, neg = g > 0, g < 0
         least = g[pos] @ lo[pos] + g[neg] @ hi[neg]
@@ -805,7 +893,7 @@ def solve_milp(model: MilpModel, node_budget: int | None = None,
             unbounded = True
             break
         x = sx.x()
-        if not _check_solution(A, rels, b, *sx.bounds(), x):
+        if not _check_solution(*sx.model_rows, *sx.bounds(), x):
             raise NumericalBreakdownError("solution failed the independent re-check")
         bound = sign * float(c @ x)
         if entry is None:
@@ -813,8 +901,8 @@ def solve_milp(model: MilpModel, node_budget: int | None = None,
         if best_x is not None and bound <= best_obj + OBJ_TOL:
             continue
         xb = x[bins]
-        frac = np.abs(xb - np.round(xb))
-        if not bins.size or np.max(frac) <= INT_TOL:
+        frac = np.abs(xb - xb.round())
+        if not bins.size or frac.max() <= INT_TOL:
             # integral: the node LP optimum is the best of the subtree
             if best_x is None or bound > best_obj + OBJ_TOL:
                 best_x, best_obj = x, bound
@@ -822,7 +910,7 @@ def solve_milp(model: MilpModel, node_budget: int | None = None,
                     break
             continue
         marked = np.where(first, frac, 0.0)
-        k = int(np.argmax(marked if marked.max() > INT_TOL else frac))
+        k = int((marked if marked.max() > INT_TOL else frac).argmax())
         j = int(bins[k])
         preferred = 1.0 if xb[k] >= 0.5 else 0.0
         stack.append((sx.snapshot(), j, 1.0 - preferred))
@@ -838,7 +926,7 @@ def solve_milp(model: MilpModel, node_budget: int | None = None,
         return MilpSolution(status="budget_unknown" if exhausted else "infeasible",
                             parallel_rows=parallel, **done)
     # hard re-check of the incumbent, integrality included
-    if not _check_solution(A, rels, b, lb0, ub0, best_x):
+    if not _check_solution(*sx.model_rows, lb0, ub0, best_x):
         raise NumericalBreakdownError("incumbent failed the independent re-check")
     if bins.size and np.max(np.abs(best_x[bins] - np.round(best_x[bins]))) > INT_TOL:
         raise NumericalBreakdownError("incumbent failed the integrality re-check")

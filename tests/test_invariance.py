@@ -1,11 +1,14 @@
 """Horizon sweep, RCIS construction, limit cycles, policies, necessity bound."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from monosafe import milp
 from monosafe.certificate import SSequenceCertificate
+from monosafe.encode import encode_switched, encode_traffic
 from monosafe.invariance import (LimitCycleError, build_attractive_set, build_rcis,
                                  compute_limit_cycle, find_s_sequence, necessity_bound)
 from monosafe.order import PolyLowerSet
@@ -47,6 +50,23 @@ def test_solver_counts_on_bundled_models(case1_search, deep_traffic_model):
     assert [s.status for s in sols] == ["infeasible"] * 3
     assert [(s.nodes, s.pivots, s.refactorizations, s.farkas_leaves)
             for s in sols] == TRAFFIC_PROOF_COUNTS
+
+
+def test_solution_bits_on_bundled_models(case1, traffic):
+    """Pinned sha256 of the returned point's bytes: case-1 max-l1 at T=7,
+    and the bundled traffic T=5 first-feasible dive (61 nodes, 385 pivots,
+    54 refactorizations, 9 Farkas leaves).  A change that moves any
+    floating-point operation of the pivots shows here even where the
+    counts do not.  Like the count pins, these hold for the default BLAS
+    kernel (ROADMAP item 4)."""
+    sys_, S, _ = case1
+    sols = [milp.solve_milp(encode_switched(sys_, S, 7, objective="max_l1_x0").model),
+            milp.solve_milp(encode_traffic(traffic[0], 5, objective="first_feasible").model)]
+    assert [(s.status, s.nodes, s.pivots, s.refactorizations, s.farkas_leaves)
+            for s in sols] == [("optimal", 113, 485, 87, 55), ("optimal", 61, 385, 54, 9)]
+    assert [hashlib.sha256(s.x.tobytes()).hexdigest() for s in sols] == [
+        "acfa30246ecaba211c680ad27ee112dc136ba7e99dd56e2b73cb7379eda92290",
+        "a60331a09775663dc6c9e0beaae1487c9c9ba1b69fc20ed7f63c5ce9cbb026f5"]
 
 
 def test_failed_farkas_checks_fall_back_to_refactorization(deep_traffic_model, monkeypatch):

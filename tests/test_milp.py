@@ -3,15 +3,17 @@ exhaustive enumeration (scipy is an oracle here, never a dependency of the
 solver itself)."""
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from monosafe import milp
-from monosafe.milp import (_AT_LB, _AT_UB, _BASIC, EQ, FEAS_TOL, GEQ, LEQ, MilpError,
-                           MilpModel, NumericalBreakdownError, _check_solution, _Simplex,
-                           solve_lp, solve_milp, write_lp_format)
+from monosafe.encode import encode_switched
+from monosafe.milp import (_AT_LB, _AT_UB, _BASIC, EQ, FEAS_TOL, GEQ, LEQ, PIVOT_TOL,
+                           MilpError, MilpModel, NumericalBreakdownError, _check_solution,
+                           _Simplex, solve_lp, solve_milp, write_lp_format)
 
 
 def small_lp():
@@ -723,6 +725,47 @@ def test_block_refresh_matches_dense_inverse():
         seen["surplus"] += int(np.any(sx.A_ext[:, units].sum(axis=0) < 0))
         seen[case] += 1
     assert min(seen.values()) >= 10, seen
+
+
+def test_kept_loop_arrays_match_recomputation(monkeypatch, case1):
+    """After every pivot of the primal loop (``_optimize``) or the dual
+    loop (``reoptimize``), the spans and entering directions that loop
+    keeps between pivots equal a recomputation from the basis, the bound
+    status and the spans.  A pivot updates them in the two entries it
+    changes; a missed or wrong update would otherwise show only as a moved
+    pin.  Checked on the states of ``_kernel_states`` and through the
+    case-1 T=6 proof."""
+    checked = {"_optimize": 0, "reoptimize": 0}
+    pivot = _Simplex._pivot
+
+    def checking(sx, row, j, col):
+        pivot(sx, row, j, col)
+        loop = sys._getframe(1)
+        name = loop.f_code.co_name
+        if name not in checked:
+            return      # a test's own basis exchange
+        spans, dirs = loop.f_locals["spans"], loop.f_locals["dirs"]
+        assert np.array_equal(spans, sx.U[sx.basis]), name
+        room = sx.U > PIVOT_TOL
+        if name == "_optimize":
+            # the primal loop also lets a variable at its upper bound enter
+            room |= sx.status == _AT_UB
+        movable = (sx.status != _BASIC) & room
+        assert np.array_equal(dirs != 0, movable), name
+        sign = np.where(sx.status == _AT_UB, -1.0, 1.0)
+        assert np.array_equal(dirs[movable], sign[movable]), name
+        checked[name] += 1
+
+    monkeypatch.setattr(_Simplex, "_pivot", checking)
+    for _ in _kernel_states(53):
+        pass
+    assert min(checked.values()) >= 100, checked
+    checked.update(_optimize=0, reoptimize=0)
+    sys_, S, _ = case1
+    sol = solve_milp(encode_switched(sys_, S, 6, objective="max_l1_x0").model)
+    assert sol.status == "infeasible" and sol.pivots == 561
+    assert checked["_optimize"] + checked["reoptimize"] == sol.pivots, checked
+    assert checked["reoptimize"] >= 500, checked
 
 
 def test_refresh_refuses_singular_bases():
