@@ -201,7 +201,10 @@ def compute_limit_cycle(sys, cert: SSequenceCertificate, tol: float = 1e-9,
     over one full period.  A certificate bug shows up either as
     ``monotone_violations > 0`` or as failure to converge (which raises).
     ``w*``, the controls and the witness states are checked once; the
-    periods then iterate the system's ``advance``.
+    periods then iterate the system's ``advance``, each state written into
+    its row of the period buffer.  A period's last successor is the next
+    period's first state, and the converged one is also the closure
+    error's, so each successor is computed once.
 
     The first period is compared against the certificate's stored witness
     states, which a rounded certificate only claims to its own declared
@@ -218,15 +221,15 @@ def compute_limit_cycle(sys, cert: SSequenceCertificate, tol: float = 1e-9,
     advance = sys.advance
     first_tol = max(tol, cert.tol) if cert.tol is not None else tol
     # the T phase states of the last period, and a buffer for the next one
+    # that opens with its first state, the successor of the last period's last
     phase = np.array([as_vector(x, n, "x") for x in cert.x_star[:T]])
     new = np.empty_like(phase)
+    advance(phase[T - 1], w, controls[T - 1], new[0])
     violations = 0
     residual = np.inf
     for period in range(1, max_periods + 1):
-        x = advance(phase[T - 1], w, controls[T - 1])
-        for k in range(T):
-            new[k] = x
-            x = advance(x, w, controls[k])
+        for k in range(T - 1):
+            advance(new[k], w, controls[k], new[k + 1])
         residual = float(np.max(np.abs(new - phase)))
         if not np.isfinite(residual):
             raise LimitCycleError(
@@ -234,16 +237,15 @@ def compute_limit_cycle(sys, cert: SSequenceCertificate, tol: float = 1e-9,
         thresh = first_tol if period == 1 else tol
         violations += int(np.count_nonzero((new > phase + thresh).any(axis=1)))
         phase, new = new, phase
+        advance(phase[T - 1], w, controls[T - 1], new[0])
         if residual < tol:
-            cycle = LimitCycle(
+            return LimitCycle(
                 points=tuple(p.copy() for p in phase),
                 periods=period,
                 residual=residual,
-                closure_error=float(np.max(np.abs(
-                    advance(phase[T - 1], w, controls[T - 1]) - phase[0]))),
+                closure_error=float(np.max(np.abs(new[0] - phase[0]))),
                 monotone_violations=violations,
             )
-            return cycle
     raise LimitCycleError(
         f"no limit cycle within {max_periods} periods (residual {residual:.3g})",
         residual)

@@ -17,13 +17,23 @@ All membership predicates are *closed* (boundary points are inside) and take
 an explicit tolerance so that exact arithmetic and solver output can be
 compared with different slack.  ``contains`` takes one point and returns a
 ``bool``, or an ``(m, n)`` array of points and returns one bool per row;
-each row's answer is the one its point gets alone.  ``BoxUnion.locate``
-answers one point, the smallest index of a box holding it, on Python
-floats: one list conversion, then a scan of the corners plus the
-tolerance (summed once, when the union is built, for ``DEFAULT_TOL``) that
-leaves each box at its first failed coordinate.  A feedback rollout asks
-it once per step, and a dozen floats are cheaper to compare one by one
-than to hand to numpy.
+each row's answer is the one its point gets alone.  It works on the points
+transposed to ``(n, m)``, so that each test over a point's coordinates
+reduces over n contiguous rows of m, far cheaper for numpy than reducing m
+short rows.  ``PolyLowerSet`` sums ``A x`` over each row's nonzero terms
+only, in column order (terms listed once, when the set is built); a row
+with fewer terms than the longest ends with some of its zero terms.  A
+skipped or added zero term is ``x_j * 0 = +-0`` on a finite point and
+changes no comparison, so the answer is the one the sum over every column
+gives; a point with a non-finite coordinate is outside, by an explicit
+test.  ``BoxUnion`` tests its boxes one at a time and ORs the answers.
+
+``BoxUnion.locate`` answers one point, the smallest index of a box holding
+it, on Python floats: one list conversion, then a scan of the corners plus
+the tolerance (summed once, when the union is built, for ``DEFAULT_TOL``)
+that leaves each box at its first failed coordinate.  A feedback rollout
+asks it once per step, and a dozen floats are cheaper to compare one by
+one than to hand to numpy.
 
 Every tolerance in the package, and the comparison it guards:
 
@@ -100,14 +110,15 @@ def _finite_nonnegative(v, name):
 
 
 def _points(x, dim):
-    """``x`` as an ``(m, dim)`` float array, and whether it was one point."""
+    """``x`` as a ``(dim, m)`` float array, one column per point, and
+    whether it was one point (see the module docstring for the layout)."""
     xv = np.asarray(x, dtype=float)
     single = xv.ndim != 2
     if single:
         xv = xv.reshape(1, -1)
     if xv.shape[1] != dim:
         raise ValueError(f"dimension mismatch: {xv.shape[1]} vs {dim}")
-    return xv, single
+    return np.ascontiguousarray(xv.T), single
 
 
 def _answer(inside, single):
@@ -140,7 +151,8 @@ class Box:
 
     def contains(self, x, tol: float = DEFAULT_TOL):
         X, single = _points(x, self.dim)
-        return _answer(((X >= -tol) & (X <= self.corner + tol)).all(axis=1), single)
+        upper = (self.corner + tol)[:, None]
+        return _answer(((X >= -tol) & (X <= upper)).all(axis=0), single)
 
 
 @dataclass(frozen=True)
@@ -155,6 +167,11 @@ class PolyLowerSet:
 
     A: np.ndarray
     b: np.ndarray
+    #: each row's nonzero terms of ``A`` in column order, as ``(cols, coefs)``:
+    #: term t of every row in ``cols[t]`` (shape ``(rows,)``) and
+    #: ``coefs[t]`` (shape ``(rows, 1)``), for t below the most terms in a
+    #: row; a row with fewer terms ends with some of its zero terms
+    _terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -169,6 +186,12 @@ class PolyLowerSet:
             raise ValueError("b must be entrywise nonnegative")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
+        # per row its nonzero columns in order, then its zero ones
+        nonzero = A != 0
+        order = np.argsort(~nonzero, axis=1, kind="stable")
+        order = order[:, :nonzero.sum(axis=1).max(initial=0)]
+        rows = np.arange(A.shape[0])[:, None]
+        object.__setattr__(self, "_terms", (order.T, A[rows, order].T[:, :, None]))
 
     @classmethod
     def rectangle(cls, corner) -> "PolyLowerSet":
@@ -182,13 +205,18 @@ class PolyLowerSet:
 
     def contains(self, x, tol: float = DEFAULT_TOL):
         X, single = _points(x, self.dim)
-        # A x summed term by term in column order, so that a point's sums
-        # do not depend on how many points share the call (a BLAS product
-        # may change its summation order with the number of rows)
-        Ax = X[:, :1] * self.A[:, 0]
-        for j in range(1, self.dim):
-            Ax = Ax + X[:, j:j + 1] * self.A[:, j]
-        inside = (X >= -tol).all(axis=1) & (Ax <= self.b + tol).all(axis=1)
+        # A x summed over each row's nonzero terms in column order, so that
+        # a point's sums do not depend on how many points share the call (a
+        # BLAS product may change its summation order with the number of
+        # rows); see the module docstring for why the skipped and the added
+        # zero terms change no answer
+        cols, coefs = self._terms
+        inside = ((X >= -tol) & (X < np.inf)).all(axis=0)
+        if len(cols):
+            Ax = X[cols[0]] * coefs[0]
+            for t in range(1, len(cols)):
+                Ax += X[cols[t]] * coefs[t]
+            inside &= (Ax <= (self.b + tol)[:, None]).all(axis=0)
         return _answer(inside, single)
 
     def violation(self, x) -> float:
@@ -276,6 +304,8 @@ class BoxUnion:
 
     def contains(self, x, tol: float = DEFAULT_TOL):
         X, single = _points(x, self.dim)
-        inside = ((X >= -tol).all(axis=1)
-                  & (X[:, None, :] <= self.corners + tol).all(axis=2).any(axis=1))
-        return _answer(inside, single)
+        upper = (self.corners + tol)[:, :, None]
+        hit = (X <= upper[0]).all(axis=0)
+        for corner in upper[1:]:
+            hit |= (X <= corner).all(axis=0)
+        return _answer((X >= -tol).all(axis=0) & hit, single)

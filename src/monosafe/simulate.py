@@ -8,8 +8,12 @@ judged against it.  ``verify_certificate`` is the one certificate checker:
 every transition.  A rollout checks its inputs once -- the initial state, the
 adversary's whole disturbance block, each distinct control, and at the end
 every state -- and in between runs the same ``advance`` kernel that ``step``
-returns, so a trajectory is bit for bit the one a loop over ``step`` would
-give.  Its membership flags come from one batch ``contains`` call per set.
+returns, writing each state straight into its row of the trajectory, so a
+trajectory is bit for bit the one a loop over ``step`` would give.  The
+trajectory keeps those arrays: its states and disturbances are read-only
+views of the rollout's own ``(steps + 1, n)`` and ``(steps, n)`` blocks, cut
+to the steps taken.  Its membership flags come from one batch ``contains``
+call per set.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ class Policy:
 
 def open_loop(cert: SSequenceCertificate) -> Policy:
     """Repeat u*_0..u*_{T-1} forever, blind to the state."""
-    return Policy("open_loop", cert.T, lambda k, x: cert.controls[k % cert.T])
+    controls, T = cert.controls, cert.T
+    return Policy("open_loop", T, lambda k, x: controls[k % T])
 
 
 def feedback(rcis) -> Policy:
@@ -100,9 +105,9 @@ def uniform(seed) -> Adversary:
 
 @dataclass(frozen=True)
 class Trajectory:
-    states: tuple        # x_0 .. x_N
+    states: np.ndarray   # x_0 .. x_N as a read-only (N + 1, n) array
     controls: tuple      # u_0 .. u_{N-1}
-    disturbances: tuple
+    disturbances: np.ndarray  # w_0 .. w_{N-1} as a read-only (N, n) array
     phases: tuple        # k mod T per state
     safe: tuple          # per-state membership in S (None when S not supplied)
     in_omega: tuple
@@ -142,10 +147,10 @@ def simulate(sys, x0, policy: Policy, adversary: Adversary, steps: int,
     X = np.empty((steps + 1, n))
     X[0] = x
     controls, checked = [], {}
-    advance = sys.advance
+    advance, control = sys.advance, policy._fn
     status = "completed"
     for k in range(steps):
-        u = policy(k, x)
+        u = control(k, x)
         if u is None:
             status = "halted_outside_region"
             adversary.unread(sys, steps - k)
@@ -153,10 +158,12 @@ def simulate(sys, x0, policy: Policy, adversary: Adversary, steps: int,
         key = checked.get(u)
         if key is None:
             key = checked[u] = sys.check_control(u)
-        x = X[k + 1] = advance(x, W[k], key)
+        x = advance(x, W[k], key, X[k + 1])
         controls.append(u)
     m = len(controls) + 1
     states = as_rows(X[:m], n, "x")
+    disturbances = W[:m - 1]
+    states.flags.writeable = disturbances.flags.writeable = False
     T = policy.T
 
     def flags(region):
@@ -170,9 +177,8 @@ def simulate(sys, x0, policy: Policy, adversary: Adversary, steps: int,
         in_gamma = tuple(inside.tolist())
 
     return Trajectory(
-        states=tuple(states), controls=tuple(controls),
-        disturbances=tuple(W[:m - 1]),
-        phases=tuple(k % T for k in range(m)),
+        states=states, controls=tuple(controls), disturbances=disturbances,
+        phases=(tuple(range(T)) * -(-m // T))[:m],
         safe=flags(safe_set), in_omega=flags(omega), in_gamma=in_gamma,
         status=status, policy_kind=policy.kind, adversary_kind=adversary.kind)
 
@@ -276,20 +282,6 @@ def dominance_check(sys, cert: SSequenceCertificate,
         if k < len(trajectory.states) - 1:
             x_ref = sys.advance(x_ref, w, controls[k % cert.T])
     return DominanceReport(first is None, worst, first)
-
-
-def gamma_excess(trajectory: Trajectory, cycle) -> list:
-    """Per-state distance to the phase-matched corner of ``cycle``, an
-    ``invariance.LimitCycle``.
-
-    max over coordinates of the positive part of x_k - x_inf_{k mod T};
-    0.0 means the state is inside its phase box of Gamma.
-    """
-    out = []
-    for k, xs in enumerate(trajectory.states):
-        corner = cycle.points[k % cycle.T]
-        out.append(float(np.max(np.maximum(xs - corner, 0.0))))
-    return out
 
 
 def _fmt_control(u):

@@ -21,7 +21,11 @@ green mask of ``u``, and ``x+ = x + w + M_u min(x, c)``.
 rollout that makes many steps checks the state, the disturbances
 (``check_disturbance``) and each control (``check_control``) once and then
 iterates ``advance``; it computes what the same calls of ``step`` would, bit
-for bit.
+for bit.  ``advance(x, w, m, out)`` writes the successor into ``out`` (a
+length-n float array, which may be ``x`` itself) and returns it, so a
+rollout stores each state straight into its row of the trajectory; without
+``out`` it returns a new array.  Both forms make the same floating-point
+operations in the same order.
 
 Monotonicity is not enforced structurally; ``check_monotone`` samples
 ordered pairs and reports violations, which is how a modelling mistake
@@ -50,8 +54,8 @@ class MonotoneSystem:
     A model sets ``state_dim``, ``w_star`` and ``controls`` and defines
     ``check_control(u)`` (raise ``ValueError`` for a control outside the
     alphabet, else return the read-only matrix of ``u``'s map) and
-    ``advance(x, w, m)`` (the successor of checked inputs under the map
-    ``m``).
+    ``advance(x, w, m, out=None)`` (the successor of checked inputs under
+    the map ``m``, written into ``out`` when given).
     """
 
     def step(self, x, w, u) -> np.ndarray:
@@ -108,8 +112,10 @@ class SwitchedAffineSystem(MonotoneSystem):
             raise ValueError(f"unknown mode label {u!r}; expected one of {self.controls}")
         return self._maps[u - 1]
 
-    def advance(self, x, w, A) -> np.ndarray:
-        return A @ x + w
+    def advance(self, x, w, A, out=None) -> np.ndarray:
+        out = np.matmul(A, x, out=out)
+        out += w
+        return out
 
     def to_dict(self) -> dict:
         return {
@@ -239,8 +245,12 @@ class TrafficNetwork(MonotoneSystem):
         self.check_control(u)
         return self._green[tuple(u)]
 
-    def advance(self, x, w, m) -> np.ndarray:
-        return x + w + m @ np.minimum(x, self.c)
+    def advance(self, x, w, m, out=None) -> np.ndarray:
+        # z before the first write, so that ``out`` may be ``x``
+        z = np.minimum(x, self.c)
+        out = np.add(x, w, out=out)
+        out += m @ z
+        return out
 
     # -- bookkeeping -------------------------------------------------------
 

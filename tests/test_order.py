@@ -247,3 +247,80 @@ def test_locate_matches_numpy_reference():
     for bad in ([1.0, 2.0, 3.0], np.zeros((2, 4)), np.zeros(5)):
         with pytest.raises(ValueError, match="dimension mismatch"):
             union.locate(bad)
+
+
+def _column_loop_contains(S, x, tol):
+    """``PolyLowerSet.contains`` as a sum over every column of ``A``, in
+    column order, on an ``(m, n)`` array of points."""
+    X = np.asarray(x, dtype=float)
+    with np.errstate(invalid="ignore"):
+        Ax = X[:, :1] * S.A[:, 0]
+        for j in range(1, S.dim):
+            Ax = Ax + X[:, j:j + 1] * S.A[:, j]
+    return (X >= -tol).all(axis=1) & (Ax <= S.b + tol).all(axis=1)
+
+
+def _broadcast_union_contains(union, x, tol):
+    """``BoxUnion.contains`` as one ``(m, boxes, n)`` comparison."""
+    X = np.asarray(x, dtype=float)
+    return ((X >= -tol).all(axis=1)
+            & (X[:, None, :] <= union.corners + tol).all(axis=2).any(axis=1))
+
+
+def _special_points(upper, tol, zero_column=None):
+    """Each bound in ``upper`` (one row per bound, the point's other
+    coordinates at 0) exactly and one ulp above; NaN, +inf and -inf in each
+    coordinate of the first bound; -tol and one ulp below it."""
+    pts = []
+    n = upper.shape[1]
+    for c in upper:
+        for i in range(n):
+            at = np.where(np.arange(n) == i, c, 0.0)
+            pts += [at, np.where(np.arange(n) == i, np.nextafter(c, np.inf), 0.0)]
+    for i in range(n):
+        for v in (np.nan, np.inf, -np.inf, -tol, np.nextafter(-tol, -np.inf)):
+            moved = upper[0].copy()
+            moved[i] = v
+            pts.append(moved)
+    if zero_column is not None:
+        inside = np.zeros(n)
+        inside[zero_column] = np.inf
+        pts.append(inside)
+    return np.array(pts)
+
+
+def test_contains_matches_the_dense_formulas():
+    """The term-by-term ``PolyLowerSet`` sum and the box-by-box
+    ``BoxUnion`` test answer as the column loop and the 3-D broadcast did,
+    one point at a time and as a batch: on edge and random points, on NaN
+    and infinities (+inf also in a column of ``A`` that is all zero), on a
+    row of ``A`` that is all zero, on -0.0 coefficients and one ulp past
+    ``b + tol``, at three tolerances."""
+    rng = np.random.default_rng(21)
+    A = np.array([[1.0, 0.3, 0.0, 0.0],
+                  [0.0, 0.0, 0.0, 0.0],
+                  [-0.0, 2.0, -0.0, 0.5],
+                  [0.0, 0.0, 0.0, 1.0]])
+    S = PolyLowerSet(A, np.array([4.0, 0.0, 6.0, 3.0]))
+    corners = [np.array([4.0, 0.5, 9.0, 1.0]), np.array([1.0, 2.75, 0.0, 3.0]),
+               np.array([0.1, 1.0, 2.0, 2.0])]
+    union = BoxUnion(tuple(Box(c) for c in corners))
+    cases = [(S, _column_loop_contains, np.array([[4.0, 0, 0, 0], [0, 0, 0, 3.0]]), 2),
+             (union, _broadcast_union_contains, np.array(corners), None),
+             (PolyLowerSet.rectangle(corners[1]), _column_loop_contains,
+              np.diag(corners[1]), None)]
+    for region, reference, bounds, zero_column in cases:
+        for tol in (0.0, DEFAULT_TOL, 1e-3):
+            pts = np.vstack([_edge_points(corners, rng),
+                             _special_points(bounds + tol, tol, zero_column)])
+            expected = reference(region, pts, tol)
+            assert 0 < expected.sum() < len(pts)
+            with np.errstate(invalid="ignore"):
+                batch = region.contains(pts, tol)
+                single = [region.contains(p, tol) for p in pts]
+            assert batch.dtype == bool and batch.tolist() == expected.tolist()
+            assert single == expected.tolist()
+    # one ulp past b + tol on a row summed over two terms, and the bound itself
+    assert S.contains([4.0, 0.0, 0.0, 0.0], 0.0)
+    assert not S.contains([np.nextafter(4.0, np.inf), 0.0, 0.0, 0.0], 0.0)
+    assert not S.contains([0.0, 0.0, np.inf, 0.0]) and not S.contains([0.0, 0.0, np.nan, 0.0])

@@ -11,9 +11,9 @@ from monosafe.certificate import SSequenceCertificate
 from monosafe.invariance import Rcis, build_attractive_set, build_rcis, compute_limit_cycle
 from monosafe.order import DEFAULT_TOL, Box, BoxUnion, PolyLowerSet
 from monosafe.rng import SplitMix64
-from monosafe.simulate import (Adversary, Policy, dominance_check, feedback, gamma_excess,
-                               open_loop, simulate, uniform, verify_certificate,
-                               worst_case_w_star, write_trajectory_csv)
+from monosafe.simulate import (Adversary, Policy, dominance_check, feedback, open_loop,
+                               simulate, uniform, verify_certificate, worst_case_w_star,
+                               write_trajectory_csv)
 
 
 def test_oracle_imports_no_optimizer():
@@ -46,6 +46,19 @@ def test_steps_contract(case1, case1_cert):
         simulate(sys_, [1, 1], open_loop(case1_cert), worst_case_w_star(), 0)
     traj = simulate(sys_, [1, 1], open_loop(case1_cert), worst_case_w_star(), 1)
     assert len(traj.states) == 2 and len(traj.controls) == 1
+
+
+def test_trajectory_arrays_are_read_only(case1, case1_cert):
+    sys_, _, _ = case1
+    for adversary in (uniform(5), worst_case_w_star()):
+        traj = simulate(sys_, [10, 32], open_loop(case1_cert), adversary, 12)
+        assert traj.states.shape == (13, 2) and traj.disturbances.shape == (12, 2)
+        assert len(traj) == 13 and traj.phases == tuple(k % case1_cert.T for k in range(13))
+        for rows in (traj.states, traj.disturbances):
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                rows[-1] += 1.0
 
 
 def test_trajectory_replays_step_function(case1, case1_cert):
@@ -147,6 +160,20 @@ def test_dominance_preconditions(case1, case1_cert):
     fb = simulate(sys_, [10.0, 32.0], feedback(build_rcis(cert)), uniform(4), 10)
     with pytest.raises(ValueError):
         dominance_check(sys_, cert, fb)
+
+
+def gamma_excess(trajectory, cycle) -> list:
+    """Per-state distance to the phase-matched corner of ``cycle``, an
+    ``invariance.LimitCycle``.
+
+    max over coordinates of the positive part of x_k - x_inf_{k mod T};
+    0.0 means the state is inside its phase box of Gamma.
+    """
+    out = []
+    for k, xs in enumerate(trajectory.states):
+        corner = cycle.points[k % cycle.T]
+        out.append(float(np.max(np.maximum(xs - corner, 0.0))))
+    return out
 
 
 def test_gamma_excess_decreases_and_reaches(case1, case1_cert):

@@ -248,6 +248,34 @@ def test_traffic_advance_matches_textbook_update(traffic):
                 assert np.all(np.abs(got - ref) <= 4 * np.spacing(x + w + inflow))
 
 
+def test_advance_into_out_is_the_allocating_advance(case1, traffic):
+    """``advance(x, w, m, out)`` into a row of a larger array, and with
+    ``out is x``, gives the bytes of the allocating ``advance`` and of
+    ``step``, for both models and every control."""
+    rng = np.random.default_rng(37)
+    for sys_ in (case1[0], traffic[0], random_small_net(3)):
+        n = sys_.state_dim
+        cap = getattr(sys_, "c", np.full(n, 20.0))
+        for u in sys_.controls:
+            m = sys_.check_control(u)
+            for _ in range(3):
+                x = rng.uniform(0.0, 2.0 * cap + 1.0)
+                w = rng.uniform(0.0, sys_.w_star)
+                expected = sys_.advance(x, w, m)
+                assert expected.tobytes() == sys_.step(x, w, u).tobytes()
+                rows = np.full((3, n), np.nan)
+                out = rows[1]
+                assert sys_.advance(x, w, m, out) is out
+                assert out.tobytes() == expected.tobytes()
+                assert np.isnan(rows[[0, 2]]).all()
+                rows[2] = x                   # out and x: two views of one row
+                sys_.advance(rows[2], w, m, rows[2])
+                assert rows[2].tobytes() == expected.tobytes()
+                same = x.copy()
+                assert sys_.advance(same, w, m, same) is same
+                assert same.tobytes() == expected.tobytes()
+
+
 def test_checked_control_is_a_cached_read_only_map(traffic):
     net = traffic[0]
     u = (NS, EW, NS, EW, NS, EW)
