@@ -8,22 +8,19 @@ the matrix the simplex works on; ``write_lp_format`` reads them in order.
 The LP core is a bounded-variable revised simplex: variables may rest at
 either bound, so binary branching and the encoder's variable bounds never
 add rows.  A cold solve is a two-phase primal simplex with Dantzig pricing
-(steepest reduced cost, lowest index on ties) and a permanent switch to
-Bland's rule after a stall, which gives the usual practical speed while
-retaining the anti-cycling termination guarantee.  The simplex keeps the
+(steepest reduced cost, lowest index on ties).  The simplex keeps the
 model's rows one for one: a "<=" row has a +1 slack, a ">=" row a -1
 surplus, and a row whose slack or surplus cannot start the basis (an
 equation, or a right-hand side of the wrong sign) has an artificial of the
 right-hand side's sign.  After phase 1 every artificial is fixed at 0, so
 one left basic on a redundant row stays there, and no row is ever negated,
-dropped or renumbered.  No tableau is kept: the
-entering column and the pivot row are computed from a factorization of the
-basis when needed (``_col``, ``_row``), and reduced costs are updated from
-the pivot row.  A refactorization inverts only the k x k block of the basis
-that the structural columns form on the rows no basic slack or artificial
-covers, since the slack and artificial columns are signed unit vectors
-(Koberstein, 2005, on slack-heavy bases); each later pivot appends one
-product-form eta (Forrest & Tomlin, *Updated triangular factors of the
+dropped or renumbered.  No tableau is kept: the entering column and the
+pivot row are computed from a factorization of the basis when needed
+(``_col``, ``_row``).  A refactorization inverts only the k x k block of
+the basis that the structural columns form on the rows no basic slack or
+artificial covers, since the slack and artificial columns are signed unit
+vectors (Koberstein, 2005, on slack-heavy bases); each later pivot appends
+one product-form eta (Forrest & Tomlin, *Updated triangular factors of the
 basis*, 1972).  The basis is refactorized before every optimal verdict,
 every ``_REFRESH_EVERY`` pivots, and on a basis restore unless the
 snapshot's own factorization is still parked; the refactorizations are
@@ -57,20 +54,24 @@ rows' re-check tolerances together decides the root infeasible with no
 pivot, and the two rows are reported (Andersen & Andersen, *Presolving in
 linear programming*, 1995).
 
-Both pivot loops keep two arrays between pivots instead of rebuilding them
-from the bound status each iteration: the spans of the basic variables, and
-a direction per variable, +1 for a nonbasic at its lower bound, -1 at its
-upper and 0 for a basic one or one that may not enter (the dual loop moves
-only variables with room to move; the primal loop also lets a variable at
-its upper bound enter).  A pivot updates the entries of the entering and the
-leaving variable.  The candidate tests read ``dirs * alpha`` and
-``dirs * r``, which are +-alpha, +-r or 0 exactly, since negation and
-multiplying by +-1 are exact in IEEE arithmetic; so the candidates, the
-ratios and the tie choices are those of the per-status tests bit for bit.
-A child's dual loop starts from the reduced costs of its parent's optimal
-verdict: fixing a binary moves no reduced cost, and a sibling's snapshot
-carries them, since a refactorization of its basis gives the parked
-factorization again to the bit.
+The primal and the dual pivot loop differ only in how they pick a pivot:
+both then make the one basis exchange, ``_exchange``, and both switch to
+Bland's rule for good, keeping the anti-cycling guarantee, after
+``_STALL_LIMIT`` pivots in a row that gain at most ``_PROGRESS_TOL`` (in
+objective for the primal loop, in dual objective for the dual).  Both keep
+two arrays between pivots instead of rebuilding them from the bound status
+each iteration: the spans of the basic variables, and a direction per
+variable, +1 for a nonbasic at its lower bound, -1 at its upper and 0 for a
+basic one or one that may not enter (the dual loop moves only variables
+with room to move; the primal loop also lets a variable at its upper bound
+enter).  A pivot updates the entries of the entering and the leaving
+variable.  The candidate tests read ``dirs * alpha`` and ``dirs * r``,
+which are +-alpha, +-r or 0 exactly, since negation and multiplying by +-1
+are exact in IEEE arithmetic; so the candidates, the ratios and the tie
+choices are those of the per-status tests bit for bit.  A child's dual loop
+starts from the reduced costs of its parent's optimal verdict: fixing a
+binary moves no reduced cost, and a sibling's snapshot carries them, since
+a refactorization of its basis gives the parked factorization to the bit.
 
 Every answer the solver returns is independently re-checked against the
 original constraints before it leaves this module, and every node's LP
@@ -434,17 +435,28 @@ class _Simplex:
         self.pivots += 1
         self._r = None
 
+    def _exchange(self, c, r, p, q, col, row, theta, leave_to):
+        """The basis exchange of both loops: ``q``, whose ``_col`` is ``col``,
+        steps by ``theta`` from its bound and enters in row ``p``, whose
+        variable leaves with status ``leave_to``.  Returns ``r``, the reduced
+        costs of ``c``, updated from ``row`` (row ``p`` of ``inv(B) @ A_ext``)
+        or recomputed when a full eta file is refactorized."""
+        x_q = self.U[q] if self.status[q] == _AT_UB else 0.0
+        self.v = self.v - col * theta
+        self.v[p] = x_q + theta
+        self.status[self.basis[p]] = leave_to
+        r = r - r[q] / row[q] * row
+        self._pivot(p, q, col)
+        if len(self._etas) >= _REFRESH_EVERY:
+            self._refresh()
+            r = self._reduced_costs(c)
+        return r
+
     # -- the primal pivot loop ---------------------------------------------
 
     def _optimize(self, c):
-        """Primal simplex on ``c`` from a primal feasible basis.
-
-        Returns the status (optimal | unbounded), the objective the loop
-        tracked and the reduced costs it ended with.  The objective is read
-        from the state only when an entering column will use it, so it is
-        None if none was found since the call or the last refactorization;
-        the caller then reads it from the unchanged state.
-        """
+        """Primal simplex on ``c`` from a primal feasible basis: returns the
+        status (optimal | unbounded) and the reduced costs it ended with."""
         m = self.basis.size
         U, status = self.U, self.status
         r = self._reduced_costs(c)
@@ -455,7 +467,6 @@ class _Simplex:
         # test on the sign of r per status, exactly
         spans = U[self.basis]
         dirs = np.where((U > PIVOT_TOL) | (status == _AT_UB), _DIRECTION[status], 0.0)
-        obj = best = None
         bland = False
         stall = 0
         max_iter = 2000 + 60 * (m + self.N)
@@ -465,13 +476,8 @@ class _Simplex:
                 if self._etas:
                     self._refresh()
                     r = self._reduced_costs(c)
-                    obj = None
                     continue
-                return "optimal", obj, r
-            if obj is None:
-                obj = float(c @ self._current_x())
-                if best is None:
-                    best = obj
+                return "optimal", r
             if bland:
                 j = int(cand[0])
             else:
@@ -500,9 +506,9 @@ class _Simplex:
                 leave_row = i_min
                 leave_to = _AT_LB if t_fall[i_min] <= t_rise[i_min] else _AT_UB
             if not np.isfinite(t_best):
-                return "unbounded", obj, r
-            gain = r[j] * direction * t_best
-            obj += gain
+                return "unbounded", r
+            theta = direction * t_best
+            gain = -r[j] * theta
             if leave_row < 0:
                 # bound flip, basis unchanged
                 if direction > 0:
@@ -512,21 +518,12 @@ class _Simplex:
                 self.v = self.v - d * t_best
             else:
                 lv = self.basis[leave_row]
-                self.v = self.v - d * t_best
-                self.v[leave_row] = t_best if direction > 0 else U[j] - t_best
-                status[lv] = leave_to
                 spans[leave_row] = U[j]
                 dirs[j] = 0.0
                 dirs[lv] = -1.0 if leave_to == _AT_UB else float(U[lv] > PIVOT_TOL)
-                prow = self._row(leave_row)
-                r = r - r[j] / prow[j] * prow
-                self._pivot(leave_row, j, alpha)
-                if len(self._etas) >= _REFRESH_EVERY:
-                    self._refresh()
-                    r = self._reduced_costs(c)
-                    obj = float(c @ self._current_x())
-            if obj < best - _PROGRESS_TOL:
-                best = obj
+                r = self._exchange(c, r, leave_row, j, alpha, self._row(leave_row),
+                                   theta, leave_to)
+            if gain > _PROGRESS_TOL:
                 stall = 0
             else:
                 stall += 1
@@ -539,18 +536,16 @@ class _Simplex:
         # phase 1: minimize artificial mass
         c1 = np.zeros(self.N)
         c1[self.art_start:] = 1.0
-        status, obj1, _ = self._optimize(c1)
+        status, _ = self._optimize(c1)
         if status != "optimal":  # pragma: no cover - phase 1 cannot be unbounded
             raise NumericalBreakdownError("phase 1 ended " + status)
-        if obj1 is None:
-            obj1 = float(c1 @ self._current_x())
-        if obj1 > _PHASE1_TOL:
+        if c1 @ self._current_x() > _PHASE1_TOL:
             return "infeasible"
         # artificials are fixed at 0 from here on: a nonbasic one never
         # re-enters, and the ratio tests hold a basic one at 0 (one on a
         # redundant row stays basic for good)
         self.U[self.art_start:] = 0.0
-        status, _, r = self._optimize(self.c)
+        status, r = self._optimize(self.c)
         if status == "optimal":
             self._r = r
         return status
@@ -647,7 +642,7 @@ class _Simplex:
                 if self._etas:
                     self._refresh()
                     continue
-                status, _, r = self._optimize(c)
+                status, r = self._optimize(c)
                 if status == "optimal":
                     self._r = r
                 return status
@@ -683,21 +678,13 @@ class _Simplex:
             target = spans[p] if to_upper else 0.0
             col = self._col(q)
             delta = (v[p] - target) / col[p]
-            x_q = U[q] if self.status[q] == _AT_UB else 0.0
-            self.v = v - col * delta
-            self.v[p] = x_q + delta
             lv = self.basis[p]
             lands_up = to_upper and target > 0
-            self.status[lv] = _AT_UB if lands_up else _AT_LB
             spans[p] = U[q]
             dirs[q] = 0.0
             dirs[lv] = (-1.0 if lands_up else 1.0) if U[lv] > PIVOT_TOL else 0.0
             gain = r[q] * delta
-            r = r - r[q] / alpha[q] * alpha
-            self._pivot(p, q, col)
-            if len(self._etas) >= _REFRESH_EVERY:
-                self._refresh()
-                r = self._reduced_costs(c)
+            r = self._exchange(c, r, p, q, col, alpha, delta, _AT_UB if lands_up else _AT_LB)
             if gain > _PROGRESS_TOL:
                 stall = 0
             else:
@@ -794,22 +781,26 @@ def _parallel_rows(model: MilpModel) -> ParallelRows | None:
     return None
 
 
+def _cold(model: MilpModel):
+    """A simplex on ``model``'s continuous relaxation (binaries in [0, 1]),
+    solved cold: returns it, the model's objective vector and the status."""
+    c, A, rels, b, lb, ub = model.dense()
+    sx = _Simplex(-c if model.sense == "max" else c, A, rels, b, lb, ub)
+    return sx, c, sx.solve()
+
+
 def solve_lp(model: MilpModel) -> MilpSolution:
     """Solve the continuous relaxation of ``model`` (binaries in [0, 1])."""
-    c, A, rels, b, lb, ub = model.dense()
-    c_min = -c if model.sense == "max" else c
-    sx = _Simplex(c_min, A, rels, b, lb, ub)
-    status = sx.solve()
+    sx, c, status = _cold(model)
+    done = dict(nodes=1, pivots=sx.pivots, refactorizations=sx.refactorizations)
     if status != "optimal":
-        return MilpSolution(status=status, nodes=1, pivots=sx.pivots,
-                            refactorizations=sx.refactorizations)
+        return MilpSolution(status=status, **done)
     x = sx.x()
     # hard re-check: never return an uncertified answer
-    if not _check_solution(A, rels, b, lb, ub, x):
+    if not _check_solution(*sx.model_rows, model.lb, model.ub, x):
         raise NumericalBreakdownError("solution failed the independent re-check")
     # objective reported from the model's own coefficients, not the simplex's
-    return MilpSolution(status="optimal", x=x, objective=float(c @ x), nodes=1,
-                        pivots=sx.pivots, refactorizations=sx.refactorizations)
+    return MilpSolution(status="optimal", x=x, objective=float(c @ x), **done)
 
 
 # --------------------------------------------------------------------------
@@ -875,9 +866,7 @@ def solve_milp(model: MilpModel, node_budget: int | None = None,
         if entry is None:
             parallel = _parallel_rows(model)
             if parallel is None:
-                c, A, rels, b, lb0, ub0 = model.dense()
-                sx = _Simplex(-sign * c, A, rels, b, lb0, ub0)
-                status = sx.solve()
+                sx, c, status = _cold(model)
             else:
                 status = "infeasible"
         else:
@@ -926,7 +915,7 @@ def solve_milp(model: MilpModel, node_budget: int | None = None,
         return MilpSolution(status="budget_unknown" if exhausted else "infeasible",
                             parallel_rows=parallel, **done)
     # hard re-check of the incumbent, integrality included
-    if not _check_solution(*sx.model_rows, lb0, ub0, best_x):
+    if not _check_solution(*sx.model_rows, model.lb, model.ub, best_x):
         raise NumericalBreakdownError("incumbent failed the independent re-check")
     if bins.size and np.max(np.abs(best_x[bins] - np.round(best_x[bins]))) > INT_TOL:
         raise NumericalBreakdownError("incumbent failed the integrality re-check")

@@ -26,7 +26,8 @@ with fewer terms than the longest ends with some of its zero terms.  A
 skipped or added zero term is ``x_j * 0 = +-0`` on a finite point and
 changes no comparison, so the answer is the one the sum over every column
 gives; a point with a non-finite coordinate is outside, by an explicit
-test.  ``BoxUnion`` tests its boxes one at a time and ORs the answers.
+test, so the NaN its zero terms give is not warned about.  ``BoxUnion``
+tests its boxes one at a time and ORs the answers.
 
 ``BoxUnion.locate`` answers one point, the smallest index of a box holding
 it, on Python floats: one list conversion, then a scan of the corners plus
@@ -213,9 +214,12 @@ class PolyLowerSet:
         cols, coefs = self._terms
         inside = ((X >= -tol) & (X < np.inf)).all(axis=0)
         if len(cols):
-            Ax = X[cols[0]] * coefs[0]
-            for t in range(1, len(cols)):
-                Ax += X[cols[t]] * coefs[t]
+            # a non-finite coordinate times a padding zero term is NaN, which
+            # changes no answer: the line above already put the point outside
+            with np.errstate(invalid="ignore"):
+                Ax = X[cols[0]] * coefs[0]
+                for t in range(1, len(cols)):
+                    Ax += X[cols[t]] * coefs[t]
             inside &= (Ax <= (self.b + tol)[:, None]).all(axis=0)
         return _answer(inside, single)
 

@@ -158,7 +158,8 @@ class TrafficNetwork(MonotoneSystem):
 
     A control is a tuple of phases (``"NS"``/``"EW"``), one per junction, in
     ``self.junctions`` order (junction ids sorted alphabetically).  A
-    control's green mask and map are built on its first check and cached.
+    control's map is built on its first check and cached.  The safe set,
+    the box ``x <= x_s``, is built once, at construction.
 
     Construction validates the topology: turn ratios lie in [0, 1] and sum
     to at most 1 per source link, entry links receive no turns, and all
@@ -218,9 +219,11 @@ class TrafficNetwork(MonotoneSystem):
         self._head = np.array([self._junction_index[l.head] for l in self.links], dtype=int)
         self._ns = np.array([l.direction == NS for l in self.links], dtype=bool)
         self._flow = beta.T - np.eye(n)
-        # per control played so far: its green mask and its map M_u
-        self._green = {}
+        # per control played so far: its map M_u
         self._maps = {}
+        # one read-only safe set: every encoding and rollout shares it
+        self._safe = PolyLowerSet.rectangle(self.x_s.copy())
+        self._safe.A.flags.writeable = self._safe.b.flags.writeable = False
 
     # -- dynamics ----------------------------------------------------------
 
@@ -236,14 +239,9 @@ class TrafficNetwork(MonotoneSystem):
         if m is None:
             green = np.array([p == NS for p in u], dtype=bool)[self._head] == self._ns
             m = self._flow * green
-            green.flags.writeable = m.flags.writeable = False
-            self._green[u], self._maps[u] = green, m
+            m.flags.writeable = False
+            self._maps[u] = m
         return m
-
-    def green_mask(self, u) -> np.ndarray:
-        """Read-only bool per link: green under control ``u``."""
-        self.check_control(u)
-        return self._green[tuple(u)]
 
     def advance(self, x, w, m, out=None) -> np.ndarray:
         # z before the first write, so that ``out`` may be ``x``
@@ -258,8 +256,9 @@ class TrafficNetwork(MonotoneSystem):
         return self._link_index[link_id]
 
     def safe_set(self) -> PolyLowerSet:
-        """Rectangle ``{x : x_i <= x_s_i}`` induced by the per-link bounds."""
-        return PolyLowerSet.rectangle(self.x_s)
+        """Rectangle ``{x : x_i <= x_s_i}`` induced by the per-link bounds;
+        one read-only set, built at construction."""
+        return self._safe
 
     def to_dict(self) -> dict:
         return {

@@ -510,6 +510,13 @@ def _switched_oracle(sys_, S, T):
     return _best(lp(seq) for seq in itertools.product(sys_.controls, repeat=T))
 
 
+def green_links(net, u):
+    """Bool per link: green under control ``u``, from each link's head
+    junction and direction alone."""
+    phase = dict(zip(net.junctions, u))
+    return np.array([phase[l.head] == l.direction for l in net.links])
+
+
 def _traffic_oracle(net, T):
     """As ``_switched_oracle`` over every phase sequence and min branch: a
     green link serves z = x while x <= c, or z = c while x >= c."""
@@ -524,7 +531,7 @@ def _traffic_oracle(net, T):
             G.append(Phi)
             h.append(net.x_s - psi)
             Zphi, zpsi = np.zeros((n, n)), np.zeros(n)
-            for i, full in zip(np.flatnonzero(net.green_mask(u)), branches):
+            for i, full in zip(np.flatnonzero(green_links(net, u)), branches):
                 if full:
                     zpsi[i] = net.c[i]
                     G.append(-Phi[i:i + 1])
@@ -539,7 +546,7 @@ def _traffic_oracle(net, T):
         return _lp_max_l1(G, h, net.x_s)
 
     def choices(seq):
-        greens = [int(np.count_nonzero(net.green_mask(u))) for u in seq]
+        greens = [int(np.count_nonzero(green_links(net, u))) for u in seq]
         return itertools.product(*(itertools.product((False, True), repeat=g)
                                    for g in greens))
 

@@ -125,7 +125,7 @@ def test_rejected_appends_leave_the_model_unchanged():
         ([2, 3, 3], [2, 0, 1], [1.0, -1.0, 3.0])
 
 
-def test_beale_degenerate_instance():
+def beale_lp():
     """Classical cycling example; plain Dantzig pricing loops forever on it."""
     m = MilpModel("beale")
     for nm in ("x1", "x2", "x3", "x4"):
@@ -134,7 +134,11 @@ def test_beale_degenerate_instance():
     m.add_constraint({0: 0.5, 1: -90.0, 2: -0.02, 3: 3.0}, "<=", 0.0)
     m.add_constraint({2: 1.0}, "<=", 1.0)
     m.set_objective({0: 0.75, 1: -150.0, 2: 0.02, 3: -6.0}, "max")
-    sol = solve_lp(m)
+    return m
+
+
+def test_beale_degenerate_instance():
+    sol = solve_lp(beale_lp())
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(0.05, abs=1e-9)
 
@@ -156,9 +160,9 @@ def _scipy_reference(c, A, rels, b, lb, ub, sense):
                    bounds=list(zip(lb, ub)), method="highs")
 
 
-def test_lp_agrees_with_scipy_randomized():
+def _random_lps():
+    """80 seeded random LPs, each with the data its scipy reference reads."""
     rng = np.random.default_rng(7)
-    outcomes = {"optimal": 0, "infeasible": 0, "unbounded": 0}
     for k in range(80):
         n = rng.integers(1, 9)
         m_rows = rng.integers(0, 13)
@@ -178,20 +182,56 @@ def test_lp_agrees_with_scipy_randomized():
         c = rng.uniform(-3, 3, n).round(2)
         sense = "max" if rng.random() < 0.5 else "min"
         mdl.set_objective({j: c[j] for j in range(n)}, sense)
+        yield mdl, (c, A, rels, b, lb, ub, sense)
 
-        ref = _scipy_reference(c, A, rels, b, lb, ub, sense)
+
+def test_lp_agrees_with_scipy_randomized():
+    outcomes = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    for k, (mdl, data) in enumerate(_random_lps()):
+        ref = _scipy_reference(*data)
         sol = solve_lp(mdl)
         if ref.status == 2:
             assert sol.status == "infeasible", k
         elif ref.status == 3:
             assert sol.status == "unbounded", k
         elif ref.status == 0:
-            ref_obj = -ref.fun if sense == "max" else ref.fun
+            ref_obj = -ref.fun if mdl.sense == "max" else ref.fun
             assert sol.status == "optimal", (k, sol.status)
             assert abs(sol.objective - ref_obj) <= 1e-6 * (1 + abs(ref_obj)), k
         outcomes[sol.status] += 1
     # the generator must actually exercise all three outcomes
     assert min(outcomes.values()) > 0
+
+
+def test_bland_rule_keeps_every_answer(monkeypatch, case1):
+    """With no stall allowed, each pivot loop turns to Bland's rule at its
+    first pivot without progress.  Beale's LP, the random LPs and the
+    case-1 T=6 and T=7 searches keep their statuses and objectives, and
+    both loops make exchanges under Bland's rule."""
+    sys_, S, _ = case1
+    lps = [beale_lp()] + [mdl for mdl, _ in _random_lps()]
+    milps = [encode_switched(sys_, S, T, objective="max_l1_x0").model for T in (6, 7)]
+
+    def solve_all():
+        return [solve_lp(mdl) for mdl in lps] + [solve_milp(mdl) for mdl in milps]
+
+    default = solve_all()
+    bland = {"_optimize": 0, "reoptimize": 0}
+    exchange = _Simplex._exchange
+
+    def counting(sx, *args):
+        loop = sys._getframe(1)
+        bland[loop.f_code.co_name] += loop.f_locals["bland"]
+        return exchange(sx, *args)
+
+    monkeypatch.setattr(milp, "_STALL_LIMIT", 0)
+    monkeypatch.setattr(_Simplex, "_exchange", counting)
+    for k, (ref, sol) in enumerate(zip(default, solve_all())):
+        assert sol.status == ref.status, k
+        if ref.status == "optimal":
+            assert sol.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-9), k
+    assert [ref.status for ref in default[-2:]] == ["infeasible", "optimal"]
+    assert min(bland.values()) > 0, bland
 
 
 def _enumerate_oracle(mdl, nb):
@@ -736,14 +776,12 @@ def test_kept_loop_arrays_match_recomputation(monkeypatch, case1):
     pin.  Checked on the states of ``_kernel_states`` and through the
     case-1 T=6 proof."""
     checked = {"_optimize": 0, "reoptimize": 0}
-    pivot = _Simplex._pivot
+    exchange = _Simplex._exchange
 
-    def checking(sx, row, j, col):
-        pivot(sx, row, j, col)
+    def checking(sx, *args):
+        r = exchange(sx, *args)
         loop = sys._getframe(1)
         name = loop.f_code.co_name
-        if name not in checked:
-            return      # a test's own basis exchange
         spans, dirs = loop.f_locals["spans"], loop.f_locals["dirs"]
         assert np.array_equal(spans, sx.U[sx.basis]), name
         room = sx.U > PIVOT_TOL
@@ -755,8 +793,9 @@ def test_kept_loop_arrays_match_recomputation(monkeypatch, case1):
         sign = np.where(sx.status == _AT_UB, -1.0, 1.0)
         assert np.array_equal(dirs[movable], sign[movable]), name
         checked[name] += 1
+        return r
 
-    monkeypatch.setattr(_Simplex, "_pivot", checking)
+    monkeypatch.setattr(_Simplex, "_exchange", checking)
     for _ in _kernel_states(53):
         pass
     assert min(checked.values()) >= 100, checked

@@ -315,9 +315,8 @@ def test_contains_matches_the_dense_formulas():
                              _special_points(bounds + tol, tol, zero_column)])
             expected = reference(region, pts, tol)
             assert 0 < expected.sum() < len(pts)
-            with np.errstate(invalid="ignore"):
-                batch = region.contains(pts, tol)
-                single = [region.contains(p, tol) for p in pts]
+            batch = region.contains(pts, tol)
+            single = [region.contains(p, tol) for p in pts]
             assert batch.dtype == bool and batch.tolist() == expected.tolist()
             assert single == expected.tolist()
     # one ulp past b + tol on a row summed over two terms, and the bound itself

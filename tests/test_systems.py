@@ -10,7 +10,7 @@ from monosafe.simulate import Policy, open_loop, simulate, uniform, worst_case_w
 from monosafe.systems import (EW, NS, Link, SwitchedAffineSystem, TrafficNetwork,
                               check_monotone, cooperative_bound_check,
                               load_system_file, system_from_dict, system_hash)
-from test_encode import random_small_net
+from test_encode import green_links, random_small_net
 
 DATA = resources.files("monosafe.data")
 
@@ -221,9 +221,7 @@ def _textbook_step(net, x, w, u):
     beta = np.zeros((net.state_dim, net.state_dim))
     for (src, dst, ratio) in net.turns:
         beta[net.link_index(src), net.link_index(dst)] = ratio
-    phase = dict(zip(net.junctions, u))
-    green = np.array([phase[l.head] == l.direction for l in net.links])
-    z = np.where(green, np.minimum(x, net.c), 0.0)
+    z = np.where(green_links(net, u), np.minimum(x, net.c), 0.0)
     inflow = beta.T @ z
     return x - z + w + inflow, inflow
 
@@ -281,13 +279,20 @@ def test_checked_control_is_a_cached_read_only_map(traffic):
     u = (NS, EW, NS, EW, NS, EW)
     m = net.check_control(u)
     assert net.check_control(u) is m and net.check_control(list(u)) is m
-    assert not m.flags.writeable and not net.green_mask(u).flags.writeable
+    assert not m.flags.writeable and net._maps[u] is m
     with pytest.raises(ValueError):
         m[0, 0] = 1.0
     s = fresh_switched()
     assert s.check_control(2) is s.check_control(2)
     assert not s.check_control(2).flags.writeable
     assert np.array_equal(s.check_control(2), A2)
+
+
+def test_safe_set_is_built_once_and_read_only(traffic):
+    net, safe_set, _ = traffic
+    assert net.safe_set() is net.safe_set() is safe_set
+    assert not safe_set.A.flags.writeable and not safe_set.b.flags.writeable
+    assert np.array_equal(safe_set.b, net.x_s) and safe_set.contains(net.x_s)
 
 
 def test_traffic_step_is_nonnegative_exactly(traffic):
@@ -317,7 +322,7 @@ def test_green_link_without_inflow_empties_to_zero(traffic):
         for u in net.controls:
             x = rng.uniform(0.0, net.c)
             ref, inflow = _textbook_step(net, x, w, u)
-            green = net.green_mask(u)
+            green = green_links(net, u)
             x1 = net.step(x, w, u)
             quiet = green & (inflow == 0.0)
             assert np.all(x1[quiet] == 0.0)
@@ -336,17 +341,17 @@ def chain_net(junctions):
 
 
 def test_traffic_maps_are_built_on_first_use():
-    """Construction builds no green mask and no map; a rollout builds them
-    for exactly the controls it plays."""
+    """Construction builds no map; a rollout builds one for exactly each
+    control it plays."""
     net = chain_net(14)
     assert len(net.controls) == 2 ** 14
-    assert net._green == {} and net._maps == {}
+    assert net._maps == {}
     rng = np.random.default_rng(37)
     played = [net.controls[i] for i in rng.integers(len(net.controls), size=3)]
     traj = simulate(net, np.full(14, 4.0), Policy("open_loop", 3, lambda k, x: played[k % 3]),
                     worst_case_w_star(), 12)
     assert traj.status == "completed"
-    assert set(net._green) == set(net._maps) == set(played)
+    assert set(net._maps) == set(played)
 
 
 def test_cooperative_bound_check():
