@@ -48,6 +48,9 @@ class SSequenceCertificate:
         dims = {s.shape[0] for s in states}
         if len(dims) != 1:
             raise ValueError("witness states must share a dimension")
+        for k, s in enumerate(states):
+            if not np.isfinite(s).all():
+                raise ValueError(f"witness state x_{k} is not finite")
         object.__setattr__(self, "x_star", states)
         object.__setattr__(self, "controls", tuple(_canon_control(u) for u in self.controls))
 

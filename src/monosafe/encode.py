@@ -23,13 +23,15 @@ witness alone.
 
 Each model is written as arrays: its columns as one block and its rows as
 one more (``MilpModel.add_vars``, ``add_rows``), plus a traffic model's
-count rows.  A step's rows, the same at every step and horizon, are built
-once per system (``_switched_step``, ``_traffic_step``; systems are not
-changed after construction) and repeated T times by ``_by_step``.  The
-row order is kept on purpose: the solver breaks ties by lowest index, so
-it decides the search path.  Writing the traffic T=5 rows family by
-family instead of link by link moved the first-feasible dive from 61 to
-71 nodes; the pinned digests in the tests hold the order.
+count rows.  An encoder supplies only one step's template, the same at
+every step and horizon and built once per system (``_switched_step``,
+``_traffic_step``; systems are not changed after construction);
+``_witness_model`` repeats its columns and each of its row blocks T
+times, then safety and closure.  The row order is kept on purpose: the
+solver breaks ties by lowest index, so it decides the search path.
+Writing the traffic T=5 rows family by family instead of link by link
+moved the first-feasible dive from 61 to 71 nodes; the pinned digests in
+the tests hold the order.
 
 ``decode`` trusts the solver for nothing but the controls and ``x_0``: it
 *re-simulates* the witness with the real step function, accepts solver
@@ -82,43 +84,41 @@ class EncodingArtifacts:
 
 def _terms(*terms):
     """One step's row entries from terms ``(rows, cols, vals)``: rows within
-    the step, columns as places in the step's row of a ``_by_step`` table,
-    and values, one per row or one for all."""
+    the block, columns as places in the step's row of the table
+    ``[x_k | x_{k+1} | step columns]``, and values, one per row or one for
+    all."""
     return (np.concatenate([r for r, _, _ in terms]), np.concatenate([c for _, c, _ in terms]),
             np.concatenate([np.full(len(r), v, float) for r, _, v in terms]))
 
 
-def _by_step(T, rows_per_step, step, table):
-    """COO arrays of T copies of the row entries ``step`` (``_terms``),
-    ``rows_per_step`` apart; step k reads its columns from ``table[k]``.
-    ``add_rows`` sorts the entries, so their order does not matter."""
-    rows, cols, vals = step
-    return ((rows_per_step * np.arange(T)[:, None] + rows).ravel(), table[:, cols].ravel(),
-            np.concatenate([vals] * T))
-
-
-def _frozen(*parts):
-    """``parts``, arrays or tuples of arrays, made read-only: a cached step
-    is shared by every encoding of its system."""
-    for a in parts:
-        for b in a if isinstance(a, tuple) else (a,):
-            b.flags.writeable = False
+def _frozen(parts):
+    """``parts`` with every array in it, through nested tuples, made
+    read-only: a cached step is shared by every encoding of its system."""
+    if isinstance(parts, np.ndarray):
+        parts.flags.writeable = False
+    elif isinstance(parts, tuple):
+        for part in parts:
+            _frozen(part)
     return parts
 
 
-def _witness_model(kind, system, S, T, objective, dynamics):
-    """The part of the model both encodings share, around their own dynamics.
+def _witness_model(kind, system, S, T, objective, step):
+    """The model of a horizon-``T`` witness around one step template.
 
     State variables ``x_{k,i}`` come first, capped by
     ``S.coordinate_bounds()`` (``x_T`` too: closure forces ``x_T <= x_0``).
-    ``dynamics(x, cap)`` gives the control binaries and any other columns
-    that follow them, as ``(names, ub, binary)`` (every lower bound is 0),
-    the dynamics rows over the state columns ``x[k, i]`` and those columns,
-    as ``(row, col, val, rels, rhs)``, and the control columns ``u[k]``.
-    Safety rows follow for ``k < T``; a row with a single nonzero is left
-    out, since the variable cap already implies it.  Then the cyclic
-    closure, the objective, and ``branch_first`` = the controls.  The
-    columns and the rows are each appended as one block.
+    ``step(cap)`` gives the template of one step, the same at every step:
+    ``(labels, ub, binary, controls, blocks)``.  Its columns follow the
+    states T times over, named by ``labels`` around the step number, with
+    upper bounds ``ub`` (every lower bound is 0) and binary flags
+    ``binary``; the first ``controls`` of them are the control columns
+    ``u[k]``.  Each block is ``(terms, rels, rhs)``, its entries
+    ``_terms`` over the table ``[x_k | x_{k+1} | step columns]``.  Block
+    by block, each is written for every step in turn; safety is one more
+    block, over ``x_k`` alone, leaving out a row with a single nonzero,
+    since the variable cap already implies it.  Then the cyclic closure,
+    the objective, and ``branch_first`` = the controls.  The columns and
+    the rows are each appended as one block.
     """
     if T < 1:
         raise ValueError("horizon T must be >= 1")
@@ -130,25 +130,33 @@ def _witness_model(kind, system, S, T, objective, dynamics):
     cap = S.coordinate_bounds()
     if not np.isfinite(cap).all():
         raise ValueError("safe set must bound every coordinate (big-M derivation)")
+    labels, ub, binary, controls, blocks = step(cap)
     x = np.arange((T + 1) * n).reshape(T + 1, n)
-    (names, ub, binary), (row, col, val, rels, rhs), u = dynamics(x, cap)
+    cols = x.size + np.arange(T * ub.size).reshape(T, ub.size)
+    table = np.concatenate([x[:-1], x[1:], cols], axis=1)
     model = MilpModel(f"{kind}_T{T}")
-    model.add_vars([f"x_{k}_{i}" for k in range(T + 1) for i in range(n)] + names,
-                   ub=np.concatenate([cap] * (T + 1) + [ub]),
-                   binary=np.concatenate([np.zeros(x.size, bool), binary]))
+    model.add_vars([f"x_{k}_{i}" for k in range(T + 1) for i in range(n)]
+                   + [f"{head}{k}{tail}" for k in range(T) for head, tail in labels],
+                   ub=np.concatenate([cap] * (T + 1) + [ub] * T),
+                   binary=np.concatenate([np.zeros(x.size, bool)] + [binary] * T))
     multi = (S.A != 0).sum(axis=1) > 1
     A, b = S.A[multi], S.b[multi]
     r, j = A.nonzero()
-    safety = _by_step(T, b.size, (r, j, A[r, j]), x[:T])
-    first = rhs.size + T * b.size       # the closure rows x_T - x_0 <= 0
-    model.add_rows(
-        np.concatenate([row, rhs.size + safety[0], first + np.arange(n), first + np.arange(n)]),
-        np.concatenate([col, safety[1], x[T], x[0]]),
-        np.concatenate([val, safety[2], np.ones(n), np.full(n, -1.0)]),
-        np.concatenate([rels, np.full(T * b.size + n, LEQ)]),
-        np.concatenate([rhs] + [b] * T + [np.zeros(n)]))
+    safety = (r, j, A[r, j]), np.full(b.size, LEQ), b
+    parts, first = [], 0
+    for (rows, places, vals), rels, rhs in blocks + (safety,):
+        # step k's rows follow step k-1's; add_rows sorts the entries
+        parts.append(((first + rhs.size * np.arange(T)[:, None] + rows).ravel(),
+                      table[:, places].ravel(), np.concatenate([vals] * T),
+                      np.concatenate([rels] * T), np.concatenate([rhs] * T)))
+        first += T * rhs.size
+    closure = first + np.arange(n)      # the rows x_T - x_0 <= 0
+    parts.append((np.concatenate([closure, closure]), np.concatenate([x[T], x[0]]),
+                  np.concatenate([np.ones(n), np.full(n, -1.0)]), np.full(n, LEQ), np.zeros(n)))
+    model.add_rows(*map(np.concatenate, zip(*parts)))
     if objective == "max_l1_x0":
         model.set_objective(dict.fromkeys(x[0].tolist(), 1.0), "max")
+    u = cols[:, :controls]
     model.branch_first = u.ravel().tolist()
     return EncodingArtifacts(model=model, T=T, system=system, safe_set=S, x=x, u=u)
 
@@ -156,14 +164,15 @@ def _witness_model(kind, system, S, T, objective, dynamics):
 @functools.lru_cache(maxsize=1)
 def _switched_step(sys: SwitchedAffineSystem, cap: tuple) -> tuple:
     """One step of ``encode_switched`` under the state caps ``cap``, the
-    same at every step and horizon: ``(terms, rhs)``.
+    same at every step and horizon: its ``_witness_model`` template.
 
-    Mode by mode and coordinate by coordinate, the row of mode m and
-    coordinate i reads ``A_i x_k - x_{k+1,i} + M u_{k,m} <= M - w_i``, with
-    M twice the row's bound on the caps; its entries are ``_terms`` over
-    the table ``x_k``, ``x_{k+1}``, the step's mode binaries.
+    The step's columns are its mode binaries, in ``sys.controls`` order.
+    Its first block is the one-hot row; its second, mode by mode and
+    coordinate by coordinate, the row of mode m and coordinate i,
+    ``A_i x_k - x_{k+1,i} + M u_{k,m} <= M - w_i``, with M twice the row's
+    bound on the caps.
     """
-    n, w, cap = sys.state_dim, sys.w_star, np.array(cap)
+    n, w, cap, modes = sys.state_dim, sys.w_star, np.array(cap), len(sys.controls)
     A = np.array([sys.modes[m - 1] for m in sys.controls])
     big_m = np.array([[2.0 * (float(A_m[i] @ cap) + w[i]) for i in range(n)]
                       for A_m in A]).ravel()
@@ -171,7 +180,11 @@ def _switched_step(sys: SwitchedAffineSystem, cap: tuple) -> tuple:
     m, i, j = np.nonzero(A)
     terms = _terms((m * n + i, j, A[m, i, j]), (rows, n + rows % n, -1.0),
                    (rows, 2 * n + rows // n, big_m))
-    return _frozen(terms, big_m - np.concatenate([w] * len(A)))
+    one_hot = _terms((np.zeros(modes, int), 2 * n + np.arange(modes), 1.0))
+    blocks = ((one_hot, np.array([EQ]), np.ones(1)),
+              (terms, np.full(big_m.size, LEQ), big_m - np.concatenate([w] * modes)))
+    return _frozen((tuple(("u_", f"_{m}") for m in sys.controls), np.ones(modes),
+                    np.ones(modes, bool), modes, blocks))
 
 
 def encode_switched(sys: SwitchedAffineSystem, S: PolyLowerSet, T: int,
@@ -182,36 +195,19 @@ def encode_switched(sys: SwitchedAffineSystem, S: PolyLowerSet, T: int,
     ``_switched_step``: ``x_{k+1,i} >= A_i x_k + w_i`` if the mode's binary
     is 1, void if 0.
     """
-    modes = len(sys.controls)
-
-    def dynamics(x, cap):
-        terms, rhs = _switched_step(sys, tuple(cap.tolist()))
-        u = x.size + np.arange(T * modes).reshape(T, modes)
-        row, col, val = _by_step(T, rhs.size, terms, np.concatenate([x[:-1], x[1:], u], axis=1))
-        names = [f"u_{k}_{m}" for k in range(T) for m in sys.controls]
-        ones = np.ones(u.size)
-        return ((names, ones, ones.astype(bool)),
-                (np.concatenate([np.arange(T).repeat(modes), T + row]),
-                 np.concatenate([u.ravel(), col]), np.concatenate([ones, val]),
-                 np.where(np.arange(T * (1 + rhs.size)) < T, EQ, LEQ),
-                 np.concatenate([np.ones(T)] + [rhs] * T)),
-                u)
-
-    return _witness_model("switched", sys, S, T, objective, dynamics)
+    return _witness_model("switched", sys, S, T, objective,
+                          lambda cap: _switched_step(sys, tuple(cap.tolist())))
 
 
 @functools.lru_cache(maxsize=1)
 def _traffic_step(net: TrafficNetwork) -> tuple:
     """One step of ``encode_traffic``, the same at every step and horizon:
-    ``(labels, ub, binary, terms, rels, rhs)``.
+    its ``_witness_model`` template.
 
     The step's columns are its junction binaries, then link by link ``z``
-    and (a feeding link) its selector ``d``: their names around the step
-    number, upper bounds and binary flags.  Its rows are link by link
-    the two upper rows of ``z`` and (a feeding link) its two lower rows,
-    then the state updates: their entries (``_terms``, over the table
-    ``x_k``, ``x_{k+1}``, the step's columns), relations and right-hand
-    sides.
+    and (a feeding link) its selector ``d``.  Its one block is link by
+    link the two upper rows of ``z`` and (a feeding link) its two lower
+    rows, then the state updates.
     """
     L, J = len(net.links), len(net.junctions)
     turns = np.array([(net.link_index(s), net.link_index(d), r)
@@ -256,7 +252,7 @@ def _traffic_step(net: TrafficNetwork) -> tuple:
         # x_{k+1} >= x_k - z + w + sum of beta z_q
         (q, x1, 1.0), (q, xk, -1.0), (q[into], flow, beta))
     rels = np.where(np.arange(rhs.size) < 2 * (L + F), LEQ, GEQ)
-    return (tuple(labels), *_frozen(ub, binary, terms, rels, rhs))
+    return _frozen((tuple(labels), ub, binary, J, ((terms, rels, rhs),)))
 
 
 def encode_traffic(net: TrafficNetwork, T: int,
@@ -279,17 +275,8 @@ def encode_traffic(net: TrafficNetwork, T: int,
     them.  They are valid at every horizon, but are written only there: a
     horizon with no conflict keeps its model unchanged.
     """
-    labels, ub, binary, terms, rels, rhs = _traffic_step(net)
-
-    def dynamics(x, _):
-        cols = x.size + np.arange(T * ub.size).reshape(T, ub.size)
-        names = [f"{kind}{k}{tail}" for k in range(T) for kind, tail in labels]
-        return ((names, np.concatenate([ub] * T), np.concatenate([binary] * T)),
-                (*_by_step(T, rhs.size, terms, np.concatenate([x[:-1], x[1:], cols], axis=1)),
-                 np.concatenate([rels] * T), np.concatenate([rhs] * T)),
-                cols[:, :len(net.junctions)])
-
-    art = _witness_model("traffic", net, net.safe_set(), T, objective, dynamics)
+    art = _witness_model("traffic", net, net.safe_set(), T, objective,
+                         lambda _: _traffic_step(net))
     counts = np.array(list(green_step_counts(net, T).values())).reshape(-1, 2)
     clash = np.flatnonzero(counts.sum(axis=1) > T)
     if clash.size:

@@ -66,7 +66,6 @@ class Adversary:
     did not use back with ``unread``, so that a shared random stream
     continues as if only the used rows had been drawn.
     """
-    kind: str            # "worst_case" | "uniform"
     _fn: object          # (sys, steps) -> (steps, n) array
     _unread: object = None  # (sys, rows) -> None
 
@@ -80,7 +79,7 @@ class Adversary:
 
 def worst_case_w_star() -> Adversary:
     """Always play the rectangle corner w* (worst case by monotonicity)."""
-    return Adversary("worst_case", lambda sys, steps: np.broadcast_to(
+    return Adversary(lambda sys, steps: np.broadcast_to(
         sys.w_star, (steps, sys.state_dim)))
 
 
@@ -100,7 +99,7 @@ def uniform(seed) -> Adversary:
     def unread(sys, rows):
         rng.skip(-rows * sys.state_dim)
 
-    return Adversary("uniform", draw, unread)
+    return Adversary(draw, unread)
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,6 @@ class Trajectory:
     in_gamma: tuple      # phase-matched: x_k in R(x_inf_{k mod T})
     status: str          # "completed" | "halted_outside_region"
     policy_kind: str
-    adversary_kind: str
 
     def __len__(self):
         return len(self.states)
@@ -180,7 +178,7 @@ def simulate(sys, x0, policy: Policy, adversary: Adversary, steps: int,
         states=states, controls=tuple(controls), disturbances=disturbances,
         phases=(tuple(range(T)) * -(-m // T))[:m],
         safe=flags(safe_set), in_omega=flags(omega), in_gamma=in_gamma,
-        status=status, policy_kind=policy.kind, adversary_kind=adversary.kind)
+        status=status, policy_kind=policy.kind)
 
 
 @dataclass(frozen=True)

@@ -183,8 +183,8 @@ class TrafficNetwork(MonotoneSystem):
                 raise ValueError(f"link {l.id}: direction must be NS or EW")
             if l.head not in self._junction_index:
                 raise ValueError(f"link {l.id}: unknown head junction {l.head!r}")
-            if min(l.c, l.x_s, l.w_star) < 0:
-                raise ValueError(f"link {l.id}: c, x_s, w_star must be nonnegative")
+            if not all(np.isfinite(v) and v >= 0 for v in (l.c, l.x_s, l.w_star)):
+                raise ValueError(f"link {l.id}: c, x_s, w_star must be finite and nonnegative")
 
         beta = np.zeros((n, n))
         for (src, dst, ratio) in turns:

@@ -224,6 +224,45 @@ def test_verify_tampered_certificate(tmp_path):
                  "--certificate", str(bad)]) == 2
 
 
+def _one_error_line(capsys):
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    return len(lines) == 1 and lines[0].startswith("error: ") and not captured.out
+
+
+@pytest.mark.parametrize("field, value", [("c", float("nan")), ("c", float("inf")),
+                                          ("w_star", float("inf"))])
+def test_non_finite_link_data_is_an_input_error(tmp_path, capsys, field, value):
+    """Unchecked, a NaN capacity makes every dynamics residual of ``verify``
+    NaN, which no comparison flags (exit 0), and an infinite one overflows
+    the exact flow floor of ``find``."""
+    spec = json.loads((DATA / "traffic_table1.json").read_text())
+    spec["links"][0][field] = value
+    system = tmp_path / "net.json"
+    system.write_text(json.dumps(spec))
+    cert = json.loads((DATA / "cert_table2.json").read_text())
+    cert["system_hash"] = None
+    (tmp_path / "cert.json").write_text(json.dumps(cert))
+    assert main(["verify", "--system", str(system),
+                 "--certificate", str(tmp_path / "cert.json")]) == 1
+    assert _one_error_line(capsys)
+    assert main(["find", "--system", str(system), "--tmax", "2",
+                 "--objective", "first-feasible", "--out", str(tmp_path / "out")]) == 1
+    assert _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("step", [7, 0])
+def test_non_finite_witness_state_is_an_input_error(tmp_path, capsys, step):
+    """Unchecked, a NaN in the last state passes the dynamics check and
+    prints a bare ``NaN``, not JSON, as the closure residual."""
+    raw = json.loads((DATA / "cert_case1.json").read_text())
+    raw["x_star"][step][0] = float("nan")
+    cert = tmp_path / "nan.json"
+    cert.write_text(json.dumps(raw))
+    assert main(["verify", "--system", "case1.json", "--certificate", str(cert)]) == 1
+    assert _one_error_line(capsys)
+
+
 def test_verify_hash_mismatch(capsys):
     code = main(["verify", "--system", "traffic_table1.json",
                  "--certificate", "cert_case1.json"])

@@ -10,13 +10,15 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from monosafe.encode import (DecodeMismatchError, _unit_green_steps, decode, encode_switched,
-                             encode_traffic, green_step_counts)
+from monosafe.encode import (DecodeMismatchError, _switched_step, _traffic_step,
+                             _unit_green_steps, decode, encode_switched, encode_traffic,
+                             green_step_counts)
 from monosafe.invariance import find_s_sequence
 from monosafe.milp import MilpSolution, solve_milp, write_lp_format
 from monosafe.order import PolyLowerSet
 from monosafe.simulate import verify_certificate
-from monosafe.systems import EW, NS, Link, SwitchedAffineSystem, TrafficNetwork
+from monosafe.systems import (EW, NS, Link, SwitchedAffineSystem, TrafficNetwork,
+                              system_from_dict)
 
 
 def contraction_2d():
@@ -98,6 +100,40 @@ def test_encoding_pinned(system, T, objective, digest, case1, traffic, deep_traf
     path = tmp_path / "model.lp"
     write_lp_format(model, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_step_templates_are_shared_read_only(case1, traffic, traffic_spec_dict, tmp_path):
+    """Each step cache holds the template of one system (and its caps), and
+    every encoding of that system shares it.  Builds that interleave safe
+    sets with other caps, networks and horizons, and callers that mutate a
+    model they got, leave every later model as a build from cold caches."""
+    sys_, S1, _ = case1
+    S2 = PolyLowerSet(np.array([[1.0, 1.0], [1.0, 0.0]]), np.array([50.0, 30.0]))
+    assert S2.coordinate_bounds().tolist() != S1.coordinate_bounds().tolist()
+    nets = traffic[0], system_from_dict(traffic_spec_dict, "second")[0]
+    builds = [(encode_switched, (sys_, S)) for S in (S1, S2, S1)]
+    builds += [(encode_traffic, (net,)) for net in nets]
+    path = tmp_path / "model.lp"
+
+    def lp(model):
+        write_lp_format(model, str(path))
+        return path.read_bytes()
+
+    seen = []
+    for T in (1, 2, 3):
+        for encode, args in builds:
+            model = encode(*args, T).model
+            seen.append(lp(model))
+            model.val += 1.0
+            model.rhs += 1.0
+            model.ub += 1.0
+    cold = []
+    for T in (1, 2, 3):
+        for encode, args in builds:
+            for cache in (_switched_step, _traffic_step, _unit_green_steps):
+                cache.cache_clear()
+            cold.append(lp(encode(*args, T).model))
+    assert seen == cold
 
 
 @pytest.mark.parametrize("T", [1, 2])

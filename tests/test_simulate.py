@@ -343,7 +343,7 @@ def test_feedback_rollout_equals_numpy_box_test(traffic, traffic_cert):
 
 def test_rollout_input_errors(case1, case1_cert):
     sys_, _, _ = case1
-    above = Adversary("above", lambda s, steps: np.broadcast_to(
+    above = Adversary(lambda s, steps: np.broadcast_to(
         2.0 * s.w_star, (steps, s.state_dim)))
     with pytest.raises(ValueError, match="exceeds bound"):
         simulate(sys_, [10, 32], open_loop(case1_cert), above, 20)

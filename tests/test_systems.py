@@ -110,6 +110,14 @@ def test_traffic_topology_validation():
                         Link(2, NS, "a", 5, 20, 1, True)], ["a"], [(1, 2, 0.5)])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["c", "x_s", "w_star"])
+def test_traffic_rejects_non_finite_link_data(field, value):
+    data = {"c": 5.0, "x_s": 20.0, "w_star": 2.0, field: value}
+    with pytest.raises(ValueError, match="link 7: c, x_s, w_star must be finite and nonnegative"):
+        TrafficNetwork([Link(7, EW, "a", entry=True, **data)], ["a"], [])
+
+
 def test_traffic_mass_conserves_or_exits(traffic):
     net, _, _ = traffic
     rng = np.random.default_rng(5)
