@@ -34,7 +34,7 @@ def main():
     print(f"\nreference plan verifies: {rep.passed} (tolerance {rep.tol})")
 
     # Worst case: every entry link receives its maximum demand every step.
-    traj = simulate(net, np.asarray(cert.x_star[0]), open_loop(cert),
+    traj = simulate(net, cert.x_star[0], open_loop(cert),
                     worst_case_w_star(), steps=5 * cert.T * 100,
                     safe_set=safe_set)
     peak = max(float(np.max(s)) for s in traj.states)

@@ -138,8 +138,7 @@ def cmd_find(args):
         cert = dataclasses.replace(result.certificate, system_hash=digest)
         cert.save(os.path.join(out, "certificate.json"))
         rcis = build_rcis(cert)
-        _write_points_csv(os.path.join(out, "rcis_corners.csv"), "box",
-                          [box.corner for box in rcis.region.boxes])
+        _write_points_csv(os.path.join(out, "rcis_corners.csv"), "box", rcis.region.corners)
         lines.append(f"found: s-sequence of length T={cert.T}"
                      + (" (minimal)" if result.minimal else " (minimality not proven)"))
         lines.append(f"controls: {_control_text(cert.controls)}")
@@ -211,13 +210,12 @@ def cmd_simulate(args):
     sys_, safe_set, digest = _load_system(args)
     cert = _load_certificate(args, digest)
     out = _out_dir(args)
-    x0 = (np.asarray(cert.x_star[0]) if args.x0 is None
-          else _parse_x0(args.x0, sys_.state_dim))
+    x0 = cert.x_star[0] if args.x0 is None else _parse_x0(args.x0, sys_.state_dim)
     rcis = build_rcis(cert)
     cycle = compute_limit_cycle(sys_, cert)
     gamma = build_attractive_set(cycle)
     policy = feedback(rcis) if args.policy == "feedback" else open_loop(cert)
-    if args.policy == "open-loop" and not Box(np.asarray(cert.x_star[0])).contains(x0):
+    if args.policy == "open-loop" and not Box(cert.x_star[0]).contains(x0):
         print("warning: x0 lies outside R(x*_0); the periodic trajectory is no "
               "longer an upper bound and convergence to the attractive set is "
               "not guaranteed", file=sys.stderr)

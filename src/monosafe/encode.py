@@ -384,14 +384,14 @@ def decode(art: EncodingArtifacts, sol: MilpSolution) -> SSequenceCertificate:
                 f"step {k}: junction {sys.junctions[p]} binary fractional: {U[k, p]}")
         controls = [tuple(NS if v == 1 else EW for v in step) for step in np.round(U).tolist()]
     X = sol.x[art.x]
-    states = [X[0]]
-    for u in controls:
-        states.append(sys.step(states[-1], sys.w_star, u))
-    for k, gap in enumerate(np.max(np.array(states) - X, axis=1).tolist()):
+    states = np.array(X)
+    for k, u in enumerate(controls):
+        states[k + 1] = sys.step(states[k], sys.w_star, u)
+    for k, gap in enumerate(np.max(states - X, axis=1).tolist()):
         if gap > WITNESS_TOL:
             raise DecodeMismatchError(
                 f"step {k}: solver state lies {gap:.3g} below the re-simulation")
-    cert = SSequenceCertificate(T=T, controls=tuple(controls), x_star=tuple(states))
+    cert = SSequenceCertificate(T=T, controls=tuple(controls), x_star=states)
     report = verify_certificate(sys, art.safe_set, cert)
     failed = [f"{name} (step {c.first_violation_step}, residual {c.worst_residual:.3g})"
               for name, c in (("dynamics", report.dynamics), ("safety", report.safety),

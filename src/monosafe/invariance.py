@@ -19,7 +19,7 @@ import numpy as np
 from .certificate import SSequenceCertificate
 from .encode import OBJECTIVES, DecodeMismatchError, decode, encode_switched, encode_traffic
 from .milp import NumericalBreakdownError, ParallelRows, solve_milp, write_lp_format
-from .order import Box, BoxUnion, as_vector
+from .order import BoxUnion, as_rows, as_vector
 from .systems import TrafficNetwork
 
 __all__ = [
@@ -111,20 +111,13 @@ def find_s_sequence(system, safe_set=None, t_max=10, objective="max_l1_x0",
     nodes_spent = 0
     for T in range(t_min, t_max + 1):
         horizons_left = t_max - T + 1
-        t_slice = None
-        if time_budget is not None:
-            remaining = time_budget - (time.monotonic() - start)
-            if remaining <= 0:
-                records.append(HorizonRecord(T, "budget_unknown", "not_attempted", 0, 0.0))
-                continue
-            t_slice = remaining / horizons_left
-        n_slice = None
-        if node_budget is not None:
-            remaining_nodes = node_budget - nodes_spent
-            if remaining_nodes <= 0:
-                records.append(HorizonRecord(T, "budget_unknown", "not_attempted", 0, 0.0))
-                continue
-            n_slice = max(1, remaining_nodes // horizons_left)
+        t_left = None if time_budget is None else time_budget - (time.monotonic() - start)
+        n_left = None if node_budget is None else node_budget - nodes_spent
+        if any(left is not None and left <= 0 for left in (t_left, n_left)):
+            records.append(HorizonRecord(T, "budget_unknown", "not_attempted", 0, 0.0))
+            continue
+        t_slice = None if t_left is None else t_left / horizons_left
+        n_slice = None if n_left is None else max(1, n_left // horizons_left)
 
         art = _encode(system, safe_set, T, objective)
         if dump_lp is not None:
@@ -167,8 +160,7 @@ class Rcis:
 
 
 def build_rcis(cert: SSequenceCertificate) -> Rcis:
-    boxes = tuple(Box(cert.x_star[k]) for k in range(cert.T))
-    return Rcis(region=BoxUnion(boxes), certificate=cert)
+    return Rcis(region=BoxUnion(tuple(cert.x_star[:-1])), certificate=cert)
 
 
 class LimitCycleError(Exception):
@@ -179,7 +171,7 @@ class LimitCycleError(Exception):
 
 @dataclass(frozen=True)
 class LimitCycle:
-    points: tuple        # x_inf_0 .. x_inf_{T-1}
+    points: np.ndarray   # x_inf_0 .. x_inf_{T-1} as a read-only (T, n) array
     periods: int         # whole periods iterated until convergence
     residual: float      # max entrywise change over the final period
     closure_error: float # |f(x_inf_{T-1}, w*, u*_{T-1}) - x_inf_0|_inf
@@ -222,7 +214,7 @@ def compute_limit_cycle(sys, cert: SSequenceCertificate, tol: float = 1e-9,
     first_tol = max(tol, cert.tol) if cert.tol is not None else tol
     # the T phase states of the last period, and a buffer for the next one
     # that opens with its first state, the successor of the last period's last
-    phase = np.array([as_vector(x, n, "x") for x in cert.x_star[:T]])
+    phase = np.array(as_rows(cert.x_star[:T], n, "x"))
     new = np.empty_like(phase)
     advance(phase[T - 1], w, controls[T - 1], new[0])
     violations = 0
@@ -239,8 +231,9 @@ def compute_limit_cycle(sys, cert: SSequenceCertificate, tol: float = 1e-9,
         phase, new = new, phase
         advance(phase[T - 1], w, controls[T - 1], new[0])
         if residual < tol:
+            phase.flags.writeable = False
             return LimitCycle(
-                points=tuple(p.copy() for p in phase),
+                points=phase,
                 periods=period,
                 residual=residual,
                 closure_error=float(np.max(np.abs(new[0] - phase[0]))),
@@ -253,7 +246,7 @@ def compute_limit_cycle(sys, cert: SSequenceCertificate, tol: float = 1e-9,
 
 def build_attractive_set(cycle: LimitCycle) -> BoxUnion:
     """Gamma: union of boxes cornered at the cycle points."""
-    return BoxUnion(tuple(Box(p) for p in cycle.points))
+    return BoxUnion(tuple(cycle.points))
 
 
 def necessity_bound(c: float, alpha: float, eps: float, n: int) -> float:

@@ -235,7 +235,8 @@ class PolyLowerSet:
         if xv.shape[0] != self.dim:
             raise ValueError(f"dimension mismatch: {xv.shape[0]} vs {self.dim}")
         excess = float(np.max(self.A @ xv - self.b)) if self.A.shape[0] else 0.0
-        return max(excess, float(np.max(-xv)), 0.0)
+        # + 0.0 turns a -0.0 (an inside point with a zero coordinate) into 0.0
+        return max(excess, float(np.max(-xv)), 0.0) + 0.0
 
     def coordinate_bounds(self) -> np.ndarray:
         """Per-coordinate suprema ``sup {x_i : x in S}``.

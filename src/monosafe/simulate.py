@@ -5,10 +5,17 @@ own dynamics and never consults the optimizer, so solver output can be
 judged against it.  ``verify_certificate`` is the one certificate checker:
 ``encode.decode`` accepts a solver's witness only through it, and
 ``monosafe verify`` runs it on a saved certificate.  It calls ``step`` at
-every transition.  A rollout checks its inputs once -- the initial state, the
-adversary's whole disturbance block, each distinct control, and at the end
-every state -- and in between runs the same ``advance`` kernel that ``step``
-returns, writing each state straight into its row of the trajectory, so a
+every transition.  Every checked condition -- the three of a certificate,
+and ``dominance_check``'s comparison with the worst-case rollout from
+x*_0 -- is one residual per step, which one helper turns into the
+condition's report: the worst residual and the first step over the
+tolerance.  A run of states is one read-only ``(rows, n)`` array: a
+certificate's witness, a limit cycle's points, a trajectory's states.
+
+A rollout checks its inputs once -- the initial state, the adversary's
+whole disturbance block, each distinct control, and at the end every state
+-- and in between runs the same ``advance`` kernel that ``step`` returns,
+writing each state straight into its row of the trajectory, so a
 trajectory is bit for bit the one a loop over ``step`` would give.  The
 trajectory keeps those arrays: its states and disturbances are read-only
 views of the rollout's own ``(steps + 1, n)`` and ``(steps, n)`` blocks, cut
@@ -203,6 +210,19 @@ class VerificationReport:
         return asdict(self)
 
 
+def _condition(residuals, tol, step=0) -> ConditionReport:
+    """The report of a condition checked at steps ``step``, ``step + 1``, ...
+
+    ``residuals`` holds one residual per step.  The worst residual is
+    ``+0.0`` when no residual is positive, and the first violation is the
+    first step whose residual exceeds ``tol``.
+    """
+    over = np.flatnonzero(residuals > tol)
+    first = step + int(over[0]) if len(over) else None
+    return ConditionReport(first is None, float(residuals[residuals > 0].max(initial=0.0)),
+                           first)
+
+
 def verify_certificate(sys, S: PolyLowerSet,
                        cert: SSequenceCertificate) -> VerificationReport:
     """Check the three certificate conditions by pure simulation.
@@ -213,32 +233,11 @@ def verify_certificate(sys, S: PolyLowerSet,
     witnesses are rounded), else ``WITNESS_TOL``.
     """
     tol = cert.tol if cert.tol is not None else WITNESS_TOL
-    T = cert.T
-    w = sys.w_star
-
-    dyn_res, dyn_first = 0.0, None
-    for k in range(T):
-        nxt = sys.step(np.asarray(cert.x_star[k]), w, cert.controls[k])
-        r = float(np.max(np.abs(np.asarray(cert.x_star[k + 1]) - nxt)))
-        if r > dyn_res:
-            dyn_res = r
-        if r > tol and dyn_first is None:
-            dyn_first = k
-    dynamics = ConditionReport(dyn_first is None, dyn_res, dyn_first)
-
-    safe_res, safe_first = 0.0, None
-    for k in range(T):
-        m = S.violation(np.asarray(cert.x_star[k]))
-        if m > safe_res:
-            safe_res = m
-        if m > tol and safe_first is None:
-            safe_first = k
-    safety = ConditionReport(safe_first is None, safe_res, safe_first)
-
-    cl_res = float(np.max(np.asarray(cert.x_star[T]) - np.asarray(cert.x_star[0])))
-    closure = ConditionReport(cl_res <= tol, max(cl_res, 0.0),
-                              None if cl_res <= tol else T)
-
+    X, T = cert.x_star, cert.T
+    nxt = np.array([sys.step(X[k], sys.w_star, u) for k, u in enumerate(cert.controls)])
+    dynamics = _condition(np.abs(X[1:] - nxt).max(axis=1), tol)
+    safety = _condition(np.array([S.violation(x) for x in X[:T]]), tol)
+    closure = _condition((X[T] - X[0]).max(keepdims=True), tol, step=T)
     return VerificationReport(
         passed=dynamics.passed and safety.passed and closure.passed,
         tol=tol, dynamics=dynamics, safety=safety, closure=closure)
@@ -258,28 +257,20 @@ def dominance_check(sys, cert: SSequenceCertificate,
                     trajectory: Trajectory, tol: float = 1e-9) -> DominanceReport:
     """Every trajectory state must sit below the worst-case run from x*_0.
 
-    The reference is the open-loop trajectory from x*_0 under w = w*,
-    aligned step for step (same phase, same period).  Requires the checked
-    trajectory to be open-loop from phase 0 with x_0 below x*_0 — those are
-    the hypotheses of the comparison argument.
+    The reference is the open-loop rollout from x*_0 under w = w*, as many
+    steps long as the trajectory, so the two align step for step (same
+    phase, same period).  Requires the checked trajectory to be open-loop from phase 0 with x_0
+    below x*_0 — those are the hypotheses of the comparison argument.
     """
     if trajectory.policy_kind != "open_loop" or trajectory.phases[0] != 0:
         raise ValueError("dominance needs an open-loop trajectory starting at phase 0")
-    x_ref = as_vector(cert.x_star[0], sys.state_dim, "x")
-    if not leq(trajectory.states[0], x_ref, 1e-12):
+    if not leq(trajectory.states[0], cert.x_star[0], 1e-12):
         raise ValueError("dominance precondition x0 <= x*_0 fails")
-    w = as_vector(sys.w_star, sys.state_dim, "w")
-    controls = [sys.check_control(u) for u in cert.controls]
-    worst, first = 0.0, None
-    for k, xs in enumerate(trajectory.states):
-        excess = float(np.max(xs - x_ref))
-        if excess > worst:
-            worst = excess
-        if excess > tol and first is None:
-            first = k
-        if k < len(trajectory.states) - 1:
-            x_ref = sys.advance(x_ref, w, controls[k % cert.T])
-    return DominanceReport(first is None, worst, first)
+    reference = simulate(sys, cert.x_star[0], open_loop(cert), worst_case_w_star(),
+                         len(trajectory) - 1)
+    excess = _condition((trajectory.states - reference.states).max(axis=1), tol)
+    return DominanceReport(excess.passed, excess.worst_residual,
+                           excess.first_violation_step)
 
 
 def _fmt_control(u):

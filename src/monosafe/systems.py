@@ -339,15 +339,14 @@ def check_monotone(sys, samples: int, seed: int, domain_box: Box,
     rng = SplitMix64(seed)
     corner = domain_box.corner
     wstar = sys.w_star
-    n = sys.state_dim
     n_controls = len(sys.controls)
     violations = 0
     worst = 0.0
     for _ in range(samples):
-        x2 = np.array([rng.uniform(0.0, corner[i]) for i in range(n)])
-        x1 = np.array([rng.uniform(0.0, x2[i]) for i in range(n)])
-        w2 = np.array([rng.uniform(0.0, wstar[i]) for i in range(n)])
-        w1 = np.array([rng.uniform(0.0, w2[i]) for i in range(n)])
+        x2 = rng.uniform(0.0, corner)
+        x1 = rng.uniform(0.0, x2)
+        w2 = rng.uniform(0.0, wstar)
+        w1 = rng.uniform(0.0, w2)
         u = sys.controls[rng.randint(n_controls)]
         excess = float(np.max(sys.step(x1, w1, u) - sys.step(x2, w2, u)))
         if excess > tol:

@@ -138,7 +138,7 @@ def test_criterion_4_table2_verification_and_worst_case(capsys, traffic,
         with capsys.disabled():
             print("[acceptance]   table2 witness verifies under "
                   f"beta resolution(s): {', '.join(passing)}")
-        traj = simulate(net, np.asarray(traffic_cert.x_star[0]),
+        traj = simulate(net, traffic_cert.x_star[0],
                         open_loop(traffic_cert), worst_case_w_star(),
                         steps=5 * traffic_cert.T * 100, safe_set=S)
         assert all(traj.safe)

@@ -263,6 +263,23 @@ def test_non_finite_witness_state_is_an_input_error(tmp_path, capsys, step):
     assert _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+def test_tol_not_finite_and_nonnegative_is_an_input_error(tmp_path, capsys, tol):
+    """Unchecked, a NaN tol passes every ``residual > tol`` test, so a moved
+    witness state passed dynamics and ``NaN``, not JSON, was printed; a
+    negative tol failed the intact certificate (exit 2).  0.0 is a tol."""
+    raw = json.loads((DATA / "cert_case1.json").read_text())
+    cert = tmp_path / "tol.json"
+    raw["tol"] = tol
+    cert.write_text(json.dumps(raw))
+    assert main(["verify", "--system", "case1.json", "--certificate", str(cert)]) == 1
+    assert _one_error_line(capsys)
+    raw["tol"] = 0.0
+    cert.write_text(json.dumps(raw))
+    assert main(["verify", "--system", "case1.json", "--certificate", str(cert)]) == 2
+    assert json.loads(capsys.readouterr().out)["tol"] == 0.0
+
+
 def test_verify_hash_mismatch(capsys):
     code = main(["verify", "--system", "traffic_table1.json",
                  "--certificate", "cert_case1.json"])

@@ -178,7 +178,7 @@ def test_case1_limit_cycle_frozen(case1, case1_search):
     assert cycle.residual < 1e-9
     assert cycle.closure_error < 1e-8
     for k in range(cert.T):
-        assert np.all(cycle.points[k] <= np.asarray(cert.x_star[k]) + 1e-9)
+        assert np.all(cycle.points[k] <= cert.x_star[k] + 1e-9)
 
 
 def test_limit_cycle_fixed_point_in_one_period():
@@ -235,7 +235,7 @@ def _step_loop_cycle(sys_, cert, tol=1e-9):
     period's threshold (the larger of ``tol`` and ``cert.tol`` in the first
     period, ``tol`` after it) is a violation."""
     T, w = cert.T, sys_.w_star
-    phase = [np.asarray(x, dtype=float) for x in cert.x_star[:T]]
+    phase = list(cert.x_star[:T])
     violations = 0
     for period in range(1, 10 ** 6):
         x = sys_.step(phase[T - 1], w, cert.controls[T - 1])
@@ -272,7 +272,7 @@ def test_limit_cycle_counts_monotone_violations(case1, case1_cert):
     count agrees with the step loop's."""
     sys_, cert = case1[0], case1_cert
     low = SSequenceCertificate(cert.T, cert.controls,
-                               tuple(0.9 * np.asarray(x) for x in cert.x_star),
+                               0.9 * cert.x_star,
                                cert.system_hash, cert.tol)
     cycle = compute_limit_cycle(sys_, low)
     points, periods, residual, closure, violations = _step_loop_cycle(sys_, low)

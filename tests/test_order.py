@@ -106,6 +106,7 @@ def test_violation_consistent_with_contains():
         assert S.contains(x, 1e-9) == (S.violation(x) <= 1e-9)
     assert S.violation(np.array([6.0, 6.0])) == pytest.approx(7.0)  # 2*6+0.5*6-8
     assert S.violation(np.array([0.0, 0.0])) == 0.0
+    assert S.violation(np.array([0.0, 1.0])).hex() == "0x0.0p+0"  # +0.0, not -0.0
 
 
 def test_coordinate_bounds():

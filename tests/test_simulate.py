@@ -49,12 +49,16 @@ def test_steps_contract(case1, case1_cert):
 
 
 def test_trajectory_arrays_are_read_only(case1, case1_cert):
+    """A trajectory's states and disturbances, a certificate's witness and a
+    limit cycle's points are each one read-only 2-D array."""
     sys_, _, _ = case1
+    cycle = compute_limit_cycle(sys_, case1_cert)
+    assert case1_cert.x_star.shape == (8, 2) and cycle.points.shape == (7, 2)
     for adversary in (uniform(5), worst_case_w_star()):
         traj = simulate(sys_, [10, 32], open_loop(case1_cert), adversary, 12)
         assert traj.states.shape == (13, 2) and traj.disturbances.shape == (12, 2)
         assert len(traj) == 13 and traj.phases == tuple(k % case1_cert.T for k in range(13))
-        for rows in (traj.states, traj.disturbances):
+        for rows in (traj.states, traj.disturbances, case1_cert.x_star, cycle.points):
             with pytest.raises(ValueError, match="read-only"):
                 rows[0, 0] = 1.0
             with pytest.raises(ValueError, match="read-only"):
@@ -118,6 +122,31 @@ def test_verify_certificate_passes_bundled(case1, case1_cert):
     assert d["passed"] is True and d["closure"]["passed"] is True
 
 
+@pytest.mark.parametrize("which, tol, residuals", [
+    ("case1", 0.01, ("0x0.0p+0", "0x0.0p+0", "0x1.1167dc5d38000p-10")),
+    ("traffic", 1e-5, ("0x1.0000000000000p-51", "0x0.0p+0", "0x0.0p+0"))])
+def test_verify_reports_of_the_bundled_certificates(request, which, tol, residuals):
+    """Every bit of the dynamics, safety and closure residuals of the two
+    bundled certificates, the sign of each zero included."""
+    sys_, S, _ = request.getfixturevalue(which)
+    report = verify_certificate(sys_, S, request.getfixturevalue(f"{which}_cert"))
+    conditions = (report.dynamics, report.safety, report.closure)
+    assert report.passed and report.tol == tol
+    assert all(c.passed and c.first_violation_step is None for c in conditions)
+    assert tuple(c.worst_residual.hex() for c in conditions) == residuals
+
+
+def test_safe_states_with_a_zero_coordinate_report_a_positive_zero(case1, case1_cert):
+    """Witness states strictly inside S with a zero coordinate: the safety
+    residual is +0.0, not the -0.0 that a bare max over ``-x`` gives."""
+    sys_, S, _ = case1
+    cert = case1_cert
+    on_axis = SSequenceCertificate(cert.T, cert.controls, cert.x_star * [0.0, 1.0],
+                                   tol=cert.tol)
+    safety = verify_certificate(sys_, S, on_axis).safety
+    assert safety.passed and safety.worst_residual.hex() == "0x0.0p+0"
+
+
 def test_verify_flags_each_condition(case1, case1_cert):
     sys_, S, _ = case1
     cert = case1_cert
@@ -127,12 +156,12 @@ def test_verify_flags_each_condition(case1, case1_cert):
     assert not rep.passed and not rep.dynamics.passed
     assert rep.dynamics.first_violation_step == 0
 
-    unsafe_states = tuple(np.asarray(x) * 3.0 for x in cert.x_star)
+    unsafe_states = cert.x_star * 3.0
     blown = SSequenceCertificate(cert.T, cert.controls, unsafe_states, tol=cert.tol)
     rep = verify_certificate(sys_, S, blown)
     assert not rep.safety.passed
 
-    drifted = tuple(cert.x_star[:-1]) + (np.asarray(cert.x_star[-1]) + 5.0,)
+    drifted = np.vstack([cert.x_star[:-1], cert.x_star[-1] + 5.0])
     rep = verify_certificate(sys_, S,
                              SSequenceCertificate(cert.T, cert.controls, drifted,
                                                   tol=cert.tol))
@@ -148,7 +177,7 @@ def test_dominance_check(case1, case1_cert):
     # worst case from x*_0 dominates itself with equality
     self_run = simulate(sys_, cert.x_star[0], open_loop(cert), worst_case_w_star(), 70)
     rep = dominance_check(sys_, cert, self_run)
-    assert rep.dominated and rep.worst_excess <= 1e-9
+    assert rep.dominated and rep.worst_excess == 0.0
 
 
 def test_dominance_preconditions(case1, case1_cert):
@@ -271,7 +300,7 @@ def test_rollout_equals_scalar_reference(case1, case1_cert, traffic, traffic_cer
 
     net, S, _ = traffic
     rcis = build_rcis(traffic_cert)
-    x0 = 0.6 * np.asarray(traffic_cert.x_star[0])
+    x0 = 0.6 * traffic_cert.x_star[0]
     stream = SplitMix64(77).spawn(2)
     traj = simulate(net, x0, open_loop(traffic_cert), uniform(stream), 300,
                     safe_set=S, omega=rcis.region)
@@ -290,9 +319,8 @@ def test_rollout_equals_scalar_reference(case1, case1_cert, traffic, traffic_cer
 def test_halted_rollout_leaves_the_stream_as_the_scalar_path(case1, case1_cert):
     sys_, S, _ = case1
     # boxes below the witness are not invariant, so feedback on them can fall off
-    shrunk = Rcis(BoxUnion(tuple(Box(0.8 * np.asarray(x))
-                                 for x in case1_cert.x_star[:case1_cert.T])), case1_cert)
-    x0 = 0.8 * np.asarray(case1_cert.x_star[0])
+    shrunk = Rcis(BoxUnion(tuple(0.8 * case1_cert.x_star[:case1_cert.T])), case1_cert)
+    x0 = 0.8 * case1_cert.x_star[0]
     stream, ref_stream = SplitMix64(1), SplitMix64(1)
     traj = simulate(sys_, x0, feedback(shrunk), uniform(stream), 200,
                     safe_set=S, omega=shrunk.region)
@@ -323,7 +351,7 @@ def test_feedback_rollout_equals_numpy_box_test(traffic, traffic_cert):
     two states, and on boxes shrunk below the witness, where it halts."""
     net, S, _ = traffic
     cert = traffic_cert
-    witness = np.array(cert.x_star[:cert.T])
+    witness = cert.x_star[:cert.T]
     for shrink, start, status in ((1.0, 0.6, "completed"), (1.0, 1.0, "completed"),
                                   (0.8, 0.0, "halted_outside_region")):
         corners = shrink * witness

@@ -215,7 +215,7 @@ def test_switched_rollout_is_the_mode_loop(case1, case1_cert):
     step, byte for byte."""
     sys_ = case1[0]
     traj = simulate(sys_, case1_cert.x_star[0], open_loop(case1_cert), uniform(17), 400)
-    x = np.asarray(case1_cert.x_star[0], dtype=float)
+    x = case1_cert.x_star[0]
     states = [x]
     for u, w in zip(traj.controls, traj.disturbances):
         x = sys_.modes[u - 1] @ x + w
