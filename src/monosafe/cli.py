@@ -24,10 +24,10 @@ from .encode import DecodeMismatchError
 from .invariance import (LimitCycleError, build_attractive_set, build_rcis,
                          compute_limit_cycle, find_s_sequence)
 from .milp import MilpError
-from .order import Box, PolyLowerSet
+from .order import Box
 from .simulate import (_fmt_control, feedback, open_loop, simulate, uniform,
                        verify_certificate, worst_case_w_star, write_trajectory_csv)
-from .systems import TrafficNetwork, load_system_file, system_hash
+from .systems import TrafficNetwork, load_system_file
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -68,21 +68,13 @@ def _parse_input(parse, path, what):
         raise InputError(f"{what} {path}: {exc}")
 
 
-def _read_safe_set(path):
-    with open(path) as fh:
-        raw = json.load(fh)
-    return PolyLowerSet(np.asarray(raw["A"], float), np.asarray(raw["b"], float))
-
-
 def _load_system(args):
+    """The spec's system, safe set and hash; a spec without a safe set is an input error."""
     sys_, safe_set, digest = _parse_input(
         lambda path: load_system_file(path, args.beta_resolution),
         args.system, "cannot parse system spec")
-    if getattr(args, "safe_set", None):
-        if isinstance(sys_, TrafficNetwork):
-            raise InputError("traffic safety is derived from the link table; "
-                             "--safe-set does not apply")
-        safe_set = _parse_input(_read_safe_set, args.safe_set, "bad safe-set file")
+    if safe_set is None:
+        raise InputError(f"system spec {args.system} has no \"safe_set\"")
     return sys_, safe_set, digest
 
 
@@ -121,8 +113,7 @@ def cmd_find(args):
     objective = {"max-l1": "max_l1_x0", "first-feasible": "first_feasible"}[args.objective]
     dump = os.path.join(out, "model") if args.dump_lp else None
     result = find_s_sequence(
-        sys_, None if isinstance(sys_, TrafficNetwork) else safe_set,
-        t_max=args.tmax, objective=objective,
+        sys_, safe_set, t_max=args.tmax, objective=objective,
         time_budget=args.time_budget, node_budget=args.node_budget,
         t_min=args.tmin, dump_lp=dump)
 
@@ -250,8 +241,6 @@ def build_parser():
 
     p_find = sub.add_parser("find", help="sweep horizons for an s-sequence")
     common(p_find)
-    p_find.add_argument("--safe-set", default=None,
-                        help="override safe set JSON {A, b} (switched systems only)")
     p_find.add_argument("--tmax", type=int, default=10)
     p_find.add_argument("--tmin", type=int, default=1,
                         help="skip horizons below this (forfeits minimality claims)")
@@ -265,8 +254,6 @@ def build_parser():
 
     p_verify = sub.add_parser("verify", help="check a certificate by simulation")
     common(p_verify, certificate=True)
-    p_verify.add_argument("--safe-set", default=None,
-                          help="override safe set JSON {A, b} (switched systems only)")
     p_verify.set_defaults(func=cmd_verify)
 
     p_sim = sub.add_parser("simulate", help="roll the closed loop forward")

@@ -70,7 +70,7 @@ _HORIZON_STATUS = {"optimal": "found", "feasible_budget_hit": "found",
 
 def _encode(system, safe_set, T, objective):
     if isinstance(system, TrafficNetwork):
-        if safe_set is not None:
+        if safe_set is not None and safe_set is not system.safe_set():
             raise ValueError("traffic safety is the box x <= x_s from the link "
                              "table; a separate safe set cannot be attached")
         return encode_traffic(system, T, objective=objective)
@@ -93,13 +93,22 @@ def find_s_sequence(system, safe_set=None, t_max=10, objective="max_l1_x0",
     ``NumericalBreakdownError`` or whose solution fails decoding is recorded
     as ``failed``, with the message, and the sweep moves on too.
 
+    ``safe_set`` is required for a switched system.  A traffic network's
+    safe set is the box ``x <= x_s`` of its link table, so it takes
+    ``None`` or that set itself, ``system.safe_set()``.
+
     ``objective`` is ``"max_l1_x0"`` (maximize the l1 norm of x*_0, proving
     optimality) or ``"first_feasible"`` (a zero objective, so the search
     stops at the first integral point): ``encode.OBJECTIVES``.  Any other
-    value raises ``ValueError`` before any horizon is tried.
+    value, or a negative or NaN budget, raises ``ValueError`` before any
+    horizon is tried; a budget of 0 is valid and tries none.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
+    if node_budget is not None and node_budget < 0:
+        raise ValueError(f"node_budget must be >= 0, got {node_budget}")
+    if time_budget is not None and not time_budget >= 0:
+        raise ValueError(f"time_budget must be >= 0, got {time_budget}")
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
     if not 1 <= t_min <= t_max:

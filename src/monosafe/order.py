@@ -144,7 +144,7 @@ class Box:
     corner: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "corner", as_vector(self.corner, name="corner"))
+        object.__setattr__(self, "corner", as_vector(np.array(self.corner, dtype=float), name="corner"))
 
     @property
     def dim(self) -> int:
@@ -163,7 +163,8 @@ class PolyLowerSet:
     The entrywise-nonnegativity requirement is rejected at construction;
     it guarantees the lower-set property (if ``x`` satisfies the
     constraints, so does any ``0 <= y <= x``) without any polyhedral
-    computation.
+    computation.  ``A`` and ``b`` are read-only copies of the arrays
+    given, so what was checked is what every answer uses.
     """
 
     A: np.ndarray
@@ -175,8 +176,8 @@ class PolyLowerSet:
     _terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        b = np.asarray(self.b, dtype=float).reshape(-1)
+        A = np.atleast_2d(np.array(self.A, dtype=float))
+        b = np.array(self.b, dtype=float).reshape(-1)
         if A.shape[0] != b.shape[0]:
             raise ValueError(f"A has {A.shape[0]} rows but b has {b.shape[0]} entries")
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
@@ -185,6 +186,7 @@ class PolyLowerSet:
             raise ValueError("A must be entrywise nonnegative for a lower set")
         if np.any(b < 0):
             raise ValueError("b must be entrywise nonnegative")
+        A.flags.writeable = b.flags.writeable = False
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
         # per row its nonzero columns in order, then its zero ones

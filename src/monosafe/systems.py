@@ -82,11 +82,12 @@ class SwitchedAffineSystem(MonotoneSystem):
 
     Mode labels are 1-based integers matching the order of ``modes``.
     Entrywise nonnegativity of every ``A_u`` is required (it is the standard
-    sufficient condition for monotonicity of ``x -> A x + w``).
+    sufficient condition for monotonicity of ``x -> A x + w``).  The system
+    keeps its own copies of the matrices and of ``w_star``.
     """
 
     def __init__(self, modes, w_star):
-        mats = [np.atleast_2d(np.asarray(A, dtype=float)) for A in modes]
+        mats = [np.atleast_2d(np.array(A, dtype=float)) for A in modes]
         if not mats:
             raise ValueError("need at least one mode")
         n = mats[0].shape[0]
@@ -102,7 +103,7 @@ class SwitchedAffineSystem(MonotoneSystem):
         self._maps = tuple(A.view() for A in mats)
         for m in self._maps:
             m.flags.writeable = False
-        self.w_star = as_vector(w_star, dim=n, name="w_star")
+        self.w_star = as_vector(np.array(w_star, dtype=float), dim=n, name="w_star")
         self.state_dim = n
         self.controls = tuple(range(1, len(mats) + 1))
 
@@ -222,8 +223,7 @@ class TrafficNetwork(MonotoneSystem):
         # per control played so far: its map M_u
         self._maps = {}
         # one read-only safe set: every encoding and rollout shares it
-        self._safe = PolyLowerSet.rectangle(self.x_s.copy())
-        self._safe.A.flags.writeable = self._safe.b.flags.writeable = False
+        self._safe = PolyLowerSet.rectangle(self.x_s)
 
     # -- dynamics ----------------------------------------------------------
 
@@ -390,8 +390,7 @@ def system_from_dict(spec: dict, beta_resolution: str = "first"):
         system = SwitchedAffineSystem(spec["modes"], spec["w_star"])
         safe = None
         if "safe_set" in spec:
-            safe = PolyLowerSet(np.array(spec["safe_set"]["A"], dtype=float),
-                                np.array(spec["safe_set"]["b"], dtype=float))
+            safe = PolyLowerSet(spec["safe_set"]["A"], spec["safe_set"]["b"])
         return system, safe
     if kind == "traffic_network":
         links = [Link(id=int(r["id"]), direction=r["dir"], head=r["head"],

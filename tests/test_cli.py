@@ -298,8 +298,7 @@ def test_input_errors(tmp_path, capsys):
     assert main(["simulate", "--system", "case1.json",
                  "--certificate", "cert_case1.json", "--x0", "abc"]) == 1
     assert main(["nonsense"]) == 1
-    assert main(["find", "--system", "traffic_table1.json",
-                 "--safe-set", "case1.json"]) == 1
+    assert main(["find", "--system", _case1_spec(tmp_path), "--tmax", "2"]) == 1
     capsys.readouterr()
 
 
@@ -329,15 +328,91 @@ def test_main_reuses_one_parser_and_carries_nothing_over(tmp_path, capsys):
     assert not list((tmp_path / "c").glob("*.lp")) and not list((tmp_path / "a").glob("*.lp"))
 
 
+def _case1_spec(tmp_path, safe_set=None):
+    """case1's spec with ``safe_set`` (JSON text) as its safe set, or none."""
+    spec = json.loads((DATA / "case1.json").read_text())
+    del spec["safe_set"]
+    text = json.dumps(spec)
+    if safe_set is not None:
+        text = text[:-1] + ', "safe_set": ' + safe_set + "}"
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    return str(path)
+
+
 @pytest.mark.parametrize("content", ["[1, 2]", '{"A": [[1, 1]]}', "{oops"])
 def test_find_malformed_safe_set(tmp_path, capsys, content):
-    bad = tmp_path / "safe.json"
-    bad.write_text(content)
-    code = main(["find", "--system", "case1.json", "--tmax", "1",
-                 "--safe-set", str(bad), "--out", str(tmp_path / "out")])
+    code = main(["find", "--system", _case1_spec(tmp_path, content), "--tmax", "1",
+                 "--out", str(tmp_path / "out")])
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: bad safe-set file")
+    assert len(err) == 1 and err[0].startswith("error: cannot parse system spec")
+
+
+@pytest.mark.parametrize("argv", [
+    ["find", "--tmax", "2"],
+    ["verify", "--certificate", "cert_case1.json"],
+    ["simulate", "--certificate", "cert_case1.json", "--steps", "5"],
+])
+def test_spec_without_safe_set_is_an_input_error(tmp_path, capsys, argv):
+    """The spec is the only source of the safe set.  Without one, ``verify``
+    used to end in an ``AttributeError`` traceback and ``simulate`` in exit 0
+    with ``safe 0/6``."""
+    spec = _case1_spec(tmp_path)
+    assert main(argv[:1] + ["--system", spec, "--out", str(tmp_path / "out")] + argv[1:]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out and "Traceback" not in captured.err
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0] == f'error: system spec {spec} has no "safe_set"'
+
+
+def test_certificate_for_another_safe_set_is_refused_by_hash(tmp_path, capsys):
+    """A plan made under a looser safe set (b = 80, not 50) names its own
+    spec's hash, so it verifies against that spec and is refused, before any
+    check, against ``case1.json``."""
+    loose = _case1_spec(tmp_path, '{"A": [[1.0, 1.0]], "b": [80.0]}')
+    out = tmp_path / "out"
+    assert main(["find", "--system", loose, "--tmax", "3", "--out", str(out)]) == 0
+    cert = str(out / "certificate.json")
+    assert main(["verify", "--system", loose, "--certificate", cert]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--system", "case1.json", "--certificate", cert]) == 1
+    assert "hash" in capsys.readouterr().err
+    assert main(["verify", "--system", "case1.json", "--certificate", cert,
+                 "--safe-set", loose]) == 1
+    assert "unrecognized arguments: --safe-set" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget, code", [
+    (["--node-budget", "-5"], 1), (["--time-budget", "-1"], 1),
+    (["--time-budget", "nan"], 1), (["--node-budget", "0"], 3),
+    (["--time-budget", "0"], 3)])
+def test_budgets_are_checked_as_input(tmp_path, capsys, budget, code):
+    """A negative budget used to read as spent (exit 3) and a NaN time budget
+    as none; a budget of 0 tries no horizon, which leaves existence undecided."""
+    assert main(["find", "--system", "case1.json", "--tmax", "2",
+                 "--out", str(tmp_path / "out")] + budget) == code
+    if code == 1:
+        assert _one_error_line(capsys)
+
+
+def test_option_surface():
+    """Every subcommand's options, without ``-h/--help``: adding or dropping
+    a knob changes this list."""
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if a.dest == "command"]
+    options = {name: [o for a in p._actions for o in a.option_strings
+                      if o not in ("-h", "--help")]
+               for name, p in sub.choices.items()}
+    common = ["--system", "--beta-resolution", "--out"]
+    assert options == {
+        "find": common + ["--tmax", "--tmin", "--objective", "--time-budget",
+                          "--node-budget", "--dump-lp"],
+        "verify": common + ["--certificate"],
+        "simulate": common + ["--certificate", "--steps", "--x0", "--policy",
+                              "--adversary", "--seed"],
+    }
+    assert sum(map(len, options.values())) == 22
 
 
 def test_simulate_deterministic_and_sticky(tmp_path, capsys):

@@ -95,6 +95,18 @@ def test_traffic_sweep_decides_t1_to_t4_at_the_root(traffic):
     assert verify_certificate(net, net.safe_set(), res.certificate).passed
 
 
+def test_traffic_search_takes_the_networks_own_safe_set(traffic):
+    """A traffic network's safe set is its link table's box: the search takes
+    ``None`` or that set itself, as ``load_system_file`` returns it, and
+    refuses any other."""
+    net, S, _ = traffic
+    assert S is net.safe_set()
+    res = find_s_sequence(net, S, t_min=5, t_max=5, objective="first_feasible")
+    assert res.found and res.certificate.T == 5
+    with pytest.raises(ValueError, match="cannot be attached"):
+        find_s_sequence(net, PolyLowerSet.rectangle(net.x_s + 1.0), t_max=1)
+
+
 def test_unknown_objective_rejected_before_any_horizon(case1):
     # with no node to spend no horizon gets encoded, and the sweep still refuses
     sys_, S, _ = case1

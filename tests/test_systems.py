@@ -5,7 +5,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from monosafe.order import Box
+from monosafe.order import Box, PolyLowerSet
 from monosafe.simulate import Policy, open_loop, simulate, uniform, worst_case_w_star
 from monosafe.systems import (EW, NS, Link, SwitchedAffineSystem, TrafficNetwork,
                               check_monotone, cooperative_bound_check,
@@ -301,6 +301,30 @@ def test_safe_set_is_built_once_and_read_only(traffic):
     assert net.safe_set() is net.safe_set() is safe_set
     assert not safe_set.A.flags.writeable and not safe_set.b.flags.writeable
     assert np.array_equal(safe_set.b, net.x_s) and safe_set.contains(net.x_s)
+
+
+def test_validated_objects_keep_their_own_copies():
+    """Editing an array after it was handed to a constructor changes nothing
+    the object answers: the edits below once made a stale ``contains`` say
+    ``True`` where ``violation`` said 5.0, put a negative entry past the
+    lower-set check, and made a mode step to a negative state."""
+    A, b = np.array([[1.0, 1.0]]), np.array([50.0])
+    S = PolyLowerSet(A, b)
+    A[0, 1], b[0] = 3.0, 1.0
+    assert S.contains([10.0, 15.0]) and S.violation([10.0, 15.0]) == 0.0
+    assert np.array_equal(S.A, [[1.0, 1.0]]) and np.array_equal(S.b, [50.0])
+    assert not S.A.flags.writeable and not S.b.flags.writeable
+    A[0, 1] = -5.0
+    assert S.A.min() == 1.0
+    mode, w = np.array(A1), np.array(W)
+    s = SwitchedAffineSystem([mode], w)
+    mode[0, 0], w[0] = -3.0, 9.0
+    assert s.modes[0] is not mode and s.step([1.0, 1.0], [0.0, 0.0], 1).tolist() == [1.6, 0.7]
+    assert np.array_equal(s.w_star, W)
+    corner = np.array([1.0, 2.0])
+    box = Box(corner)
+    corner[0] = 0.0
+    assert box.corner is not corner and box.contains([1.0, 2.0])
 
 
 def test_traffic_step_is_nonnegative_exactly(traffic):
