@@ -45,11 +45,14 @@ def main():
     # junction cannot get the green steps its links' flow balance needs (at
     # T=4, junctions a, c and f need 5 of 4).  Its two count rows contradict,
     # so the solver closes each of those horizons at the root without a
-    # pivot, and T=5 is minimal.
+    # pivot, and T=5 is minimal.  At T=5 a seeded local search over phase
+    # plans, each scored by its period map's least fixed point, hands the
+    # solver a checked plan that closes the root in one node.
     print("\nsweeping T=1..5 for a fresh plan (first-feasible, 120 s budget)...")
     result = find_s_sequence(net, t_max=5, objective="first_feasible", time_budget=120.0)
     for rec in result.records:
-        print(f"  T={rec.T}: {rec.status} after {rec.nodes} nodes, {rec.elapsed:.2f} s")
+        print(f"  T={rec.T}: {rec.status} after {rec.nodes} nodes, {rec.elapsed:.2f} s"
+              + (f" (plan from {rec.source})" if rec.source else ""))
     if result.found:
         fresh = result.certificate
         print(f"  minimal horizon: T={fresh.T}" if result.minimal

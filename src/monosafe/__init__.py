@@ -7,10 +7,11 @@ certifies everything by direct simulation.
 """
 
 from .certificate import SSequenceCertificate
-from .encode import DecodeMismatchError, EncodingArtifacts, decode, encode_switched, encode_traffic
+from .encode import (DecodeMismatchError, EncodingArtifacts, decode, encode_switched,
+                     encode_traffic, lift)
 from .invariance import (LimitCycle, LimitCycleError, Rcis, SearchResult,
                          build_attractive_set, build_rcis, compute_limit_cycle,
-                         find_s_sequence, necessity_bound)
+                         find_s_sequence, least_fixed_point, necessity_bound)
 from .milp import (MilpError, MilpModel, MilpSolution, NumericalBreakdownError,
                    solve_lp, solve_milp, write_lp_format)
 from .order import Box, BoxUnion, PolyLowerSet, leq
@@ -25,10 +26,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SSequenceCertificate", "DecodeMismatchError", "EncodingArtifacts",
-    "decode", "encode_switched", "encode_traffic",
+    "decode", "encode_switched", "encode_traffic", "lift",
     "LimitCycle", "LimitCycleError", "Rcis", "SearchResult",
     "build_attractive_set", "build_rcis", "compute_limit_cycle",
-    "find_s_sequence", "necessity_bound",
+    "find_s_sequence", "least_fixed_point", "necessity_bound",
     "MilpError", "MilpModel", "MilpSolution", "NumericalBreakdownError",
     "solve_lp", "solve_milp", "write_lp_format",
     "Box", "BoxUnion", "PolyLowerSet", "leq",

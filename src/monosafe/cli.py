@@ -124,6 +124,7 @@ def cmd_find(args):
                      f"{r.refactorizations} refactorizations, "
                      f"{r.farkas_leaves} Farkas leaves, {r.elapsed:.2f}s]"
                      + (f" {r.failure}" if r.failure else "")
+                     + (f" plan from {r.source}" if r.source else "")
                      + (_closed_by(r.parallel_rows) if r.parallel_rows else ""))
     if result.found:
         cert = dataclasses.replace(result.certificate, system_hash=digest)

@@ -354,6 +354,48 @@ def _unit_green_steps(net: TrafficNetwork) -> tuple:
                  for F_i, (c, c_den) in zip(F, capacities))
 
 
+def lift(art: EncodingArtifacts, controls, states) -> np.ndarray:
+    """The model's point of a witness: controls ``u_0 .. u_{T-1}`` and
+    states ``x_0 .. x_T``, written into every column; ``decode`` reads them
+    back.
+
+    A switched step's mode binaries are the one-hot vector of its control.
+    A traffic step's junction binaries are 1 for NS; each link's flow ``z``
+    is ``min(x, c)`` on green and 0 on red, and a feeding link's selector
+    ``d`` is 1 where that minimum is ``c`` (``x > c`` on green), so every
+    big-M row holds.  The states are written as given: the point meets the
+    model's rows only if they are a witness, which is for ``solve_milp``'s
+    re-check to decide.
+    """
+    sys, T = art.system, art.T
+    X = np.asarray(states, dtype=float)
+    if X.shape != art.x.shape or len(controls) != T:
+        raise ValueError(f"need {T} controls and states of shape {art.x.shape}")
+    point = np.zeros(art.model.num_vars)
+    point[art.x] = X
+    if isinstance(sys, SwitchedAffineSystem):
+        point[art.u[np.arange(T), [sys.controls.index(u) for u in controls]]] = 1.0
+        return point
+    for u in controls:
+        sys.check_control(u)
+    U = np.array([[p == NS for p in u] for u in controls], dtype=float)
+    point[art.u] = U
+    # a step's columns follow one another from its first junction binary:
+    # the junction binaries, then link by link z and (a feeding link) d;
+    # only the z are not binary
+    binary = _traffic_step(sys)[2]
+    steps = art.u[:, :1] + np.arange(binary.size)
+    at = np.flatnonzero(~binary)
+    feeds = np.append(binary[at[:-1] + 1], at[-1] + 1 < binary.size)
+    head = [sys.junctions.index(link.head) for link in sys.links]
+    ns = np.array([link.direction == NS for link in sys.links])
+    green = (U[:, head] == 1.0) == ns
+    x = X[:-1]
+    point[steps[:, at]] = np.where(green, np.minimum(x, sys.c), 0.0)
+    point[steps[:, at[feeds] + 1]] = (green & (x > sys.c))[:, feeds]
+    return point
+
+
 def decode(art: EncodingArtifacts, sol: MilpSolution) -> SSequenceCertificate:
     """Extract controls, re-simulate the witness, and verify the certificate.
 

@@ -7,26 +7,47 @@ repeated sequence under the worst-case disturbance — a limit cycle whose
 boxes form an attractive set Gamma inside Omega*.  The two policies a
 certificate gives, open loop and feedback on Omega*, are
 ``simulate.open_loop`` and ``simulate.feedback``.
+
+One fixed control sequence is decided without an LP (``least_fixed_point``).
+Its period map F under w* is monotone, so the iterates of F from 0 rise,
+and every witness's x*_0 bounds them all, since F(x*_0) <= x*_0: a run
+that leaves the lower set S refutes the sequence, and the limit of the
+iterates, the least fixed point of F (Tarski, 1955), has an orbit that is
+a witness exactly when the sequence has one.  ``compute_limit_cycle``
+iterates the same period loop from x*_0 down to the limit cycle.
+
+``find_s_sequence`` uses it before a traffic horizon's first-feasible
+solve: ``search_traffic_plan`` flips junction phases, scored by the least
+fixed point, and a plan it finds is lifted into the model
+(``encode.lift``) as ``solve_milp``'s root incumbent.  The certificate
+still comes only from ``decode``, which re-simulates and verifies it.  The
+search never reports a negative: a miss, after its fixed budget of
+periods, proves nothing, and the horizon is searched by branch-and-bound
+as without it.  Max-l1 and switched horizons are not searched.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .certificate import SSequenceCertificate
-from .encode import OBJECTIVES, DecodeMismatchError, decode, encode_switched, encode_traffic
+from .encode import (OBJECTIVES, DecodeMismatchError, decode, encode_switched, encode_traffic,
+                     lift)
 from .milp import NumericalBreakdownError, ParallelRows, solve_milp, write_lp_format
-from .order import BoxUnion, as_rows, as_vector
-from .systems import TrafficNetwork
+from .order import DEFAULT_TOL, BoxUnion, as_rows, as_vector
+from .rng import SplitMix64
+from .systems import EW, NS, TrafficNetwork
 
 __all__ = [
     "SSequenceCertificate", "HorizonRecord", "SearchResult", "find_s_sequence",
     "Rcis", "build_rcis",
     "LimitCycle", "LimitCycleError", "compute_limit_cycle",
     "build_attractive_set", "necessity_bound",
+    "FixedPointRun", "least_fixed_point", "PlanSearch", "search_traffic_plan",
 ]
 
 
@@ -43,6 +64,9 @@ class HorizonRecord:
     farkas_leaves: int = 0     # infeasible leaves closed by a checked Farkas row
     failure: str = ""    # for "failed": the exception's class and message
     parallel_rows: ParallelRows | None = None  # the two rows that closed the root, if any
+    # for "found": where the plan came from, "branch-and-bound" or
+    # "local search, E evaluations, P periods"
+    source: str = ""
 
 
 @dataclass(frozen=True)
@@ -63,6 +87,12 @@ class SearchResult:
     def failures(self):
         return tuple(r for r in self.records if r.status == "failed")
 
+
+# the plan search before a traffic horizon's solve: its seed, its budget of
+# periods over all evaluations, and the periods one plan may take
+_SEARCH_SEED = 0
+_SEARCH_PERIODS = 2000
+_PERIODS_PER_PLAN = 200
 
 _HORIZON_STATUS = {"optimal": "found", "feasible_budget_hit": "found",
                    "infeasible": "proven_infeasible", "budget_unknown": "budget_unknown"}
@@ -131,9 +161,17 @@ def find_s_sequence(system, safe_set=None, t_max=10, objective="max_l1_x0",
         art = _encode(system, safe_set, T, objective)
         if dump_lp is not None:
             write_lp_format(art.model, f"{dump_lp}_T{T}.lp")
+        searched = []       # the plan search, once solve_milp has asked for a plan
+        incumbent = None
+        if isinstance(system, TrafficNetwork) and objective == "first_feasible":
+            def incumbent():
+                searched.append(search_traffic_plan(system, T))
+                plan = searched[0]
+                return None if plan.controls is None else lift(art, plan.controls, plan.states)
         t0 = time.monotonic()
         try:
-            sol = solve_milp(art.model, node_budget=n_slice, time_budget=t_slice)
+            sol = solve_milp(art.model, node_budget=n_slice, time_budget=t_slice,
+                             incumbent=incumbent)
         except NumericalBreakdownError as exc:
             records.append(HorizonRecord(T, "failed", "error", 0, time.monotonic() - t0,
                                          failure=f"{type(exc).__name__}: {exc}"))
@@ -143,15 +181,19 @@ def find_s_sequence(system, safe_set=None, t_max=10, objective="max_l1_x0",
         status = _HORIZON_STATUS.get(sol.status)
         if status is None:  # pragma: no cover - every encoder variable is bounded
             raise RuntimeError(f"unexpected solver status {sol.status!r} at T={T}")
-        failure = ""
+        failure = source = ""
         if status == "found":
             try:
                 certificate = decode(art, sol)
             except DecodeMismatchError as exc:
                 status, failure = "failed", f"{type(exc).__name__}: {exc}"
+            else:
+                source = (f"local search, {searched[0].evaluations} evaluations, "
+                          f"{searched[0].periods} periods" if sol.from_incumbent
+                          else "branch-and-bound")
         records.append(HorizonRecord(T, status, sol.status, sol.nodes, dt,
                                      sol.pivots, sol.refactorizations, sol.farkas_leaves,
-                                     failure, sol.parallel_rows))
+                                     failure, sol.parallel_rows, source))
         if certificate is not None:
             break
     minimal = (certificate is not None and t_min == 1
@@ -191,6 +233,28 @@ class LimitCycle:
         return len(self.points)
 
 
+def _period_runs(advance, w, controls, first, max_periods):
+    """The period loop of ``compute_limit_cycle`` and ``least_fixed_point``.
+
+    Runs the checked ``controls`` (their maps) period after period under
+    the disturbance ``w``, from the state ``first``.  Yields ``(period,
+    run)`` after each period: ``run`` is the ``(T + 1, n)`` buffer of the
+    period's states ``x_0 .. x_T``, each written into its row by
+    ``advance``, and the next period opens with this one's ``x_T``.  Two
+    buffers alternate, so a yielded run stays intact until the next one is
+    yielded.
+    """
+    T = len(controls)
+    run, spare = np.empty((2, T + 1, len(first)))
+    run[0] = first
+    for period in range(1, max_periods + 1):
+        for k in range(T):
+            advance(run[k], w, controls[k], run[k + 1])
+        yield period, run
+        spare[0] = run[T]
+        run, spare = spare, run
+
+
 def compute_limit_cycle(sys, cert: SSequenceCertificate, tol: float = 1e-9,
                         max_periods: int = 10 ** 6) -> LimitCycle:
     """Iterate whole periods of the repeated sequence from x*_0 under w = w*.
@@ -202,9 +266,9 @@ def compute_limit_cycle(sys, cert: SSequenceCertificate, tol: float = 1e-9,
     over one full period.  A certificate bug shows up either as
     ``monotone_violations > 0`` or as failure to converge (which raises).
     ``w*``, the controls and the witness states are checked once; the
-    periods then iterate the system's ``advance``, each state written into
-    its row of the period buffer.  A period's last successor is the next
-    period's first state, and the converged one is also the closure
+    periods then run on ``_period_runs``, whose first period opens with the
+    successor of the stored x*_{T-1}.  A period's last successor is the
+    next period's first state, and the converged one is also the closure
     error's, so each successor is computed once.
 
     The first period is compared against the certificate's stored witness
@@ -219,38 +283,135 @@ def compute_limit_cycle(sys, cert: SSequenceCertificate, tol: float = 1e-9,
     n = sys.state_dim
     w = as_vector(sys.w_star, n, "w")
     controls = [sys.check_control(u) for u in cert.controls]
-    advance = sys.advance
     first_tol = max(tol, cert.tol) if cert.tol is not None else tol
-    # the T phase states of the last period, and a buffer for the next one
-    # that opens with its first state, the successor of the last period's last
-    phase = np.array(as_rows(cert.x_star[:T], n, "x"))
-    new = np.empty_like(phase)
-    advance(phase[T - 1], w, controls[T - 1], new[0])
+    # the T phase states of the last period
+    phase = as_rows(cert.x_star[:T], n, "x")
     violations = 0
     residual = np.inf
-    for period in range(1, max_periods + 1):
-        for k in range(T - 1):
-            advance(new[k], w, controls[k], new[k + 1])
+    for period, run in _period_runs(sys.advance, w, controls,
+                                    sys.advance(phase[T - 1], w, controls[T - 1]), max_periods):
+        new = run[:T]
         residual = float(np.max(np.abs(new - phase)))
         if not np.isfinite(residual):
             raise LimitCycleError(
                 f"the period iteration overflowed after {period} periods", residual)
         thresh = first_tol if period == 1 else tol
         violations += int(np.count_nonzero((new > phase + thresh).any(axis=1)))
-        phase, new = new, phase
-        advance(phase[T - 1], w, controls[T - 1], new[0])
         if residual < tol:
-            phase.flags.writeable = False
+            new.flags.writeable = False
             return LimitCycle(
-                points=phase,
+                points=new,
                 periods=period,
                 residual=residual,
-                closure_error=float(np.max(np.abs(new[0] - phase[0]))),
+                closure_error=float(np.max(np.abs(run[T] - new[0]))),
                 monotone_violations=violations,
             )
+        phase = new
     raise LimitCycleError(
         f"no limit cycle within {max_periods} periods (residual {residual:.3g})",
         residual)
+
+
+class FixedPointRun(NamedTuple):
+    """What ``least_fixed_point`` found: the run ``states`` (x_0 .. x_T, a
+    read-only ``(T + 1, n)`` array) of its last period, ``periods`` periods
+    in.  ``exit_step`` is None when that run is the least fixed point's
+    orbit, else the first step of the run outside ``S``, and ``overshoot``
+    then sums the run's ``S.violation`` over steps 0 .. T-1."""
+    states: np.ndarray
+    periods: int
+    exit_step: int | None = None
+    overshoot: float = 0.0
+
+
+def least_fixed_point(sys, S, controls, max_periods: int) -> FixedPointRun | None:
+    """Decide the fixed control sequence ``controls`` without an LP.
+
+    The period map ``F`` (one pass of the controls under w*) is monotone,
+    so its iterates from 0 rise: ``0 <= F(0) <= F(F(0)) <= ...``.  Every
+    witness ``x*`` of the sequence has ``F(x*_0) <= x*_0``, so each iterate,
+    and each state of its run, sits below the witness's and lies in the
+    lower set ``S``.  So a run that leaves ``S`` refutes the sequence, and
+    if the iterates converge, their limit is the least fixed point, whose
+    orbit is a witness when it stays in ``S`` (Tarski, 1955).
+
+    The periods run on ``_period_runs`` from 0.  The first run with a state
+    outside ``S`` (``S.contains`` at ``DEFAULT_TOL``) ends the iteration as
+    an exit; a run that rose by at most ``DEFAULT_TOL`` over the previous
+    one (the first over 0) is returned as the orbit, its ``x_T`` within
+    rounding of ``x_0``.  With neither within ``max_periods`` periods,
+    returns None.
+    """
+    maps = [sys.check_control(u) for u in controls]
+    n, T = sys.state_dim, len(maps)
+    prev = np.zeros((T + 1, n))
+    for period, run in _period_runs(sys.advance, sys.w_star, maps, prev[0], max_periods):
+        inside = S.contains(run[:T])
+        if inside.all() and np.max(run - prev) > DEFAULT_TOL:
+            prev = run
+            continue
+        states = run.copy()
+        states.flags.writeable = False
+        if inside.all():
+            return FixedPointRun(states, period)
+        return FixedPointRun(states, period, int(np.argmin(inside)),
+                             float(sum(S.violation(x) for x in states[:T])))
+    return None
+
+
+class PlanSearch(NamedTuple):
+    """The outcome of ``search_traffic_plan``: the plan found, with its
+    least fixed point's orbit as witness states, or None for both; and the
+    evaluations and periods it spent."""
+    controls: tuple | None
+    states: np.ndarray | None
+    evaluations: int
+    periods: int
+
+
+def search_traffic_plan(net: TrafficNetwork, T: int) -> PlanSearch:
+    """Seeded local search for a horizon-``T`` plan of ``net``, scored by
+    ``least_fixed_point``.
+
+    Starts from a plan of phases drawn from ``SplitMix64(_SEARCH_SEED)``.  A move
+    flips one junction's phase at one step, drawn from the same stream; it
+    is kept unless it scores worse.  A plan whose run exits ``net``'s safe
+    set scores by the period of its exit, later being better, then by its
+    overshoot, smaller being better, compared on a grid of ``DEFAULT_TOL``
+    so that last-bit differences between BLAS builds cannot steer the
+    search.  A plan undecided after ``_PERIODS_PER_PLAN`` periods scores
+    above every exit.  The first plan whose iterates converge inside the
+    set ends the search.  It also ends once ``_SEARCH_PERIODS`` periods are
+    spent over all evaluations, with no plan: a miss proves nothing.
+    """
+    S, J = net.safe_set(), len(net.junctions)
+    rng = SplitMix64(_SEARCH_SEED)
+    bits = [[rng.randint(2) for _ in range(J)] for _ in range(T)]   # 1 = NS
+    evaluations = spent = 0
+
+    def score():
+        nonlocal evaluations, spent
+        controls = tuple(tuple(NS if b else EW for b in step) for step in bits)
+        cap = min(_PERIODS_PER_PLAN, _SEARCH_PERIODS - spent)
+        run = least_fixed_point(net, S, controls, cap)
+        evaluations += 1
+        spent += cap if run is None else run.periods
+        if run is None:
+            return (_PERIODS_PER_PLAN + 1, 0), None
+        if run.exit_step is None:
+            return None, PlanSearch(controls, run.states, evaluations, spent)
+        return (run.periods, -round(run.overshoot / DEFAULT_TOL)), None
+
+    best, found = score()
+    while found is None and spent < _SEARCH_PERIODS:
+        k, j = rng.randint(T), rng.randint(J)
+        bits[k][j] ^= 1
+        key, found = score()
+        if found is None and key < best:
+            bits[k][j] ^= 1
+        else:
+            best = key
+    return found or PlanSearch(None, None, evaluations, spent)
 
 
 def build_attractive_set(cycle: LimitCycle) -> BoxUnion:

@@ -54,6 +54,16 @@ rows' re-check tolerances together decides the root infeasible with no
 pivot, and the two rows are reported (Andersen & Andersen, *Presolving in
 linear programming*, 1995).
 
+A caller may offer one incumbent at the root (``solve_milp``'s
+``incumbent``): a callable, asked once, after the parallel-row check and
+before the cold solve, for a point of the model, as a heuristic would give
+it (Fischetti & Lodi, *Local branching*, 2003).  The point must pass the
+re-check of every returned incumbent: the rows and bounds, and integral
+binaries.  One that fails is ignored, and the search runs as without it.
+One that passes is the incumbent; under a zero objective every node's bound
+is 0, which it meets, so it closes the root as optimal with no simplex
+built.  Under any other objective it only prunes.
+
 The primal and the dual pivot loop differ only in how they pick a pivot:
 both then make the one basis exchange, ``_exchange``, and both switch to
 Bland's rule for good, keeping the anti-cycling guarantee, after
@@ -245,6 +255,7 @@ class MilpSolution:
     refactorizations: int = 0       # basis refactorizations (``_refresh``)
     farkas_leaves: int = 0          # infeasible leaves closed by a checked Farkas row
     parallel_rows: ParallelRows | None = None  # the rows that closed an infeasible root
+    from_incumbent: bool = False    # x is the point ``solve_milp``'s ``incumbent`` gave
 
 
 # --------------------------------------------------------------------------
@@ -731,6 +742,17 @@ def _check_solution(A, rels, b, lb, ub, x, tol=FEAS_TOL):
                 or (np.abs(Ax[eq] - b[eq]) > tol).any())
 
 
+def _incumbent_fault(rows, model: MilpModel, bins, x) -> str | None:
+    """The re-check an incumbent must pass before it leaves ``solve_milp``:
+    None, or the name of the check ``x`` fails -- the model's ``rows`` and
+    bounds (``_check_solution``) or the integrality of its binaries."""
+    if not _check_solution(*rows, model.lb, model.ub, x):
+        return "independent re-check"
+    if bins.size and np.max(np.abs(x[bins] - np.round(x[bins]))) > INT_TOL:
+        return "integrality re-check"
+    return None
+
+
 def _farkas_certifies(y, A, rels, b, lo, hi, tol=FEAS_TOL):
     """True if ``y`` or ``-y`` proves ``A x rels b`` has no x in [lo, hi];
     ``rels`` holds the relation strings or their ``_senses``.
@@ -808,7 +830,7 @@ def solve_lp(model: MilpModel) -> MilpSolution:
 # --------------------------------------------------------------------------
 
 def solve_milp(model: MilpModel, node_budget: int | None = None,
-               time_budget: float | None = None) -> MilpSolution:
+               time_budget: float | None = None, incumbent=None) -> MilpSolution:
     """Depth-first branch-and-bound over the binary variables.
 
     The search explores until the incumbent is proved optimal (or the
@@ -822,7 +844,13 @@ def solve_milp(model: MilpModel, node_budget: int | None = None,
     whose bounds contradict (``_parallel_rows``): such a pair makes the root
     infeasible with no dense matrix or simplex built and no pivot, and is
     reported as
-    ``parallel_rows``.  Otherwise the root LP is solved cold; every other
+    ``parallel_rows``.  Otherwise ``incumbent``, if given, is called once,
+    with no argument, for a point of the model or None.  A point that
+    passes the re-check every returned incumbent passes (``_incumbent_fault``)
+    becomes the incumbent, and under a zero objective, which bounds every
+    node by 0, it is optimal at once: one node, no simplex built, no pivot.
+    A point that fails the re-check is ignored.  Then the root LP is solved
+    cold; every other
     node is re-optimized by the dual simplex from its parent's optimal
     basis.  The nearest-integer child continues on the live simplex at once;
     its sibling waits on the stack as a basis snapshot and, when popped,
@@ -846,6 +874,7 @@ def solve_milp(model: MilpModel, node_budget: int | None = None,
     sx = None               # the live simplex, built when the root needs a solve
 
     best_x, best_obj = None, -np.inf
+    kept = False            # best_x is the point ``incumbent`` gave
     root_bound = np.inf     # the root LP's optimum bounds every node
     nodes = 0
     exhausted = False
@@ -865,10 +894,21 @@ def solve_milp(model: MilpModel, node_budget: int | None = None,
         entry = stack.pop()
         if entry is None:
             parallel = _parallel_rows(model)
-            if parallel is None:
-                sx, c, status = _cold(model)
-            else:
+            if parallel is not None:
                 status = "infeasible"
+            else:
+                point = None if incumbent is None else incumbent()
+                if point is not None:
+                    point = np.asarray(point, dtype=float)
+                    c, A, rels, b, _, _ = model.dense()
+                    rows = (A, _senses(rels), b)
+                    if _incumbent_fault(rows, model, bins, point) is None:
+                        best_x, best_obj, kept = point, sign * float(c @ point), True
+                        if not c.any():
+                            nodes += 1
+                            break
+                sx, c, status = _cold(model)
+                rows = sx.model_rows
         else:
             snap, j, val = entry
             if snap is not None:
@@ -894,7 +934,7 @@ def solve_milp(model: MilpModel, node_budget: int | None = None,
         if not bins.size or frac.max() <= INT_TOL:
             # integral: the node LP optimum is the best of the subtree
             if best_x is None or bound > best_obj + OBJ_TOL:
-                best_x, best_obj = x, bound
+                best_x, best_obj, kept = x, bound, False
                 if best_obj >= root_bound - OBJ_TOL:
                     break
             continue
@@ -915,12 +955,12 @@ def solve_milp(model: MilpModel, node_budget: int | None = None,
         return MilpSolution(status="budget_unknown" if exhausted else "infeasible",
                             parallel_rows=parallel, **done)
     # hard re-check of the incumbent, integrality included
-    if not _check_solution(*sx.model_rows, model.lb, model.ub, best_x):
-        raise NumericalBreakdownError("incumbent failed the independent re-check")
-    if bins.size and np.max(np.abs(best_x[bins] - np.round(best_x[bins]))) > INT_TOL:
-        raise NumericalBreakdownError("incumbent failed the integrality re-check")
+    fault = _incumbent_fault(rows, model, bins, best_x)
+    if fault is not None:
+        raise NumericalBreakdownError(f"incumbent failed the {fault}")
     status = "feasible_budget_hit" if exhausted else "optimal"
-    return MilpSolution(status=status, x=best_x, objective=float(c @ best_x), **done)
+    return MilpSolution(status=status, x=best_x, objective=float(c @ best_x),
+                        from_incumbent=kept, **done)
 
 
 # --------------------------------------------------------------------------

@@ -64,6 +64,10 @@ of ``milp.py``'s table                  top of ``milp.py`` names each one
 ``dominance_check`` ``tol``      1e-9   a trajectory state above the
                                         worst-case reference run
 ``dominance_check`` literal      1e-12  its precondition ``x_0 <= x*_0``
+``least_fixed_point`` (as        1e-9   a period's rise at convergence;
+``DEFAULT_TOL``)                        also the grid on which
+                                        ``search_traffic_plan`` compares
+                                        overshoots
 ===============================  =====  =====================================
 """
 
@@ -139,12 +143,16 @@ def leq(a, b, tol: float = DEFAULT_TOL) -> bool:
 
 @dataclass(frozen=True)
 class Box:
-    """Order interval ``R(a) = {x >= 0 : x <= a}`` with corner ``a``."""
+    """Order interval ``R(a) = {x >= 0 : x <= a}`` with corner ``a``, a
+    read-only copy of the corner given, so what was checked is what every
+    answer uses."""
 
     corner: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "corner", as_vector(np.array(self.corner, dtype=float), name="corner"))
+        corner = as_vector(np.array(self.corner, dtype=float), name="corner")
+        corner.flags.writeable = False
+        object.__setattr__(self, "corner", corner)
 
     @property
     def dim(self) -> int:
@@ -258,7 +266,11 @@ _FLOAT = np.dtype(float)
 
 @dataclass(frozen=True)
 class BoxUnion:
-    """Ordered finite union of boxes; membership reports the smallest index."""
+    """Ordered finite union of boxes; membership reports the smallest index.
+
+    ``corners`` is read-only, like each box's corner: ``locate`` answers
+    from a list cached from it at construction, so an edit would split the
+    two membership tests."""
 
     boxes: tuple = field(default_factory=tuple)
     #: the corners as one (boxes, n) matrix
@@ -277,7 +289,9 @@ class BoxUnion:
             raise ValueError(f"boxes must share a dimension, got {sorted(dims)}")
         object.__setattr__(self, "boxes", boxes)
         object.__setattr__(self, "dim", dims.pop())
-        object.__setattr__(self, "corners", np.array([b.corner for b in boxes]))
+        corners = np.array([b.corner for b in boxes])
+        corners.flags.writeable = False
+        object.__setattr__(self, "corners", corners)
         object.__setattr__(self, "_bounds", (self.corners + DEFAULT_TOL).tolist())
 
     def __len__(self) -> int:

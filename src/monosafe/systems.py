@@ -37,6 +37,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,6 +143,38 @@ class Link:
     entry: bool             # True if the link enters from outside the network
 
 
+class PhaseTuples(Sequence):
+    """The controls of ``J`` junctions, made on demand: the phase tuples in
+    ``itertools.product((NS, EW), repeat=J)`` order, without building them.
+
+    Item ``i`` is the tuple of ``i``'s ``J`` bits, the first junction's the
+    most significant, 0 = NS and 1 = EW; ``len`` is ``2 ** J``.  Membership
+    reads a tuple's phases, so it does not walk the sequence.
+    """
+
+    def __init__(self, junctions: int):
+        self.junctions = junctions
+
+    def __len__(self) -> int:
+        return 1 << self.junctions
+
+    def __getitem__(self, i):
+        i = operator.index(i)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("control index out of range")
+        J = self.junctions
+        return tuple(EW if i >> (J - 1 - p) & 1 else NS for p in range(J))
+
+    def __iter__(self):
+        return itertools.product((NS, EW), repeat=self.junctions)
+
+    def __contains__(self, u) -> bool:
+        return (isinstance(u, tuple) and len(u) == self.junctions
+                and all(p == NS or p == EW for p in u))
+
+
 class TrafficNetwork(MonotoneSystem):
     """Signalized network in its cooperative (demand-limited) regime.
 
@@ -158,9 +192,11 @@ class TrafficNetwork(MonotoneSystem):
     order and ``x+ >= 0`` holds exactly, not only up to rounding.
 
     A control is a tuple of phases (``"NS"``/``"EW"``), one per junction, in
-    ``self.junctions`` order (junction ids sorted alphabetically).  A
-    control's map is built on its first check and cached.  The safe set,
-    the box ``x <= x_s``, is built once, at construction.
+    ``self.junctions`` order (junction ids sorted alphabetically);
+    ``controls`` lists all ``2 ** J`` of them lazily (``PhaseTuples``), so
+    construction builds none.  A control's map is built on its first check
+    and cached.  The safe set, the box ``x <= x_s``, is built once, at
+    construction.
 
     Construction validates the topology: turn ratios lie in [0, 1] and sum
     to at most 1 per source link, entry links receive no turns, and all
@@ -215,7 +251,7 @@ class TrafficNetwork(MonotoneSystem):
         self.c = np.array([l.c for l in self.links])
         self.x_s = np.array([l.x_s for l in self.links])
         self.w_star = np.array([l.w_star for l in self.links])
-        self.controls = tuple(itertools.product((NS, EW), repeat=len(self.junctions)))
+        self.controls = PhaseTuples(len(self.junctions))
         # link l is green when its head's phase is its own direction
         self._head = np.array([self._junction_index[l.head] for l in self.links], dtype=int)
         self._ns = np.array([l.direction == NS for l in self.links], dtype=bool)

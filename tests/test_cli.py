@@ -70,6 +70,27 @@ def test_find_summary_reports_pivots(tmp_path, capsys):
     assert all(int(m[5]) > 0 and int(m[6]) > 0 and int(m[7]) > 0 for m in records)
 
 
+def test_find_summary_says_where_the_plan_came_from(tmp_path, capsys):
+    """A found horizon's line ends with its plan's source, after the bracket
+    that the horizon lines keep: the local search, with its evaluations and
+    periods, for a traffic first-feasible horizon, which its checked plan
+    closes at the root, and branch-and-bound for case1."""
+    out = tmp_path / "t5"
+    assert main(["find", "--system", "traffic_table1.json", "--tmin", "5", "--tmax", "5",
+                 "--objective", "first-feasible", "--out", str(out)]) == 0
+    assert re.search(r"^  T=5: found  \[optimal, 1 nodes, 0 pivots, 0 refactorizations, "
+                     r"0 Farkas leaves, [\d.]+s\] plan from local search, \d+ evaluations, "
+                     r"\d+ periods$", (out / "summary.txt").read_text(), re.M)
+    assert main(["verify", "--system", "traffic_table1.json",
+                 "--certificate", str(out / "certificate.json")]) == 0
+    out = tmp_path / "c7"
+    assert main(["find", "--system", "case1.json", "--tmin", "7", "--tmax", "7",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert re.search(r"^  T=7: found  \[optimal, \d+ nodes, .*\] plan from branch-and-bound$",
+                     (out / "summary.txt").read_text(), re.M)
+
+
 @pytest.mark.parametrize("argv, solver_status, proven", [
     (["--system", "case1.json", "--tmax", "7"], "optimal", True),
     # the first incumbent comes after about 800 nodes; the root bound (720)

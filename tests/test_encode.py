@@ -12,8 +12,8 @@ from scipy.optimize import linprog
 
 from monosafe.encode import (DecodeMismatchError, _switched_step, _traffic_step,
                              _unit_green_steps, decode, encode_switched, encode_traffic,
-                             green_step_counts)
-from monosafe.invariance import find_s_sequence
+                             green_step_counts, lift)
+from monosafe.invariance import find_s_sequence, least_fixed_point
 from monosafe.milp import MilpSolution, solve_milp, write_lp_format
 from monosafe.order import PolyLowerSet
 from monosafe.simulate import verify_certificate
@@ -450,6 +450,31 @@ def test_traffic_decode_round_trip(traffic_t5_witness):
     got = decode(art, MilpSolution(status="optimal", x=x.copy()))
     assert got.controls == cert.controls
     assert [s.tobytes() for s in got.x_star] == [s.tobytes() for s in cert.x_star]
+
+
+def test_lift_then_decode_round_trips_the_bundled_certificates(case1, case1_cert, traffic,
+                                                              traffic_cert):
+    """``lift`` writes a witness into every column of its model, and
+    ``decode`` reads it back.  The traffic plan round-trips as stored.
+    case1's stored witness is rounded (its declared ``tol`` is 0.01), so its
+    closure misses the model's by 1.04e-3 and decoding refuses it; its
+    controls' least fixed point's orbit round-trips bit for bit."""
+    art = encode_traffic(traffic[0], 5)
+    got = decode(art, MilpSolution(status="optimal",
+                                   x=lift(art, traffic_cert.controls, traffic_cert.x_star)))
+    assert got.controls == traffic_cert.controls
+    assert np.max(np.abs(got.x_star - traffic_cert.x_star)) < 1e-12
+    sys_, S, _ = case1
+    art = encode_switched(sys_, S, 7, objective="max_l1_x0")
+    with pytest.raises(DecodeMismatchError, match="closure"):
+        decode(art, MilpSolution(status="optimal",
+                                 x=lift(art, case1_cert.controls, case1_cert.x_star)))
+    orbit = least_fixed_point(sys_, S, case1_cert.controls, 1000).states
+    got = decode(art, MilpSolution(status="optimal", x=lift(art, case1_cert.controls, orbit)))
+    assert got.controls == case1_cert.controls
+    assert got.x_star.tobytes() == orbit.tobytes()
+    with pytest.raises(ValueError):
+        lift(art, case1_cert.controls[:-1], orbit)
 
 
 def test_traffic_decode_names_fractional_junction(traffic_t5_witness):

@@ -1,16 +1,18 @@
 """Horizon sweep, RCIS construction, limit cycles, policies, necessity bound."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from monosafe import milp
+from monosafe import invariance, milp
 from monosafe.certificate import SSequenceCertificate
-from monosafe.encode import encode_switched, encode_traffic
+from monosafe.encode import encode_switched, encode_traffic, lift
 from monosafe.invariance import (LimitCycleError, build_attractive_set, build_rcis,
-                                 compute_limit_cycle, find_s_sequence, necessity_bound)
+                                 compute_limit_cycle, find_s_sequence, least_fixed_point,
+                                 necessity_bound, search_traffic_plan)
 from monosafe.order import PolyLowerSet
 from monosafe.simulate import feedback, open_loop, verify_certificate
 from monosafe.systems import SwitchedAffineSystem
@@ -292,3 +294,141 @@ def test_limit_cycle_counts_monotone_violations(case1, case1_cert):
     assert cycle.periods == periods
     assert np.array(cycle.points).tobytes() == np.array(points).tobytes()
     assert (cycle.residual, cycle.closure_error) == (residual, closure)
+
+
+def _decided(sys_, S, T):
+    """``least_fixed_point`` of every control sequence of length T: the
+    sequences whose least fixed point's orbit stays in S, and the run of
+    each refuted one."""
+    found, refuted = set(), {}
+    for seq in itertools.product(sys_.controls, repeat=T):
+        run = least_fixed_point(sys_, S, seq, 1000)
+        assert run is not None, seq          # every sequence is decided
+        if run.exit_step is None:
+            found.add(seq)
+        else:
+            refuted[seq] = run
+    return found, refuted
+
+
+def test_least_fixed_point_agrees_with_the_milp(case1, traffic, case1_search, case1_cert):
+    """Every control sequence decided without an LP.  On case1 the first
+    horizon with a feasible sequence is T=7, where the feasible ones are
+    exactly the rotations of the bundled certificate's controls; the
+    MILP's sweep proves T=1..6 infeasible.  On the traffic grid every
+    sequence of T=1 and T=2 is refuted, as the count rows close both roots.
+    Each refutation is a run state more than 1e-6 outside S, far from the
+    1e-9 at which float noise could decide it, and each orbit found is a
+    certificate."""
+    statuses = {r.T: r.status for r in case1_search.records}
+    sys_, S, _ = case1
+    for T in range(1, 8):
+        found, refuted = _decided(sys_, S, T)
+        assert bool(found) == (statuses[T] == "found"), T
+        for run in refuted.values():
+            assert not S.contains(run.states[run.exit_step], tol=1e-6)
+            assert run.overshoot > 1e-6
+    controls = case1_cert.controls
+    assert found == {controls[k:] + controls[:k] for k in range(7)}
+    for seq in found:
+        orbit = least_fixed_point(sys_, S, seq, 1000).states
+        assert verify_certificate(sys_, S, SSequenceCertificate(7, seq, orbit)).passed
+    net, S, _ = traffic
+    sweep = find_s_sequence(net, t_max=2, objective="first_feasible")
+    assert [(r.status, r.parallel_rows is not None) for r in sweep.records] == [
+        ("proven_infeasible", True)] * 2
+    for T in (1, 2):
+        found, refuted = _decided(net, S, T)
+        assert not found and len(refuted) == 64 ** T
+        for run in refuted.values():
+            assert not S.contains(run.states[run.exit_step], tol=1e-6)
+
+
+def test_least_fixed_point_budget_and_orbit(case1, case1_cert):
+    """Out of periods the answer is None; a converged orbit closes to
+    rounding and sits below every witness of its sequence."""
+    sys_, S, _ = case1
+    assert least_fixed_point(sys_, S, case1_cert.controls, 5) is None
+    run = least_fixed_point(sys_, S, case1_cert.controls, 1000)
+    assert run.exit_step is None and run.overshoot == 0.0 and not run.states.flags.writeable
+    assert np.max(np.abs(run.states[-1] - run.states[0])) < 1e-8
+    assert np.all(run.states <= case1_cert.x_star + 1e-9)
+
+
+@pytest.fixture(scope="module")
+def traffic_t5(traffic, traffic_cert):
+    """The bundled traffic T=5 encoding and the bundled plan lifted into it."""
+    art = encode_traffic(traffic[0], 5)
+    return art, lift(art, traffic_cert.controls, traffic_cert.x_star)
+
+
+def _counts(sol):
+    return sol.status, sol.nodes, sol.pivots, sol.refactorizations, sol.farkas_leaves
+
+
+def test_lifted_plan_closes_the_root(traffic_t5):
+    """Under the zero objective a checked incumbent is optimal at once: one
+    node, no simplex built, no pivot and no refactorization."""
+    art, point = traffic_t5
+    sol = milp.solve_milp(art.model, incumbent=lambda: point)
+    assert _counts(sol) == ("optimal", 1, 0, 0, 0) and sol.from_incumbent
+    assert np.array_equal(sol.x, point) and sol.objective == 0.0
+
+
+def test_corrupted_plan_is_ignored(traffic_t5):
+    """A plan with one state lowered by 1.0 fails the re-check and is
+    ignored: the search is the one without an incumbent, node for node and
+    bit for bit."""
+    art, point = traffic_t5
+    bad = point.copy()
+    bad[art.x[2, 4]] -= 1.0
+    calls = []
+    sol = milp.solve_milp(art.model, incumbent=lambda: calls.append(1) or bad)
+    plain = milp.solve_milp(art.model)
+    assert calls == [1] and not sol.from_incumbent
+    assert _counts(sol) == _counts(plain) == ("optimal", 61, 385, 54, 9)
+    assert sol.x.tobytes() == plain.x.tobytes()
+
+
+def test_incumbent_is_not_asked_where_parallel_rows_close_the_root(traffic, monkeypatch):
+    """At T=1..4 the count rows close the root, so neither ``solve_milp``
+    nor the sweep asks for a plan; the sweep searches once, at T=5."""
+    net = traffic[0]
+    for T in (1, 2, 3, 4):
+        calls = []
+        sol = milp.solve_milp(encode_traffic(net, T).model, incumbent=lambda: calls.append(T))
+        assert sol.status == "infeasible" and sol.parallel_rows is not None and not calls
+    searched = []
+    search = invariance.search_traffic_plan
+    monkeypatch.setattr(invariance, "search_traffic_plan",
+                        lambda *args: searched.append(args[1]) or search(*args))
+    res = find_s_sequence(net, t_max=5, objective="first_feasible")
+    assert searched == [5] and res.minimal
+    assert [r.source for r in res.records] == [""] * 4 + [res.records[4].source]
+    assert res.records[4].source.startswith("local search, ")
+
+
+def test_plan_search_is_seeded_and_its_plan_verifies(traffic):
+    """The search is a function of its seed; a found plan's witness is its
+    least fixed point's orbit, which verifies.  A miss (T=4, which has no
+    plan) spends the whole period budget and reports no plan."""
+    net, S, _ = traffic
+    first, again = search_traffic_plan(net, 5), search_traffic_plan(net, 5)
+    assert first.controls == again.controls and first.evaluations == again.evaluations
+    cert = SSequenceCertificate(5, first.controls, first.states)
+    assert verify_certificate(net, S, cert).passed
+    miss = search_traffic_plan(net, 4)
+    assert miss.controls is None and miss.states is None
+    assert miss.periods == invariance._SEARCH_PERIODS
+
+
+def test_max_l1_keeps_its_search_and_optimum_with_an_incumbent(case1, case1_cert):
+    """Under max-l1 an incumbent only prunes: the least fixed point's orbit
+    of the bundled controls (sum of x_0 below 50) seeds the T=7 search,
+    which still proves 50 with its own point."""
+    sys_, S, _ = case1
+    art = encode_switched(sys_, S, 7, objective="max_l1_x0")
+    orbit = least_fixed_point(sys_, S, case1_cert.controls, 1000).states
+    sol = milp.solve_milp(art.model, incumbent=lambda: lift(art, case1_cert.controls, orbit))
+    assert sol.status == "optimal" and not sol.from_incumbent
+    assert sol.objective == pytest.approx(50.0, abs=1e-6)

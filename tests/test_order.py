@@ -155,6 +155,27 @@ def test_box_union_minimal_index():
     assert not union.contains([11.0, 0.0])
 
 
+def test_box_and_union_corners_are_read_only():
+    """A box's corner and a union's corner matrix cannot be edited: an edit
+    would skip the nonnegativity check, or leave ``locate`` answering from
+    the corners cached at construction while ``contains`` reads the new
+    ones."""
+    box = Box([1.0, 2.0])
+    with pytest.raises(ValueError, match="read-only"):
+        box.corner[0] = -3.0
+    union = BoxUnion(([1.0, 1.0], [2.0, 0.5]))
+    with pytest.raises(ValueError, match="read-only"):
+        union.corners[0, 0] = 5.0
+    with pytest.raises(ValueError, match="read-only"):
+        union.boxes[0].corner[0] = 5.0
+    assert not union.contains([4.0, 1.0]) and union.locate([4.0, 1.0]) is None
+    # the caller's array stays its own
+    corner = np.array([1.0, 2.0])
+    Box(corner)
+    corner[0] = 3.0
+    assert corner.flags.writeable
+
+
 def test_box_union_rejects_mixed_dims():
     with pytest.raises(ValueError):
         BoxUnion((Box([1.0]), Box([1.0, 2.0])))

@@ -1,13 +1,16 @@
 """System models: switched affine, traffic network, monotonicity checks."""
 
+import itertools
+import time
 from importlib import resources
 
 import numpy as np
 import pytest
 
+from monosafe.encode import encode_traffic
 from monosafe.order import Box, PolyLowerSet
 from monosafe.simulate import Policy, open_loop, simulate, uniform, worst_case_w_star
-from monosafe.systems import (EW, NS, Link, SwitchedAffineSystem, TrafficNetwork,
+from monosafe.systems import (EW, NS, Link, PhaseTuples, SwitchedAffineSystem, TrafficNetwork,
                               check_monotone, cooperative_bound_check,
                               load_system_file, system_from_dict, system_hash)
 from test_encode import green_links, random_small_net
@@ -384,6 +387,38 @@ def test_traffic_maps_are_built_on_first_use():
                     worst_case_w_star(), 12)
     assert traj.status == "completed"
     assert set(net._maps) == set(played)
+
+
+@pytest.mark.parametrize("junctions", [1, 2, 5])
+def test_controls_are_the_product_order(junctions):
+    """``controls`` is ``itertools.product((NS, EW), repeat=J)`` item for
+    item, without being built: length, indexing (negative and numpy
+    indices), iteration, membership and ``index``."""
+    controls = chain_net(junctions).controls
+    assert isinstance(controls, PhaseTuples)
+    product = tuple(itertools.product((NS, EW), repeat=junctions))
+    assert len(controls) == len(product) == 2 ** junctions
+    assert tuple(controls) == product
+    assert [controls[i] for i in range(-len(product), len(product))] == list(product) * 2
+    assert controls[np.int64(len(product) - 1)] == product[-1]
+    assert all(u in controls and controls.index(u) == i for i, u in enumerate(product))
+    for bad in [(NS,) * (junctions + 1), ("NE",) * junctions, list(product[0])]:
+        assert bad not in controls
+    with pytest.raises(IndexError):
+        controls[len(product)]
+
+
+def test_thirty_junction_chain_builds_no_controls():
+    """A 30-junction chain has 2^30 controls, which construction does not
+    build: it takes milliseconds, and the chain encodes at T=5."""
+    t0 = time.perf_counter()
+    net = chain_net(30)
+    assert time.perf_counter() - t0 < 0.05
+    assert len(net.controls) == 2 ** 30
+    assert net.controls[-1] == (EW,) * 30 and (NS,) * 30 in net.controls
+    art = encode_traffic(net, 5)
+    assert art.u.shape == (5, 30) and art.x.shape == (6, 30)
+    assert net._maps == {}
 
 
 def test_cooperative_bound_check():
