@@ -25,7 +25,7 @@ Each model is written as arrays: its columns as one block and its rows as
 one more (``MilpModel.add_vars``, ``add_rows``), plus a traffic model's
 count rows.  An encoder supplies only one step's template, the same at
 every step and horizon and built once per system (``_switched_step``,
-``_traffic_step``; systems are not changed after construction);
+``_traffic_step``; a system's arrays are read-only);
 ``_witness_model`` repeats its columns and each of its row blocks T
 times, then safety and closure.  The row order is kept on purpose: the
 solver breaks ties by lowest index, so it decides the search path.
@@ -202,12 +202,13 @@ def encode_switched(sys: SwitchedAffineSystem, S: PolyLowerSet, T: int,
 @functools.lru_cache(maxsize=1)
 def _traffic_step(net: TrafficNetwork) -> tuple:
     """One step of ``encode_traffic``, the same at every step and horizon:
-    its ``_witness_model`` template.
+    its ``_witness_model`` template, then ``(z, d, feeds)``.
 
     The step's columns are its junction binaries, then link by link ``z``
-    and (a feeding link) its selector ``d``.  Its one block is link by
-    link the two upper rows of ``z`` and (a feeding link) its two lower
-    rows, then the state updates.
+    and (a feeding link, marked in ``feeds``) its selector ``d``; ``z`` and
+    ``d`` hold their places.  Its one block is link by link the two upper
+    rows of ``z`` and (a feeding link) its two lower rows, then the state
+    updates.
     """
     L, J = len(net.links), len(net.junctions)
     turns = np.array([(net.link_index(s), net.link_index(d), r)
@@ -226,10 +227,9 @@ def _traffic_step(net: TrafficNetwork) -> tuple:
     ub[at] = net.c
     # places in the table
     xk, x1 = np.arange(L), L + np.arange(L)
-    z, g = 2 * L + at, 2 * L + np.array([net.junctions.index(link.head) for link in net.links])
+    z, g = 2 * L + at, 2 * L + net.head
     d = z[f] + 1
-    ns = np.array([link.direction == NS for link in net.links])
-    g1, g0 = np.where(ns, 1.0, -1.0), np.where(ns, 0.0, 1.0)
+    g1, g0 = np.where(net.ns, 1.0, -1.0), np.where(net.ns, 0.0, 1.0)
     c, m_flow, m_state = net.c, 2.0 * net.c, 2.0 * net.x_s
     r, s, q = 2 * (at - J), 2 * (at[f] - J) + 2, 2 * (L + F) + np.arange(L)
     rhs = np.empty(3 * L + 2 * F)
@@ -252,7 +252,7 @@ def _traffic_step(net: TrafficNetwork) -> tuple:
         # x_{k+1} >= x_k - z + w + sum of beta z_q
         (q, x1, 1.0), (q, xk, -1.0), (q[into], flow, beta))
     rels = np.where(np.arange(rhs.size) < 2 * (L + F), LEQ, GEQ)
-    return _frozen((tuple(labels), ub, binary, J, ((terms, rels, rhs),)))
+    return _frozen(((tuple(labels), ub, binary, J, ((terms, rels, rhs),)), (at, at[f] + 1, f)))
 
 
 def encode_traffic(net: TrafficNetwork, T: int,
@@ -270,20 +270,27 @@ def encode_traffic(net: TrafficNetwork, T: int,
     Each step repeats ``_traffic_step``.
 
     At the model's end, a junction whose ``green_step_counts`` conflict
-    (``ns + ew > T``) gets the two rows ``ns <= sum_k u_k <= T - ew``; they
-    contradict, so ``solve_milp`` closes the root with no pivot and names
-    them.  They are valid at every horizon, but are written only there: a
-    horizon with no conflict keeps its model unchanged.
+    (``count_clashes``) gets the two rows ``ns <= sum_k u_k <= T - ew``;
+    they contradict, so ``solve_milp`` closes the root with no pivot and
+    names them.  They are valid at every horizon, but are written only
+    there: a horizon with no conflict keeps its model unchanged.
     """
     art = _witness_model("traffic", net, net.safe_set(), T, objective,
-                         lambda _: _traffic_step(net))
-    counts = np.array(list(green_step_counts(net, T).values())).reshape(-1, 2)
-    clash = np.flatnonzero(counts.sum(axis=1) > T)
-    if clash.size:
-        art.model.add_rows(np.arange(2 * clash.size).repeat(T),
-                           art.u.T[clash].repeat(2, axis=0), 1.0, [GEQ, LEQ] * clash.size,
-                           np.column_stack([counts[clash, 0], T - counts[clash, 1]]).ravel())
+                         lambda _: _traffic_step(net)[0])
+    clash = count_clashes(net, T)
+    if clash:
+        counts = np.array(list(clash.values()))
+        art.model.add_rows(np.arange(2 * len(clash)).repeat(T),
+                           art.u.T[list(clash)].repeat(2, axis=0), 1.0, [GEQ, LEQ] * len(clash),
+                           np.column_stack([counts[:, 0], T - counts[:, 1]]).ravel())
     return art
+
+
+def count_clashes(net: TrafficNetwork, T: int) -> dict:
+    """``{junction index: (ns, ew)}`` of the junctions whose
+    ``green_step_counts`` do not fit in T (``ns + ew > T``): where
+    ``encode_traffic`` writes count rows.  With none, the root stays open."""
+    return {p: c for p, c in enumerate(green_step_counts(net, T).values()) if sum(c) > T}
 
 
 def green_step_counts(net: TrafficNetwork, T: int) -> dict:
@@ -378,21 +385,12 @@ def lift(art: EncodingArtifacts, controls, states) -> np.ndarray:
         return point
     for u in controls:
         sys.check_control(u)
-    U = np.array([[p == NS for p in u] for u in controls], dtype=float)
-    point[art.u] = U
-    # a step's columns follow one another from its first junction binary:
-    # the junction binaries, then link by link z and (a feeding link) d;
-    # only the z are not binary
-    binary = _traffic_step(sys)[2]
-    steps = art.u[:, :1] + np.arange(binary.size)
-    at = np.flatnonzero(~binary)
-    feeds = np.append(binary[at[:-1] + 1], at[-1] + 1 < binary.size)
-    head = [sys.junctions.index(link.head) for link in sys.links]
-    ns = np.array([link.direction == NS for link in sys.links])
-    green = (U[:, head] == 1.0) == ns
-    x = X[:-1]
-    point[steps[:, at]] = np.where(green, np.minimum(x, sys.c), 0.0)
-    point[steps[:, at[feeds] + 1]] = (green & (x > sys.c))[:, feeds]
+    point[art.u] = [[p == NS for p in u] for u in controls]
+    # a step's columns follow one another from its first junction binary
+    _, (z, d, feeds) = _traffic_step(sys)
+    green, x = np.array([sys.green(u) for u in controls]), X[:-1]
+    point[art.u[:, :1] + z] = np.where(green, np.minimum(x, sys.c), 0.0)
+    point[art.u[:, :1] + d] = (green & (x > sys.c))[:, feeds]
     return point
 
 

@@ -16,10 +16,10 @@ iterates, the least fixed point of F (Tarski, 1955), has an orbit that is
 a witness exactly when the sequence has one.  ``compute_limit_cycle``
 iterates the same period loop from x*_0 down to the limit cycle.
 
-``find_s_sequence`` uses it before a traffic horizon's first-feasible
-solve: ``search_traffic_plan`` flips junction phases, scored by the least
-fixed point, and a plan it finds is lifted into the model
-(``encode.lift``) as ``solve_milp``'s root incumbent.  The certificate
+``find_s_sequence`` uses it before a first-feasible traffic solve whose
+root the count rows leave open: ``search_traffic_plan`` flips junction
+phases, scored by the least fixed point, and a plan it finds is lifted
+(``encode.lift``) into ``solve_milp``'s root incumbent.  The certificate
 still comes only from ``decode``, which re-simulates and verifies it.  The
 search never reports a negative: a miss, after its fixed budget of
 periods, proves nothing, and the horizon is searched by branch-and-bound
@@ -35,8 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .certificate import SSequenceCertificate
-from .encode import (OBJECTIVES, DecodeMismatchError, decode, encode_switched, encode_traffic,
-                     lift)
+from .encode import (OBJECTIVES, DecodeMismatchError, count_clashes, decode, encode_switched,
+                     encode_traffic, lift)
 from .milp import NumericalBreakdownError, ParallelRows, solve_milp, write_lp_format
 from .order import DEFAULT_TOL, BoxUnion, as_rows, as_vector
 from .rng import SplitMix64
@@ -132,6 +132,10 @@ def find_s_sequence(system, safe_set=None, t_max=10, objective="max_l1_x0",
     stops at the first integral point): ``encode.OBJECTIVES``.  Any other
     value, or a negative or NaN budget, raises ``ValueError`` before any
     horizon is tried; a budget of 0 is valid and tries none.
+
+    A first-feasible traffic horizon with no ``encode.count_clashes`` runs
+    ``search_traffic_plan`` first, within its ``elapsed``; a plan it finds
+    is lifted into ``solve_milp``'s root incumbent.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
@@ -161,17 +165,16 @@ def find_s_sequence(system, safe_set=None, t_max=10, objective="max_l1_x0",
         art = _encode(system, safe_set, T, objective)
         if dump_lp is not None:
             write_lp_format(art.model, f"{dump_lp}_T{T}.lp")
-        searched = []       # the plan search, once solve_milp has asked for a plan
-        incumbent = None
-        if isinstance(system, TrafficNetwork) and objective == "first_feasible":
-            def incumbent():
-                searched.append(search_traffic_plan(system, T))
-                plan = searched[0]
-                return None if plan.controls is None else lift(art, plan.controls, plan.states)
         t0 = time.monotonic()
+        plan = point = None
+        if (isinstance(system, TrafficNetwork) and objective == "first_feasible"
+                and not count_clashes(system, T)):
+            plan = search_traffic_plan(system, T)
+            if plan.controls is not None:
+                point = lift(art, plan.controls, plan.states)
         try:
             sol = solve_milp(art.model, node_budget=n_slice, time_budget=t_slice,
-                             incumbent=incumbent)
+                             incumbent=point)
         except NumericalBreakdownError as exc:
             records.append(HorizonRecord(T, "failed", "error", 0, time.monotonic() - t0,
                                          failure=f"{type(exc).__name__}: {exc}"))
@@ -188,8 +191,8 @@ def find_s_sequence(system, safe_set=None, t_max=10, objective="max_l1_x0",
             except DecodeMismatchError as exc:
                 status, failure = "failed", f"{type(exc).__name__}: {exc}"
             else:
-                source = (f"local search, {searched[0].evaluations} evaluations, "
-                          f"{searched[0].periods} periods" if sol.from_incumbent
+                source = (f"local search, {plan.evaluations} evaluations, "
+                          f"{plan.periods} periods" if sol.from_incumbent
                           else "branch-and-bound")
         records.append(HorizonRecord(T, status, sol.status, sol.nodes, dt,
                                      sol.pivots, sol.refactorizations, sol.farkas_leaves,

@@ -55,9 +55,9 @@ pivot, and the two rows are reported (Andersen & Andersen, *Presolving in
 linear programming*, 1995).
 
 A caller may offer one incumbent at the root (``solve_milp``'s
-``incumbent``): a callable, asked once, after the parallel-row check and
-before the cold solve, for a point of the model, as a heuristic would give
-it (Fischetti & Lodi, *Local branching*, 2003).  The point must pass the
+``incumbent``): a point of the model, as a heuristic would give it
+(Fischetti & Lodi, *Local branching*, 2003), checked after the
+parallel-row check and before the cold solve.  The point must pass the
 re-check of every returned incumbent: the rows and bounds, and integral
 binaries.  One that fails is ignored, and the search runs as without it.
 One that passes is the incumbent; under a zero objective every node's bound
@@ -255,7 +255,7 @@ class MilpSolution:
     refactorizations: int = 0       # basis refactorizations (``_refresh``)
     farkas_leaves: int = 0          # infeasible leaves closed by a checked Farkas row
     parallel_rows: ParallelRows | None = None  # the rows that closed an infeasible root
-    from_incumbent: bool = False    # x is the point ``solve_milp``'s ``incumbent`` gave
+    from_incumbent: bool = False    # x is ``solve_milp``'s ``incumbent``
 
 
 # --------------------------------------------------------------------------
@@ -844,13 +844,12 @@ def solve_milp(model: MilpModel, node_budget: int | None = None,
     whose bounds contradict (``_parallel_rows``): such a pair makes the root
     infeasible with no dense matrix or simplex built and no pivot, and is
     reported as
-    ``parallel_rows``.  Otherwise ``incumbent``, if given, is called once,
-    with no argument, for a point of the model or None.  A point that
-    passes the re-check every returned incumbent passes (``_incumbent_fault``)
-    becomes the incumbent, and under a zero objective, which bounds every
-    node by 0, it is optimal at once: one node, no simplex built, no pivot.
-    A point that fails the re-check is ignored.  Then the root LP is solved
-    cold; every other
+    ``parallel_rows``.  Otherwise ``incumbent``, a point of the model or
+    None, is checked: a point that passes the re-check every returned
+    incumbent passes (``_incumbent_fault``) becomes the incumbent, and under
+    a zero objective, which bounds every node by 0, it is optimal at once:
+    one node, no simplex built, no pivot.  A point that fails the re-check
+    is ignored.  Then the root LP is solved cold; every other
     node is re-optimized by the dual simplex from its parent's optimal
     basis.  The nearest-integer child continues on the live simplex at once;
     its sibling waits on the stack as a basis snapshot and, when popped,
@@ -874,7 +873,7 @@ def solve_milp(model: MilpModel, node_budget: int | None = None,
     sx = None               # the live simplex, built when the root needs a solve
 
     best_x, best_obj = None, -np.inf
-    kept = False            # best_x is the point ``incumbent`` gave
+    kept = False            # best_x is ``incumbent``
     root_bound = np.inf     # the root LP's optimum bounds every node
     nodes = 0
     exhausted = False
@@ -897,9 +896,8 @@ def solve_milp(model: MilpModel, node_budget: int | None = None,
             if parallel is not None:
                 status = "infeasible"
             else:
-                point = None if incumbent is None else incumbent()
-                if point is not None:
-                    point = np.asarray(point, dtype=float)
+                if incumbent is not None:
+                    point = np.asarray(incumbent, dtype=float)
                     c, A, rels, b, _, _ = model.dense()
                     rows = (A, _senses(rels), b)
                     if _incumbent_fault(rows, model, bins, point) is None:

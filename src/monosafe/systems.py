@@ -85,7 +85,8 @@ class SwitchedAffineSystem(MonotoneSystem):
     Mode labels are 1-based integers matching the order of ``modes``.
     Entrywise nonnegativity of every ``A_u`` is required (it is the standard
     sufficient condition for monotonicity of ``x -> A x + w``).  The system
-    keeps its own copies of the matrices and of ``w_star``.
+    keeps its own read-only copies of the matrices and of ``w_star``, so
+    what was checked is what every step uses.
     """
 
     def __init__(self, modes, w_star):
@@ -100,20 +101,18 @@ class SwitchedAffineSystem(MonotoneSystem):
                 raise ValueError("mode matrices must be finite")
             if np.any(A < 0):
                 raise ValueError("mode matrices must be entrywise nonnegative")
+            A.flags.writeable = False
         self.modes = tuple(mats)
-        # what check_control hands out: read-only views of the mode matrices
-        self._maps = tuple(A.view() for A in mats)
-        for m in self._maps:
-            m.flags.writeable = False
         self.w_star = as_vector(np.array(w_star, dtype=float), dim=n, name="w_star")
+        self.w_star.flags.writeable = False
         self.state_dim = n
         self.controls = tuple(range(1, len(mats) + 1))
 
     def check_control(self, u) -> np.ndarray:
-        """A read-only view of the mode matrix ``A_u`` of the label ``u``."""
+        """The read-only mode matrix ``A_u`` of the label ``u``."""
         if u not in self.controls:
             raise ValueError(f"unknown mode label {u!r}; expected one of {self.controls}")
-        return self._maps[u - 1]
+        return self.modes[u - 1]
 
     def advance(self, x, w, A, out=None) -> np.ndarray:
         out = np.matmul(A, x, out=out)
@@ -149,7 +148,7 @@ class PhaseTuples(Sequence):
 
     Item ``i`` is the tuple of ``i``'s ``J`` bits, the first junction's the
     most significant, 0 = NS and 1 = EW; ``len`` is ``2 ** J``.  Membership
-    reads a tuple's phases, so it does not walk the sequence.
+    and ``index`` read a tuple's phases, so neither walks the sequence.
     """
 
     def __init__(self, junctions: int):
@@ -174,6 +173,12 @@ class PhaseTuples(Sequence):
         return (isinstance(u, tuple) and len(u) == self.junctions
                 and all(p == NS or p == EW for p in u))
 
+    def index(self, u) -> int:
+        """The position of the phase tuple ``u``: the number its bits spell."""
+        if u not in self:
+            raise ValueError(f"{u!r} is not a control of {self.junctions} junctions")
+        return sum(1 << (self.junctions - 1 - p) for p, phase in enumerate(u) if phase == EW)
+
 
 class TrafficNetwork(MonotoneSystem):
     """Signalized network in its cooperative (demand-limited) regime.
@@ -196,7 +201,10 @@ class TrafficNetwork(MonotoneSystem):
     ``controls`` lists all ``2 ** J`` of them lazily (``PhaseTuples``), so
     construction builds none.  A control's map is built on its first check
     and cached.  The safe set, the box ``x <= x_s``, is built once, at
-    construction.
+    construction.  The link arrays ``c``, ``x_s`` and ``w_star``, and per
+    link ``head`` (its head junction's index) and ``ns`` (True for an NS
+    link), are read-only, so the safe set, the maps and the encoders' step
+    templates cannot go stale.
 
     Construction validates the topology: turn ratios lie in [0, 1] and sum
     to at most 1 per source link, entry links receive no turns, and all
@@ -252,9 +260,10 @@ class TrafficNetwork(MonotoneSystem):
         self.x_s = np.array([l.x_s for l in self.links])
         self.w_star = np.array([l.w_star for l in self.links])
         self.controls = PhaseTuples(len(self.junctions))
-        # link l is green when its head's phase is its own direction
-        self._head = np.array([self._junction_index[l.head] for l in self.links], dtype=int)
-        self._ns = np.array([l.direction == NS for l in self.links], dtype=bool)
+        self.head = np.array([self._junction_index[l.head] for l in self.links], dtype=int)
+        self.ns = np.array([l.direction == NS for l in self.links], dtype=bool)
+        for v in (self.c, self.x_s, self.w_star, self.head, self.ns):
+            v.flags.writeable = False
         self._flow = beta.T - np.eye(n)
         # per control played so far: its map M_u
         self._maps = {}
@@ -273,11 +282,15 @@ class TrafficNetwork(MonotoneSystem):
         u = tuple(u)
         m = self._maps.get(u)
         if m is None:
-            green = np.array([p == NS for p in u], dtype=bool)[self._head] == self._ns
-            m = self._flow * green
+            m = self._flow * self.green(u)
             m.flags.writeable = False
             self._maps[u] = m
         return m
+
+    def green(self, u) -> np.ndarray:
+        """Bool per link: green under the phases ``u``, where the link's head
+        junction shows the link's own direction."""
+        return np.array([p == NS for p in u], dtype=bool)[self.head] == self.ns
 
     def advance(self, x, w, m, out=None) -> np.ndarray:
         # z before the first write, so that ``out`` may be ``x``

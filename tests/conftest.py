@@ -7,7 +7,7 @@ import pytest
 from monosafe.certificate import SSequenceCertificate
 from monosafe.encode import encode_traffic
 from monosafe.milp import MilpModel
-from monosafe.systems import load_system_file
+from monosafe.systems import SwitchedAffineSystem, load_system_file
 
 DATA = resources.files("monosafe.data")
 
@@ -32,6 +32,23 @@ def traffic():
 @pytest.fixture(scope="session")
 def traffic_cert():
     return SSequenceCertificate.load(str(DATA / "cert_table2.json"))
+
+
+class _UncheckedSwitched(SwitchedAffineSystem):
+    """``SwitchedAffineSystem``'s dynamics over matrices that skip its
+    nonnegativity check: a model that need not be monotone, built without
+    writing into a validated system."""
+
+    def __init__(self, modes, w_star):
+        self.modes = tuple(np.array(A, dtype=float) for A in modes)
+        self.w_star = np.array(w_star, dtype=float)
+        self.state_dim = self.w_star.size
+        self.controls = tuple(range(1, len(self.modes) + 1))
+
+
+@pytest.fixture(scope="session")
+def unchecked_switched():
+    return _UncheckedSwitched
 
 
 @pytest.fixture(scope="session")

@@ -38,7 +38,7 @@ from monosafe import (
 )
 from monosafe import cli
 from monosafe.milp import MilpModel
-from monosafe.systems import load_system_file, system_from_dict
+from monosafe.systems import load_system_file
 
 from test_milp import _enumerate_oracle
 
@@ -216,7 +216,7 @@ def test_criterion_6_solver_matches_enumeration(capsys):
 
 
 def test_criterion_7_monotonicity_suite(capsys, case1, traffic,
-                                        traffic_spec_dict):
+                                        traffic_spec_dict, unchecked_switched):
     sys_, _, _ = case1
     net = traffic[0]
     with verdict(capsys, 7, "monotone on both systems; mutant is flagged"):
@@ -225,8 +225,9 @@ def test_criterion_7_monotonicity_suite(capsys, case1, traffic,
         rep = check_monotone(net, 10_000, seed=7, domain_box=Box(net.x_s))
         assert rep.violations == 0, rep
         spec = json.loads((DATA / "case1.json").read_text())
-        mutant = system_from_dict(spec)[0]
-        mutant.modes[0][0, 1] = -0.3
+        modes = np.array(spec["modes"], dtype=float)
+        modes[0][0, 1] = -0.3       # construction rejects it; the mutant skips that check
+        mutant = unchecked_switched(modes, spec["w_star"])
         rep = check_monotone(mutant, 10_000, seed=7,
                              domain_box=Box([50.0, 50.0]))
         assert rep.violations > 0 and rep.worst_violation > 0

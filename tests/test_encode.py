@@ -11,10 +11,10 @@ import pytest
 from scipy.optimize import linprog
 
 from monosafe.encode import (DecodeMismatchError, _switched_step, _traffic_step,
-                             _unit_green_steps, decode, encode_switched, encode_traffic,
-                             green_step_counts, lift)
+                             _unit_green_steps, count_clashes, decode, encode_switched,
+                             encode_traffic, green_step_counts, lift)
 from monosafe.invariance import find_s_sequence, least_fixed_point
-from monosafe.milp import MilpSolution, solve_milp, write_lp_format
+from monosafe.milp import MilpSolution, _parallel_rows, solve_milp, write_lp_format
 from monosafe.order import PolyLowerSet
 from monosafe.simulate import verify_certificate
 from monosafe.systems import (EW, NS, Link, SwitchedAffineSystem, TrafficNetwork,
@@ -237,6 +237,20 @@ def random_small_net(seed):
     receiving = {dst for (_, dst, _) in turns}
     return TrafficNetwork([Link(entry=l["id"] not in receiving, **l) for l in links],
                           list(junctions), turns)
+
+
+def test_count_clashes_are_where_parallel_rows_close_the_root(traffic):
+    """The sweep asks for a plan where no junction's green-step counts
+    clash: exactly the horizons whose root the parallel rows leave open,
+    on the bundled grid and on seeded small networks, T=1..7."""
+    nets = [traffic[0]] + [random_small_net(seed) for seed in range(40)]
+    closed = 0
+    for i, net in enumerate(nets):
+        for T in range(1, 8):
+            open_root = _parallel_rows(encode_traffic(net, T).model) is None
+            assert (not count_clashes(net, T)) == open_root, (i, T)
+            closed += not open_root
+    assert 0 < closed < 7 * len(nets)
 
 
 def test_count_rows_keep_every_status(without_count_rows):

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from monosafe import invariance, milp
 from monosafe.certificate import SSequenceCertificate
-from monosafe.encode import encode_switched, encode_traffic, lift
+from monosafe.encode import count_clashes, encode_switched, encode_traffic, lift
 from monosafe.invariance import (LimitCycleError, build_attractive_set, build_rcis,
                                  compute_limit_cycle, find_s_sequence, least_fixed_point,
                                  necessity_bound, search_traffic_plan)
@@ -344,6 +344,59 @@ def test_least_fixed_point_agrees_with_the_milp(case1, traffic, case1_search, ca
             assert not S.contains(run.states[run.exit_step], tol=1e-6)
 
 
+def random_switched(seed):
+    """A seeded switched system of two or three states and two or three
+    modes, w* > 0, and a lower set of one to n + 1 rows that bounds every
+    coordinate.  Each mode matrix is nonnegative with row sums below 0.9,
+    so every period map contracts and its iterates converge well within
+    ``least_fixed_point``'s budget.  The rows' bounds scatter around the
+    states' scale, so some horizons are feasible and some are not."""
+    rng = np.random.default_rng(seed)
+    n, modes = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+    mats = []
+    for _ in range(modes):
+        A = rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.7)
+        A *= rng.uniform(0.2, 0.9, (n, 1)) / np.maximum(A.sum(axis=1, keepdims=True), 1e-12)
+        mats.append(A)
+    w = rng.uniform(0.1, 1.0, n)
+    rows = int(rng.integers(1, n + 2))
+    A = rng.uniform(0.0, 1.0, (rows, n)) * (rng.random((rows, n)) < 0.6)
+    for i in np.flatnonzero(A.sum(axis=0) == 0):
+        A[rng.integers(rows), i] = rng.uniform(0.1, 1.0)
+    for r in np.flatnonzero(A.sum(axis=1) == 0):
+        A[r, rng.integers(n)] = rng.uniform(0.1, 1.0)
+    b = A @ (w / 0.45) * rng.uniform(0.4, 1.6, rows)
+    return SwitchedAffineSystem(mats, w), PolyLowerSet(A, b)
+
+
+def test_least_fixed_point_agrees_with_the_sweep_on_random_switched_systems():
+    """On seeded random switched systems, at each T=1..5, the first-feasible
+    sweep finds a certificate exactly when some mode sequence's least fixed
+    point has an orbit in S.  A disagreement would be excused only for a
+    sequence whose orbit lies within 1e-6 of the boundary of S, where the
+    solver's tolerances decide; each is listed in the failure message."""
+    statuses, disagreements = set(), []
+    for seed in range(30):
+        sys_, S = random_switched(seed)
+        for T in range(1, 6):
+            runs = {seq: least_fixed_point(sys_, S, seq, 1000)
+                    for seq in itertools.product(sys_.controls, repeat=T)}
+            assert None not in runs.values(), (seed, T)     # every sequence is decided
+            inside = any(run.exit_step is None for run in runs.values())
+            status = find_s_sequence(sys_, S, t_min=T, t_max=T,
+                                     objective="first_feasible").records[0].status
+            statuses.add(status)
+            assert status in ("found", "proven_infeasible"), (seed, T, status)
+            if (status == "found") != inside:
+                # the signed distance of the nearest orbit past the boundary
+                roomy = PolyLowerSet.rectangle(np.full(sys_.state_dim, 1e9))
+                margin = min(np.max(S.A @ least_fixed_point(sys_, roomy, seq, 1000)
+                                    .states[:T].T - S.b[:, None]) for seq in runs)
+                disagreements.append((seed, T, status, float(margin)))
+    assert statuses == {"found", "proven_infeasible"}
+    assert all(abs(margin) < 1e-6 for *_, margin in disagreements), disagreements
+
+
 def test_least_fixed_point_budget_and_orbit(case1, case1_cert):
     """Out of periods the answer is None; a converged orbit closes to
     rounding and sits below every witness of its sequence."""
@@ -370,7 +423,7 @@ def test_lifted_plan_closes_the_root(traffic_t5):
     """Under the zero objective a checked incumbent is optimal at once: one
     node, no simplex built, no pivot and no refactorization."""
     art, point = traffic_t5
-    sol = milp.solve_milp(art.model, incumbent=lambda: point)
+    sol = milp.solve_milp(art.model, incumbent=point)
     assert _counts(sol) == ("optimal", 1, 0, 0, 0) and sol.from_incumbent
     assert np.array_equal(sol.x, point) and sol.objective == 0.0
 
@@ -382,22 +435,18 @@ def test_corrupted_plan_is_ignored(traffic_t5):
     art, point = traffic_t5
     bad = point.copy()
     bad[art.x[2, 4]] -= 1.0
-    calls = []
-    sol = milp.solve_milp(art.model, incumbent=lambda: calls.append(1) or bad)
+    sol = milp.solve_milp(art.model, incumbent=bad)
     plain = milp.solve_milp(art.model)
-    assert calls == [1] and not sol.from_incumbent
+    assert not sol.from_incumbent
     assert _counts(sol) == _counts(plain) == ("optimal", 61, 385, 54, 9)
     assert sol.x.tobytes() == plain.x.tobytes()
 
 
 def test_incumbent_is_not_asked_where_parallel_rows_close_the_root(traffic, monkeypatch):
-    """At T=1..4 the count rows close the root, so neither ``solve_milp``
-    nor the sweep asks for a plan; the sweep searches once, at T=5."""
+    """At T=1..4 the green-step counts clash and their rows close the root,
+    so the sweep asks for no plan there; it searches once, at T=5."""
     net = traffic[0]
-    for T in (1, 2, 3, 4):
-        calls = []
-        sol = milp.solve_milp(encode_traffic(net, T).model, incumbent=lambda: calls.append(T))
-        assert sol.status == "infeasible" and sol.parallel_rows is not None and not calls
+    assert [bool(count_clashes(net, T)) for T in range(1, 6)] == [True] * 4 + [False]
     searched = []
     search = invariance.search_traffic_plan
     monkeypatch.setattr(invariance, "search_traffic_plan",
@@ -429,6 +478,6 @@ def test_max_l1_keeps_its_search_and_optimum_with_an_incumbent(case1, case1_cert
     sys_, S, _ = case1
     art = encode_switched(sys_, S, 7, objective="max_l1_x0")
     orbit = least_fixed_point(sys_, S, case1_cert.controls, 1000).states
-    sol = milp.solve_milp(art.model, incumbent=lambda: lift(art, case1_cert.controls, orbit))
+    sol = milp.solve_milp(art.model, incumbent=lift(art, case1_cert.controls, orbit))
     assert sol.status == "optimal" and not sol.from_incumbent
     assert sol.objective == pytest.approx(50.0, abs=1e-6)

@@ -41,5 +41,8 @@ def test_traced_traffic_proof_run(tmp_path):
 
 
 def test_traced_traffic_plan_run(tmp_path):
+    """The T=5 plan closes the root: a search that lost the root incumbent
+    would take the 61-node dive instead."""
     last = _traced_run(tmp_path, "traffic_plan")
     assert last["metrics"]["order.membership_calls"]["value"] >= 30000
+    assert last["metrics"]["milp.nodes"]["value"] == 1

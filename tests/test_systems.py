@@ -205,9 +205,10 @@ def test_check_monotone_clean_systems(traffic):
     assert rep.violations == 0
 
 
-def test_check_monotone_flags_mutated_system():
-    s = fresh_switched()
-    s.modes[0][0, 1] = -0.3       # poke one negative entry past construction
+def test_check_monotone_flags_mutated_system(unchecked_switched):
+    mode = np.array(A1)
+    mode[0, 1] = -0.3       # one negative entry, which construction rejects
+    s = unchecked_switched([mode, A2], W)
     rep = check_monotone(s, 500, seed=13, domain_box=Box([50.0, 50.0]))
     assert rep.violations > 0
     assert rep.worst_violation > 0
@@ -328,6 +329,19 @@ def test_validated_objects_keep_their_own_copies():
     box = Box(corner)
     corner[0] = 0.0
     assert box.corner is not corner and box.contains([1.0, 2.0])
+    # what the system keeps is read-only: a write into a mode matrix once
+    # stepped [1, 1] to [-4.9, 0.7], past the nonnegativity check
+    with pytest.raises(ValueError, match="read-only"):
+        s.modes[0][0, 0] = -5.0
+    with pytest.raises(ValueError, match="read-only"):
+        s.w_star[0] = 9.0
+    assert s.check_control(1) is s.modes[0]
+    assert s.step([1.0, 1.0], [0.0, 0.0], 1).tolist() == [1.6, 0.7]
+    net = mini_net(with_turn=True)
+    for v in (net.c, net.x_s, net.w_star, net.head, net.ns):
+        with pytest.raises(ValueError, match="read-only"):
+            v[0] = 0
+    assert np.array_equal(net.safe_set().b, net.x_s)
 
 
 def test_traffic_step_is_nonnegative_exactly(traffic):
@@ -416,6 +430,14 @@ def test_thirty_junction_chain_builds_no_controls():
     assert time.perf_counter() - t0 < 0.05
     assert len(net.controls) == 2 ** 30
     assert net.controls[-1] == (EW,) * 30 and (NS,) * 30 in net.controls
+    # index reads the tuple's bits: no walk over 2^30 items
+    t0 = time.perf_counter()
+    assert net.controls.index((EW,) * 30) == 2 ** 30 - 1
+    assert net.controls.index((NS,) * 29 + (EW,)) == 1
+    assert net.controls.index((EW,) + (NS,) * 29) == 2 ** 29
+    assert time.perf_counter() - t0 < 0.05
+    with pytest.raises(ValueError):
+        net.controls.index((NS,) * 29)
     art = encode_traffic(net, 5)
     assert art.u.shape == (5, 30) and art.x.shape == (6, 30)
     assert net._maps == {}
