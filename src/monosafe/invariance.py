@@ -319,8 +319,14 @@ class FixedPointRun(NamedTuple):
     """What ``least_fixed_point`` found: the run ``states`` (x_0 .. x_T, a
     read-only ``(T + 1, n)`` array) of its last period, ``periods`` periods
     in.  ``exit_step`` is None when that run is the least fixed point's
-    orbit, else the first step of the run outside ``S``, and ``overshoot``
-    then sums the run's ``S.violation`` over steps 0 .. T-1."""
+    orbit, else the first step of the run outside ``S`` (``T`` when only
+    x_T is non-finite).  ``overshoot`` then sums ``max(max_i (A x - b)_i,
+    0)`` over the run's steps 0 .. T-1, from the row sums of the membership
+    test (``PolyLowerSet.row_sums``), or is ``inf`` when a state is
+    non-finite.  For a nonnegative run this is the sum of ``S.violation``:
+    to the bit when ``A`` is the identity, as for a traffic safe set, and
+    within the last bits otherwise, where ``violation``'s BLAS product may
+    sum in another order."""
     states: np.ndarray
     periods: int
     exit_step: int | None = None
@@ -338,28 +344,45 @@ def least_fixed_point(sys, S, controls, max_periods: int) -> FixedPointRun | Non
     if the iterates converge, their limit is the least fixed point, whose
     orbit is a witness when it stays in ``S`` (Tarski, 1955).
 
-    The periods run on ``_period_runs`` from 0.  The first run with a state
-    outside ``S`` (``S.contains`` at ``DEFAULT_TOL``) ends the iteration as
-    an exit; a run that rose by at most ``DEFAULT_TOL`` over the previous
-    one (the first over 0) is returned as the orbit, its ``x_T`` within
-    rounding of ``x_0``.  With neither within ``max_periods`` periods,
-    returns None.
+    The periods run on ``_period_runs`` from 0.  Each period's steps
+    0 .. T-1 are tested against the ``PolyLowerSet`` ``S`` at
+    ``DEFAULT_TOL`` as ``S.contains`` tests them, on one ``S.row_sums``
+    call; ``S.b + DEFAULT_TOL`` is formed once per call.  The first run
+    with a state outside ``S``, or with a non-finite state (a period map
+    that overflows), ends the iteration as an exit, without a warning; a
+    run that rose by at most ``DEFAULT_TOL`` over the previous one (the
+    first over 0) is returned as the orbit, its ``x_T`` within rounding of
+    ``x_0``.  With neither within ``max_periods`` periods, returns None.
     """
     maps = [sys.check_control(u) for u in controls]
     n, T = sys.state_dim, len(maps)
+    row_sums, upper = S.row_sums, S.b[:, None] + DEFAULT_TOL
+    every, largest, low, inf = np.logical_and.reduce, np.maximum.reduce, -DEFAULT_TOL, np.inf
     prev = np.zeros((T + 1, n))
-    for period, run in _period_runs(sys.advance, sys.w_star, maps, prev[0], max_periods):
-        inside = S.contains(run[:T])
-        if inside.all() and np.max(run - prev) > DEFAULT_TOL:
+    # an overflowing map's inf, and the NaN that inf gives the steps after
+    # it, end the run as an exit: the warnings would say nothing more
+    with np.errstate(over="ignore", invalid="ignore"):
+        for period, run in _period_runs(sys.advance, sys.w_star, maps, prev[0], max_periods):
+            X = run[:T].T
+            Ax = row_sums(X)
+            below, fits = Ax <= upper, (X >= low) & (X < inf)
+            if not (every(below, axis=None) and every(fits, axis=None)):
+                break
+            rise = largest(run - prev, axis=None)
+            if not DEFAULT_TOL < rise < inf:    # converged, or x_T is non-finite
+                break
             prev = run
-            continue
-        states = run.copy()
-        states.flags.writeable = False
-        if inside.all():
-            return FixedPointRun(states, period)
-        return FixedPointRun(states, period, int(np.argmin(inside)),
-                             float(sum(S.violation(x) for x in states[:T])))
-    return None
+        else:
+            return None
+    states = run.copy()
+    states.flags.writeable = False
+    inside = every(below, axis=0) & every(fits, axis=0)
+    if every(inside) and rise <= DEFAULT_TOL:
+        return FixedPointRun(states, period)
+    overshoot = (sum(largest(Ax - S.b[:, None], axis=0, initial=0.0).tolist())
+                 if every(np.isfinite(states), axis=None) else inf)
+    exit_step = T if every(inside) else int(np.argmin(inside))  # T: only x_T is non-finite
+    return FixedPointRun(states, period, exit_step, float(overshoot))
 
 
 class PlanSearch(NamedTuple):
@@ -372,6 +395,16 @@ class PlanSearch(NamedTuple):
     periods: int
 
 
+def _exit_key(run: FixedPointRun) -> tuple:
+    """A refuted plan's score in ``search_traffic_plan``, larger being
+    better: the period of its exit, then minus its overshoot in whole
+    ``DEFAULT_TOL`` steps; an overshoot too large for that grid, an
+    overflowed run's ``inf`` among them, ranks below every other at its
+    period."""
+    grid = run.overshoot / DEFAULT_TOL
+    return run.periods, -round(grid) if grid < np.inf else -np.inf
+
+
 def search_traffic_plan(net: TrafficNetwork, T: int) -> PlanSearch:
     """Seeded local search for a horizon-``T`` plan of ``net``, scored by
     ``least_fixed_point``.
@@ -382,10 +415,11 @@ def search_traffic_plan(net: TrafficNetwork, T: int) -> PlanSearch:
     set scores by the period of its exit, later being better, then by its
     overshoot, smaller being better, compared on a grid of ``DEFAULT_TOL``
     so that last-bit differences between BLAS builds cannot steer the
-    search.  A plan undecided after ``_PERIODS_PER_PLAN`` periods scores
-    above every exit.  The first plan whose iterates converge inside the
-    set ends the search.  It also ends once ``_SEARCH_PERIODS`` periods are
-    spent over all evaluations, with no plan: a miss proves nothing.
+    search (``_exit_key``).  A plan undecided after ``_PERIODS_PER_PLAN``
+    periods scores above every exit.  The first plan whose iterates
+    converge inside the set ends the search.  It also ends once
+    ``_SEARCH_PERIODS`` periods are spent over all evaluations, with no
+    plan: a miss proves nothing.
     """
     S, J = net.safe_set(), len(net.junctions)
     rng = SplitMix64(_SEARCH_SEED)
@@ -403,7 +437,7 @@ def search_traffic_plan(net: TrafficNetwork, T: int) -> PlanSearch:
             return (_PERIODS_PER_PLAN + 1, 0), None
         if run.exit_step is None:
             return None, PlanSearch(controls, run.states, evaluations, spent)
-        return (run.periods, -round(run.overshoot / DEFAULT_TOL)), None
+        return _exit_key(run), None
 
     best, found = score()
     while found is None and spent < _SEARCH_PERIODS:

@@ -20,14 +20,18 @@ compared with different slack.  ``contains`` takes one point and returns a
 each row's answer is the one its point gets alone.  It works on the points
 transposed to ``(n, m)``, so that each test over a point's coordinates
 reduces over n contiguous rows of m, far cheaper for numpy than reducing m
-short rows.  ``PolyLowerSet`` sums ``A x`` over each row's nonzero terms
-only, in column order (terms listed once, when the set is built); a row
-with fewer terms than the longest ends with some of its zero terms.  A
-skipped or added zero term is ``x_j * 0 = +-0`` on a finite point and
-changes no comparison, so the answer is the one the sum over every column
-gives; a point with a non-finite coordinate is outside, by an explicit
-test, so the NaN its zero terms give is not warned about.  ``BoxUnion``
-tests its boxes one at a time and ORs the answers.
+short rows.  ``PolyLowerSet.row_sums`` sums ``A x`` over each row's
+nonzero terms only, in column order (terms listed once, when the set is
+built); a row with fewer terms than the longest, or with none, ends with
+some of its zero terms.  A skipped or added zero term is ``x_j * 0 = +-0``
+on a finite point and changes no comparison, so the answer is the one the
+sum over every column gives; a point with a non-finite coordinate is
+outside, by an explicit test, so the NaN its zero terms give is not warned
+about.  Two callers share these row sums: ``PolyLowerSet.contains``, and
+``invariance.least_fixed_point``, which tests each period's run by the
+same comparison and, when the run exits, sums its overshoot from the same
+``A x``.  ``PolyLowerSet.violation`` keeps its own BLAS product.
+``BoxUnion`` tests its boxes one at a time and ORs the answers.
 
 ``BoxUnion.locate`` answers one point, the smallest index of a box holding
 it, on Python floats: one list conversion, then a scan of the corners plus
@@ -180,7 +184,8 @@ class PolyLowerSet:
     #: each row's nonzero terms of ``A`` in column order, as ``(cols, coefs)``:
     #: term t of every row in ``cols[t]`` (shape ``(rows,)``) and
     #: ``coefs[t]`` (shape ``(rows, 1)``), for t below the most terms in a
-    #: row; a row with fewer terms ends with some of its zero terms
+    #: row, and at least one; a row with fewer terms ends with some of its
+    #: zero terms
     _terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -188,6 +193,8 @@ class PolyLowerSet:
         b = np.array(self.b, dtype=float).reshape(-1)
         if A.shape[0] != b.shape[0]:
             raise ValueError(f"A has {A.shape[0]} rows but b has {b.shape[0]} entries")
+        if A.shape[1] == 0:
+            raise ValueError("A needs at least one column")
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
             raise ValueError("A and b must be finite")
         if np.any(A < 0):
@@ -200,7 +207,7 @@ class PolyLowerSet:
         # per row its nonzero columns in order, then its zero ones
         nonzero = A != 0
         order = np.argsort(~nonzero, axis=1, kind="stable")
-        order = order[:, :nonzero.sum(axis=1).max(initial=0)]
+        order = order[:, :nonzero.sum(axis=1).max(initial=1)]
         rows = np.arange(A.shape[0])[:, None]
         object.__setattr__(self, "_terms", (order.T, A[rows, order].T[:, :, None]))
 
@@ -214,23 +221,32 @@ class PolyLowerSet:
     def dim(self) -> int:
         return self.A.shape[1]
 
+    def row_sums(self, X) -> np.ndarray:
+        """``A x`` for each column ``x`` of the ``(dim, m)`` array ``X``, as a
+        ``(rows, m)`` array.
+
+        Each row is summed over its nonzero terms in column order, so that
+        a point's sums do not depend on how many points share the call (a
+        BLAS product may change its summation order with the number of
+        rows); see the module docstring for why the skipped and the added
+        zero terms change no membership answer.  A non-finite coordinate
+        times a zero term is NaN, and numpy warns of it unless the caller
+        ignores ``invalid``.
+        """
+        cols, coefs = self._terms
+        Ax = X[cols[0]] * coefs[0]
+        for t in range(1, len(cols)):
+            Ax += X[cols[t]] * coefs[t]
+        return Ax
+
     def contains(self, x, tol: float = DEFAULT_TOL):
         X, single = _points(x, self.dim)
-        # A x summed over each row's nonzero terms in column order, so that
-        # a point's sums do not depend on how many points share the call (a
-        # BLAS product may change its summation order with the number of
-        # rows); see the module docstring for why the skipped and the added
-        # zero terms change no answer
-        cols, coefs = self._terms
         inside = ((X >= -tol) & (X < np.inf)).all(axis=0)
-        if len(cols):
-            # a non-finite coordinate times a padding zero term is NaN, which
-            # changes no answer: the line above already put the point outside
-            with np.errstate(invalid="ignore"):
-                Ax = X[cols[0]] * coefs[0]
-                for t in range(1, len(cols)):
-                    Ax += X[cols[t]] * coefs[t]
-            inside &= (Ax <= (self.b + tol)[:, None]).all(axis=0)
+        # a non-finite coordinate times a padding zero term is NaN, which
+        # changes no answer: the line above already put the point outside
+        with np.errstate(invalid="ignore"):
+            Ax = self.row_sums(X)
+        inside &= (Ax <= (self.b + tol)[:, None]).all(axis=0)
         return _answer(inside, single)
 
     def violation(self, x) -> float:

@@ -13,9 +13,10 @@ from monosafe.encode import count_clashes, encode_switched, encode_traffic, lift
 from monosafe.invariance import (LimitCycleError, build_attractive_set, build_rcis,
                                  compute_limit_cycle, find_s_sequence, least_fixed_point,
                                  necessity_bound, search_traffic_plan)
-from monosafe.order import PolyLowerSet
+from monosafe.order import DEFAULT_TOL, PolyLowerSet
 from monosafe.simulate import feedback, open_loop, verify_certificate
-from monosafe.systems import SwitchedAffineSystem
+from monosafe.systems import EW, NS, SwitchedAffineSystem
+from test_encode import random_small_net
 
 
 @pytest.fixture(scope="module")
@@ -408,6 +409,107 @@ def test_least_fixed_point_budget_and_orbit(case1, case1_cert):
     assert np.all(run.states <= case1_cert.x_star + 1e-9)
 
 
+def _reference_fixed_point(sys_, S, controls, max_periods):
+    """``least_fixed_point`` as a plain loop: ``step`` for each state,
+    ``S.contains`` for each of steps 0 .. T-1, and the overshoot as a sum
+    of ``S.violation``.  Returns ``(states, periods, exit_step,
+    overshoot)``, or None."""
+    T = len(controls)
+    prev = np.zeros((T + 1, sys_.state_dim))
+    x = prev[0]
+    for period in range(1, max_periods + 1):
+        run = [x]
+        for u in controls:
+            run.append(sys_.step(run[-1], sys_.w_star, u))
+        run = np.array(run)
+        inside = [S.contains(state) for state in run[:T]]
+        if all(inside):
+            if np.max(run - prev) <= DEFAULT_TOL:
+                return run, period, None, 0.0
+            prev, x = run, run[T]
+            continue
+        return run, period, inside.index(False), sum(S.violation(state) for state in run[:T])
+    return None
+
+
+def test_least_fixed_point_matches_a_reference_loop(case1, traffic):
+    """Periods, exit step and state bytes as the reference loop gives them,
+    on every case1 sequence of T=1..7 and on seeded random phase sequences
+    of the bundled grid and of small random networks at T=1..5.  The
+    overshoot, summed from the membership test's row sums, is the sum of
+    ``S.violation`` to the bit on the traffic rectangles, and within 1e-12
+    relative on case1's row ``x_1 + x_2 <= 50``."""
+    rng = np.random.default_rng(28)
+    sys_, S, _ = case1
+    cases = [(sys_, S, seq, 1000, 1e-12) for T in range(1, 8)
+             for seq in itertools.product(sys_.controls, repeat=T)]
+    nets = [traffic[0]] + [random_small_net(seed) for seed in range(20)]
+    for i, net in enumerate(nets):
+        for T in range(1, 6):
+            for _ in range(8 if i == 0 else 2):
+                seq = tuple(tuple(NS if b else EW for b in rng.integers(0, 2, len(net.junctions)))
+                            for _ in range(T))
+                cases.append((net, net.safe_set(), seq, 200, 0.0))
+    kinds = set()
+    for sys_, S, seq, periods, rel in cases:
+        run = least_fixed_point(sys_, S, seq, periods)
+        expected = _reference_fixed_point(sys_, S, seq, periods)
+        if expected is None:
+            assert run is None, seq
+            kinds.add("undecided")
+            continue
+        states, period, exit_step, overshoot = expected
+        assert (run.periods, run.exit_step) == (period, exit_step), seq
+        assert run.states.tobytes() == states.tobytes(), seq
+        assert abs(run.overshoot - overshoot) <= rel * overshoot, seq
+        kinds.add("orbit" if exit_step is None else "exit")
+    assert kinds == {"orbit", "exit"}
+
+
+def test_an_overflowing_period_map_is_an_exit():
+    """A coordinate that S leaves free doubles every step and overflows:
+    the first run with a non-finite state is the exit, its overshoot inf,
+    and no warning is raised (tier-1 makes warnings errors).  At T=1 only
+    x_T overflows, so the exit step is T; at T=3 the overflow comes at
+    step 1 and its inf turns to NaN at step 2.  The search's key ranks
+    such an exit below every finite overshoot at its period."""
+    doubling = SwitchedAffineSystem([[[0.5, 0.0], [0.0, 2.0]]], [1.0, 1.0])
+    S = PolyLowerSet([[1.0, 0.0]], [10.0])
+    run = least_fixed_point(doubling, S, (1,), 2000)
+    assert (run.periods, run.exit_step, run.overshoot) == (1024, 1, np.inf)
+    assert np.isfinite(run.states[0]).all() and run.states[1, 1] == np.inf
+    run = least_fixed_point(doubling, S, (1, 1, 1), 2000)
+    assert (run.periods, run.exit_step, run.overshoot) == (342, 1, np.inf)
+    assert np.isnan(run.states[2, 0])
+    key = invariance._exit_key
+    assert key(run) == key(run._replace(overshoot=1e300)) == (342, -np.inf)
+    assert key(run) < key(run._replace(overshoot=1.0)) < key(run._replace(periods=343))
+
+
+def test_a_negative_state_is_an_exit(unchecked_switched):
+    """As in ``S.contains``, a state below ``-DEFAULT_TOL`` is outside S,
+    though every row of S holds it: a map with a negative entry takes x_1
+    to -0.15 at step 2, which opens period 3.  The overshoot counts only
+    the rows, so it is 0."""
+    sys_ = unchecked_switched([[[0.5, -0.3], [0.0, 0.5]]], [0.1, 1.0])
+    run = least_fixed_point(sys_, PolyLowerSet.rectangle([10.0, 10.0]), (1,), 100)
+    assert (run.periods, run.exit_step, run.overshoot) == (3, 0, 0.0)
+    assert run.states[0, 0] < -DEFAULT_TOL
+
+
+def test_plan_search_ranks_infinite_overshoots(traffic, monkeypatch):
+    """A search whose every exit overshoots by inf still runs to its end."""
+    real = invariance.least_fixed_point
+
+    def overflowing(*args):
+        run = real(*args)
+        return run if run is None or run.exit_step is None else run._replace(overshoot=np.inf)
+
+    monkeypatch.setattr(invariance, "least_fixed_point", overflowing)
+    found = search_traffic_plan(traffic[0], 5)
+    assert found.periods <= invariance._SEARCH_PERIODS and found.evaluations > 1
+
+
 @pytest.fixture(scope="module")
 def traffic_t5(traffic, traffic_cert):
     """The bundled traffic T=5 encoding and the bundled plan lifted into it."""
@@ -460,15 +562,26 @@ def test_incumbent_is_not_asked_where_parallel_rows_close_the_root(traffic, monk
 def test_plan_search_is_seeded_and_its_plan_verifies(traffic):
     """The search is a function of its seed; a found plan's witness is its
     least fixed point's orbit, which verifies.  A miss (T=4, which has no
-    plan) spends the whole period budget and reports no plan."""
+    plan) spends the whole period budget and reports no plan.  Its path is
+    pinned: the bundled T=5 plan after 29 evaluations and 131 periods, with
+    its controls and the digest of its states, and the T=4 miss after 305
+    evaluations."""
     net, S, _ = traffic
     first, again = search_traffic_plan(net, 5), search_traffic_plan(net, 5)
     assert first.controls == again.controls and first.evaluations == again.evaluations
+    assert (first.evaluations, first.periods) == (29, 131)
+    assert first.controls == (("EW", "EW", "NS", "NS", "NS", "EW"),
+                              ("NS", "NS", "NS", "EW", "NS", "NS"),
+                              ("NS", "EW", "EW", "NS", "EW", "NS"),
+                              ("NS", "EW", "NS", "EW", "EW", "EW"),
+                              ("EW", "NS", "EW", "EW", "EW", "NS"))
+    assert hashlib.sha256(first.states.tobytes()).hexdigest() == (
+        "fd05106564e87aac3e4cbb8ba1fc7f44f0e3399f4a4aa19f7a4d84d1c1bb076a")
     cert = SSequenceCertificate(5, first.controls, first.states)
     assert verify_certificate(net, S, cert).passed
     miss = search_traffic_plan(net, 4)
     assert miss.controls is None and miss.states is None
-    assert miss.periods == invariance._SEARCH_PERIODS
+    assert (miss.evaluations, miss.periods) == (305, 2000) == (305, invariance._SEARCH_PERIODS)
 
 
 def test_max_l1_keeps_its_search_and_optimum_with_an_incumbent(case1, case1_cert):

@@ -89,6 +89,17 @@ def test_poly_lower_set_rejects_mixed_signs():
         PolyLowerSet(np.array([[1.0, 1.0]]), np.array([-1.0]))
 
 
+def test_poly_lower_set_shapes():
+    """A set needs a coordinate; a set with no rows holds every finite
+    nonnegative point, and its row sums are empty."""
+    with pytest.raises(ValueError, match="at least one column"):
+        PolyLowerSet(np.zeros((1, 0)), np.array([1.0]))
+    free = PolyLowerSet(np.zeros((0, 2)), np.zeros(0))
+    assert free.contains([3.0, 0.0]) and not free.contains([np.inf, 0.0])
+    assert free.contains(np.eye(2)).tolist() == [True, True]
+    assert free.row_sums(np.eye(2)).shape == (0, 2)
+
+
 @given(pair_same_dim())
 def test_lower_set_closed_downward(ab):
     x, scale = ab
