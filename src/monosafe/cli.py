@@ -124,7 +124,7 @@ def cmd_find(args):
                      f"{r.refactorizations} refactorizations, "
                      f"{r.farkas_leaves} Farkas leaves, {r.elapsed:.2f}s]"
                      + (f" {r.failure}" if r.failure else "")
-                     + (f" plan from {r.source}" if r.source else "")
+                     + _source_text(r)
                      + (_closed_by(r.parallel_rows) if r.parallel_rows else ""))
     if result.found:
         cert = dataclasses.replace(result.certificate, system_hash=digest)
@@ -160,6 +160,18 @@ def cmd_find(args):
               + "; ".join(f"T={r.T} ({r.failure})" for r in result.failures),
               file=sys.stderr)
     return code
+
+
+def _source_text(record):
+    """Where a found horizon's plan came from, or what refuted a horizon
+    with no LP: ``source`` "exact least fixed points, 14 necklaces" reads
+    "refuted by exact least fixed points of 14 necklaces"."""
+    if not record.source:
+        return ""
+    if record.status == "found":
+        return f" plan from {record.source}"
+    route, _, extent = record.source.partition(", ")
+    return f" refuted by {route} of {extent}"
 
 
 def _closed_by(rows):

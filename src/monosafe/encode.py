@@ -309,7 +309,7 @@ def green_step_counts(net: TrafficNetwork, T: int) -> dict:
     Marchand & Wolsey, 2001).
 
     The arithmetic is exact over the data as written: each float is read
-    as its shortest decimal, ``repr(v)``.  So ``3 * 0.1 / 0.1``
+    as its shortest decimal (``decimal_ratio``).  So ``3 * 0.1 / 0.1``
     is 3, where floats give ``3.0000000000000004`` and a fourth step; and
     ``3 * 3.2 / 9.6`` is 1, where the binary values of the floats exceed 1
     by ``9e-17`` and would demand a second green step that a certificate
@@ -325,6 +325,25 @@ def green_step_counts(net: TrafficNetwork, T: int) -> dict:
     return {j: tuple(v) for j, v in counts.items()}
 
 
+def decimal_ratio(v) -> tuple:
+    """The float ``v`` read as its shortest decimal, ``repr(v)``: that
+    decimal's ``(numerator, denominator)`` in lowest terms, the denominator
+    positive.  This is the number as a spec writes it, so ``0.1`` is
+    ``(1, 10)``, not the binary value of the float, whose ratio exceeds
+    1/10 by about 5.6e-18.  Exact arithmetic over the data reads every
+    datum through here."""
+    from decimal import Decimal     # imported here: only exact arithmetic uses it
+    return Decimal(repr(float(v))).as_integer_ratio()
+
+
+def decimal_ratios(values) -> tuple:
+    """``(a, d)``: the integers ``a`` and the least ``d > 0`` with
+    ``values[i] = a[i] / d``, each value read by ``decimal_ratio``."""
+    ratios = [decimal_ratio(v) for v in values]
+    d = math.lcm(*(q for _, q in ratios))
+    return [p * (d // q) for p, q in ratios], d
+
+
 @functools.lru_cache(maxsize=1)
 def _unit_green_steps(net: TrafficNetwork) -> tuple:
     """Per link, the exact flow floor of a period of length 1 over the
@@ -333,30 +352,24 @@ def _unit_green_steps(net: TrafficNetwork) -> tuple:
     T times this.
 
     The sweeps run on integers.  Each value is read as the ratio of its
-    shortest decimal, and over the least common denominators ``w*_i = a_i /
-    d_w`` and ``beta = r / d_b``; after sweep s, ``F`` is held as its
-    numerators over ``d_w d_b^(s-1)``.  One ``Fraction`` per link is made
-    at the end.
+    shortest decimal, over the least common denominators
+    (``decimal_ratios``) ``w*_i = a_i / d_w`` and ``beta = r / d_b``;
+    after sweep s, ``F`` is held as its numerators over ``d_w
+    d_b^(s-1)``.  One ``Fraction`` per link is made at the end.
     """
-    from decimal import Decimal     # imported here: only traffic encodings use them
-    from fractions import Fraction
+    from fractions import Fraction  # imported here: only traffic encodings use it
 
-    def exact(v):
-        return Decimal(repr(float(v))).as_integer_ratio()
-
-    arrivals = [exact(link.w_star) for link in net.links]
-    turns = [(net.link_index(s), net.link_index(d), exact(r)) for (s, d, r) in net.turns if r]
-    d_w = math.lcm(*(d for _, d in arrivals))
-    d_b = math.lcm(*(d for _, _, (_, d) in turns))
-    arrivals = [a * (d_w // d) for a, d in arrivals]
-    turns = [(q, i, r * (d_b // d)) for q, i, (r, d) in turns]
+    arrivals, d_w = decimal_ratios([link.w_star for link in net.links])
+    turns = [(net.link_index(s), net.link_index(d), r) for (s, d, r) in net.turns if r]
+    ratios, d_b = decimal_ratios([r for _, _, r in turns])
+    turns = [(q, i, r) for (q, i, _), r in zip(turns, ratios)]
     F, scale = [0] * len(arrivals), 1
     for _ in arrivals:
         F_next = [a * scale for a in arrivals]
         for q, i, r in turns:
             F_next[i] += r * F[q]
         F, den, scale = F_next, d_w * scale, scale * d_b
-    capacities = [exact(link.c) for link in net.links]
+    capacities = [decimal_ratio(link.c) for link in net.links]
     return tuple(Fraction(F_i * c_den, den * c) if c else (None if F_i else 0)
                  for F_i, (c, c_den) in zip(F, capacities))
 

@@ -16,14 +16,43 @@ iterates, the least fixed point of F (Tarski, 1955), has an orbit that is
 a witness exactly when the sequence has one.  ``compute_limit_cycle``
 iterates the same period loop from x*_0 down to the limit cycle.
 
-``find_s_sequence`` uses it before a first-feasible traffic solve whose
-root the count rows leave open: ``search_traffic_plan`` flips junction
-phases, scored by the least fixed point, and a plan it finds is lifted
-(``encode.lift``) into ``solve_milp``'s root incumbent.  The certificate
-still comes only from ``decode``, which re-simulates and verifies it.  The
-search never reports a negative: a miss, after its fixed budget of
-periods, proves nothing, and the horizon is searched by branch-and-bound
-as without it.  Max-l1 and switched horizons are not searched.
+A switched horizon is decided exactly, in integers, before any LP
+(``decide_switched_horizon``).  Two facts make one sequence per rotation
+class and one linear solve per sequence enough.
+
+* Rotation.  If x_0 .. x_T witnesses u_0 .. u_{T-1}, then x_1 .. x_T, x_1
+  witnesses u_1 .. u_{T-1}, u_0: x_1 >= f(x_0, u_0) >= f(x_T, u_0) as f
+  is monotone and x_T <= x_0, and x_T lies in S, a lower set, below x_0.
+  So a sequence has a witness iff each of its rotations has one, and the
+  necklaces (each rotation class's least rotation) decide the horizon.
+* Perron.  With the controls fixed, F(x) = P x + q with P = A_{u_{T-1}}
+  ... A_{u_0} >= 0 and q = w* + A_{u_{T-1}} w* + ... >= w*.  If
+  rho(P) < 1, then (I - P)^{-1} = sum_k P^k >= 0, and x = (I - P)^{-1} q
+  is the only fixed point, the least one, and >= 0.  If rho(P) >= 1 and
+  w* > 0, no x >= 0 has F(x) <= x: with y >= 0, y != 0 the left Perron
+  vector, y^T P = rho y^T, such an x would give (1 - rho) y^T x >= y^T q
+  > 0, while the left side is <= 0 (Berman & Plemmons, 1994).  So when
+  (I - P) x = q is singular or its solution has a negative entry, rho(P)
+  >= 1 and the sequence is refuted; a solution x >= 0 has x >= q > 0
+  and P x < x, so rho(P) < 1 and x is the least fixed point, whose orbit
+  is checked against ``A x <= b``.
+
+Every datum is read as its shortest decimal (``encode.decimal_ratios``)
+and the orbit is compared with S exactly, with no tolerance.  Branch-and-
+bound accepts a row within ``milp.FEAS_TOL`` = 1e-6, so a horizon whose
+every orbit leaves S by less than that is refuted here where the MILP
+might return a certificate; a refutation here is exact.
+
+``find_s_sequence`` runs the decision on every switched horizon before
+its solve, and before a first-feasible traffic solve whose root the count
+rows leave open it runs ``search_traffic_plan``, which flips junction
+phases, scored by the least fixed point.  A plan from either is lifted
+(``encode.lift``) into ``solve_milp``'s root incumbent under the
+first-feasible objective.  The certificate still comes only from
+``decode``, which re-simulates and verifies it.  The traffic search never
+reports a negative: a miss, after its fixed budget of periods, proves
+nothing, and the horizon is searched by branch-and-bound as without it.
+Max-l1 horizons get no incumbent.
 """
 
 from __future__ import annotations
@@ -35,8 +64,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .certificate import SSequenceCertificate
-from .encode import (OBJECTIVES, DecodeMismatchError, count_clashes, decode, encode_switched,
-                     encode_traffic, lift)
+from .encode import (OBJECTIVES, DecodeMismatchError, count_clashes, decimal_ratios, decode,
+                     encode_switched, encode_traffic, lift)
 from .milp import NumericalBreakdownError, ParallelRows, solve_milp, write_lp_format
 from .order import DEFAULT_TOL, BoxUnion, as_rows, as_vector
 from .rng import SplitMix64
@@ -48,6 +77,7 @@ __all__ = [
     "LimitCycle", "LimitCycleError", "compute_limit_cycle",
     "build_attractive_set", "necessity_bound",
     "FixedPointRun", "least_fixed_point", "PlanSearch", "search_traffic_plan",
+    "necklaces", "ExactDecision", "decide_switched_horizon",
 ]
 
 
@@ -64,8 +94,10 @@ class HorizonRecord:
     farkas_leaves: int = 0     # infeasible leaves closed by a checked Farkas row
     failure: str = ""    # for "failed": the exception's class and message
     parallel_rows: ParallelRows | None = None  # the two rows that closed the root, if any
-    # for "found": where the plan came from, "branch-and-bound" or
-    # "local search, E evaluations, P periods"
+    # for "found": where the plan came from, "branch-and-bound", "local
+    # search, E evaluations, P periods" or "exact least fixed points, N
+    # necklaces"; for "proven_infeasible" with no LP, what refuted it,
+    # "exact least fixed points, N necklaces"
     source: str = ""
 
 
@@ -93,6 +125,9 @@ class SearchResult:
 _SEARCH_SEED = 0
 _SEARCH_PERIODS = 2000
 _PERIODS_PER_PLAN = 200
+# the most mode sequences, m ** T, of a switched horizon that
+# ``decide_switched_horizon`` decides; a longer horizon goes to the MILP alone
+_EXACT_SEQUENCES = 4096
 
 _HORIZON_STATUS = {"optimal": "found", "feasible_budget_hit": "found",
                    "infeasible": "proven_infeasible", "budget_unknown": "budget_unknown"}
@@ -133,9 +168,17 @@ def find_s_sequence(system, safe_set=None, t_max=10, objective="max_l1_x0",
     value, or a negative or NaN budget, raises ``ValueError`` before any
     horizon is tried; a budget of 0 is valid and tries none.
 
-    A first-feasible traffic horizon with no ``encode.count_clashes`` runs
-    ``search_traffic_plan`` first, within its ``elapsed``; a plan it finds
-    is lifted into ``solve_milp``'s root incumbent.
+    Before its solve, within its ``elapsed``, a switched horizon is
+    decided by ``decide_switched_horizon`` (after encoding, so
+    ``dump_lp`` still writes its model).  A horizon it refutes is
+    ``proven_infeasible`` with no LP: solver status ``infeasible``, 0
+    nodes and 0 pivots, and ``source`` naming the necklaces refuted.  A
+    horizon it leaves undecided, or one with a feasible necklace, is
+    solved as before.  A first-feasible traffic horizon with no
+    ``encode.count_clashes`` runs ``search_traffic_plan`` instead.  Under
+    ``first_feasible``, the plan either finds is lifted into
+    ``solve_milp``'s root incumbent; under ``max_l1_x0`` the solve gets
+    none.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
@@ -166,12 +209,21 @@ def find_s_sequence(system, safe_set=None, t_max=10, objective="max_l1_x0",
         if dump_lp is not None:
             write_lp_format(art.model, f"{dump_lp}_T{T}.lp")
         t0 = time.monotonic()
-        plan = point = None
-        if (isinstance(system, TrafficNetwork) and objective == "first_feasible"
-                and not count_clashes(system, T)):
+        plan, plan_source = None, ""
+        if not isinstance(system, TrafficNetwork):
+            exact = decide_switched_horizon(system, safe_set, T)
+            if exact is not None:
+                plan, plan_source = exact, f"exact least fixed points, {exact.necklaces} necklaces"
+                if exact.controls is None:
+                    records.append(HorizonRecord(T, "proven_infeasible", "infeasible", 0,
+                                                 time.monotonic() - t0, source=plan_source))
+                    continue
+        elif objective == "first_feasible" and not count_clashes(system, T):
             plan = search_traffic_plan(system, T)
-            if plan.controls is not None:
-                point = lift(art, plan.controls, plan.states)
+            plan_source = f"local search, {plan.evaluations} evaluations, {plan.periods} periods"
+        point = None
+        if objective == "first_feasible" and plan is not None and plan.controls is not None:
+            point = lift(art, plan.controls, plan.states)
         try:
             sol = solve_milp(art.model, node_budget=n_slice, time_budget=t_slice,
                              incumbent=point)
@@ -191,9 +243,7 @@ def find_s_sequence(system, safe_set=None, t_max=10, objective="max_l1_x0",
             except DecodeMismatchError as exc:
                 status, failure = "failed", f"{type(exc).__name__}: {exc}"
             else:
-                source = (f"local search, {plan.evaluations} evaluations, "
-                          f"{plan.periods} periods" if sol.from_incumbent
-                          else "branch-and-bound")
+                source = plan_source if sol.from_incumbent else "branch-and-bound"
         records.append(HorizonRecord(T, status, sol.status, sol.nodes, dt,
                                      sol.pivots, sol.refactorizations, sol.farkas_leaves,
                                      failure, sol.parallel_rows, source))
@@ -449,6 +499,129 @@ def search_traffic_plan(net: TrafficNetwork, T: int) -> PlanSearch:
         else:
             best = key
     return found or PlanSearch(None, None, evaluations, spent)
+
+
+def necklaces(m: int, T: int):
+    """The necklaces of length ``T`` over ``0 .. m-1``, in lexicographic
+    order: of each class of sequences equal up to rotation, its least
+    rotation, once (2, 3, 4, 6, 8, 14 for ``m = 2`` at ``T = 1..6``).
+
+    The Fredricksen-Kessler-Maiorana algorithm, in Duval's form: it steps
+    through the Lyndon words of length at most ``T`` in lexicographic
+    order, and one of length ``p`` dividing ``T``, repeated ``T / p``
+    times, is a necklace.
+    """
+    word = [-1]
+    while word:
+        word[-1] += 1
+        p = len(word)
+        if T % p == 0:
+            yield tuple(word * (T // p))
+        while len(word) < T:
+            word.append(word[-p])
+        while word and word[-1] == m - 1:
+            word.pop()
+
+
+class ExactDecision(NamedTuple):
+    """The outcome of ``decide_switched_horizon``: the first necklace whose
+    least fixed point's orbit stays in S, as mode labels, with that orbit
+    (x_0 .. x_T, x_T = x_0) rounded to the nearest floats as a read-only
+    ``(T + 1, n)`` array, or None for both when every necklace is refuted;
+    and the necklaces decided, up to that first one."""
+    controls: tuple | None
+    states: np.ndarray | None
+    necklaces: int
+
+
+def _solve_fraction_free(M, h) -> tuple:
+    """``(d, X)`` with ``M X = d h`` for the square integer matrix ``M``
+    and ``d = |det M| > 0``, so ``X / d`` is the solution, or ``(0,
+    None)`` when ``M`` is singular.  Bareiss elimination with row swaps:
+    every division is exact, so no entry leaves the integers, and back
+    substitution is exact too, since ``det(M) x`` is an integer vector
+    (Cramer)."""
+    n = len(M)
+    R = [row + [v] for row, v in zip(M, h)]
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if R[i][k]), None)
+        if p is None:
+            return 0, None
+        R[k], R[p] = R[p], R[k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n + 1):
+                R[i][j] = (R[k][k] * R[i][j] - R[i][k] * R[k][j]) // prev
+        prev = R[k][k]
+    X = [0] * n
+    for i in reversed(range(n)):
+        X[i] = (prev * R[i][n] - sum(R[i][j] * X[j] for j in range(i + 1, n))) // R[i][i]
+    return (prev, X) if prev > 0 else (-prev, [-v for v in X])
+
+
+def decide_switched_horizon(sys, S, T: int) -> ExactDecision | None:
+    """Decide horizon ``T`` of the ``SwitchedAffineSystem`` ``sys`` in the
+    ``PolyLowerSet`` ``S`` exactly, with no LP and no tolerance.
+
+    Each necklace over the modes (``necklaces``, one per rotation class)
+    gets its period map ``x -> P x + q`` in integers over common
+    denominators, every datum read as its shortest decimal.  ``(I - P) x
+    = q`` is solved fraction-free; a singular system, or a solution with
+    a negative entry, means ``rho(P) >= 1`` and refutes the necklace, and
+    a solution ``x >= 0`` is its least fixed point, whose orbit x_0 ..
+    x_{T-1} is compared with ``A x <= b`` exactly (the module docstring
+    has the proof).  Necklaces that share a prefix share its products.
+    Returns at the first necklace whose orbit stays in S, or with every
+    necklace refuted.
+
+    Returns None, undecided, when some ``w*_i`` is not positive (the
+    Perron argument needs ``q > 0``) or when ``m ** T`` exceeds
+    ``_EXACT_SEQUENCES``.
+    """
+    modes, n = sys.controls, sys.state_dim
+    if len(modes) ** T > _EXACT_SEQUENCES or not all(v > 0 for v in sys.w_star.tolist()):
+        return None
+    # A_u = N[u] / d_A, w* = a / d_w, S = {x : SA x / d_S <= b / d_b}
+    flat, d_A = decimal_ratios([v for A in sys.modes for v in A.ravel().tolist()])
+    N = [[flat[(u * n + i) * n:(u * n + i + 1) * n] for i in range(n)] for u in range(len(modes))]
+    a, d_w = decimal_ratios(sys.w_star.tolist())
+    flat, d_S = decimal_ratios(S.A.ravel().tolist())
+    SA = [flat[r * n:(r + 1) * n] for r in range(S.A.shape[0])]
+    b, d_b = decimal_ratios(S.b.tolist())
+    b = [v * d_S for v in b]
+    # along the necklace, x_k = (G_k x_0 + h_k) / (d_w d_A^k); prefix[k] = (G_k, h_k)
+    prefix = [([[d_w * (i == j) for j in range(n)] for i in range(n)], [0] * n)]
+    last, count = None, 0
+    for word in necklaces(len(modes), T):
+        count += 1
+        keep = 0 if last is None else next(k for k in range(T) if word[k] != last[k])
+        del prefix[keep + 1:]
+        for k in range(keep, T):
+            (G, h), A, scale = prefix[k], N[word[k]], d_A ** (k + 1)
+            prefix.append(([[sum(A[i][l] * G[l][j] for l in range(n)) for j in range(n)]
+                            for i in range(n)],
+                           [sum(A[i][l] * h[l] for l in range(n)) + a[i] * scale
+                            for i in range(n)]))
+        last = word
+        G, h = prefix[T]
+        D = d_w * d_A ** T
+        det, X = _solve_fraction_free([[D * (i == j) - G[i][j] for j in range(n)]
+                                       for i in range(n)], h)
+        if not det or min(X) < 0:
+            continue                    # rho(P) >= 1: no nonnegative witness
+        orbit = []
+        for k in range(T):
+            (G, h), den = prefix[k], det * d_w * d_A ** k
+            y = [sum(G[i][j] * X[j] for j in range(n)) + det * h[i] for i in range(n)]
+            if any(d_b * sum(c * v for c, v in zip(row, y)) > b_r * den
+                   for row, b_r in zip(SA, b)):
+                break
+            orbit.append([v / den for v in y])      # int / int rounds to nearest
+        else:
+            states = np.array(orbit + orbit[:1])
+            states.flags.writeable = False
+            return ExactDecision(tuple(modes[u] for u in word), states, count)
+    return ExactDecision(None, None, count)
 
 
 def build_attractive_set(cycle: LimitCycle) -> BoxUnion:

@@ -56,25 +56,45 @@ def test_find_dump_lp(tmp_path):
     assert "Subject To" in (out / "model_T1.lp").read_text()
 
 
+def _records(out):
+    """The horizon lines of ``out``'s summary, as regex matches: T, status,
+    solver status, nodes, pivots, refactorizations, Farkas leaves, then
+    the rest of the line after the elapsed time."""
+    records = [re.match(r"^\s+T=(\d+): (\w+)\s+\[(\w+), (\d+) nodes, (\d+) pivots, "
+                        r"(\d+) refactorizations, (\d+) Farkas leaves, [\d.]+s\](.*)$", line)
+               for line in (out / "summary.txt").read_text().splitlines()]
+    return [m for m in records if m]
+
+
 def test_find_summary_reports_pivots(tmp_path, capsys):
+    """case1's T=1 and T=2 are refuted by their necklaces, with no LP, so
+    their brackets read 0; the T=7 solve reports its pivots,
+    refactorizations and Farkas leaves."""
     out = tmp_path / "s"
     assert main(["find", "--system", "case1.json", "--tmax", "2",
                  "--out", str(out)]) == 2
     capsys.readouterr()
-    records = [re.match(r"^\s+T=(\d+): (\w+)\s+\[(\w+), (\d+) nodes, (\d+) pivots, "
-                        r"(\d+) refactorizations, (\d+) Farkas leaves, ", line)
-               for line in (out / "summary.txt").read_text().splitlines()]
-    records = [m for m in records if m]
+    records = _records(out)
     assert [(m[1], m[2], m[3]) for m in records] == [
         ("1", "proven_infeasible", "infeasible"), ("2", "proven_infeasible", "infeasible")]
-    assert all(int(m[5]) > 0 and int(m[6]) > 0 and int(m[7]) > 0 for m in records)
+    assert all(m.groups()[3:7] == ("0",) * 4 for m in records)
+    assert [m[8] for m in records] == [
+        f" refuted by exact least fixed points of {n} necklaces" for n in (2, 3)]
+    out = tmp_path / "t7"
+    assert main(["find", "--system", "case1.json", "--tmin", "7", "--tmax", "7",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    (m,) = _records(out)
+    assert m[2] == "found" and all(int(m[k]) > 0 for k in (5, 6, 7))
 
 
 def test_find_summary_says_where_the_plan_came_from(tmp_path, capsys):
     """A found horizon's line ends with its plan's source, after the bracket
     that the horizon lines keep: the local search, with its evaluations and
     periods, for a traffic first-feasible horizon, which its checked plan
-    closes at the root, and branch-and-bound for case1."""
+    closes at the root; branch-and-bound for case1 under max-l1, and the
+    exact least fixed points, with the necklaces decided, for case1 under
+    first-feasible, whose orbit closes the root."""
     out = tmp_path / "t5"
     assert main(["find", "--system", "traffic_table1.json", "--tmin", "5", "--tmax", "5",
                  "--objective", "first-feasible", "--out", str(out)]) == 0
@@ -89,6 +109,13 @@ def test_find_summary_says_where_the_plan_came_from(tmp_path, capsys):
     capsys.readouterr()
     assert re.search(r"^  T=7: found  \[optimal, \d+ nodes, .*\] plan from branch-and-bound$",
                      (out / "summary.txt").read_text(), re.M)
+    out = tmp_path / "c7ff"
+    assert main(["find", "--system", "case1.json", "--tmax", "7",
+                 "--objective", "first-feasible", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert re.search(r"^  T=7: found  \[optimal, 1 nodes, 0 pivots, 0 refactorizations, "
+                     r"0 Farkas leaves, [\d.]+s\] plan from exact least fixed points, "
+                     r"18 necklaces$", (out / "summary.txt").read_text(), re.M)
 
 
 @pytest.mark.parametrize("argv, solver_status, proven", [
@@ -181,8 +208,11 @@ def test_find_internal_failure_exit_code(tmp_path, capsys, monkeypatch, target, 
 
 def test_find_failed_horizon_does_not_end_the_sweep(tmp_path, capsys, monkeypatch):
     """A numerical failure at T=3 is that horizon's status: the sweep goes on
-    to find T=7, which can then no longer be claimed minimal."""
+    to find T=7, which can then no longer be claimed minimal.  The exact
+    decision is made to leave every horizon undecided, so that T=3 reaches
+    the solver."""
     solve = invariance.solve_milp
+    monkeypatch.setattr(invariance, "decide_switched_horizon", lambda *args: None)
 
     def fail_at_3(model, **kwargs):
         if model.name.endswith("_T3"):
@@ -483,6 +513,27 @@ def test_module_execution_round_trip(tmp_path):
         capture_output=True, text=True, cwd=tmp_path, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["passed"] is True
+
+
+def test_set_up_imports_no_exact_arithmetic(tmp_path):
+    """``decimal`` and ``fractions`` are imported only by the exact
+    arithmetic that needs them (``encode.decimal_ratio``), so loading a
+    system and its limit cycle, as a benchmark's set-up does, pays for
+    neither; the exact decision of one horizon imports ``decimal``."""
+    code = ("import sys\n"
+            "from monosafe import cli, invariance\n"
+            "from monosafe.certificate import SSequenceCertificate\n"
+            "from monosafe.systems import load_system_file\n"
+            "sys_, S, _ = load_system_file(cli._resolve_path('case1.json'))\n"
+            "cert = SSequenceCertificate.load(cli._resolve_path('cert_case1.json'))\n"
+            "invariance.compute_limit_cycle(sys_, cert)\n"
+            "before = sorted({'decimal', 'fractions'} & set(sys.modules))\n"
+            "invariance.decide_switched_horizon(sys_, S, 1)\n"
+            "print(before, 'decimal' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=tmp_path, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "True"]
 
 
 DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))

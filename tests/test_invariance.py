@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from monosafe import invariance, milp
 from monosafe.certificate import SSequenceCertificate
-from monosafe.encode import count_clashes, encode_switched, encode_traffic, lift
+from monosafe.encode import count_clashes, decimal_ratio, encode_switched, encode_traffic, lift
 from monosafe.invariance import (LimitCycleError, build_attractive_set, build_rcis,
                                  compute_limit_cycle, find_s_sequence, least_fixed_point,
                                  necessity_bound, search_traffic_plan)
@@ -39,20 +40,53 @@ def test_sweep_finds_minimal_t7(case1_search):
 TRAFFIC_PROOF_COUNTS = [(3, 43, 3, 1), (53, 212, 39, 16), (429, 1901, 306, 162)]
 
 
-def test_solver_counts_on_bundled_models(case1_search, deep_traffic_model):
+# case-1 max-l1 solves of T=1..7: (nodes, pivots, refactorizations, Farkas leaves)
+CASE1_MAX_L1_COUNTS = [(3, 14, 3, 2), (7, 34, 6, 4), (15, 66, 12, 8), (31, 135, 24, 16),
+                       (63, 283, 48, 32), (127, 561, 96, 64), (113, 485, 87, 55)]
+
+
+def test_solver_counts_on_bundled_models(case1, deep_traffic_model):
     """Pinned branch-and-bound node, pivot, refactorization and Farkas-leaf
-    counts: the case-1 max-l1 sweep, and the traffic first-feasible proofs
-    of T=1..3 searched without the count rows.  A change to the pivoting
-    rules, to the cold solve's start or to their rounding shows here
-    first."""
-    assert [(r.nodes, r.pivots, r.refactorizations, r.farkas_leaves)
-            for r in case1_search.records] == [
-        (3, 14, 3, 2), (7, 34, 6, 4), (15, 66, 12, 8), (31, 135, 24, 16), (63, 283, 48, 32),
-        (127, 561, 96, 64), (113, 485, 87, 55)]
+    counts: the case-1 max-l1 models of T=1..7, and the traffic
+    first-feasible proofs of T=1..3 searched without the count rows.  A
+    change to the pivoting rules, to the cold solve's start or to their
+    rounding shows here first."""
+    sys_, S, _ = case1
+    sols = [milp.solve_milp(encode_switched(sys_, S, T, "max_l1_x0").model) for T in range(1, 8)]
+    assert [s.status for s in sols] == ["infeasible"] * 6 + ["optimal"]
+    assert [(s.nodes, s.pivots, s.refactorizations, s.farkas_leaves)
+            for s in sols] == CASE1_MAX_L1_COUNTS
     sols = [milp.solve_milp(deep_traffic_model(T)) for T in (1, 2, 3)]
     assert [s.status for s in sols] == ["infeasible"] * 3
     assert [(s.nodes, s.pivots, s.refactorizations, s.farkas_leaves)
             for s in sols] == TRAFFIC_PROOF_COUNTS
+
+
+def test_case1_sweep_refutes_t1_to_t6_with_no_lp(case1, monkeypatch):
+    """The max-l1 sweep's own records: T=1..6 refuted by their necklaces
+    (2, 3, 4, 6, 8 and 14) with 0 nodes, and T=7 the one solve, with no
+    incumbent, so its counts and the bytes of its point are the plain
+    solve's (``test_solution_bits_on_bundled_models``)."""
+    sys_, S, _ = case1
+    solves, solve = [], invariance.solve_milp
+
+    def recording(model, **kwargs):
+        sol = solve(model, **kwargs)
+        solves.append((model.name, kwargs.get("incumbent"), sol))
+        return sol
+
+    monkeypatch.setattr(invariance, "solve_milp", recording)
+    res = find_s_sequence(sys_, S, t_max=7, objective="max_l1_x0")
+    assert [(r.T, r.status, r.solver_status, r.nodes, r.pivots, r.refactorizations,
+             r.farkas_leaves, r.source) for r in res.records] == [
+        (T, "proven_infeasible", "infeasible", 0, 0, 0, 0,
+         f"exact least fixed points, {count} necklaces")
+        for T, count in zip(range(1, 7), (2, 3, 4, 6, 8, 14))] + [
+        (7, "found", "optimal", *CASE1_MAX_L1_COUNTS[6], "branch-and-bound")]
+    assert [(name, incumbent) for name, incumbent, _ in solves] == [("switched_T7", None)]
+    assert hashlib.sha256(solves[0][2].x.tobytes()).hexdigest() == (
+        "acfa30246ecaba211c680ad27ee112dc136ba7e99dd56e2b73cb7379eda92290")
+    assert res.minimal and res.certificate.controls == (1, 2, 2, 1, 2, 2, 2)
 
 
 def test_solution_bits_on_bundled_models(case1, traffic):
@@ -370,32 +404,178 @@ def random_switched(seed):
     return SwitchedAffineSystem(mats, w), PolyLowerSet(A, b)
 
 
-def test_least_fixed_point_agrees_with_the_sweep_on_random_switched_systems():
-    """On seeded random switched systems, at each T=1..5, the first-feasible
-    sweep finds a certificate exactly when some mode sequence's least fixed
-    point has an orbit in S.  A disagreement would be excused only for a
-    sequence whose orbit lies within 1e-6 of the boundary of S, where the
-    solver's tolerances decide; each is listed in the failure message."""
-    statuses, disagreements = set(), []
+@pytest.fixture(scope="module")
+def random_horizons():
+    """``[(seed, T, sys, S, status)]`` over the 30 seeded ``random_switched``
+    systems at T=1..5, ``status`` the horizon status of ``solve_milp`` on
+    the first-feasible encoding."""
+    horizons = []
     for seed in range(30):
         sys_, S = random_switched(seed)
         for T in range(1, 6):
-            runs = {seq: least_fixed_point(sys_, S, seq, 1000)
-                    for seq in itertools.product(sys_.controls, repeat=T)}
-            assert None not in runs.values(), (seed, T)     # every sequence is decided
-            inside = any(run.exit_step is None for run in runs.values())
-            status = find_s_sequence(sys_, S, t_min=T, t_max=T,
-                                     objective="first_feasible").records[0].status
-            statuses.add(status)
-            assert status in ("found", "proven_infeasible"), (seed, T, status)
-            if (status == "found") != inside:
-                # the signed distance of the nearest orbit past the boundary
-                roomy = PolyLowerSet.rectangle(np.full(sys_.state_dim, 1e9))
-                margin = min(np.max(S.A @ least_fixed_point(sys_, roomy, seq, 1000)
-                                    .states[:T].T - S.b[:, None]) for seq in runs)
-                disagreements.append((seed, T, status, float(margin)))
+            sol = milp.solve_milp(encode_switched(sys_, S, T, objective="first_feasible").model)
+            horizons.append((seed, T, sys_, S, invariance._HORIZON_STATUS[sol.status]))
+    return horizons
+
+
+def test_least_fixed_point_agrees_with_the_sweep_on_random_switched_systems(random_horizons):
+    """On seeded random switched systems, at each T=1..5, ``solve_milp`` on
+    the first-feasible encoding finds a point exactly when some mode
+    sequence's least fixed point has an orbit in S.  A disagreement would
+    be excused only for a sequence whose orbit lies within 1e-6 of the
+    boundary of S, where the solver's tolerances decide; each is listed in
+    the failure message."""
+    statuses, disagreements = set(), []
+    for seed, T, sys_, S, status in random_horizons:
+        runs = {seq: least_fixed_point(sys_, S, seq, 1000)
+                for seq in itertools.product(sys_.controls, repeat=T)}
+        assert None not in runs.values(), (seed, T)     # every sequence is decided
+        inside = any(run.exit_step is None for run in runs.values())
+        statuses.add(status)
+        assert status in ("found", "proven_infeasible"), (seed, T, status)
+        if (status == "found") != inside:
+            # the signed distance of the nearest orbit past the boundary
+            roomy = PolyLowerSet.rectangle(np.full(sys_.state_dim, 1e9))
+            margin = min(np.max(S.A @ least_fixed_point(sys_, roomy, seq, 1000)
+                                .states[:T].T - S.b[:, None]) for seq in runs)
+            disagreements.append((seed, T, status, float(margin)))
     assert statuses == {"found", "proven_infeasible"}
     assert all(abs(margin) < 1e-6 for *_, margin in disagreements), disagreements
+
+
+def test_necklace_counts():
+    """One least rotation per rotation class, in lexicographic order: 2, 3,
+    4, 6, 8 and 14 over two modes at T=1..6, and 51 over three at T=5."""
+    assert [len(list(invariance.necklaces(2, T))) for T in range(1, 7)] == [2, 3, 4, 6, 8, 14]
+    assert len(list(invariance.necklaces(3, 5))) == 51
+    for m, T in ((2, 6), (3, 4), (3, 5)):
+        words = list(invariance.necklaces(m, T))
+        assert words == sorted({min(seq[k:] + seq[:k] for k in range(T))
+                                for seq in itertools.product(range(m), repeat=T)})
+
+
+def test_exact_decision_agrees_with_the_milp(case1, random_horizons):
+    """``decide_switched_horizon`` finds a necklace exactly where
+    ``solve_milp`` on the first-feasible encoding finds a point: case1 at
+    T=1..8 (only T=7, at the rotation of the bundled controls that is a
+    necklace) and the 30 random systems at T=1..5.  Each orbit it returns
+    closes exactly and is a certificate."""
+    sys_, S, _ = case1
+    cases = [(sys_, S, T, invariance._HORIZON_STATUS[milp.solve_milp(
+        encode_switched(sys_, S, T, objective="first_feasible").model).status])
+        for T in range(1, 9)]
+    cases += [(sys_, S, T, status) for _, T, sys_, S, status in random_horizons]
+    found = []
+    for sys_, S, T, status in cases:
+        exact = invariance.decide_switched_horizon(sys_, S, T)
+        assert (exact.controls is not None) == (status == "found"), (T, status)
+        assert exact.necklaces <= len(list(invariance.necklaces(len(sys_.controls), T)))
+        if exact.controls is not None:
+            found.append(T)
+            assert np.array_equal(exact.states[0], exact.states[T])
+            cert = SSequenceCertificate(T, exact.controls, exact.states)
+            assert verify_certificate(sys_, S, cert).passed
+    assert found[0] == 7 and cases[6][3] == "found"
+    assert invariance.decide_switched_horizon(*case1[:2], 7).controls == (1, 2, 2, 1, 2, 2, 2)
+
+
+@pytest.mark.parametrize("mode", [[[2.0, 0.0], [0.0, 2.0]], [[1.0, 0.0], [0.0, 0.5]]])
+def test_a_mode_with_spectral_radius_at_least_one_is_refuted_with_no_lp(mode, monkeypatch):
+    """rho(P) = 2 gives ``(I - P) x = q`` a negative solution, and rho(P) = 1
+    a singular system; either way no nonnegative witness exists, and the
+    sweep proves every horizon infeasible without calling the solver."""
+    def no_lp(*args, **kwargs):
+        raise AssertionError("solve_milp called")
+
+    monkeypatch.setattr(invariance, "solve_milp", no_lp)
+    sys_ = SwitchedAffineSystem([mode], [0.1, 0.1])
+    res = find_s_sequence(sys_, PolyLowerSet.rectangle([1e6, 1e6]), t_max=3)
+    assert [(r.status, r.nodes, r.source) for r in res.records] == [
+        ("proven_infeasible", 0, "exact least fixed points, 1 necklaces")] * 3
+
+
+def _sweep_counts(res):
+    return [(r.T, r.status, r.nodes, r.pivots, r.refactorizations, r.farkas_leaves)
+            for r in res.records]
+
+
+def test_undecided_horizons_take_the_milp_route(case1, monkeypatch):
+    """With ``w*_2 = 0`` the Perron argument does not hold, so every
+    horizon goes to the solver, with the counts of a plain solve.  A horizon
+    with more than ``_EXACT_SEQUENCES`` mode sequences does too: at a
+    limit of 32, case1's T=5 (32 sequences) is refuted with no LP and
+    T=6 (64) is searched, with its pinned counts."""
+    sys_, S, _ = case1
+    still = SwitchedAffineSystem(sys_.modes, [0.2, 0.0])
+    assert invariance.decide_switched_horizon(still, S, 1) is None
+    res = find_s_sequence(still, S, t_max=3, objective="max_l1_x0")
+    plain = [milp.solve_milp(encode_switched(still, S, T, "max_l1_x0").model) for T in (1, 2, 3)]
+    assert _sweep_counts(res) == [
+        (T, invariance._HORIZON_STATUS[s.status], s.nodes, s.pivots, s.refactorizations,
+         s.farkas_leaves) for T, s in zip((1, 2, 3), plain)]
+    assert _sweep_counts(res) == [(1, "proven_infeasible", 3, 12, 3, 2),
+                                  (2, "proven_infeasible", 7, 32, 6, 4),
+                                  (3, "proven_infeasible", 15, 66, 12, 8)]
+    monkeypatch.setattr(invariance, "_EXACT_SEQUENCES", 32)
+    assert invariance.decide_switched_horizon(sys_, S, 6) is None
+    res = find_s_sequence(sys_, S, t_min=5, t_max=6, objective="max_l1_x0")
+    assert _sweep_counts(res) == [(5, "proven_infeasible", 0, 0, 0, 0),
+                                  (6, "proven_infeasible", *CASE1_MAX_L1_COUNTS[5])]
+
+
+def test_exact_decision_refutes_an_orbit_just_past_the_boundary(case1):
+    """With ``b`` the float just below the exact largest row sum of the
+    T=7 orbit, no necklace's orbit fits, and T=7 is refuted with no LP.
+    Branch-and-bound accepts each row within ``milp.FEAS_TOL`` = 1e-6, so
+    on the same model it returns a point: the exact decision compares the
+    orbit with S with no tolerance, over the data as written."""
+    from fractions import Fraction
+    sys_, S, _ = case1
+    exact = invariance.decide_switched_horizon(sys_, S, 7)
+    # the orbit again in rationals, from the rounded x_0's exact fixed point
+    A = [[[Fraction(*decimal_ratio(v)) for v in row] for row in M.tolist()] for M in sys_.modes]
+    w = [Fraction(*decimal_ratio(v)) for v in sys_.w_star.tolist()]
+    P, q = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]], [Fraction(0)] * 2
+    for u in exact.controls:
+        M = A[u - 1]
+        P = [[sum(M[i][l] * P[l][j] for l in range(2)) for j in range(2)] for i in range(2)]
+        q = [sum(M[i][l] * q[l] for l in range(2)) + w[i] for i in range(2)]
+    a, b, c, d = 1 - P[0][0], -P[0][1], -P[1][0], 1 - P[1][1]
+    det = a * d - b * c
+    x = [(d * q[0] - b * q[1]) / det, (a * q[1] - c * q[0]) / det]
+    top = Fraction(0)
+    for u in exact.controls:
+        top = max(top, x[0] + x[1])
+        M = A[u - 1]
+        x = [sum(M[i][l] * x[l] for l in range(2)) + w[i] for i in range(2)]
+    assert np.array_equal(exact.states[0], [float(v) for v in x])
+    below = float(top)
+    if below >= top:
+        below = math.nextafter(below, 0.0)
+    assert Fraction(*decimal_ratio(below)) < top < below + 1e-13
+    tight = PolyLowerSet(S.A, [below])
+    assert invariance.decide_switched_horizon(sys_, tight, 7) == (None, None, 20)
+    res = find_s_sequence(sys_, tight, t_min=7, t_max=7)
+    assert [(r.status, r.nodes, r.source) for r in res.records] == [
+        ("proven_infeasible", 0, "exact least fixed points, 20 necklaces")]
+    sol = milp.solve_milp(encode_switched(sys_, tight, 7, "first_feasible").model)
+    assert sol.status == "optimal"
+
+
+def test_first_feasible_plan_is_the_exact_orbit(case1):
+    """Under first-feasible the feasible necklace's orbit, rounded to
+    floats, is the T=7 solve's root incumbent: one node, no pivot, and a
+    certificate whose controls are the necklace."""
+    sys_, S, _ = case1
+    res = find_s_sequence(sys_, S, t_max=7, objective="first_feasible")
+    assert [(r.status, r.nodes) for r in res.records] == [("proven_infeasible", 0)] * 6 + [
+        ("found", 1)]
+    last = res.records[6]
+    assert (last.solver_status, last.pivots, last.source) == (
+        "optimal", 0, "exact least fixed points, 18 necklaces")
+    exact = invariance.decide_switched_horizon(sys_, S, 7)
+    assert res.certificate.controls == exact.controls and res.minimal
+    assert np.array_equal(res.certificate.x_star[0], exact.states[0])
 
 
 def test_least_fixed_point_budget_and_orbit(case1, case1_cert):
