@@ -33,6 +33,9 @@ Writing the traffic T=5 rows family by family instead of link by link
 moved the first-feasible dive from 61 to 71 nodes; the pinned digests in
 the tests hold the order.
 
+With a switched system's controls fixed, a witness is affine in ``x_0``:
+``encode_fixed_controls`` writes that max-l1 LP over ``x_0`` alone.
+
 ``decode`` trusts the solver for nothing but the controls and ``x_0``: it
 *re-simulates* the witness with the real step function, accepts solver
 states only at or above the simulation (to ``order.WITNESS_TOL``), and
@@ -197,6 +200,47 @@ def encode_switched(sys: SwitchedAffineSystem, S: PolyLowerSet, T: int,
     """
     return _witness_model("switched", sys, S, T, objective,
                           lambda cap: _switched_step(sys, tuple(cap.tolist())))
+
+
+def encode_fixed_controls(sys: SwitchedAffineSystem, S: PolyLowerSet, controls) -> MilpModel:
+    """The max-l1 LP of one mode sequence ``controls``: columns ``x_0``
+    alone, on the exact rollout ``x_k = Phi_k x_0 + psi_k`` (``Phi_0 = I``,
+    ``psi_0 = 0``, ``Phi_{k+1} = A_{u_k} Phi_k``, ``psi_{k+1} = A_{u_k}
+    psi_k + w*``).
+
+    Step by step, the rows ``S.A x_k <= b`` for k < T, then the closure
+    ``(Phi_T - I) x_0 <= -psi_T``; the columns are capped by
+    ``S.coordinate_bounds()``, and the objective is max sum ``x_0``.
+
+    Its optimum is that of ``encode_switched``'s one-sided model under
+    max-l1 with these controls fixed.  The rollout ``y_k`` from an
+    ``x_0`` of this LP is a witness of the one-sided model: its steps meet
+    the dynamics with equality, its states ``y_k >= 0`` (``A_u >= 0``,
+    ``w* >= 0``) lie in S for k < T, so within the caps, and ``y_T <= x_0``.
+    Conversely, a witness ``x`` of the one-sided model with these controls
+    has ``y_k <= x_k`` by induction, as ``y_{k+1} = A y_k + w* <= A x_k +
+    w* <= x_{k+1}`` with ``A >= 0``; so each ``y_k``, k < T, lies in S, a
+    lower set, and ``y_T <= x_T <= x_0``: its ``x_0`` is a point of this LP.
+    Both objectives read ``x_0`` alone, so the two optima are equal.
+    """
+    n, T = sys.state_dim, len(controls)
+    if S.dim != n:
+        raise ValueError("safe set dimension mismatch")
+    Phi, psi, G, h = np.eye(n), np.zeros(n), [], []
+    for u in controls:
+        G.append(S.A @ Phi)
+        h.append(S.b - S.A @ psi)
+        A = sys.check_control(u)
+        Phi, psi = A @ Phi, A @ psi + sys.w_star
+    G.append(Phi - np.eye(n))
+    h.append(-psi)
+    G = np.vstack(G)
+    r, j = G.nonzero()
+    model = MilpModel(f"switched_T{T}_fixed_" + "_".join(map(str, controls)))
+    model.add_vars([f"x_0_{i}" for i in range(n)], ub=S.coordinate_bounds())
+    model.add_rows(r, j, G[r, j], LEQ, np.concatenate(h))
+    model.set_objective(dict.fromkeys(range(n), 1.0), "max")
+    return model
 
 
 @functools.lru_cache(maxsize=1)

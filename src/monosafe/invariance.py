@@ -23,8 +23,10 @@ class and one linear solve per sequence enough.
 * Rotation.  If x_0 .. x_T witnesses u_0 .. u_{T-1}, then x_1 .. x_T, x_1
   witnesses u_1 .. u_{T-1}, u_0: x_1 >= f(x_0, u_0) >= f(x_T, u_0) as f
   is monotone and x_T <= x_0, and x_T lies in S, a lower set, below x_0.
-  So a sequence has a witness iff each of its rotations has one, and the
-  necklaces (each rotation class's least rotation) decide the horizon.
+  So a sequence has a witness iff each of its rotations has one: the
+  necklaces (each rotation class's least rotation) decide the horizon,
+  and the sequences with a witness are exactly the rotations of the
+  feasible necklaces.
 * Perron.  With the controls fixed, F(x) = P x + q with P = A_{u_{T-1}}
   ... A_{u_0} >= 0 and q = w* + A_{u_{T-1}} w* + ... >= w*.  If
   rho(P) < 1, then (I - P)^{-1} = sum_k P^k >= 0, and x = (I - P)^{-1} q
@@ -48,11 +50,16 @@ its solve, and before a first-feasible traffic solve whose root the count
 rows leave open it runs ``search_traffic_plan``, which flips junction
 phases, scored by the least fixed point.  A plan from either is lifted
 (``encode.lift``) into ``solve_milp``'s root incumbent under the
-first-feasible objective.  The certificate still comes only from
-``decode``, which re-simulates and verifies it.  The traffic search never
-reports a negative: a miss, after its fixed budget of periods, proves
-nothing, and the horizon is searched by branch-and-bound as without it.
-Max-l1 horizons get no incumbent.
+first-feasible objective.  Under max-l1 a switched horizon with a
+feasible necklace needs no branch-and-bound: with the controls fixed a
+witness is affine in x_0, so the optimum is the best of one LP in x_0
+per rotation of each feasible necklace (``encode.encode_fixed_controls``),
+and the decision goes on from each feasible necklace to the next.  The
+certificate still comes only from ``decode``, which re-simulates and
+verifies it.  The traffic search never reports a negative: a miss, after
+its fixed budget of periods, proves nothing, and the horizon is searched
+by branch-and-bound as without it.  A max-l1 traffic horizon, and a
+switched one left undecided, get no incumbent.
 """
 
 from __future__ import annotations
@@ -65,8 +72,9 @@ import numpy as np
 
 from .certificate import SSequenceCertificate
 from .encode import (OBJECTIVES, DecodeMismatchError, count_clashes, decimal_ratios, decode,
-                     encode_switched, encode_traffic, lift)
-from .milp import NumericalBreakdownError, ParallelRows, solve_milp, write_lp_format
+                     encode_fixed_controls, encode_switched, encode_traffic, lift)
+from .milp import (OBJ_TOL, MilpSolution, NumericalBreakdownError, ParallelRows, solve_milp,
+                   write_lp_format)
 from .order import DEFAULT_TOL, BoxUnion, as_rows, as_vector
 from .rng import SplitMix64
 from .systems import EW, NS, TrafficNetwork
@@ -95,9 +103,11 @@ class HorizonRecord:
     failure: str = ""    # for "failed": the exception's class and message
     parallel_rows: ParallelRows | None = None  # the two rows that closed the root, if any
     # for "found": where the plan came from, "branch-and-bound", "local
-    # search, E evaluations, P periods" or "exact least fixed points, N
-    # necklaces"; for "proven_infeasible" with no LP, what refuted it,
-    # "exact least fixed points, N necklaces"
+    # search, E evaluations, P periods", "exact least fixed points, N
+    # necklaces" or, under max-l1, "fixed-control LPs, L sequences, N
+    # necklaces" (one LP per sequence solved, over the N necklaces
+    # decided); for "proven_infeasible" with no LP, what refuted it, "exact
+    # least fixed points, N necklaces"
     source: str = ""
 
 
@@ -173,12 +183,15 @@ def find_s_sequence(system, safe_set=None, t_max=10, objective="max_l1_x0",
     ``dump_lp`` still writes its model).  A horizon it refutes is
     ``proven_infeasible`` with no LP: solver status ``infeasible``, 0
     nodes and 0 pivots, and ``source`` naming the necklaces refuted.  A
-    horizon it leaves undecided, or one with a feasible necklace, is
-    solved as before.  A first-feasible traffic horizon with no
-    ``encode.count_clashes`` runs ``search_traffic_plan`` instead.  Under
-    ``first_feasible``, the plan either finds is lifted into
-    ``solve_milp``'s root incumbent; under ``max_l1_x0`` the solve gets
-    none.
+    horizon it leaves undecided is solved by branch-and-bound.  One with a
+    feasible necklace is, under ``first_feasible``, solved with the
+    necklace's orbit lifted into ``solve_milp``'s root incumbent; under
+    ``max_l1_x0`` it gets one ``solve_milp`` call, one node of its budget
+    slice, per feasible sequence (``_max_l1_over_sequences``), and the
+    best is decoded.  A first-feasible traffic horizon with no
+    ``encode.count_clashes`` runs ``search_traffic_plan`` instead, and its
+    plan is lifted the same way; under ``max_l1_x0`` a traffic horizon
+    gets no incumbent.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
@@ -221,12 +234,16 @@ def find_s_sequence(system, safe_set=None, t_max=10, objective="max_l1_x0",
         elif objective == "first_feasible" and not count_clashes(system, T):
             plan = search_traffic_plan(system, T)
             plan_source = f"local search, {plan.evaluations} evaluations, {plan.periods} periods"
-        point = None
-        if objective == "first_feasible" and plan is not None and plan.controls is not None:
-            point = lift(art, plan.controls, plan.states)
         try:
-            sol = solve_milp(art.model, node_budget=n_slice, time_budget=t_slice,
-                             incumbent=point)
+            if objective == "max_l1_x0" and plan is not None:
+                sol, source = _max_l1_over_sequences(art, plan, n_slice, t_slice, t0)
+            else:
+                point = None
+                if plan is not None and plan.controls is not None:
+                    point = lift(art, plan.controls, plan.states)
+                sol = solve_milp(art.model, node_budget=n_slice, time_budget=t_slice,
+                                 incumbent=point)
+                source = plan_source if sol.from_incumbent else "branch-and-bound"
         except NumericalBreakdownError as exc:
             records.append(HorizonRecord(T, "failed", "error", 0, time.monotonic() - t0,
                                          failure=f"{type(exc).__name__}: {exc}"))
@@ -236,17 +253,16 @@ def find_s_sequence(system, safe_set=None, t_max=10, objective="max_l1_x0",
         status = _HORIZON_STATUS.get(sol.status)
         if status is None:  # pragma: no cover - every encoder variable is bounded
             raise RuntimeError(f"unexpected solver status {sol.status!r} at T={T}")
-        failure = source = ""
+        failure = ""
         if status == "found":
             try:
                 certificate = decode(art, sol)
             except DecodeMismatchError as exc:
                 status, failure = "failed", f"{type(exc).__name__}: {exc}"
-            else:
-                source = plan_source if sol.from_incumbent else "branch-and-bound"
         records.append(HorizonRecord(T, status, sol.status, sol.nodes, dt,
                                      sol.pivots, sol.refactorizations, sol.farkas_leaves,
-                                     failure, sol.parallel_rows, source))
+                                     failure, sol.parallel_rows,
+                                     source if status == "found" else ""))
         if certificate is not None:
             break
     minimal = (certificate is not None and t_min == 1
@@ -254,6 +270,62 @@ def find_s_sequence(system, safe_set=None, t_max=10, objective="max_l1_x0",
                        for r in records if r.T < certificate.T))
     return SearchResult(certificate=certificate, records=tuple(records),
                         minimal=minimal)
+
+
+def _max_l1_over_sequences(art, exact, node_budget, time_budget, t0) -> tuple:
+    """The max-l1 solve of a switched horizon with the feasible necklace
+    ``exact``, without branch-and-bound: ``(sol, source)``.
+
+    The sequences with a witness are the rotations of the feasible
+    necklaces (the module docstring's rotation argument), and with the
+    controls fixed the model's max-l1 optimum is an LP in x_0
+    (``encode_fixed_controls``).  So each distinct rotation of each feasible
+    necklace gets one ``solve_milp`` call, one node of ``node_budget``: in
+    necklace order, ``decide_switched_horizon`` going on from each feasible
+    necklace to the next, then in rotation order.  A later sequence
+    replaces the best only by more than ``OBJ_TOL``.  The best sequence's
+    x_0 is run forward and lifted (``encode.lift``) into ``art``'s model,
+    as ``sol.x`` for ``decode``.
+
+    ``sol`` sums the LPs' counts.  Its status is ``optimal`` after every
+    sequence, ``feasible_budget_hit`` if the budget ran out after one LP or
+    more, and ``budget_unknown`` if it ran out before any.  ``source``
+    counts the LPs and the necklaces decided.  An LP that does not end
+    optimal raises ``NumericalBreakdownError``: its sequence has a witness.
+    """
+    sys, S, T = art.system, art.safe_set, art.T
+    lps, best, necklaces, exhausted = [], None, exact.necklaces, False
+    while exact.controls is not None and not exhausted:
+        word = exact.controls
+        period = next(p for p in range(1, T + 1) if word[p:] + word[:p] == word)
+        for k in range(period):
+            if (node_budget is not None and len(lps) >= node_budget
+                    or time_budget is not None and time.monotonic() - t0 > time_budget):
+                exhausted = True
+                break
+            controls = word[k:] + word[:k]
+            sol = solve_milp(encode_fixed_controls(sys, S, controls))
+            if sol.status != "optimal":
+                raise NumericalBreakdownError(
+                    f"the LP of controls {controls} ended {sol.status}, but they have a witness")
+            lps.append(sol)
+            if best is None or sol.objective > best[0].objective + OBJ_TOL:
+                best = sol, controls
+        else:
+            exact = decide_switched_horizon(sys, S, T, word)
+            necklaces += exact.necklaces
+    counts = {name: sum(getattr(sol, name) for sol in lps)
+              for name in ("nodes", "pivots", "refactorizations", "farkas_leaves")}
+    source = f"fixed-control LPs, {len(lps)} sequences, {necklaces} necklaces"
+    if best is None:
+        return MilpSolution("budget_unknown", **counts), source
+    sol, controls = best
+    states = [sol.x]
+    for u in controls:
+        states.append(sys.step(states[-1], sys.w_star, u))
+    return MilpSolution("feasible_budget_hit" if exhausted else "optimal",
+                        x=lift(art, controls, states), objective=sol.objective,
+                        **counts), source
 
 
 @dataclass(frozen=True)
@@ -501,34 +573,39 @@ def search_traffic_plan(net: TrafficNetwork, T: int) -> PlanSearch:
     return found or PlanSearch(None, None, evaluations, spent)
 
 
-def necklaces(m: int, T: int):
+def necklaces(m: int, T: int, after=None):
     """The necklaces of length ``T`` over ``0 .. m-1``, in lexicographic
     order: of each class of sequences equal up to rotation, its least
     rotation, once (2, 3, 4, 6, 8, 14 for ``m = 2`` at ``T = 1..6``).
+    Given the necklace ``after``, those that follow it.
 
     The Fredricksen-Kessler-Maiorana algorithm, in Duval's form: it steps
     through the Lyndon words of length at most ``T`` in lexicographic
     order, and one of length ``p`` dividing ``T``, repeated ``T / p``
-    times, is a necklace.
+    times, is a necklace.  A necklace, extended periodically, is its own
+    word, so the steps after it start from it.
     """
-    word = [-1]
-    while word:
+    word = [-1] if after is None else list(after)
+    while True:
+        while word and word[-1] == m - 1:
+            word.pop()
+        if not word:
+            return
         word[-1] += 1
         p = len(word)
         if T % p == 0:
             yield tuple(word * (T // p))
         while len(word) < T:
             word.append(word[-p])
-        while word and word[-1] == m - 1:
-            word.pop()
 
 
 class ExactDecision(NamedTuple):
     """The outcome of ``decide_switched_horizon``: the first necklace whose
     least fixed point's orbit stays in S, as mode labels, with that orbit
     (x_0 .. x_T, x_T = x_0) rounded to the nearest floats as a read-only
-    ``(T + 1, n)`` array, or None for both when every necklace is refuted;
-    and the necklaces decided, up to that first one."""
+    ``(T + 1, n)`` array, or None for both when every necklace (after
+    ``after``, if given) is refuted; and the necklaces decided, up to that
+    first one."""
     controls: tuple | None
     states: np.ndarray | None
     necklaces: int
@@ -559,7 +636,7 @@ def _solve_fraction_free(M, h) -> tuple:
     return (prev, X) if prev > 0 else (-prev, [-v for v in X])
 
 
-def decide_switched_horizon(sys, S, T: int) -> ExactDecision | None:
+def decide_switched_horizon(sys, S, T: int, after=None) -> ExactDecision | None:
     """Decide horizon ``T`` of the ``SwitchedAffineSystem`` ``sys`` in the
     ``PolyLowerSet`` ``S`` exactly, with no LP and no tolerance.
 
@@ -572,7 +649,10 @@ def decide_switched_horizon(sys, S, T: int) -> ExactDecision | None:
     x_{T-1} is compared with ``A x <= b`` exactly (the module docstring
     has the proof).  Necklaces that share a prefix share its products.
     Returns at the first necklace whose orbit stays in S, or with every
-    necklace refuted.
+    necklace refuted.  Given ``after``, the controls of a necklace this
+    returned, it goes on from the necklace after that one, and counts only
+    the necklaces it decides: the max-l1 sweep steps through every
+    feasible necklace so.
 
     Returns None, undecided, when some ``w*_i`` is not positive (the
     Perron argument needs ``q > 0``) or when ``m ** T`` exceeds
@@ -592,7 +672,8 @@ def decide_switched_horizon(sys, S, T: int) -> ExactDecision | None:
     # along the necklace, x_k = (G_k x_0 + h_k) / (d_w d_A^k); prefix[k] = (G_k, h_k)
     prefix = [([[d_w * (i == j) for j in range(n)] for i in range(n)], [0] * n)]
     last, count = None, 0
-    for word in necklaces(len(modes), T):
+    start = None if after is None else [modes.index(u) for u in after]
+    for word in necklaces(len(modes), T, start):
         count += 1
         keep = 0 if last is None else next(k for k in range(T) if word[k] != last[k])
         del prefix[keep + 1:]

@@ -41,9 +41,11 @@ def test_find_case1(tmp_path, capsys):
     assert corners[0] == "box,x_1,x_2" and len(corners) == 8
 
 
-def test_find_negative_and_inconclusive(tmp_path):
+def test_find_negative_and_inconclusive(tmp_path, monkeypatch):
     assert main(["find", "--system", "case1.json", "--tmax", "3",
                  "--out", str(tmp_path / "a")]) == 2
+    # T=6 and T=7 left undecided, so that branch-and-bound spends the budget
+    monkeypatch.setattr(invariance, "_EXACT_SEQUENCES", 32)
     assert main(["find", "--system", "case1.json", "--tmax", "7",
                  "--node-budget", "40", "--out", str(tmp_path / "b")]) == 3
 
@@ -66,10 +68,11 @@ def _records(out):
     return [m for m in records if m]
 
 
-def test_find_summary_reports_pivots(tmp_path, capsys):
+def test_find_summary_reports_pivots(tmp_path, capsys, monkeypatch):
     """case1's T=1 and T=2 are refuted by their necklaces, with no LP, so
-    their brackets read 0; the T=7 solve reports its pivots,
-    refactorizations and Farkas leaves."""
+    their brackets read 0; the T=7 fixed-control LPs report their pivots
+    and refactorizations, and T=7 left undecided, searched by
+    branch-and-bound, also its Farkas leaves."""
     out = tmp_path / "s"
     assert main(["find", "--system", "case1.json", "--tmax", "2",
                  "--out", str(out)]) == 2
@@ -85,16 +88,25 @@ def test_find_summary_reports_pivots(tmp_path, capsys):
                  "--out", str(out)]) == 0
     capsys.readouterr()
     (m,) = _records(out)
+    assert m[2] == "found" and all(int(m[k]) > 0 for k in (5, 6)) and m[7] == "0"
+    monkeypatch.setattr(invariance, "_EXACT_SEQUENCES", 64)
+    out = tmp_path / "t7bb"
+    assert main(["find", "--system", "case1.json", "--tmin", "7", "--tmax", "7",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    (m,) = _records(out)
     assert m[2] == "found" and all(int(m[k]) > 0 for k in (5, 6, 7))
 
 
-def test_find_summary_says_where_the_plan_came_from(tmp_path, capsys):
+def test_find_summary_says_where_the_plan_came_from(tmp_path, capsys, monkeypatch):
     """A found horizon's line ends with its plan's source, after the bracket
     that the horizon lines keep: the local search, with its evaluations and
     periods, for a traffic first-feasible horizon, which its checked plan
-    closes at the root; branch-and-bound for case1 under max-l1, and the
-    exact least fixed points, with the necklaces decided, for case1 under
-    first-feasible, whose orbit closes the root."""
+    closes at the root; the fixed-control LPs, with the sequences solved
+    and the necklaces decided, for case1 under max-l1; the exact least
+    fixed points, with the necklaces decided, for case1 under
+    first-feasible, whose orbit closes the root; and branch-and-bound for
+    case1's T=7 left undecided."""
     out = tmp_path / "t5"
     assert main(["find", "--system", "traffic_table1.json", "--tmin", "5", "--tmax", "5",
                  "--objective", "first-feasible", "--out", str(out)]) == 0
@@ -107,8 +119,8 @@ def test_find_summary_says_where_the_plan_came_from(tmp_path, capsys):
     assert main(["find", "--system", "case1.json", "--tmin", "7", "--tmax", "7",
                  "--out", str(out)]) == 0
     capsys.readouterr()
-    assert re.search(r"^  T=7: found  \[optimal, \d+ nodes, .*\] plan from branch-and-bound$",
-                     (out / "summary.txt").read_text(), re.M)
+    assert re.search(r"^  T=7: found  \[optimal, 7 nodes, .*\] plan from fixed-control LPs, "
+                     r"7 sequences, 20 necklaces$", (out / "summary.txt").read_text(), re.M)
     out = tmp_path / "c7ff"
     assert main(["find", "--system", "case1.json", "--tmax", "7",
                  "--objective", "first-feasible", "--out", str(out)]) == 0
@@ -116,6 +128,13 @@ def test_find_summary_says_where_the_plan_came_from(tmp_path, capsys):
     assert re.search(r"^  T=7: found  \[optimal, 1 nodes, 0 pivots, 0 refactorizations, "
                      r"0 Farkas leaves, [\d.]+s\] plan from exact least fixed points, "
                      r"18 necklaces$", (out / "summary.txt").read_text(), re.M)
+    monkeypatch.setattr(invariance, "_EXACT_SEQUENCES", 64)
+    out = tmp_path / "c7bb"
+    assert main(["find", "--system", "case1.json", "--tmin", "7", "--tmax", "7",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert re.search(r"^  T=7: found  \[optimal, \d+ nodes, .*\] plan from branch-and-bound$",
+                     (out / "summary.txt").read_text(), re.M)
 
 
 @pytest.mark.parametrize("argv, solver_status, proven", [
@@ -143,6 +162,22 @@ def test_find_says_whether_max_l1_was_proven(argv, solver_status, proven, tmp_pa
         assert float(m[1]) == pytest.approx(50.0, abs=1e-6) and "(minimal)" in text
     assert main(["find", *argv, "--objective", "first-feasible", "--out", str(out)]) == 0
     assert "max-l1" not in (out / "summary.txt").read_text()
+
+
+def test_max_l1_sequences_cut_by_the_node_budget(tmp_path, capsys):
+    """Each fixed-control LP is one node: with a budget of 3 of case1's 7
+    sequences at T=7, the horizon is found but not proven optimal, and its
+    certificate verifies."""
+    out = tmp_path / "b"
+    assert main(["find", "--system", "case1.json", "--tmin", "7", "--tmax", "7",
+                 "--node-budget", "3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    text = (out / "summary.txt").read_text()
+    assert re.search(r"^  T=7: found  \[feasible_budget_hit, 3 nodes, .*\] plan from "
+                     r"fixed-control LPs, 3 sequences, 18 necklaces$", text, re.M)
+    assert re.search(r"^max-l1: sum of x\*_0 = \S+ \(not proven optimal\)$", text, re.M)
+    assert main(["verify", "--system", "case1.json",
+                 "--certificate", str(out / "certificate.json")]) == 0
 
 
 def _lp_rows(path):

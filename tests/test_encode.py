@@ -11,8 +11,8 @@ import pytest
 from scipy.optimize import linprog
 
 from monosafe.encode import (DecodeMismatchError, _switched_step, _traffic_step,
-                             _unit_green_steps, count_clashes, decode, encode_switched,
-                             encode_traffic, green_step_counts, lift)
+                             _unit_green_steps, count_clashes, decode, encode_fixed_controls,
+                             encode_switched, encode_traffic, green_step_counts, lift)
 from monosafe.invariance import find_s_sequence, least_fixed_point
 from monosafe.milp import MilpSolution, _parallel_rows, solve_milp, write_lp_format
 from monosafe.order import PolyLowerSet
@@ -566,23 +566,53 @@ def _best(values):
     return max(found) if found else None
 
 
-def _switched_oracle(sys_, S, T):
-    """Best max-l1 witness over every mode sequence, each an LP over x_0 on
-    the exact affine rollout x_k = Phi_k x_0 + psi_k; None if none closes."""
+def _switched_sequence_oracle(sys_, S, seq):
+    """The max-l1 witness of the mode sequence ``seq``: an LP over x_0 on
+    the exact affine rollout x_k = Phi_k x_0 + psi_k; None if it does not
+    close."""
     n = sys_.state_dim
+    Phi, psi, G, h = np.eye(n), np.zeros(n), [], []
+    for m in seq:
+        G.append(S.A @ Phi)
+        h.append(S.b - S.A @ psi)
+        A = sys_.modes[m - 1]
+        Phi, psi = A @ Phi, A @ psi + sys_.w_star
+    G.append(Phi - np.eye(n))
+    h.append(-psi)
+    return _lp_max_l1(G, h, S.coordinate_bounds())
 
-    def lp(seq):
-        Phi, psi, G, h = np.eye(n), np.zeros(n), [], []
-        for m in seq:
-            G.append(S.A @ Phi)
-            h.append(S.b - S.A @ psi)
-            A = sys_.modes[m - 1]
-            Phi, psi = A @ Phi, A @ psi + sys_.w_star
-        G.append(Phi - np.eye(n))
-        h.append(-psi)
-        return _lp_max_l1(G, h, S.coordinate_bounds())
 
-    return _best(lp(seq) for seq in itertools.product(sys_.controls, repeat=T))
+def _switched_oracle(sys_, S, T):
+    """Best max-l1 witness over every mode sequence
+    (``_switched_sequence_oracle``); None if none closes."""
+    return _best(_switched_sequence_oracle(sys_, S, seq)
+                 for seq in itertools.product(sys_.controls, repeat=T))
+
+
+def test_fixed_control_lp_matches_the_sequence_oracle(case1):
+    """``encode_fixed_controls`` is the oracle's LP of one sequence: on
+    every mode sequence of the random systems at T=1..3, and on the
+    rotations of case1's T=7 necklace, ``solve_milp`` finds it infeasible
+    exactly where the oracle does, and otherwise its optimum, within
+    1e-7.  Both answers occur."""
+    cases = []
+    for seed in range(24):
+        sys_, S = random_positive_switched(seed)
+        cases += [(sys_, S, seq) for T in (1, 2, 3)
+                  for seq in itertools.product(sys_.controls, repeat=T)]
+    necklace = (1, 2, 2, 1, 2, 2, 2)
+    cases += [(*case1[:2], necklace[k:] + necklace[:k]) for k in range(7)]
+    outcomes = set()
+    for sys_, S, seq in cases:
+        want = _switched_sequence_oracle(sys_, S, seq)
+        model = encode_fixed_controls(sys_, S, seq)
+        assert (model.num_vars, model.binary_indices.size) == (sys_.state_dim, 0)
+        sol = solve_milp(model)
+        assert sol.status == ("infeasible" if want is None else "optimal"), seq
+        if want is not None:
+            assert sol.objective == pytest.approx(want, rel=1e-7, abs=1e-7), seq
+        outcomes.add(want is None)
+    assert outcomes == {True, False}
 
 
 def green_links(net, u):

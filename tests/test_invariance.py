@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -64,9 +65,11 @@ def test_solver_counts_on_bundled_models(case1, deep_traffic_model):
 
 def test_case1_sweep_refutes_t1_to_t6_with_no_lp(case1, monkeypatch):
     """The max-l1 sweep's own records: T=1..6 refuted by their necklaces
-    (2, 3, 4, 6, 8 and 14) with 0 nodes, and T=7 the one solve, with no
-    incumbent, so its counts and the bytes of its point are the plain
-    solve's (``test_solution_bits_on_bundled_models``)."""
+    (2, 3, 4, 6, 8 and 14) with 0 nodes, and T=7 solved without
+    branch-and-bound: of its 20 necklaces one is feasible, and each of its
+    7 rotations gets one fixed-control LP of one node, with no incumbent.
+    The first rotation, the necklace itself, is the only one to reach 50,
+    and the bytes of its point are pinned."""
     sys_, S, _ = case1
     solves, solve = [], invariance.solve_milp
 
@@ -82,11 +85,18 @@ def test_case1_sweep_refutes_t1_to_t6_with_no_lp(case1, monkeypatch):
         (T, "proven_infeasible", "infeasible", 0, 0, 0, 0,
          f"exact least fixed points, {count} necklaces")
         for T, count in zip(range(1, 7), (2, 3, 4, 6, 8, 14))] + [
-        (7, "found", "optimal", *CASE1_MAX_L1_COUNTS[6], "branch-and-bound")]
-    assert [(name, incumbent) for name, incumbent, _ in solves] == [("switched_T7", None)]
+        (7, "found", "optimal", 7, 25, 21, 0, "fixed-control LPs, 7 sequences, 20 necklaces")]
+    necklace = (1, 2, 2, 1, 2, 2, 2)
+    assert [(name, incumbent) for name, incumbent, _ in solves] == [
+        ("switched_T7_fixed_" + "_".join(map(str, necklace[k:] + necklace[:k])), None)
+        for k in range(7)]
+    assert [(sol.status, sol.nodes) for *_, sol in solves] == [("optimal", 1)] * 7
+    assert [sol.objective == pytest.approx(50.0, abs=1e-9) for *_, sol in solves] == [
+        True] + [False] * 6
     assert hashlib.sha256(solves[0][2].x.tobytes()).hexdigest() == (
-        "acfa30246ecaba211c680ad27ee112dc136ba7e99dd56e2b73cb7379eda92290")
-    assert res.minimal and res.certificate.controls == (1, 2, 2, 1, 2, 2, 2)
+        "264b11f3e7f36726f5ebd3a43f78a23c021b98384c80244c4aeb26d3ff8f08cc")
+    assert np.array_equal(res.certificate.x_star[0], solves[0][2].x)
+    assert res.minimal and res.certificate.controls == necklace
 
 
 def test_solution_bits_on_bundled_models(case1, traffic):
@@ -158,7 +168,9 @@ def test_sweep_with_tmin_forfeits_minimality(case1):
     assert not res.minimal
 
 
-def test_sweep_budget_exhaustion_is_honest(case1):
+def test_sweep_budget_exhaustion_is_honest(case1, monkeypatch):
+    # T=6 and T=7 left undecided, so that branch-and-bound spends the budget
+    monkeypatch.setattr(invariance, "_EXACT_SEQUENCES", 32)
     sys_, S, _ = case1
     res = find_s_sequence(sys_, S, t_max=7, node_budget=30)
     assert not res.found and res.budget_limited
@@ -443,6 +455,80 @@ def test_least_fixed_point_agrees_with_the_sweep_on_random_switched_systems(rand
     assert all(abs(margin) < 1e-6 for *_, margin in disagreements), disagreements
 
 
+def _relabelled(sys_, S, perm, mode_order):
+    """``sys_`` and ``S`` with new coordinate i the old ``perm[i]`` and new
+    mode k + 1 the old ``mode_order[k] + 1``."""
+    P = np.eye(sys_.state_dim)[list(perm)]
+    return (SwitchedAffineSystem([P @ sys_.modes[m] @ P.T for m in mode_order],
+                                 P @ sys_.w_star), PolyLowerSet(S.A @ P.T, S.b))
+
+
+def test_max_l1_over_sequences_agrees_with_branch_and_bound(case1, random_horizons):
+    """Under max-l1 a switched horizon with a feasible necklace is solved by
+    one LP per feasible sequence.  Each horizon swept alone agrees with
+    ``solve_milp`` on its max-l1 witness model: the 30 random systems at
+    T=1..5 and case1's four coordinate and mode relabellings at T=7 get
+    the same status and optima within 1e-7 relative, and every certificate
+    of either verifies.  A status disagreement would be excused only
+    within 1e-6 of the boundary of S, as in the first-feasible test; each
+    is listed in the failure message."""
+    cases = [(seed, T, sys_, S) for seed, T, sys_, S, _ in random_horizons]
+    cases += [(("case1", perm, modes), 7, *_relabelled(*case1[:2], perm, modes))
+              for perm, modes in itertools.product(itertools.permutations(range(2)), repeat=2)]
+    statuses, disagreements = set(), []
+    for key, T, sys_, S in cases:
+        res = find_s_sequence(sys_, S, t_min=T, t_max=T, objective="max_l1_x0")
+        (record,) = res.records
+        art = encode_switched(sys_, S, T, objective="max_l1_x0")
+        sol = milp.solve_milp(art.model)
+        status = invariance._HORIZON_STATUS[sol.status]
+        statuses.add(record.status)
+        assert record.status in ("found", "proven_infeasible"), (key, T, record)
+        assert record.source.startswith(
+            "fixed-control LPs" if record.status == "found" else "exact least"), (key, T)
+        if status == "found":
+            assert verify_certificate(sys_, S, invariance.decode(art, sol)).passed
+        if res.found:
+            assert record.solver_status == "optimal"
+            assert verify_certificate(sys_, S, res.certificate).passed
+        if record.status != status:
+            roomy = PolyLowerSet.rectangle(np.full(sys_.state_dim, 1e9))
+            margin = min(np.max(S.A @ least_fixed_point(sys_, roomy, seq, 1000)
+                                .states[:T].T - S.b[:, None])
+                         for seq in itertools.product(sys_.controls, repeat=T))
+            disagreements.append((key, T, record.status, status, float(margin)))
+        elif res.found:
+            assert np.sum(res.certificate.x_star[0]) == pytest.approx(
+                sol.objective, rel=1e-7), (key, T)
+        if T == 7:
+            assert res.found and np.sum(res.certificate.x_star[0]) == pytest.approx(50.0)
+    assert statuses == {"found", "proven_infeasible"}
+    assert all(abs(margin) < 1e-6 for *_, margin in disagreements), disagreements
+
+
+def test_max_l1_sequences_share_the_budgets(case1, monkeypatch):
+    """The fixed-control LPs spend the horizon's budget slice: a node budget
+    of 2 runs 2 of case1's 7 T=7 sequences, which the sweep counts as 2
+    nodes, and a time slice spent before the first LP leaves the horizon
+    ``budget_unknown`` with no LP."""
+    sys_, S, _ = case1
+    res = find_s_sequence(sys_, S, t_min=7, t_max=7, node_budget=2)
+    assert [(r.status, r.solver_status, r.nodes) for r in res.records] == [
+        ("found", "feasible_budget_hit", 2)]
+    assert verify_certificate(sys_, S, res.certificate).passed
+    decide = invariance.decide_switched_horizon
+
+    def slow(*args):
+        time.sleep(0.05)
+        return decide(*args)
+
+    monkeypatch.setattr(invariance, "decide_switched_horizon", slow)
+    res = find_s_sequence(sys_, S, t_min=7, t_max=7, time_budget=0.01)
+    assert [(r.status, r.solver_status, r.nodes, r.source) for r in res.records] == [
+        ("budget_unknown", "budget_unknown", 0, "")]
+    assert not res.found and res.budget_limited
+
+
 def test_necklace_counts():
     """One least rotation per rotation class, in lexicographic order: 2, 3,
     4, 6, 8 and 14 over two modes at T=1..6, and 51 over three at T=5."""
@@ -452,6 +538,31 @@ def test_necklace_counts():
         words = list(invariance.necklaces(m, T))
         assert words == sorted({min(seq[k:] + seq[:k] for k in range(T))
                                 for seq in itertools.product(range(m), repeat=T)})
+
+
+def test_necklaces_and_the_decision_go_on_after_a_necklace():
+    """From any necklace, ``necklaces`` gives exactly the ones after it; and
+    ``decide_switched_horizon``, restarted after each feasible necklace it
+    returns, steps through exactly the least rotations of the sequences
+    whose least fixed point stays in S, counting every necklace once."""
+    for m, T in ((2, 6), (2, 7), (3, 4)):
+        words = list(invariance.necklaces(m, T))
+        for i, word in enumerate(words):
+            assert list(invariance.necklaces(m, T, word)) == words[i + 1:]
+    seen = set()
+    for seed, T in ((10, 3), (21, 4), (9, 5)):
+        sys_, S = random_switched(seed)
+        found, _ = _decided(sys_, S, T)
+        exact = invariance.decide_switched_horizon(sys_, S, T)
+        stepped, count = [], exact.necklaces
+        while exact.controls is not None:
+            stepped.append(exact.controls)
+            exact = invariance.decide_switched_horizon(sys_, S, T, exact.controls)
+            count += exact.necklaces
+        assert stepped == sorted({min(seq[k:] + seq[:k] for k in range(T)) for seq in found})
+        assert count == len(list(invariance.necklaces(len(sys_.controls), T)))
+        seen.add(len(stepped) > 1)
+    assert seen == {True}
 
 
 def test_exact_decision_agrees_with_the_milp(case1, random_horizons):
