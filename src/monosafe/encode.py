@@ -105,6 +105,18 @@ def _frozen(parts):
     return parts
 
 
+def state_caps(system, S: PolyLowerSet) -> np.ndarray:
+    """The caps ``S.coordinate_bounds()`` of a witness's states; a
+    ``ValueError`` if ``S`` is not of ``system``'s dimension or leaves a
+    coordinate unbounded (the big-M derivation needs every cap)."""
+    if S.dim != system.state_dim:
+        raise ValueError("safe set dimension mismatch")
+    cap = S.coordinate_bounds()
+    if not np.isfinite(cap).all():
+        raise ValueError("safe set must bound every coordinate (big-M derivation)")
+    return cap
+
+
 def _witness_model(kind, system, S, T, objective, step):
     """The model of a horizon-``T`` witness around one step template.
 
@@ -127,12 +139,7 @@ def _witness_model(kind, system, S, T, objective, step):
         raise ValueError("horizon T must be >= 1")
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
-    n = system.state_dim
-    if S.dim != n:
-        raise ValueError("safe set dimension mismatch")
-    cap = S.coordinate_bounds()
-    if not np.isfinite(cap).all():
-        raise ValueError("safe set must bound every coordinate (big-M derivation)")
+    n, cap = system.state_dim, state_caps(system, S)
     labels, ub, binary, controls, blocks = step(cap)
     x = np.arange((T + 1) * n).reshape(T + 1, n)
     cols = x.size + np.arange(T * ub.size).reshape(T, ub.size)
@@ -210,7 +217,10 @@ def encode_fixed_controls(sys: SwitchedAffineSystem, S: PolyLowerSet, controls) 
 
     Step by step, the rows ``S.A x_k <= b`` for k < T, then the closure
     ``(Phi_T - I) x_0 <= -psi_T``; the columns are capped by
-    ``S.coordinate_bounds()``, and the objective is max sum ``x_0``.
+    ``state_caps``, and the objective is max sum ``x_0``.  With no
+    controls (T = 0) only the block ``S.A x_0 <= b`` is left: max sum
+    ``x_0`` over S, which every sequence's LP contains, so its optimum
+    bounds theirs.
 
     Its optimum is that of ``encode_switched``'s one-sided model under
     max-l1 with these controls fixed.  The rollout ``y_k`` from an
@@ -223,21 +233,17 @@ def encode_fixed_controls(sys: SwitchedAffineSystem, S: PolyLowerSet, controls) 
     lower set, and ``y_T <= x_T <= x_0``: its ``x_0`` is a point of this LP.
     Both objectives read ``x_0`` alone, so the two optima are equal.
     """
-    n, T = sys.state_dim, len(controls)
-    if S.dim != n:
-        raise ValueError("safe set dimension mismatch")
-    Phi, psi, G, h = np.eye(n), np.zeros(n), [], []
-    for u in controls:
-        G.append(S.A @ Phi)
-        h.append(S.b - S.A @ psi)
+    n, T, cap = sys.state_dim, len(controls), state_caps(sys, S)
+    Phi, psi, G, h = np.eye(n), np.zeros(n), [S.A], [S.b]
+    for k, u in enumerate(controls, 1):
         A = sys.check_control(u)
         Phi, psi = A @ Phi, A @ psi + sys.w_star
-    G.append(Phi - np.eye(n))
-    h.append(-psi)
+        G.append(S.A @ Phi if k < T else Phi - np.eye(n))
+        h.append(S.b - S.A @ psi if k < T else -psi)
     G = np.vstack(G)
     r, j = G.nonzero()
     model = MilpModel(f"switched_T{T}_fixed_" + "_".join(map(str, controls)))
-    model.add_vars([f"x_0_{i}" for i in range(n)], ub=S.coordinate_bounds())
+    model.add_vars([f"x_0_{i}" for i in range(n)], ub=cap)
     model.add_rows(r, j, G[r, j], LEQ, np.concatenate(h))
     model.set_objective(dict.fromkeys(range(n), 1.0), "max")
     return model

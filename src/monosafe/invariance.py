@@ -45,18 +45,20 @@ bound accepts a row within ``milp.FEAS_TOL`` = 1e-6, so a horizon whose
 every orbit leaves S by less than that is refuted here where the MILP
 might return a certificate; a refutation here is exact.
 
-``find_s_sequence`` runs the decision on every switched horizon before
-its solve, and before a first-feasible traffic solve whose root the count
-rows leave open it runs ``search_traffic_plan``, which flips junction
-phases, scored by the least fixed point.  A plan from either is lifted
-(``encode.lift``) into ``solve_milp``'s root incumbent under the
-first-feasible objective.  Under max-l1 a switched horizon with a
-feasible necklace needs no branch-and-bound: with the controls fixed a
-witness is affine in x_0, so the optimum is the best of one LP in x_0
-per rotation of each feasible necklace (``encode.encode_fixed_controls``),
-and the decision goes on from each feasible necklace to the next.  The
-certificate still comes only from ``decode``, which re-simulates and
-verifies it.  The traffic search never reports a negative: a miss, after
+``find_s_sequence`` decides every switched horizon before encoding it,
+so a refuted one builds no model, and before a first-feasible traffic
+solve whose root the count rows leave open it runs
+``search_traffic_plan``, which flips junction phases, scored by the
+least fixed point.  A plan from either is lifted (``encode.lift``) into
+``solve_milp``'s root incumbent under the first-feasible objective.
+Under max-l1 a switched horizon with a feasible necklace needs no
+branch-and-bound: with the controls fixed a witness is affine in x_0, so
+the optimum is the best of one LP in x_0 per rotation of each feasible
+necklace (``encode.encode_fixed_controls``), and the decision goes on
+from each feasible necklace to the next, until the best meets the LP
+over S alone, which bounds them all (a root-bound stop; Achterberg,
+2007).  The certificate still comes only from ``decode``, which
+re-simulates and verifies it.  The traffic search never reports a negative: a miss, after
 its fixed budget of periods, proves nothing, and the horizon is searched
 by branch-and-bound as without it.  A max-l1 traffic horizon, and a
 switched one left undecided, get no incumbent.
@@ -72,7 +74,7 @@ import numpy as np
 
 from .certificate import SSequenceCertificate
 from .encode import (OBJECTIVES, DecodeMismatchError, count_clashes, decimal_ratios, decode,
-                     encode_fixed_controls, encode_switched, encode_traffic, lift)
+                     encode_fixed_controls, encode_switched, encode_traffic, lift, state_caps)
 from .milp import (OBJ_TOL, MilpSolution, NumericalBreakdownError, ParallelRows, solve_milp,
                    write_lp_format)
 from .order import DEFAULT_TOL, BoxUnion, as_rows, as_vector
@@ -106,8 +108,9 @@ class HorizonRecord:
     # search, E evaluations, P periods", "exact least fixed points, N
     # necklaces" or, under max-l1, "fixed-control LPs, L sequences, N
     # necklaces" (one LP per sequence solved, over the N necklaces
-    # decided); for "proven_infeasible" with no LP, what refuted it, "exact
-    # least fixed points, N necklaces"
+    # decided, then ", stopped at the safe set's bound" if it cut the loop);
+    # for "proven_infeasible" with no LP, what refuted it, "exact least
+    # fixed points, N necklaces"
     source: str = ""
 
 
@@ -145,12 +148,7 @@ _HORIZON_STATUS = {"optimal": "found", "feasible_budget_hit": "found",
 
 def _encode(system, safe_set, T, objective):
     if isinstance(system, TrafficNetwork):
-        if safe_set is not None and safe_set is not system.safe_set():
-            raise ValueError("traffic safety is the box x <= x_s from the link "
-                             "table; a separate safe set cannot be attached")
         return encode_traffic(system, T, objective=objective)
-    if safe_set is None:
-        raise ValueError("switched systems need an explicit safe set")
     return encode_switched(system, safe_set, T, objective=objective)
 
 
@@ -168,7 +166,8 @@ def find_s_sequence(system, safe_set=None, t_max=10, objective="max_l1_x0",
     ``NumericalBreakdownError`` or whose solution fails decoding is recorded
     as ``failed``, with the message, and the sweep moves on too.
 
-    ``safe_set`` is required for a switched system.  A traffic network's
+    ``safe_set`` is required for a switched system, and checked
+    (``encode.state_caps``) before any horizon.  A traffic network's
     safe set is the box ``x <= x_s`` of its link table, so it takes
     ``None`` or that set itself, ``system.safe_set()``.
 
@@ -178,17 +177,18 @@ def find_s_sequence(system, safe_set=None, t_max=10, objective="max_l1_x0",
     value, or a negative or NaN budget, raises ``ValueError`` before any
     horizon is tried; a budget of 0 is valid and tries none.
 
-    Before its solve, within its ``elapsed``, a switched horizon is
-    decided by ``decide_switched_horizon`` (after encoding, so
-    ``dump_lp`` still writes its model).  A horizon it refutes is
+    Within its ``elapsed``, a switched horizon is decided by
+    ``decide_switched_horizon``, then encoded only if it is solved (with
+    ``dump_lp``, every horizon is encoded first).  A horizon it refutes is
     ``proven_infeasible`` with no LP: solver status ``infeasible``, 0
     nodes and 0 pivots, and ``source`` naming the necklaces refuted.  A
     horizon it leaves undecided is solved by branch-and-bound.  One with a
     feasible necklace is, under ``first_feasible``, solved with the
     necklace's orbit lifted into ``solve_milp``'s root incumbent; under
     ``max_l1_x0`` it gets one ``solve_milp`` call, one node of its budget
-    slice, per feasible sequence (``_max_l1_over_sequences``), and the
-    best is decoded.  A first-feasible traffic horizon with no
+    slice, per feasible sequence up to the safe set's bound
+    (``_max_l1_over_sequences``), and the best is decoded.  A
+    first-feasible traffic horizon with no
     ``encode.count_clashes`` runs ``search_traffic_plan`` instead, and its
     plan is lifted the same way; under ``max_l1_x0`` a traffic horizon
     gets no incumbent.
@@ -203,11 +203,21 @@ def find_s_sequence(system, safe_set=None, t_max=10, objective="max_l1_x0",
         raise ValueError("t_max must be >= 1")
     if not 1 <= t_min <= t_max:
         raise ValueError("need 1 <= t_min <= t_max")
+    traffic = isinstance(system, TrafficNetwork)
+    if traffic:
+        if safe_set is not None and safe_set is not system.safe_set():
+            raise ValueError("traffic safety is the box x <= x_s from the link "
+                             "table; a separate safe set cannot be attached")
+    elif safe_set is None:
+        raise ValueError("switched systems need an explicit safe set")
+    else:
+        state_caps(system, safe_set)
 
     records = []
     certificate = None
     start = time.monotonic()
     nodes_spent = 0
+    bound = []      # the safe set's bound LP, solved at most once per sweep
     for T in range(t_min, t_max + 1):
         horizons_left = t_max - T + 1
         t_left = None if time_budget is None else time_budget - (time.monotonic() - start)
@@ -218,12 +228,12 @@ def find_s_sequence(system, safe_set=None, t_max=10, objective="max_l1_x0",
         t_slice = None if t_left is None else t_left / horizons_left
         n_slice = None if n_left is None else max(1, n_left // horizons_left)
 
-        art = _encode(system, safe_set, T, objective)
+        art = _encode(system, safe_set, T, objective) if traffic or dump_lp is not None else None
         if dump_lp is not None:
             write_lp_format(art.model, f"{dump_lp}_T{T}.lp")
         t0 = time.monotonic()
         plan, plan_source = None, ""
-        if not isinstance(system, TrafficNetwork):
+        if not traffic:
             exact = decide_switched_horizon(system, safe_set, T)
             if exact is not None:
                 plan, plan_source = exact, f"exact least fixed points, {exact.necklaces} necklaces"
@@ -234,9 +244,11 @@ def find_s_sequence(system, safe_set=None, t_max=10, objective="max_l1_x0",
         elif objective == "first_feasible" and not count_clashes(system, T):
             plan = search_traffic_plan(system, T)
             plan_source = f"local search, {plan.evaluations} evaluations, {plan.periods} periods"
+        if art is None:
+            art = _encode(system, safe_set, T, objective)
         try:
             if objective == "max_l1_x0" and plan is not None:
-                sol, source = _max_l1_over_sequences(art, plan, n_slice, t_slice, t0)
+                sol, source = _max_l1_over_sequences(art, plan, n_slice, t_slice, t0, bound)
             else:
                 point = None
                 if plan is not None and plan.controls is not None:
@@ -272,7 +284,17 @@ def find_s_sequence(system, safe_set=None, t_max=10, objective="max_l1_x0",
                         minimal=minimal)
 
 
-def _max_l1_over_sequences(art, exact, node_budget, time_budget, t0) -> tuple:
+def _safe_set_bound(sys, S) -> MilpSolution:
+    """The LP max sum x over S with the caps, ``encode_fixed_controls`` of
+    no controls, which every sequence's LP contains; it raises
+    ``NumericalBreakdownError`` unless optimal, as 0 is its point."""
+    sol = solve_milp(encode_fixed_controls(sys, S, ()))
+    if sol.status != "optimal":
+        raise NumericalBreakdownError(f"the LP over the safe set ended {sol.status}")
+    return sol
+
+
+def _max_l1_over_sequences(art, exact, node_budget, time_budget, t0, bound) -> tuple:
     """The max-l1 solve of a switched horizon with the feasible necklace
     ``exact``, without branch-and-bound: ``(sol, source)``.
 
@@ -283,47 +305,64 @@ def _max_l1_over_sequences(art, exact, node_budget, time_budget, t0) -> tuple:
     necklace gets one ``solve_milp`` call, one node of ``node_budget``: in
     necklace order, ``decide_switched_horizon`` going on from each feasible
     necklace to the next, then in rotation order.  A later sequence
-    replaces the best only by more than ``OBJ_TOL``.  The best sequence's
-    x_0 is run forward and lifted (``encode.lift``) into ``art``'s model,
-    as ``sol.x`` for ``decode``.
+    replaces the best only by more than ``OBJ_TOL``, so the loop stops,
+    before its next LP, once the best is within ``OBJ_TOL`` of
+    ``_safe_set_bound``; that LP, one more node, is solved when a second LP
+    is due, unless ``bound``, the sweep's cache, holds it.  The best
+    sequence's x_0 is run forward and lifted (``encode.lift``) into
+    ``art``'s model, as ``sol.x`` for ``decode``.
 
-    ``sol`` sums the LPs' counts.  Its status is ``optimal`` after every
-    sequence, ``feasible_budget_hit`` if the budget ran out after one LP or
-    more, and ``budget_unknown`` if it ran out before any.  ``source``
-    counts the LPs and the necklaces decided.  An LP that does not end
-    optimal raises ``NumericalBreakdownError``: its sequence has a witness.
+    ``sol`` sums the counts of the LPs solved here.  Its status is
+    ``optimal`` after every sequence or at the bound, ``feasible_budget_hit``
+    if the budget ran out after one LP or more, and ``budget_unknown`` if it
+    ran out before any.  ``source`` counts the sequence LPs and the
+    necklaces decided, and says if the loop stopped at the bound.  An LP
+    that does not end optimal raises ``NumericalBreakdownError``: its
+    sequence has a witness.
     """
     sys, S, T = art.system, art.safe_set, art.T
-    lps, best, necklaces, exhausted = [], None, exact.necklaces, False
-    while exact.controls is not None and not exhausted:
+    solves, best, sequences, necklaces, stop = [], None, 0, exact.necklaces, ""
+
+    def spent():
+        return (node_budget is not None and len(solves) >= node_budget
+                or time_budget is not None and time.monotonic() - t0 > time_budget)
+
+    while exact.controls is not None and not stop:
         word = exact.controls
         period = next(p for p in range(1, T + 1) if word[p:] + word[:p] == word)
         for k in range(period):
-            if (node_budget is not None and len(lps) >= node_budget
-                    or time_budget is not None and time.monotonic() - t0 > time_budget):
-                exhausted = True
+            if best is not None and not bound and not spent():
+                bound.append(_safe_set_bound(sys, S))
+                solves.append(bound[0])
+            if best is not None and bound and best[0].objective >= bound[0].objective - OBJ_TOL:
+                stop = "bound"
+            elif spent():
+                stop = "budget"
+            if stop:
                 break
             controls = word[k:] + word[:k]
             sol = solve_milp(encode_fixed_controls(sys, S, controls))
             if sol.status != "optimal":
                 raise NumericalBreakdownError(
                     f"the LP of controls {controls} ended {sol.status}, but they have a witness")
-            lps.append(sol)
+            solves.append(sol)
+            sequences += 1
             if best is None or sol.objective > best[0].objective + OBJ_TOL:
                 best = sol, controls
         else:
             exact = decide_switched_horizon(sys, S, T, word)
             necklaces += exact.necklaces
-    counts = {name: sum(getattr(sol, name) for sol in lps)
+    counts = {name: sum(getattr(sol, name) for sol in solves)
               for name in ("nodes", "pivots", "refactorizations", "farkas_leaves")}
-    source = f"fixed-control LPs, {len(lps)} sequences, {necklaces} necklaces"
+    source = (f"fixed-control LPs, {sequences} sequences, {necklaces} necklaces"
+              + (", stopped at the safe set's bound" if stop == "bound" else ""))
     if best is None:
         return MilpSolution("budget_unknown", **counts), source
     sol, controls = best
     states = [sol.x]
     for u in controls:
         states.append(sys.step(states[-1], sys.w_star, u))
-    return MilpSolution("feasible_budget_hit" if exhausted else "optimal",
+    return MilpSolution("feasible_budget_hit" if stop == "budget" else "optimal",
                         x=lift(art, controls, states), objective=sol.objective,
                         **counts), source
 

@@ -17,8 +17,8 @@ import monosafe
 from monosafe import invariance
 from monosafe import cli
 from monosafe.cli import main
-from monosafe.encode import DecodeMismatchError
-from monosafe.milp import NumericalBreakdownError
+from monosafe.encode import DecodeMismatchError, encode_switched
+from monosafe.milp import NumericalBreakdownError, write_lp_format
 from monosafe.systems import load_system_file
 
 DATA = resources.files("monosafe.data")
@@ -51,11 +51,19 @@ def test_find_negative_and_inconclusive(tmp_path, monkeypatch):
 
 
 def test_find_dump_lp(tmp_path):
+    """``--dump-lp`` writes the model of every horizon, also of one that
+    the exact decision refutes without building it: each file is, byte
+    for byte, ``write_lp_format`` of ``encode_switched`` at its horizon."""
     out = tmp_path / "lp"
     assert main(["find", "--system", "case1.json", "--tmax", "2",
                  "--dump-lp", "--out", str(out)]) == 2
-    assert (out / "model_T1.lp").is_file()
     assert "Subject To" in (out / "model_T1.lp").read_text()
+    sys_, S, _ = load_system_file(str(DATA / "case1.json"))
+    for T in (1, 2):
+        write_lp_format(encode_switched(sys_, S, T, objective="max_l1_x0").model,
+                        str(tmp_path / f"expected_T{T}.lp"))
+        assert ((out / f"model_T{T}.lp").read_bytes()
+                == (tmp_path / f"expected_T{T}.lp").read_bytes())
 
 
 def _records(out):
@@ -119,8 +127,9 @@ def test_find_summary_says_where_the_plan_came_from(tmp_path, capsys, monkeypatc
     assert main(["find", "--system", "case1.json", "--tmin", "7", "--tmax", "7",
                  "--out", str(out)]) == 0
     capsys.readouterr()
-    assert re.search(r"^  T=7: found  \[optimal, 7 nodes, .*\] plan from fixed-control LPs, "
-                     r"7 sequences, 20 necklaces$", (out / "summary.txt").read_text(), re.M)
+    assert re.search(r"^  T=7: found  \[optimal, 2 nodes, .*\] plan from fixed-control LPs, "
+                     r"1 sequences, 18 necklaces, stopped at the safe set's bound$",
+                     (out / "summary.txt").read_text(), re.M)
     out = tmp_path / "c7ff"
     assert main(["find", "--system", "case1.json", "--tmax", "7",
                  "--objective", "first-feasible", "--out", str(out)]) == 0
@@ -165,18 +174,24 @@ def test_find_says_whether_max_l1_was_proven(argv, solver_status, proven, tmp_pa
 
 
 def test_max_l1_sequences_cut_by_the_node_budget(tmp_path, capsys):
-    """Each fixed-control LP is one node: with a budget of 3 of case1's 7
-    sequences at T=7, the horizon is found but not proven optimal, and its
+    """Each fixed-control LP is one node, and so is the bound LP over the
+    safe set.  With case1's modes swapped, the loop at T=7 takes 4 of the 7
+    sequences and the bound LP; with a budget of 3 nodes, two sequences and
+    the bound LP, the horizon is found but not proven optimal, and its
     certificate verifies."""
+    spec = json.loads((DATA / "case1.json").read_text())
+    spec["modes"].reverse()
+    system = tmp_path / "swapped.json"
+    system.write_text(json.dumps(spec))
     out = tmp_path / "b"
-    assert main(["find", "--system", "case1.json", "--tmin", "7", "--tmax", "7",
+    assert main(["find", "--system", str(system), "--tmin", "7", "--tmax", "7",
                  "--node-budget", "3", "--out", str(out)]) == 0
     capsys.readouterr()
     text = (out / "summary.txt").read_text()
     assert re.search(r"^  T=7: found  \[feasible_budget_hit, 3 nodes, .*\] plan from "
-                     r"fixed-control LPs, 3 sequences, 18 necklaces$", text, re.M)
+                     r"fixed-control LPs, 2 sequences, 6 necklaces$", text, re.M)
     assert re.search(r"^max-l1: sum of x\*_0 = \S+ \(not proven optimal\)$", text, re.M)
-    assert main(["verify", "--system", "case1.json",
+    assert main(["verify", "--system", str(system),
                  "--certificate", str(out / "certificate.json")]) == 0
 
 

@@ -66,10 +66,12 @@ def test_solver_counts_on_bundled_models(case1, deep_traffic_model):
 def test_case1_sweep_refutes_t1_to_t6_with_no_lp(case1, monkeypatch):
     """The max-l1 sweep's own records: T=1..6 refuted by their necklaces
     (2, 3, 4, 6, 8 and 14) with 0 nodes, and T=7 solved without
-    branch-and-bound: of its 20 necklaces one is feasible, and each of its
-    7 rotations gets one fixed-control LP of one node, with no incumbent.
-    The first rotation, the necklace itself, is the only one to reach 50,
-    and the bytes of its point are pinned."""
+    branch-and-bound: its 18th necklace is the first feasible one, and its
+    first rotation, the necklace itself, gets one fixed-control LP of one
+    node, with no incumbent.  It reaches 50, which the bound LP over S, one
+    more node, shows no sequence can beat, so the loop stops there, with
+    neither the other 6 rotations nor the last 2 necklaces tried.  The bytes
+    of the point are pinned."""
     sys_, S, _ = case1
     solves, solve = [], invariance.solve_milp
 
@@ -85,18 +87,56 @@ def test_case1_sweep_refutes_t1_to_t6_with_no_lp(case1, monkeypatch):
         (T, "proven_infeasible", "infeasible", 0, 0, 0, 0,
          f"exact least fixed points, {count} necklaces")
         for T, count in zip(range(1, 7), (2, 3, 4, 6, 8, 14))] + [
-        (7, "found", "optimal", 7, 25, 21, 0, "fixed-control LPs, 7 sequences, 20 necklaces")]
+        (7, "found", "optimal", 2, 4, 5, 0,
+         "fixed-control LPs, 1 sequences, 18 necklaces, stopped at the safe set's bound")]
     necklace = (1, 2, 2, 1, 2, 2, 2)
     assert [(name, incumbent) for name, incumbent, _ in solves] == [
-        ("switched_T7_fixed_" + "_".join(map(str, necklace[k:] + necklace[:k])), None)
-        for k in range(7)]
-    assert [(sol.status, sol.nodes) for *_, sol in solves] == [("optimal", 1)] * 7
-    assert [sol.objective == pytest.approx(50.0, abs=1e-9) for *_, sol in solves] == [
-        True] + [False] * 6
+        ("switched_T7_fixed_1_2_2_1_2_2_2", None), ("switched_T0_fixed_", None)]
+    assert [(sol.status, sol.nodes) for *_, sol in solves] == [("optimal", 1)] * 2
+    assert [sol.objective for *_, sol in solves] == [pytest.approx(50.0, abs=1e-9), 50.0]
     assert hashlib.sha256(solves[0][2].x.tobytes()).hexdigest() == (
         "264b11f3e7f36726f5ebd3a43f78a23c021b98384c80244c4aeb26d3ff8f08cc")
     assert np.array_equal(res.certificate.x_star[0], solves[0][2].x)
     assert res.minimal and res.certificate.controls == necklace
+
+
+def test_a_switched_sweep_encodes_only_the_horizons_it_solves(case1, monkeypatch, tmp_path):
+    """A horizon refuted by its necklaces builds no model: case1's max-l1
+    sweep to T=7 encodes T=7 alone, which ``lift`` and ``decode`` need.
+    With ``dump_lp`` every horizon's model is built and written."""
+    sys_, S, _ = case1
+    encode, encoded = invariance.encode_switched, []
+
+    def counting(sys_, S, T, **kwargs):
+        encoded.append(T)
+        return encode(sys_, S, T, **kwargs)
+
+    monkeypatch.setattr(invariance, "encode_switched", counting)
+    assert find_s_sequence(sys_, S, t_max=7).found and encoded == [7]
+    encoded.clear()
+    assert find_s_sequence(sys_, S, t_max=7, dump_lp=str(tmp_path / "model")).found
+    assert encoded == list(range(1, 8))
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"model_T{T}.lp" for T in range(1, 8)]
+
+
+def test_a_switched_sweep_checks_its_safe_set_before_any_horizon(case1, monkeypatch):
+    """A switched system needs a safe set of its own dimension that bounds
+    every coordinate; each is checked before any horizon is tried, also
+    when a budget of 0 tries none."""
+    sys_, S, _ = case1
+
+    def no_horizon(*args):
+        raise AssertionError("a horizon was tried")
+
+    monkeypatch.setattr(invariance, "decide_switched_horizon", no_horizon)
+    with pytest.raises(ValueError, match="switched systems need an explicit safe set"):
+        find_s_sequence(sys_, None, t_max=3)
+    with pytest.raises(ValueError, match="switched systems need an explicit safe set"):
+        find_s_sequence(sys_, None, t_max=3, node_budget=0)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        find_s_sequence(sys_, PolyLowerSet(np.eye(3), np.ones(3)), t_max=3)
+    with pytest.raises(ValueError, match="bound every coordinate"):
+        find_s_sequence(sys_, PolyLowerSet(np.array([[1.0, 0.0]]), np.array([5.0])), t_max=3)
 
 
 def test_solution_bits_on_bundled_models(case1, traffic):
@@ -507,14 +547,20 @@ def test_max_l1_over_sequences_agrees_with_branch_and_bound(case1, random_horizo
 
 
 def test_max_l1_sequences_share_the_budgets(case1, monkeypatch):
-    """The fixed-control LPs spend the horizon's budget slice: a node budget
-    of 2 runs 2 of case1's 7 T=7 sequences, which the sweep counts as 2
-    nodes, and a time slice spent before the first LP leaves the horizon
-    ``budget_unknown`` with no LP."""
-    sys_, S, _ = case1
-    res = find_s_sequence(sys_, S, t_min=7, t_max=7, node_budget=2)
-    assert [(r.status, r.solver_status, r.nodes) for r in res.records] == [
-        ("found", "feasible_budget_hit", 2)]
+    """The fixed-control LPs and the bound LP spend the horizon's budget
+    slice.  With case1's modes swapped, the first of the 7 T=7 sequences
+    misses the bound and the fourth meets it, so the loop takes 5 LPs; a
+    node budget of 3 runs the first sequence, the bound LP and the second
+    sequence, which the sweep counts as 3 nodes.  A time slice spent before
+    the first LP leaves the horizon ``budget_unknown`` with no LP."""
+    sys_, S = _relabelled(*case1[:2], (0, 1), (1, 0))
+    res = find_s_sequence(sys_, S, t_min=7, t_max=7)
+    assert [(r.solver_status, r.nodes, r.source) for r in res.records] == [
+        ("optimal", 5, "fixed-control LPs, 4 sequences, 6 necklaces, "
+         "stopped at the safe set's bound")]
+    res = find_s_sequence(sys_, S, t_min=7, t_max=7, node_budget=3)
+    assert [(r.status, r.solver_status, r.nodes, r.source) for r in res.records] == [
+        ("found", "feasible_budget_hit", 3, "fixed-control LPs, 2 sequences, 6 necklaces")]
     assert verify_certificate(sys_, S, res.certificate).passed
     decide = invariance.decide_switched_horizon
 
@@ -527,6 +573,47 @@ def test_max_l1_sequences_share_the_budgets(case1, monkeypatch):
     assert [(r.status, r.solver_status, r.nodes, r.source) for r in res.records] == [
         ("budget_unknown", "budget_unknown", 0, "")]
     assert not res.found and res.budget_limited
+
+
+def test_the_bound_stops_no_loop_short_of_its_result(case1, random_horizons, monkeypatch):
+    """The loop's stop at the safe set's bound changes no result.  With the
+    bound patched to ``inf``, so that the loop never stops early, each
+    horizon swept alone gets the same status, controls, ``x_star`` bytes
+    and objective as with it: the 30 random systems at T=1..5 and case1's
+    four coordinate and mode relabellings at T=7, of which 4 random
+    horizons (seed 14 at T=2..5) and the 4 of case1 stop at the bound.
+    The bound is at least the optimum of every sequence's LP the unbounded
+    loop solves."""
+    cases = [(seed, T, sys_, S) for seed, T, sys_, S, _ in random_horizons]
+    cases += [(("case1", perm, modes), 7, *_relabelled(*case1[:2], perm, modes))
+              for perm, modes in itertools.product(itertools.permutations(range(2)), repeat=2)]
+    solve, solves = invariance.solve_milp, []
+
+    def recording(model, **kwargs):
+        sol = solve(model, **kwargs)
+        solves.append(sol)
+        return sol
+
+    def sweep(sys_, S, T):
+        res = find_s_sequence(sys_, S, t_min=T, t_max=T, objective="max_l1_x0")
+        cert = res.certificate
+        sources.append(res.records[0].source)
+        return (res.records[0].status, res.records[0].solver_status,
+                cert and (cert.controls, cert.x_star.tobytes(), float(np.sum(cert.x_star[0]))))
+
+    bounds, sources = {}, []
+    for key, T, sys_, S in cases:
+        bounds[key, T] = (invariance._safe_set_bound(sys_, S).objective, sweep(sys_, S, T))
+    assert sum(source.endswith("stopped at the safe set's bound") for source in sources) == 8
+    monkeypatch.setattr(invariance, "solve_milp", recording)
+    monkeypatch.setattr(invariance, "_safe_set_bound",
+                        lambda sys_, S: milp.MilpSolution("optimal", objective=math.inf))
+    for key, T, sys_, S in cases:
+        bound, bounded = bounds[key, T]
+        solves.clear()
+        assert sweep(sys_, S, T) == bounded, (key, T)
+        assert all(sol.objective <= bound for sol in solves), (key, T)
+    assert not any(source.endswith("bound") for source in sources[len(cases):])
 
 
 def test_necklace_counts():
