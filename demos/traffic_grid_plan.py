@@ -46,8 +46,10 @@ def main():
     # T=4, junctions a, c and f need 5 of 4).  Its two count rows contradict,
     # so the solver closes each of those horizons at the root without a
     # pivot, and T=5 is minimal.  At T=5 a seeded local search over phase
-    # plans, each scored by its period map's least fixed point, hands the
-    # solver a checked plan that closes the root in one node.
+    # plans, each scored by its period map's least fixed point, starts from
+    # a random plan repaired to meet every junction's green-step counts;
+    # that start is itself a plan, and the solver, handed it checked,
+    # closes the root in one node.
     print("\nsweeping T=1..5 for a fresh plan (first-feasible, 120 s budget)...")
     result = find_s_sequence(net, t_max=5, objective="first_feasible", time_budget=120.0)
     for rec in result.records:

@@ -48,8 +48,9 @@ might return a certificate; a refutation here is exact.
 ``find_s_sequence`` decides every switched horizon before encoding it,
 so a refuted one builds no model, and before a first-feasible traffic
 solve whose root the count rows leave open it runs
-``search_traffic_plan``, which flips junction phases, scored by the
-least fixed point.  A plan from either is lifted (``encode.lift``) into
+``search_traffic_plan``, which starts inside every junction's
+green-step counts and flips junction phases, scored by the least fixed
+point.  A plan from either is lifted (``encode.lift``) into
 ``solve_milp``'s root incumbent under the first-feasible objective.
 Under max-l1 a switched horizon with a feasible necklace needs no
 branch-and-bound: with the controls fixed a witness is affine in x_0, so
@@ -57,11 +58,13 @@ the optimum is the best of one LP in x_0 per rotation of each feasible
 necklace (``encode.encode_fixed_controls``), and the decision goes on
 from each feasible necklace to the next, until the best meets the LP
 over S alone, which bounds them all (a root-bound stop; Achterberg,
-2007).  The certificate still comes only from ``decode``, which
-re-simulates and verifies it.  The traffic search never reports a negative: a miss, after
-its fixed budget of periods, proves nothing, and the horizon is searched
-by branch-and-bound as without it.  A max-l1 traffic horizon, and a
-switched one left undecided, get no incumbent.
+2007); that LP is solved only once the best reaches the largest state
+cap, which bounds it from below.  The certificate still comes only from
+``decode``, which re-simulates and verifies it.  The traffic search
+never reports a negative: a miss, after its fixed budget of periods,
+proves nothing, and the horizon is searched by branch-and-bound as
+without it.  A max-l1 traffic horizon, and a switched one left
+undecided, get no incumbent.
 """
 
 from __future__ import annotations
@@ -74,7 +77,8 @@ import numpy as np
 
 from .certificate import SSequenceCertificate
 from .encode import (OBJECTIVES, DecodeMismatchError, count_clashes, decimal_ratios, decode,
-                     encode_fixed_controls, encode_switched, encode_traffic, lift, state_caps)
+                     encode_fixed_controls, encode_switched, encode_traffic, green_step_counts,
+                     lift, state_caps)
 from .milp import (OBJ_TOL, MilpSolution, NumericalBreakdownError, ParallelRows, solve_milp,
                    write_lp_format)
 from .order import DEFAULT_TOL, BoxUnion, as_rows, as_vector
@@ -307,10 +311,12 @@ def _max_l1_over_sequences(art, exact, node_budget, time_budget, t0, bound) -> t
     necklace to the next, then in rotation order.  A later sequence
     replaces the best only by more than ``OBJ_TOL``, so the loop stops,
     before its next LP, once the best is within ``OBJ_TOL`` of
-    ``_safe_set_bound``; that LP, one more node, is solved when a second LP
-    is due, unless ``bound``, the sweep's cache, holds it.  The best
-    sequence's x_0 is run forward and lifted (``encode.lift``) into
-    ``art``'s model, as ``sol.x`` for ``decode``.
+    ``_safe_set_bound``.  Each ``cap_i e_i`` (``encode.state_caps``) lies
+    in S, so that bound is at least the largest cap, and its LP, one more
+    node, is solved only when a second LP is due and the best is within
+    ``OBJ_TOL`` of that cap, unless ``bound``, the sweep's cache, holds
+    it.  The best sequence's x_0 is run forward and lifted
+    (``encode.lift``) into ``art``'s model, as ``sol.x`` for ``decode``.
 
     ``sol`` sums the counts of the LPs solved here.  Its status is
     ``optimal`` after every sequence or at the bound, ``feasible_budget_hit``
@@ -322,6 +328,7 @@ def _max_l1_over_sequences(art, exact, node_budget, time_budget, t0, bound) -> t
     """
     sys, S, T = art.system, art.safe_set, art.T
     solves, best, sequences, necklaces, stop = [], None, 0, exact.necklaces, ""
+    floor = state_caps(sys, S).max() - OBJ_TOL     # the bound is at least the largest cap
 
     def spent():
         return (node_budget is not None and len(solves) >= node_budget
@@ -331,7 +338,7 @@ def _max_l1_over_sequences(art, exact, node_budget, time_budget, t0, bound) -> t
         word = exact.controls
         period = next(p for p in range(1, T + 1) if word[p:] + word[:p] == word)
         for k in range(period):
-            if best is not None and not bound and not spent():
+            if best is not None and best[0].objective >= floor and not bound and not spent():
                 bound.append(_safe_set_bound(sys, S))
                 solves.append(bound[0])
             if best is not None and bound and best[0].objective >= bound[0].objective - OBJ_TOL:
@@ -570,9 +577,17 @@ def search_traffic_plan(net: TrafficNetwork, T: int) -> PlanSearch:
     """Seeded local search for a horizon-``T`` plan of ``net``, scored by
     ``least_fixed_point``.
 
-    Starts from a plan of phases drawn from ``SplitMix64(_SEARCH_SEED)``.  A move
-    flips one junction's phase at one step, drawn from the same stream; it
-    is kept unless it scores worse.  A plan whose run exits ``net``'s safe
+    Starts from a plan of phases drawn from ``SplitMix64(_SEARCH_SEED)``,
+    repaired to meet every junction's ``encode.green_step_counts`` ``(ns,
+    ew)``, which every witness meets: a junction with fewer than ``ns`` NS
+    steps has its earliest EW steps turned NS, and one with fewer than
+    ``ew`` EW steps its earliest NS steps turned EW.  On the bundled grid
+    at T=5 the repaired start is itself a plan, where the raw draw took 29
+    evaluations.  Where some junction's counts do not fit (``ns + ew >
+    T``), no plan exists, and the search misses at once, with 0
+    evaluations.  A move flips one junction's phase at one step, drawn
+    from the same stream; it is kept unless it scores worse, whether or
+    not it keeps the counts.  A plan whose run exits ``net``'s safe
     set scores by the period of its exit, later being better, then by its
     overshoot, smaller being better, compared on a grid of ``DEFAULT_TOL``
     so that last-bit differences between BLAS builds cannot steer the
@@ -582,9 +597,17 @@ def search_traffic_plan(net: TrafficNetwork, T: int) -> PlanSearch:
     ``_SEARCH_PERIODS`` periods are spent over all evaluations, with no
     plan: a miss proves nothing.
     """
+    counts = list(green_step_counts(net, T).values())
+    if any(ns + ew > T for ns, ew in counts):
+        return PlanSearch(None, None, 0, 0)
     S, J = net.safe_set(), len(net.junctions)
     rng = SplitMix64(_SEARCH_SEED)
     bits = [[rng.randint(2) for _ in range(J)] for _ in range(T)]   # 1 = NS
+    for j, (ns, ew) in enumerate(counts):
+        column = [step[j] for step in bits]
+        for phase, short in ((0, ns - column.count(1)), (1, ew - column.count(0))):
+            for k in [k for k, b in enumerate(column) if b == phase][:max(short, 0)]:
+                bits[k][j] = 1 - phase
     evaluations = spent = 0
 
     def score():

@@ -176,9 +176,9 @@ def test_find_says_whether_max_l1_was_proven(argv, solver_status, proven, tmp_pa
 def test_max_l1_sequences_cut_by_the_node_budget(tmp_path, capsys):
     """Each fixed-control LP is one node, and so is the bound LP over the
     safe set.  With case1's modes swapped, the loop at T=7 takes 4 of the 7
-    sequences and the bound LP; with a budget of 3 nodes, two sequences and
-    the bound LP, the horizon is found but not proven optimal, and its
-    certificate verifies."""
+    sequences and the bound LP; with a budget of 3 nodes, three sequences
+    and no bound LP, as none reaches the largest cap, the horizon is found
+    but not proven optimal, and its certificate verifies."""
     spec = json.loads((DATA / "case1.json").read_text())
     spec["modes"].reverse()
     system = tmp_path / "swapped.json"
@@ -189,7 +189,7 @@ def test_max_l1_sequences_cut_by_the_node_budget(tmp_path, capsys):
     capsys.readouterr()
     text = (out / "summary.txt").read_text()
     assert re.search(r"^  T=7: found  \[feasible_budget_hit, 3 nodes, .*\] plan from "
-                     r"fixed-control LPs, 2 sequences, 6 necklaces$", text, re.M)
+                     r"fixed-control LPs, 3 sequences, 6 necklaces$", text, re.M)
     assert re.search(r"^max-l1: sum of x\*_0 = \S+ \(not proven optimal\)$", text, re.M)
     assert main(["verify", "--system", str(system),
                  "--certificate", str(out / "certificate.json")]) == 0

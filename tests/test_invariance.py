@@ -1,5 +1,6 @@
 """Horizon sweep, RCIS construction, limit cycles, policies, necessity bound."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -11,14 +12,15 @@ from hypothesis import given, strategies as st
 
 from monosafe import invariance, milp
 from monosafe.certificate import SSequenceCertificate
-from monosafe.encode import count_clashes, decimal_ratio, encode_switched, encode_traffic, lift
+from monosafe.encode import (count_clashes, decimal_ratio, encode_switched, encode_traffic,
+                             green_step_counts, lift)
 from monosafe.invariance import (LimitCycleError, build_attractive_set, build_rcis,
                                  compute_limit_cycle, find_s_sequence, least_fixed_point,
                                  necessity_bound, search_traffic_plan)
 from monosafe.order import DEFAULT_TOL, PolyLowerSet
 from monosafe.simulate import feedback, open_loop, verify_certificate
-from monosafe.systems import EW, NS, SwitchedAffineSystem
-from test_encode import random_small_net
+from monosafe.systems import EW, NS, SwitchedAffineSystem, TrafficNetwork
+from test_encode import ns_steps, random_small_net
 
 
 @pytest.fixture(scope="module")
@@ -550,9 +552,10 @@ def test_max_l1_sequences_share_the_budgets(case1, monkeypatch):
     """The fixed-control LPs and the bound LP spend the horizon's budget
     slice.  With case1's modes swapped, the first of the 7 T=7 sequences
     misses the bound and the fourth meets it, so the loop takes 5 LPs; a
-    node budget of 3 runs the first sequence, the bound LP and the second
-    sequence, which the sweep counts as 3 nodes.  A time slice spent before
-    the first LP leaves the horizon ``budget_unknown`` with no LP."""
+    node budget of 3 runs the first three sequences, none of which reaches
+    the largest cap, 50, so the bound LP is not solved, and the sweep
+    counts 3 nodes.  A time slice spent before the first LP leaves the
+    horizon ``budget_unknown`` with no LP."""
     sys_, S = _relabelled(*case1[:2], (0, 1), (1, 0))
     res = find_s_sequence(sys_, S, t_min=7, t_max=7)
     assert [(r.solver_status, r.nodes, r.source) for r in res.records] == [
@@ -560,7 +563,7 @@ def test_max_l1_sequences_share_the_budgets(case1, monkeypatch):
          "stopped at the safe set's bound")]
     res = find_s_sequence(sys_, S, t_min=7, t_max=7, node_budget=3)
     assert [(r.status, r.solver_status, r.nodes, r.source) for r in res.records] == [
-        ("found", "feasible_budget_hit", 3, "fixed-control LPs, 2 sequences, 6 necklaces")]
+        ("found", "feasible_budget_hit", 3, "fixed-control LPs, 3 sequences, 6 necklaces")]
     assert verify_certificate(sys_, S, res.certificate).passed
     decide = invariance.decide_switched_horizon
 
@@ -614,6 +617,51 @@ def test_the_bound_stops_no_loop_short_of_its_result(case1, random_horizons, mon
         assert sweep(sys_, S, T) == bounded, (key, T)
         assert all(sol.objective <= bound for sol in solves), (key, T)
     assert not any(source.endswith("bound") for source in sources[len(cases):])
+
+
+def test_the_bound_lp_waits_for_the_largest_cap(case1, random_horizons, monkeypatch):
+    """The bound LP is solved only once the best reaches the largest cap,
+    which the bound is at least, and that changes no result.  With the
+    caps patched to 0, so that the LP is solved whenever a second LP is
+    due, each horizon swept alone gets the same status, controls,
+    ``x_star`` bytes and objective: the 30 random systems at T=1..5 and
+    case1's four relabellings at T=7.  Of the 30 random systems' horizons,
+    4 solve the bound LP with the wait (seed 14 at T=2..5, the four that
+    stop at it) and 31 without it, each LP one node; case1's four solve it
+    either way and keep their node counts."""
+    cases = [(seed, T, sys_, S) for seed, T, sys_, S, _ in random_horizons]
+    cases += [(("case1", perm, modes), 7, *_relabelled(*case1[:2], perm, modes))
+              for perm, modes in itertools.product(itertools.permutations(range(2)), repeat=2)]
+    bound, bounds = invariance._safe_set_bound, []
+    monkeypatch.setattr(invariance, "_safe_set_bound",
+                        lambda *args: bounds.append(args) or bound(*args))
+
+    def sweep(sys_, S, T):
+        res = find_s_sequence(sys_, S, t_min=T, t_max=T, objective="max_l1_x0")
+        record, cert = res.records[0], res.certificate
+        return (record.status, record.solver_status,
+                cert and (cert.controls, cert.x_star.tobytes(), float(np.sum(cert.x_star[0])))
+                ), record.nodes
+
+    runs = []
+    for caps in (invariance.state_caps, lambda sys_, S: np.zeros(sys_.state_dim)):
+        monkeypatch.setattr(invariance, "state_caps", caps)
+        outcomes, nodes, solved = [], [], []
+        for key, T, sys_, S in cases:
+            bounds.clear()
+            outcome, count = sweep(sys_, S, T)
+            outcomes.append(outcome)
+            nodes.append(count)
+            solved.append(len(bounds))
+        runs.append((outcomes, nodes, solved))
+    (waited, nodes, solved), (eager, eager_nodes, eager_solved) = runs
+    assert waited == eager
+    random = len(random_horizons)
+    assert (sum(solved[:random]), sum(eager_solved[:random])) == (4, 31)
+    assert [(key, T) for (key, T, *_), n in zip(cases[:random], solved) if n] == [
+        (14, T) for T in range(2, 6)]
+    assert [n + e - w for n, e, w in zip(nodes, eager_solved, solved)] == eager_nodes
+    assert nodes[random:] == eager_nodes[random:] and solved[random:] == [1] * 4
 
 
 def test_necklace_counts():
@@ -875,8 +923,18 @@ def test_a_negative_state_is_an_exit(unchecked_switched):
     assert run.states[0, 0] < -DEFAULT_TOL
 
 
+def _unrepaired(monkeypatch):
+    """Patch the green-step counts the plan search reads to ``(0, 0)``: its
+    repair then changes nothing, and it starts from the raw draw."""
+    monkeypatch.setattr(invariance, "green_step_counts",
+                        lambda net, T: {j: (0, 0) for j in net.junctions})
+
+
 def test_plan_search_ranks_infinite_overshoots(traffic, monkeypatch):
-    """A search whose every exit overshoots by inf still runs to its end."""
+    """A search whose every exit overshoots by inf still runs to its end.
+    The repaired start is a plan at the bundled T=5, so the search starts
+    from the raw draw, which exits."""
+    _unrepaired(monkeypatch)
     real = invariance.least_fixed_point
 
     def overflowing(*args):
@@ -939,27 +997,93 @@ def test_incumbent_is_not_asked_where_parallel_rows_close_the_root(traffic, monk
 
 def test_plan_search_is_seeded_and_its_plan_verifies(traffic):
     """The search is a function of its seed; a found plan's witness is its
-    least fixed point's orbit, which verifies.  A miss (T=4, which has no
-    plan) spends the whole period budget and reports no plan.  Its path is
-    pinned: the bundled T=5 plan after 29 evaluations and 131 periods, with
-    its controls and the digest of its states, and the T=4 miss after 305
-    evaluations."""
+    least fixed point's orbit, which verifies.  Its path is pinned: at T=5
+    the repaired start is a plan, found in 1 evaluation and 15 periods,
+    with its controls and the digest of its states.  At T=4, whose counts
+    clash, it reports no plan at once, with 0 evaluations."""
     net, S, _ = traffic
     first, again = search_traffic_plan(net, 5), search_traffic_plan(net, 5)
     assert first.controls == again.controls and first.evaluations == again.evaluations
-    assert (first.evaluations, first.periods) == (29, 131)
-    assert first.controls == (("EW", "EW", "NS", "NS", "NS", "EW"),
-                              ("NS", "NS", "NS", "EW", "NS", "NS"),
-                              ("NS", "EW", "EW", "NS", "EW", "NS"),
-                              ("NS", "EW", "NS", "EW", "EW", "EW"),
-                              ("EW", "NS", "EW", "EW", "EW", "NS"))
+    assert (first.evaluations, first.periods) == (1, 15)
+    assert first.controls == (("EW", "EW", "EW", "EW", "EW", "NS"),
+                              ("NS", "EW", "NS", "EW", "NS", "NS"),
+                              ("NS", "NS", "NS", "NS", "NS", "NS"),
+                              ("EW", "EW", "NS", "NS", "EW", "EW"),
+                              ("NS", "NS", "EW", "EW", "EW", "EW"))
     assert hashlib.sha256(first.states.tobytes()).hexdigest() == (
-        "fd05106564e87aac3e4cbb8ba1fc7f44f0e3399f4a4aa19f7a4d84d1c1bb076a")
+        "eab2dca391c2649319ad85b5a679ef4ac5005d933b48754f640eaf2a9c20c324")
     cert = SSequenceCertificate(5, first.controls, first.states)
     assert verify_certificate(net, S, cert).passed
     miss = search_traffic_plan(net, 4)
     assert miss.controls is None and miss.states is None
-    assert (miss.evaluations, miss.periods) == (305, 2000) == (305, invariance._SEARCH_PERIODS)
+    assert (miss.evaluations, miss.periods) == (0, 0)
+
+
+def test_the_repaired_start_loses_no_plan(monkeypatch):
+    """On ``random_small_net`` seeds 0-39 at T=1..7, every start the search
+    scores meets each junction's green-step counts, every plan it finds
+    verifies, and it finds a plan wherever the search from the raw draw
+    (``_unrepaired``) does; where it finds none, it has spent its whole
+    budget of periods.  Where the counts clash it misses at once, with no
+    evaluation; the raw search is run only where they fit, as no plan
+    exists where they clash.  Some raw starts break the counts."""
+    real, starts = invariance.least_fixed_point, []
+    monkeypatch.setattr(invariance, "least_fixed_point",
+                        lambda *args: starts.append(args[2]) or real(*args))
+
+    def search(net, T):
+        starts.clear()
+        plan = search_traffic_plan(net, T)
+        counts = green_step_counts(net, T)
+        return plan, starts and all(counts[j][0] <= ns <= T - counts[j][1]
+                                    for j, ns in ns_steps(net, starts[0]).items())
+
+    horizons, repaired = [], []
+    for seed in range(40):
+        net = random_small_net(seed)
+        for T in range(1, 8):
+            plan, fits = search(net, T)
+            if count_clashes(net, T):
+                assert plan == (None, None, 0, 0) and not starts, (seed, T)
+                continue
+            assert fits, (seed, T)
+            if plan.controls is None:
+                assert plan.periods == invariance._SEARCH_PERIODS, (seed, T)
+            else:
+                cert = SSequenceCertificate(T, plan.controls, plan.states)
+                assert verify_certificate(net, net.safe_set(), cert).passed, (seed, T)
+            horizons.append((net, T))
+            repaired.append(plan.controls is not None)
+    _unrepaired(monkeypatch)
+    raw = [search(net, T) for net, T in horizons]
+    assert all(found or plan.controls is None for found, (plan, _) in zip(repaired, raw))
+    assert not all(fits for _, fits in raw)
+    assert (len(horizons), sum(repaired)) == (217, 207)
+
+
+def grid_copies(net, k):
+    """``k`` disjoint copies of ``net``, their links interleaved: link i of
+    copy c gets id ``k * i + c + 1`` and heads at junction ``<head><c>``."""
+    index = {link.id: i for i, link in enumerate(net.links)}
+    links = [dataclasses.replace(link, id=k * index[link.id] + c + 1, head=f"{link.head}{c}")
+             for link in net.links for c in range(k)]
+    turns = [(k * index[src] + c + 1, k * index[dst] + c + 1, ratio)
+             for src, dst, ratio in net.turns for c in range(k)]
+    return TrafficNetwork(links, [f"{j}{c}" for j in net.junctions for c in range(k)], turns)
+
+
+def test_three_grid_copies_find_t5_minimal_from_one_evaluation(traffic):
+    """On 3 disjoint copies of the bundled grid the first-feasible sweep
+    closes T=1..4 by the count rows and finds T=5 minimal in 1 node, from
+    the plan search's repaired start, and the certificate verifies on the
+    whole network."""
+    net = grid_copies(traffic[0], 3)
+    res = find_s_sequence(net, t_max=5, objective="first_feasible")
+    assert res.found and res.minimal and res.certificate.T == 5
+    assert [(r.status, r.nodes) for r in res.records] == (
+        [("proven_infeasible", 1)] * 4 + [("found", 1)])
+    assert res.records[4].source == "local search, 1 evaluations, 15 periods"
+    assert verify_certificate(net, net.safe_set(), res.certificate).passed
 
 
 def test_max_l1_keeps_its_search_and_optimum_with_an_incumbent(case1, case1_cert):
