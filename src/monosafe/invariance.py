@@ -47,15 +47,15 @@ might return a certificate; a refutation here is exact.
 
 ``find_s_sequence`` decides every switched horizon before encoding it,
 so a refuted one builds no model, and before a first-feasible traffic
-solve whose root the count rows leave open it runs
-``search_traffic_plan``, which starts inside every junction's
-green-step counts and flips junction phases, scored by the least fixed
-point.  A plan from either is lifted (``encode.lift``) into
-``solve_milp``'s root incumbent under the first-feasible objective.
-Under max-l1 a switched horizon with a feasible necklace needs no
-branch-and-bound: with the controls fixed a witness is affine in x_0, so
-the optimum is the best of one LP in x_0 per rotation of each feasible
-necklace (``encode.encode_fixed_controls``), and the decision goes on
+solve it runs ``search_traffic_plan``, which starts inside every
+junction's green-step counts and flips junction phases, scored by the
+least fixed point; where the counts clash it misses at once.  A plan
+from either is lifted (``encode.lift``) into ``solve_milp``'s root
+incumbent under the first-feasible objective.  Under max-l1 a switched
+horizon with a feasible necklace needs no branch-and-bound: with the
+controls fixed a witness is affine in x_0, so the optimum is the best of
+one LP in x_0 per rotation of each feasible necklace
+(``encode.encode_fixed_controls``), and the decision's one pass goes on
 from each feasible necklace to the next, until the best meets the LP
 over S alone, which bounds them all (a root-bound stop; Achterberg,
 2007); that LP is solved only once the best reaches the largest state
@@ -76,7 +76,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .certificate import SSequenceCertificate
-from .encode import (OBJECTIVES, DecodeMismatchError, count_clashes, decimal_ratios, decode,
+from .encode import (OBJECTIVES, DecodeMismatchError, decimal_ratios, decode,
                      encode_fixed_controls, encode_switched, encode_traffic, green_step_counts,
                      lift, state_caps)
 from .milp import (OBJ_TOL, MilpSolution, NumericalBreakdownError, ParallelRows, solve_milp,
@@ -181,8 +181,8 @@ def find_s_sequence(system, safe_set=None, t_max=10, objective="max_l1_x0",
     value, or a negative or NaN budget, raises ``ValueError`` before any
     horizon is tried; a budget of 0 is valid and tries none.
 
-    Within its ``elapsed``, a switched horizon is decided by
-    ``decide_switched_horizon``, then encoded only if it is solved (with
+    Within its ``elapsed``, a switched horizon takes the first decision of
+    ``decide_switched_horizon``, then is encoded only if it is solved (with
     ``dump_lp``, every horizon is encoded first).  A horizon it refutes is
     ``proven_infeasible`` with no LP: solver status ``infeasible``, 0
     nodes and 0 pivots, and ``source`` naming the necklaces refuted.  A
@@ -191,11 +191,10 @@ def find_s_sequence(system, safe_set=None, t_max=10, objective="max_l1_x0",
     necklace's orbit lifted into ``solve_milp``'s root incumbent; under
     ``max_l1_x0`` it gets one ``solve_milp`` call, one node of its budget
     slice, per feasible sequence up to the safe set's bound
-    (``_max_l1_over_sequences``), and the best is decoded.  A
-    first-feasible traffic horizon with no
-    ``encode.count_clashes`` runs ``search_traffic_plan`` instead, and its
-    plan is lifted the same way; under ``max_l1_x0`` a traffic horizon
-    gets no incumbent.
+    (``_max_l1_over_sequences``, which goes on through the same
+    decisions), and the best is decoded.  A first-feasible traffic horizon
+    runs ``search_traffic_plan`` instead, and a plan it finds is lifted the
+    same way; under ``max_l1_x0`` a traffic horizon gets no incumbent.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
@@ -221,7 +220,6 @@ def find_s_sequence(system, safe_set=None, t_max=10, objective="max_l1_x0",
     certificate = None
     start = time.monotonic()
     nodes_spent = 0
-    bound = []      # the safe set's bound LP, solved at most once per sweep
     for T in range(t_min, t_max + 1):
         horizons_left = t_max - T + 1
         t_left = None if time_budget is None else time_budget - (time.monotonic() - start)
@@ -238,21 +236,22 @@ def find_s_sequence(system, safe_set=None, t_max=10, objective="max_l1_x0",
         t0 = time.monotonic()
         plan, plan_source = None, ""
         if not traffic:
-            exact = decide_switched_horizon(system, safe_set, T)
+            decisions = decide_switched_horizon(system, safe_set, T)
+            exact = next(decisions, None)
             if exact is not None:
                 plan, plan_source = exact, f"exact least fixed points, {exact.necklaces} necklaces"
                 if exact.controls is None:
                     records.append(HorizonRecord(T, "proven_infeasible", "infeasible", 0,
                                                  time.monotonic() - t0, source=plan_source))
                     continue
-        elif objective == "first_feasible" and not count_clashes(system, T):
+        elif objective == "first_feasible":
             plan = search_traffic_plan(system, T)
             plan_source = f"local search, {plan.evaluations} evaluations, {plan.periods} periods"
         if art is None:
             art = _encode(system, safe_set, T, objective)
         try:
             if objective == "max_l1_x0" and plan is not None:
-                sol, source = _max_l1_over_sequences(art, plan, n_slice, t_slice, t0, bound)
+                sol, source = _max_l1_over_sequences(art, plan, decisions, n_slice, t_slice, t0)
             else:
                 point = None
                 if plan is not None and plan.controls is not None:
@@ -298,24 +297,24 @@ def _safe_set_bound(sys, S) -> MilpSolution:
     return sol
 
 
-def _max_l1_over_sequences(art, exact, node_budget, time_budget, t0, bound) -> tuple:
+def _max_l1_over_sequences(art, exact, decisions, node_budget, time_budget, t0) -> tuple:
     """The max-l1 solve of a switched horizon with the feasible necklace
-    ``exact``, without branch-and-bound: ``(sol, source)``.
+    ``exact``, the first of ``decisions`` (``decide_switched_horizon``),
+    without branch-and-bound: ``(sol, source)``.
 
     The sequences with a witness are the rotations of the feasible
     necklaces (the module docstring's rotation argument), and with the
     controls fixed the model's max-l1 optimum is an LP in x_0
     (``encode_fixed_controls``).  So each distinct rotation of each feasible
     necklace gets one ``solve_milp`` call, one node of ``node_budget``: in
-    necklace order, ``decide_switched_horizon`` going on from each feasible
-    necklace to the next, then in rotation order.  A later sequence
-    replaces the best only by more than ``OBJ_TOL``, so the loop stops,
-    before its next LP, once the best is within ``OBJ_TOL`` of
-    ``_safe_set_bound``.  Each ``cap_i e_i`` (``encode.state_caps``) lies
-    in S, so that bound is at least the largest cap, and its LP, one more
-    node, is solved only when a second LP is due and the best is within
-    ``OBJ_TOL`` of that cap, unless ``bound``, the sweep's cache, holds
-    it.  The best sequence's x_0 is run forward and lifted
+    necklace order, each next feasible necklace taken from ``decisions``,
+    then in rotation order.  A later sequence replaces the best only by
+    more than ``OBJ_TOL``, so the loop stops, before its next LP, once the
+    best is within ``OBJ_TOL`` of ``_safe_set_bound``.  Each ``cap_i e_i``
+    (``encode.state_caps``) lies in S, so that bound is at least the
+    largest cap, and its LP, one more node, is solved at most once, only
+    when a second LP is due and the best is within ``OBJ_TOL`` of that
+    cap.  The best sequence's x_0 is run forward and lifted
     (``encode.lift``) into ``art``'s model, as ``sol.x`` for ``decode``.
 
     ``sol`` sums the counts of the LPs solved here.  Its status is
@@ -327,7 +326,7 @@ def _max_l1_over_sequences(art, exact, node_budget, time_budget, t0, bound) -> t
     sequence has a witness.
     """
     sys, S, T = art.system, art.safe_set, art.T
-    solves, best, sequences, necklaces, stop = [], None, 0, exact.necklaces, ""
+    solves, best, bound, sequences, necklaces, stop = [], None, None, 0, exact.necklaces, ""
     floor = state_caps(sys, S).max() - OBJ_TOL     # the bound is at least the largest cap
 
     def spent():
@@ -338,10 +337,10 @@ def _max_l1_over_sequences(art, exact, node_budget, time_budget, t0, bound) -> t
         word = exact.controls
         period = next(p for p in range(1, T + 1) if word[p:] + word[:p] == word)
         for k in range(period):
-            if best is not None and best[0].objective >= floor and not bound and not spent():
-                bound.append(_safe_set_bound(sys, S))
-                solves.append(bound[0])
-            if best is not None and bound and best[0].objective >= bound[0].objective - OBJ_TOL:
+            if best is not None and best[0].objective >= floor and bound is None and not spent():
+                bound = _safe_set_bound(sys, S)
+                solves.append(bound)
+            if bound is not None and best[0].objective >= bound.objective - OBJ_TOL:
                 stop = "bound"
             elif spent():
                 stop = "budget"
@@ -357,7 +356,7 @@ def _max_l1_over_sequences(art, exact, node_budget, time_budget, t0, bound) -> t
             if best is None or sol.objective > best[0].objective + OBJ_TOL:
                 best = sol, controls
         else:
-            exact = decide_switched_horizon(sys, S, T, word)
+            exact = next(decisions)
             necklaces += exact.necklaces
     counts = {name: sum(getattr(sol, name) for sol in solves)
               for name in ("nodes", "pivots", "refactorizations", "farkas_leaves")}
@@ -635,19 +634,17 @@ def search_traffic_plan(net: TrafficNetwork, T: int) -> PlanSearch:
     return found or PlanSearch(None, None, evaluations, spent)
 
 
-def necklaces(m: int, T: int, after=None):
+def necklaces(m: int, T: int):
     """The necklaces of length ``T`` over ``0 .. m-1``, in lexicographic
     order: of each class of sequences equal up to rotation, its least
     rotation, once (2, 3, 4, 6, 8, 14 for ``m = 2`` at ``T = 1..6``).
-    Given the necklace ``after``, those that follow it.
 
     The Fredricksen-Kessler-Maiorana algorithm, in Duval's form: it steps
     through the Lyndon words of length at most ``T`` in lexicographic
     order, and one of length ``p`` dividing ``T``, repeated ``T / p``
-    times, is a necklace.  A necklace, extended periodically, is its own
-    word, so the steps after it start from it.
+    times, is a necklace.
     """
-    word = [-1] if after is None else list(after)
+    word = [-1]
     while True:
         while word and word[-1] == m - 1:
             word.pop()
@@ -662,12 +659,12 @@ def necklaces(m: int, T: int, after=None):
 
 
 class ExactDecision(NamedTuple):
-    """The outcome of ``decide_switched_horizon``: the first necklace whose
-    least fixed point's orbit stays in S, as mode labels, with that orbit
-    (x_0 .. x_T, x_T = x_0) rounded to the nearest floats as a read-only
-    ``(T + 1, n)`` array, or None for both when every necklace (after
-    ``after``, if given) is refuted; and the necklaces decided, up to that
-    first one."""
+    """One decision of ``decide_switched_horizon``: a necklace whose least
+    fixed point's orbit stays in S, as mode labels, with that orbit (x_0
+    .. x_T, x_T = x_0) rounded to the nearest floats as a read-only
+    ``(T + 1, n)`` array, or None for both after the last necklace; and
+    the necklaces decided since the previous decision, this one's
+    included."""
     controls: tuple | None
     states: np.ndarray | None
     necklaces: int
@@ -698,31 +695,32 @@ def _solve_fraction_free(M, h) -> tuple:
     return (prev, X) if prev > 0 else (-prev, [-v for v in X])
 
 
-def decide_switched_horizon(sys, S, T: int, after=None) -> ExactDecision | None:
+def decide_switched_horizon(sys, S, T: int):
     """Decide horizon ``T`` of the ``SwitchedAffineSystem`` ``sys`` in the
-    ``PolyLowerSet`` ``S`` exactly, with no LP and no tolerance.
+    ``PolyLowerSet`` ``S`` exactly, with no LP and no tolerance, in one
+    pass over the necklaces.
 
-    Each necklace over the modes (``necklaces``, one per rotation class)
-    gets its period map ``x -> P x + q`` in integers over common
-    denominators, every datum read as its shortest decimal.  ``(I - P) x
-    = q`` is solved fraction-free; a singular system, or a solution with
+    Every datum is read as its shortest decimal once, and each necklace
+    over the modes (``necklaces``, one per rotation class) gets its period
+    map ``x -> P x + q`` in integers over common denominators.  ``(I - P)
+    x = q`` is solved fraction-free; a singular system, or a solution with
     a negative entry, means ``rho(P) >= 1`` and refutes the necklace, and
     a solution ``x >= 0`` is its least fixed point, whose orbit x_0 ..
     x_{T-1} is compared with ``A x <= b`` exactly (the module docstring
-    has the proof).  Necklaces that share a prefix share its products.
-    Returns at the first necklace whose orbit stays in S, or with every
-    necklace refuted.  Given ``after``, the controls of a necklace this
-    returned, it goes on from the necklace after that one, and counts only
-    the necklaces it decides: the max-l1 sweep steps through every
-    feasible necklace so.
+    has the proof).  Necklaces that share a prefix share its products
+    over the whole pass.
 
-    Returns None, undecided, when some ``w*_i`` is not positive (the
+    A generator: it yields an ``ExactDecision`` for each necklace whose
+    orbit stays in S, in necklace order, then ``ExactDecision(None, None,
+    k)``, each counting the necklaces decided since the previous one.  The
+    sweep takes the first; the max-l1 loop goes on through the rest.  It
+    yields nothing, undecided, when some ``w*_i`` is not positive (the
     Perron argument needs ``q > 0``) or when ``m ** T`` exceeds
     ``_EXACT_SEQUENCES``.
     """
     modes, n = sys.controls, sys.state_dim
     if len(modes) ** T > _EXACT_SEQUENCES or not all(v > 0 for v in sys.w_star.tolist()):
-        return None
+        return
     # A_u = N[u] / d_A, w* = a / d_w, S = {x : SA x / d_S <= b / d_b}
     flat, d_A = decimal_ratios([v for A in sys.modes for v in A.ravel().tolist()])
     N = [[flat[(u * n + i) * n:(u * n + i + 1) * n] for i in range(n)] for u in range(len(modes))]
@@ -734,8 +732,7 @@ def decide_switched_horizon(sys, S, T: int, after=None) -> ExactDecision | None:
     # along the necklace, x_k = (G_k x_0 + h_k) / (d_w d_A^k); prefix[k] = (G_k, h_k)
     prefix = [([[d_w * (i == j) for j in range(n)] for i in range(n)], [0] * n)]
     last, count = None, 0
-    start = None if after is None else [modes.index(u) for u in after]
-    for word in necklaces(len(modes), T, start):
+    for word in necklaces(len(modes), T):
         count += 1
         keep = 0 if last is None else next(k for k in range(T) if word[k] != last[k])
         del prefix[keep + 1:]
@@ -763,8 +760,9 @@ def decide_switched_horizon(sys, S, T: int, after=None) -> ExactDecision | None:
         else:
             states = np.array(orbit + orbit[:1])
             states.flags.writeable = False
-            return ExactDecision(tuple(modes[u] for u in word), states, count)
-    return ExactDecision(None, None, count)
+            yield ExactDecision(tuple(modes[u] for u in word), states, count)
+            count = 0
+    yield ExactDecision(None, None, count)
 
 
 def build_attractive_set(cycle: LimitCycle) -> BoxUnion:

@@ -262,7 +262,7 @@ def test_find_failed_horizon_does_not_end_the_sweep(tmp_path, capsys, monkeypatc
     decision is made to leave every horizon undecided, so that T=3 reaches
     the solver."""
     solve = invariance.solve_milp
-    monkeypatch.setattr(invariance, "decide_switched_horizon", lambda *args: None)
+    monkeypatch.setattr(invariance, "decide_switched_horizon", lambda *args: iter(()))
 
     def fail_at_3(model, **kwargs):
         if model.name.endswith("_T3"):
@@ -578,7 +578,7 @@ def test_set_up_imports_no_exact_arithmetic(tmp_path):
             "cert = SSequenceCertificate.load(cli._resolve_path('cert_case1.json'))\n"
             "invariance.compute_limit_cycle(sys_, cert)\n"
             "before = sorted({'decimal', 'fractions'} & set(sys.modules))\n"
-            "invariance.decide_switched_horizon(sys_, S, 1)\n"
+            "next(invariance.decide_switched_horizon(sys_, S, 1))\n"
             "print(before, 'decimal' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           cwd=tmp_path, env=_child_env())

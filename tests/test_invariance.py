@@ -676,28 +676,40 @@ def test_necklace_counts():
 
 
 def test_necklaces_and_the_decision_go_on_after_a_necklace():
-    """From any necklace, ``necklaces`` gives exactly the ones after it; and
-    ``decide_switched_horizon``, restarted after each feasible necklace it
-    returns, steps through exactly the least rotations of the sequences
-    whose least fixed point stays in S, counting every necklace once."""
-    for m, T in ((2, 6), (2, 7), (3, 4)):
-        words = list(invariance.necklaces(m, T))
-        for i, word in enumerate(words):
-            assert list(invariance.necklaces(m, T, word)) == words[i + 1:]
+    """``decide_switched_horizon`` goes on after each feasible necklace in
+    one pass: it yields exactly the least rotations of the sequences whose
+    least fixed point stays in S, in necklace order, then ``(None, None,
+    k)``, and its counts add up to every necklace once."""
     seen = set()
     for seed, T in ((10, 3), (21, 4), (9, 5)):
         sys_, S = random_switched(seed)
         found, _ = _decided(sys_, S, T)
-        exact = invariance.decide_switched_horizon(sys_, S, T)
-        stepped, count = [], exact.necklaces
-        while exact.controls is not None:
-            stepped.append(exact.controls)
-            exact = invariance.decide_switched_horizon(sys_, S, T, exact.controls)
-            count += exact.necklaces
+        *feasible, last = invariance.decide_switched_horizon(sys_, S, T)
+        assert last.controls is None and last.states is None
+        stepped = [exact.controls for exact in feasible]
         assert stepped == sorted({min(seq[k:] + seq[:k] for k in range(T)) for seq in found})
-        assert count == len(list(invariance.necklaces(len(sys_.controls), T)))
+        assert all(exact.necklaces >= 1 for exact in feasible)
+        assert sum(exact.necklaces for exact in (*feasible, last)) == len(
+            list(invariance.necklaces(len(sys_.controls), T)))
         seen.add(len(stepped) > 1)
     assert seen == {True}
+
+
+def test_the_data_are_read_once_per_decided_horizon(random_horizons, monkeypatch):
+    """One pass reads the data as shortest decimals once: 4
+    ``decimal_ratios`` calls (the modes, ``w*``, ``A`` and ``b`` of S) per
+    switched horizon swept alone under max-l1, however many feasible
+    necklaces it goes through; the 30 random systems at T=1..5."""
+    ratios, calls = invariance.decimal_ratios, []
+    monkeypatch.setattr(invariance, "decimal_ratios",
+                        lambda values: calls.append(1) or ratios(values))
+    counts, feasible = [], 0
+    for seed, T, sys_, S, _ in random_horizons:
+        calls.clear()
+        res = find_s_sequence(sys_, S, t_min=T, t_max=T, objective="max_l1_x0")
+        counts.append(len(calls))
+        feasible += res.found
+    assert counts == [4] * len(random_horizons) and feasible
 
 
 def test_exact_decision_agrees_with_the_milp(case1, random_horizons):
@@ -713,7 +725,7 @@ def test_exact_decision_agrees_with_the_milp(case1, random_horizons):
     cases += [(sys_, S, T, status) for _, T, sys_, S, status in random_horizons]
     found = []
     for sys_, S, T, status in cases:
-        exact = invariance.decide_switched_horizon(sys_, S, T)
+        exact = next(invariance.decide_switched_horizon(sys_, S, T))
         assert (exact.controls is not None) == (status == "found"), (T, status)
         assert exact.necklaces <= len(list(invariance.necklaces(len(sys_.controls), T)))
         if exact.controls is not None:
@@ -722,7 +734,8 @@ def test_exact_decision_agrees_with_the_milp(case1, random_horizons):
             cert = SSequenceCertificate(T, exact.controls, exact.states)
             assert verify_certificate(sys_, S, cert).passed
     assert found[0] == 7 and cases[6][3] == "found"
-    assert invariance.decide_switched_horizon(*case1[:2], 7).controls == (1, 2, 2, 1, 2, 2, 2)
+    assert next(invariance.decide_switched_horizon(*case1[:2], 7)).controls == (
+        1, 2, 2, 1, 2, 2, 2)
 
 
 @pytest.mark.parametrize("mode", [[[2.0, 0.0], [0.0, 2.0]], [[1.0, 0.0], [0.0, 0.5]]])
@@ -753,7 +766,7 @@ def test_undecided_horizons_take_the_milp_route(case1, monkeypatch):
     T=6 (64) is searched, with its pinned counts."""
     sys_, S, _ = case1
     still = SwitchedAffineSystem(sys_.modes, [0.2, 0.0])
-    assert invariance.decide_switched_horizon(still, S, 1) is None
+    assert next(invariance.decide_switched_horizon(still, S, 1), None) is None
     res = find_s_sequence(still, S, t_max=3, objective="max_l1_x0")
     plain = [milp.solve_milp(encode_switched(still, S, T, "max_l1_x0").model) for T in (1, 2, 3)]
     assert _sweep_counts(res) == [
@@ -763,7 +776,7 @@ def test_undecided_horizons_take_the_milp_route(case1, monkeypatch):
                                   (2, "proven_infeasible", 7, 32, 6, 4),
                                   (3, "proven_infeasible", 15, 66, 12, 8)]
     monkeypatch.setattr(invariance, "_EXACT_SEQUENCES", 32)
-    assert invariance.decide_switched_horizon(sys_, S, 6) is None
+    assert next(invariance.decide_switched_horizon(sys_, S, 6), None) is None
     res = find_s_sequence(sys_, S, t_min=5, t_max=6, objective="max_l1_x0")
     assert _sweep_counts(res) == [(5, "proven_infeasible", 0, 0, 0, 0),
                                   (6, "proven_infeasible", *CASE1_MAX_L1_COUNTS[5])]
@@ -777,7 +790,7 @@ def test_exact_decision_refutes_an_orbit_just_past_the_boundary(case1):
     orbit with S with no tolerance, over the data as written."""
     from fractions import Fraction
     sys_, S, _ = case1
-    exact = invariance.decide_switched_horizon(sys_, S, 7)
+    exact = next(invariance.decide_switched_horizon(sys_, S, 7))
     # the orbit again in rationals, from the rounded x_0's exact fixed point
     A = [[[Fraction(*decimal_ratio(v)) for v in row] for row in M.tolist()] for M in sys_.modes]
     w = [Fraction(*decimal_ratio(v)) for v in sys_.w_star.tolist()]
@@ -800,7 +813,7 @@ def test_exact_decision_refutes_an_orbit_just_past_the_boundary(case1):
         below = math.nextafter(below, 0.0)
     assert Fraction(*decimal_ratio(below)) < top < below + 1e-13
     tight = PolyLowerSet(S.A, [below])
-    assert invariance.decide_switched_horizon(sys_, tight, 7) == (None, None, 20)
+    assert list(invariance.decide_switched_horizon(sys_, tight, 7)) == [(None, None, 20)]
     res = find_s_sequence(sys_, tight, t_min=7, t_max=7)
     assert [(r.status, r.nodes, r.source) for r in res.records] == [
         ("proven_infeasible", 0, "exact least fixed points, 20 necklaces")]
@@ -819,7 +832,7 @@ def test_first_feasible_plan_is_the_exact_orbit(case1):
     last = res.records[6]
     assert (last.solver_status, last.pivots, last.source) == (
         "optimal", 0, "exact least fixed points, 18 necklaces")
-    exact = invariance.decide_switched_horizon(sys_, S, 7)
+    exact = next(invariance.decide_switched_horizon(sys_, S, 7))
     assert res.certificate.controls == exact.controls and res.minimal
     assert np.array_equal(res.certificate.x_star[0], exact.states[0])
 
@@ -981,16 +994,30 @@ def test_corrupted_plan_is_ignored(traffic_t5):
 
 
 def test_incumbent_is_not_asked_where_parallel_rows_close_the_root(traffic, monkeypatch):
-    """At T=1..4 the green-step counts clash and their rows close the root,
-    so the sweep asks for no plan there; it searches once, at T=5."""
+    """At T=1..4 the green-step counts clash and their rows close the root.
+    The sweep asks the plan search at every horizon; there it misses at
+    once, with 0 evaluations, so ``solve_milp`` gets no incumbent.  At T=5
+    its plan is the root incumbent."""
     net = traffic[0]
     assert [bool(count_clashes(net, T)) for T in range(1, 6)] == [True] * 4 + [False]
-    searched = []
-    search = invariance.search_traffic_plan
-    monkeypatch.setattr(invariance, "search_traffic_plan",
-                        lambda *args: searched.append(args[1]) or search(*args))
+    searched, incumbents = [], []
+    search, solve = invariance.search_traffic_plan, invariance.solve_milp
+
+    def searching(net, T):
+        plan = search(net, T)
+        searched.append((T, plan.evaluations))
+        return plan
+
+    def solving(model, incumbent=None, **kwargs):
+        incumbents.append(incumbent is not None)
+        return solve(model, incumbent=incumbent, **kwargs)
+
+    monkeypatch.setattr(invariance, "search_traffic_plan", searching)
+    monkeypatch.setattr(invariance, "solve_milp", solving)
     res = find_s_sequence(net, t_max=5, objective="first_feasible")
-    assert searched == [5] and res.minimal
+    assert [T for T, _ in searched] == [1, 2, 3, 4, 5] and res.minimal
+    assert [evaluations for _, evaluations in searched[:4]] == [0] * 4
+    assert incumbents == [False] * 4 + [True]
     assert [r.source for r in res.records] == [""] * 4 + [res.records[4].source]
     assert res.records[4].source.startswith("local search, ")
 
